@@ -246,8 +246,9 @@ class MultiSeedSumChecker:
 
         if agg_float is not None and is_power_of_two(cfg.d):
             # Super-group fast path: one weighted bincount covers up to
-            # m adjacent iterations at once (16 super-bits), each lane's
-            # per-iteration counts falling out as cube marginals.
+            # m adjacent iterations at once (16 super-bits, capped at
+            # d**m <= k), each lane's per-iteration counts falling out as
+            # cube marginals.
             self._accumulate_supergroups(condensed, tables)
             return tables
 

@@ -29,7 +29,8 @@ hash-sum fingerprint are linear in the multiset of pairs/elements).
 Multi-seed variants ride the same condensed state: pass an array of seeds
 where a scalar is accepted and all ``T`` lanes evaluate against the one
 condensation.  The retained condensations are also what adaptive
-escalation reuses (:meth:`SumCheckerStream.settle_adaptive`) — escalating
+escalation reuses (the adaptive window settle of
+:mod:`repro.dataflow.streaming`) — escalating
 to ``T`` fresh seeds never re-reads a chunk.
 
 The zip checker is the one exception to condensation: its fingerprint is
@@ -421,7 +422,8 @@ class SumCheckerStream(_CondensingSumStream):
     verdict once.  Chunks fold into exact per-key aggregates (the
     minireduction table is linear in the multiset of pairs, so condensed
     accumulation is verdict-identical to the batch checker), which is also
-    what :meth:`settle_adaptive` escalation reuses.
+    what the adaptive window settle of :mod:`repro.dataflow.streaming`
+    escalates over.
 
     Memory is O(unique keys) between feeds — deliberately richer than a
     direct O(iterations·d) table fold would be: the retained condensation
@@ -465,29 +467,6 @@ class SumCheckerStream(_CondensingSumStream):
                 "config": self.checker.config.label(),
                 "streaming": True,
             },
-        )
-
-    def settle_adaptive(self, policy, comm=None) -> CheckResult:
-        """Settle with 1-seed primary + policy escalation, zero re-reads.
-
-        The window's condensed aggregates serve both the primary verdict
-        and any escalation lanes — the streaming form of the
-        condensed-reuse contract of
-        :func:`repro.dataflow.pipeline.adaptive_sum_check` (imported
-        lazily: core stays import-independent of the dataflow layer).
-        """
-        self._ensure_open()
-        self._settled = True
-        from repro.dataflow.pipeline import adaptive_sum_check
-
-        return adaptive_sum_check(
-            self._input.condensed(),
-            self._output.condensed(),
-            self.checker.config,
-            seed=self.checker.seed,
-            policy=policy,
-            comm=comm,
-            operator=self.checker.operator,
         )
 
 

@@ -28,6 +28,7 @@ from repro.core.multiseed import (
     CondensedKV,
     MultiSeedHashSumChecker,
     MultiSeedSumChecker,
+    _coerce_seeds,
     condense_kv,
     condense_side,
 )
@@ -183,7 +184,11 @@ class AdaptiveCheckPolicy:
     * ``"never"`` — adaptive bookkeeping without any escalation.
 
     ``escalation_seeds`` is either a count (seeds derive from the primary
-    seed) or an explicit array of root seeds.
+    seed) or an explicit array of root seeds.  An explicit array must pass
+    the multi-seed checkers' rules (integer, distinct, 1-d) here: the
+    seeds are only resolved when a check escalates, and a bad array must
+    not turn a detected fault into a crash.  ``num_escalation_seeds`` is
+    ``T``, known without deriving any seed.
     """
 
     escalation_seeds: int | np.ndarray = 8
@@ -195,24 +200,32 @@ class AdaptiveCheckPolicy:
                 f"escalate_on must be 'reject', 'always' or 'never', "
                 f"got {self.escalate_on!r}"
             )
+        # Normalised once: ``_explicit_seeds`` is the validated root array,
+        # or None when the seeds derive from the primary seed.
+        self._explicit_seeds: np.ndarray | None = None
         if isinstance(self.escalation_seeds, (int, np.integer)):
             if self.escalation_seeds < 1:
                 raise ValueError(
                     f"need at least 1 escalation seed, "
                     f"got {self.escalation_seeds}"
                 )
-        elif np.asarray(self.escalation_seeds).size < 1:
-            raise ValueError("escalation seed array must be non-empty")
+            self.num_escalation_seeds = int(self.escalation_seeds)
+        else:
+            _coerce_seeds(self.escalation_seeds)
+            self._explicit_seeds = np.atleast_1d(
+                np.asarray(self.escalation_seeds)
+            )
+            self.num_escalation_seeds = int(self._explicit_seeds.size)
 
     def resolve_seeds(self, primary_seed: int) -> np.ndarray:
         """The escalation root seeds (derived when given as a count)."""
-        if isinstance(self.escalation_seeds, (int, np.integer)):
+        if self._explicit_seeds is None:
             return derive_seed_array(
                 primary_seed,
                 "adaptive-escalation",
-                np.arange(int(self.escalation_seeds), dtype=np.uint64),
+                np.arange(self.num_escalation_seeds, dtype=np.uint64),
             )
-        return np.asarray(self.escalation_seeds)
+        return self._explicit_seeds
 
     def should_escalate(self, primary_accepted: bool) -> bool:
         if self.escalate_on == "always":
@@ -225,7 +238,6 @@ def _adaptive_details(
     primary_accepted: bool,
     escalated: bool,
     per_seed: list[bool] | None,
-    num_seeds: int,
     escalation_seconds: float,
 ) -> dict:
     return {
@@ -233,7 +245,7 @@ def _adaptive_details(
         "adaptive": {
             "escalated": escalated,
             "escalate_on": policy.escalate_on,
-            "num_escalation_seeds": num_seeds,
+            "num_escalation_seeds": policy.num_escalation_seeds,
             "per_seed_accepted": per_seed,
             "escalation_seconds": escalation_seconds,
         },
@@ -278,13 +290,12 @@ def adaptive_sum_check(
     )
     primary_ok = primary.per_seed_verdicts(diff, comm)[0]
 
-    roots = policy.resolve_seeds(seed)
     escalated = policy.should_escalate(primary_ok)
     per_seed = None
     escalation_seconds = 0.0
     if escalated:
         t0 = time.perf_counter()
-        esc = MultiSeedSumChecker(config, roots, operator)
+        esc = MultiSeedSumChecker(config, policy.resolve_seeds(seed), operator)
         esc_diff = esc.difference(
             esc.local_tables_condensed(cin),
             esc.local_tables_condensed(cout),
@@ -299,12 +310,7 @@ def adaptive_sum_check(
             "config": config.label(),
             "operator": operator,
             **_adaptive_details(
-                policy,
-                primary_ok,
-                escalated,
-                per_seed,
-                int(roots.size),
-                escalation_seconds,
+                policy, primary_ok, escalated, per_seed, escalation_seconds
             ),
         },
     )
@@ -343,7 +349,6 @@ def adaptive_permutation_check(
     ).check_condensed(e_c, o_c, comm)
     primary_ok = primary.accepted and bool(extra_ok)
 
-    roots = policy.resolve_seeds(seed)
     # Escalation keys on the *seeded* fingerprint verdict alone: a failed
     # deterministic companion (sortedness, placement) is exact and needs
     # no multi-seed confirmation, so re-hashing T lanes for it would be
@@ -354,6 +359,7 @@ def adaptive_permutation_check(
     escalation_seconds = 0.0
     if escalated:
         t0 = time.perf_counter()
+        roots = policy.resolve_seeds(seed)
         esc_seeds = (
             derive_seed_array(roots, *seed_path) if seed_path else roots
         )
@@ -372,12 +378,7 @@ def adaptive_permutation_check(
             "hash_family": hash_family,
             "log_h": log_h,
             **_adaptive_details(
-                policy,
-                primary_ok,
-                escalated,
-                per_seed,
-                int(roots.size),
-                escalation_seconds,
+                policy, primary_ok, escalated, per_seed, escalation_seconds
             ),
         },
     )
@@ -498,7 +499,6 @@ def adaptive_zip_check(
     )
     primary_ok = primary.accepted
 
-    roots = policy.resolve_seeds(seed)
     escalated = policy.should_escalate(primary_ok)
     per_seed = None
     escalation_seconds = 0.0
@@ -509,7 +509,7 @@ def adaptive_zip_check(
                 s1, s2, zipped_first, zipped_second,
                 iterations=iterations, seed=int(s), comm=comm,
             ).accepted
-            for s in roots
+            for s in policy.resolve_seeds(seed)
         ]
         escalation_seconds = time.perf_counter() - t0
     accepted = primary_ok and (per_seed is None or all(per_seed))
@@ -519,12 +519,7 @@ def adaptive_zip_check(
         details={
             "iterations": iterations,
             **_adaptive_details(
-                policy,
-                primary_ok,
-                escalated,
-                per_seed,
-                int(roots.size),
-                escalation_seconds,
+                policy, primary_ok, escalated, per_seed, escalation_seconds
             ),
         },
     )

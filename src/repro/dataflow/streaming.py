@@ -41,11 +41,19 @@ from repro.comm import ops
 from repro.core.base import CheckResult
 from repro.core.localize import FaultReport, localize_fault
 from repro.core.params import SumCheckConfig
-from repro.core.streams import SumCheckerStream, ZipCheckerStream
+from repro.core.streams import (
+    SumCheckerStream,
+    ZipCheckerStream,
+    _CondensingSumStream,
+)
 from repro.core.sum_checker import SumAggregationChecker
 from repro.dataflow.ops.reduce_by_key import local_aggregate, reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
-from repro.dataflow.pipeline import AdaptiveCheckPolicy, CheckedRunStats
+from repro.dataflow.pipeline import (
+    AdaptiveCheckPolicy,
+    CheckedRunStats,
+    adaptive_sum_check,
+)
 from repro.dataflow.repair import (
     QuarantinedWindow,
     RepairPolicy,
@@ -486,7 +494,7 @@ def settle_reduce_window(
     """
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
-    stream = SumCheckerStream(SumAggregationChecker(config, seed_w))
+    stream = _sum_stream(config, seed_w, policy)
     elements = 0
     parts_k: list[np.ndarray] = []
     parts_v: list[np.ndarray] = []
@@ -518,10 +526,7 @@ def settle_reduce_window(
     t1 = time.perf_counter()
     op_s += t1 - t0
     stream.feed_output(out_k, out_v)
-    if policy is not None:
-        verdict = stream.settle_adaptive(policy, comm)
-    else:
-        verdict = stream.settle(comm)
+    verdict = stream.settle(comm)
     t2 = time.perf_counter()
     checker_s += t2 - t1
     stats = _window_stats(
@@ -593,7 +598,7 @@ def settle_sum_window(
         repair = RepairPolicy()
     rank = comm.rank if comm is not None else 0
     t0 = time.perf_counter()
-    stream = SumCheckerStream(SumAggregationChecker(config, seed_w))
+    stream = _sum_stream(config, seed_w, policy)
     elements = 0
     vals: list[np.ndarray] = []
     checker_s = 0.0
@@ -620,10 +625,7 @@ def settle_sum_window(
             np.zeros(1, dtype=np.uint64),
             np.array([total], dtype=np.int64),
         )
-    if policy is not None:
-        verdict = stream.settle_adaptive(policy, comm)
-    else:
-        verdict = stream.settle(comm)
+    verdict = stream.settle(comm)
     t1 = time.perf_counter()
     stats = _window_stats(
         verdict,
@@ -753,6 +755,47 @@ def settle_zip_window(
             outcome, None, record, stats, repair, seed_w, output, verdict
         )
     return output, verdict, stats, record, quarantine
+
+
+def _sum_stream(
+    config: SumCheckConfig, seed_w: int, policy: AdaptiveCheckPolicy | None
+):
+    """The window's sum-family checker stream.
+
+    With a policy the settle is adaptive and builds its own 1-seed primary
+    from the condensed sides, so no single-seed
+    :class:`SumAggregationChecker` is constructed for the window.
+    """
+    if policy is not None:
+        return _AdaptiveSumStream(config, seed_w, policy)
+    return SumCheckerStream(SumAggregationChecker(config, seed_w))
+
+
+class _AdaptiveSumStream(_CondensingSumStream):
+    """A sum stream that settles with a 1-seed primary + policy escalation.
+
+    The window's condensed aggregates serve both the primary verdict and
+    any escalation lanes (:func:`adaptive_sum_check`), so escalating
+    never re-reads a chunk.
+    """
+
+    def __init__(
+        self, config: SumCheckConfig, seed: int, policy: AdaptiveCheckPolicy
+    ):
+        super().__init__("+")
+        self.config = config
+        self.seed = seed
+        self.policy = policy
+
+    def _settle(self, comm) -> CheckResult:
+        return adaptive_sum_check(
+            self.condensed_input(),
+            self.condensed_output(),
+            self.config,
+            seed=self.seed,
+            policy=self.policy,
+            comm=comm,
+        )
 
 
 def _concat(parts: list, dtype=None) -> np.ndarray:

@@ -270,13 +270,21 @@ def iter_superbucket_blocks(
 
     Power-of-two ``d`` only.  Where :func:`iter_bucket_blocks` yields one
     ``0..d-1`` row per iteration, this packs up to
-    ``max_super_bits // log2(d)`` **adjacent** bit-groups of each hash
+    ``m = max_super_bits // log2(d)`` **adjacent** bit-groups of each hash
     evaluation into a single index in ``0..d**m - 1`` (group ``j0 + q``
     is bits ``q*log2(d)..`` of the packed index).  A consumer can then
     bucket-count *m* iterations with **one** pass over the keys and read
     each iteration's counts off as a marginal of the ``(d,)*m`` cube —
     the §7.1 bit-parallel idea applied to the accumulation itself, not
     just the hashing.
+
+    The width is also capped at the key count: ``m`` is the largest with
+    ``d**m <= len(keys)`` (at least 1).  A consumer's bincount and cube
+    marginals cost O(d**m) on top of the O(len(keys)) pass, so once the
+    bins outnumber the keys the empty bins cost more than the merged
+    passes save — a 2 000-key window would otherwise count into 65 536
+    bins per super-group.  Inputs of ``2**max_super_bits`` keys or more
+    keep the full width.
 
     Yields ``(start, count, supers)`` per seed block, where ``supers``
     is a list of ``(j0, m, idx)``: iterations ``j0..j0+m-1`` packed into
@@ -291,7 +299,9 @@ def iter_superbucket_blocks(
     group_bits = ceil_log2(d)
     groups_per_eval = max(1, family.bits // group_bits)
     num_evals = -(-iterations // groups_per_eval)
-    m_max = max(1, max_super_bits // group_bits)
+    # floor(log2 k) bits index at most k bins; k = 0 or 1 gives 0 → m = 1.
+    key_bits = max(k, 1).bit_length() - 1
+    m_max = max(1, min(max_super_bits, key_bits) // group_bits)
     # Static plan: per evaluation, the (j0, g0, m) super-groups it carries.
     evals: list[list[tuple[int, int, int]]] = []
     it = 0

@@ -66,6 +66,15 @@ def derive_seed(root: int, *path: int | str) -> int:
     return state
 
 
+#: Root-array size up to which :func:`derive_seed_array` folds the leading
+#: int/str labels per root with Python ints.  Each vectorized SplitMix64
+#: step costs ~10 µs of numpy dispatch however small the array, and a
+#: string label takes one step per byte, so a settle's 1–8 seed roots
+#: derive ~15× faster scalar; past ~16 roots the per-root Python loop
+#: loses to the vectorized pass (the trial engine's seed streams).
+_SCALAR_FOLD_MAX_ROOTS = 16
+
+
 def derive_seed_array(roots, *path) -> np.ndarray:
     """Vectorized :func:`derive_seed`: elementwise over an array of roots.
 
@@ -78,7 +87,18 @@ def derive_seed_array(roots, *path) -> np.ndarray:
     """
     if isinstance(roots, (int, np.integer)):
         roots = np.uint64(int(roots) & _MASK64)
-    state = splitmix64_array(np.asarray(roots, dtype=np.uint64))
+    roots = np.asarray(roots, dtype=np.uint64)
+    if roots.size <= _SCALAR_FOLD_MAX_ROOTS:
+        lead = 0
+        while lead < len(path) and isinstance(path[lead], (str, int, np.integer)):
+            lead += 1
+        state = np.array(
+            [derive_seed(r, *path[:lead]) for r in roots.ravel().tolist()],
+            dtype=np.uint64,
+        ).reshape(roots.shape)
+        path = path[lead:]
+    else:
+        state = splitmix64_array(roots)
     for label in path:
         if isinstance(label, str):
             for byte in label.encode("utf-8"):

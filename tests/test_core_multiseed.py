@@ -30,6 +30,14 @@ def workload():
     return keys, values, out_k, out_v, bad_v
 
 
+def _distinct_keys_workload(num_keys: int):
+    """Pairs over exactly ``num_keys`` distinct keys (a third repeated)."""
+    uniq = np.arange(num_keys, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    keys = np.concatenate([uniq, uniq[: num_keys // 3]])
+    values = np.random.default_rng(num_keys).integers(-50, 51, size=keys.size)
+    return keys, values
+
+
 class TestPerSeedIdentity:
     """Multi-seed output must equal T independent single-seed checkers."""
 
@@ -45,9 +53,27 @@ class TestPerSeedIdentity:
             ref = SumAggregationChecker(cfg, int(seed), operator=operator)
             assert np.array_equal(tables[t], ref.local_tables(keys, values))
 
-    @pytest.mark.parametrize("label", ["3x37 m7", "1x2 m31", "8x16 m15"])
-    def test_tables_match_across_configs(self, label, workload):
-        keys, values = workload[:2]
+    @pytest.mark.parametrize(
+        "label, num_keys",
+        [
+            pytest.param(label, None, id=label)
+            for label in ("3x37 m7", "1x2 m31", "8x16 m15")
+        ]
+        + [
+            # Unique-key counts on both sides of every d**m super-group
+            # width boundary (the width is capped at d**m <= keys).
+            pytest.param(label, k, id=f"{label}-k{k}")
+            for label, d in (("24x2 CRC m15", 2), ("8x16 m15", 16))
+            for k in sorted(
+                {0, 1, d - 1, d, d * d - 1, d * d, (1 << 16) - 1, 1 << 16}
+            )
+        ],
+    )
+    def test_tables_match_across_configs(self, label, num_keys, workload):
+        if num_keys is None:
+            keys, values = workload[:2]
+        else:
+            keys, values = _distinct_keys_workload(num_keys)
         cfg = SumCheckConfig.parse(label)
         tables = MultiSeedSumChecker(cfg, SEEDS).local_tables(keys, values)
         for t, seed in enumerate(SEEDS):

@@ -46,6 +46,26 @@ class TestPolicy:
                 escalation_seeds=np.zeros(0, dtype=np.uint64)
             )
 
+    @pytest.mark.parametrize(
+        "seeds, error",
+        [
+            (np.array([1.0, 2.0]), TypeError),
+            (np.array([3, 1, 3], dtype=np.uint64), ValueError),
+            (np.array([[1, 2], [3, 4]], dtype=np.uint64), ValueError),
+        ],
+        ids=["float", "duplicate", "2d"],
+    )
+    def test_validates_explicit_seed_array_at_construction(self, seeds, error):
+        # Seeds resolve only on escalation; a bad array must fail here,
+        # not crash the first rejected check.
+        with pytest.raises(error):
+            AdaptiveCheckPolicy(escalation_seeds=seeds)
+
+    def test_num_escalation_seeds_needs_no_derivation(self):
+        assert AdaptiveCheckPolicy(escalation_seeds=5).num_escalation_seeds == 5
+        explicit = AdaptiveCheckPolicy(escalation_seeds=np.array([4, 2, 9]))
+        assert explicit.num_escalation_seeds == 3
+
     def test_resolve_derives_from_primary_seed(self):
         policy = AdaptiveCheckPolicy(escalation_seeds=5)
         a = policy.resolve_seeds(7)
@@ -182,6 +202,30 @@ class TestAdaptiveSumCheck:
         )
         assert result.details["adaptive"]["escalated"]
         assert len(calls) == 2  # one per side, escalation included
+
+    def test_stream_settle_matches_batch_and_settles_once(self):
+        from repro.dataflow.streaming import _AdaptiveSumStream
+
+        keys, values, out_k, out_v, bad_v = self._workload()
+        policy = AdaptiveCheckPolicy(escalation_seeds=16, escalate_on="always")
+        stream = _AdaptiveSumStream(WEAK, 3, policy)
+        for i in range(0, keys.size, 300):
+            stream.feed_input(keys[i : i + 300], values[i : i + 300])
+        stream.feed_output(out_k, bad_v)
+        got = stream.settle()
+        ref = adaptive_sum_check(
+            (keys, values), (out_k, bad_v), WEAK, seed=3, policy=policy
+        )
+        assert got.accepted == ref.accepted
+        assert got.details["primary_accepted"] == ref.details["primary_accepted"]
+        assert (
+            got.details["adaptive"]["per_seed_accepted"]
+            == ref.details["adaptive"]["per_seed_accepted"]
+        )
+        with pytest.raises(RuntimeError, match="already settled"):
+            stream.settle()
+        with pytest.raises(RuntimeError, match="already settled"):
+            stream.feed_input([1], [1])
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_distributed_escalation_is_globally_consistent(self, p):
@@ -511,3 +555,100 @@ class TestDIAAdaptive:
         ]
         assert result.details["adaptive"]["per_seed_accepted"] == expected
         assert any(expected) and not all(expected)
+
+
+class TestEscalationSeedsOnlyWhenEscalating:
+    """An accepted ``escalate_on="reject"`` check never derives the ``T``
+    escalation seeds, and an adaptive window settle never builds the
+    single-seed checker it does not use."""
+
+    ACCEPTED_ADAPTIVE = {
+        "escalated": False,
+        "escalate_on": "reject",
+        "num_escalation_seeds": 8,
+        "per_seed_accepted": None,
+        "escalation_seconds": 0.0,
+    }
+
+    @pytest.fixture
+    def no_resolve(self, monkeypatch):
+        def refuse(self, primary_seed):
+            raise AssertionError("escalation seeds derived on an accept")
+
+        monkeypatch.setattr(AdaptiveCheckPolicy, "resolve_seeds", refuse)
+
+    @pytest.fixture
+    def no_single_seed_checker(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("single-seed checker built for a window")
+
+        monkeypatch.setattr(SumAggregationChecker, "__init__", refuse)
+
+    def test_accepted_checks_derive_no_seeds(self, no_resolve):
+        keys, values = sum_workload(1_000, num_keys=50, seed=40)
+        sum_res = adaptive_sum_check(
+            (keys, values), aggregate_reference(keys, values), STRONG, seed=41
+        )
+        data = uniform_integers(500, seed=42)
+        perm_res = adaptive_permutation_check(data, data[::-1], seed=43)
+        a = np.arange(200, dtype=np.int64)
+        zip_res = adaptive_zip_check(a, a + 1, a, a + 1, seed=44)
+        for result in (sum_res, perm_res, zip_res):
+            assert result.accepted
+            assert result.details["adaptive"] == self.ACCEPTED_ADAPTIVE
+
+    def _settle_both(self, fault_window):
+        from repro.dataflow.streaming import (
+            settle_reduce_window,
+            settle_sum_window,
+        )
+
+        keys, values = sum_workload(1_200, num_keys=60, seed=46)
+        chunks = [(keys[:600], values[:600]), (keys[600:], values[600:])]
+        policy = AdaptiveCheckPolicy()
+
+        def kv_fault(window, k, v):
+            if window == fault_window and v.size:
+                v = v.copy()
+                v[0] += 1
+            return k, v
+
+        def sum_fault(window, v):
+            return v + 1 if window == fault_window else v
+
+        records = []
+        for window in (0, 1):
+            _, reduce_v, _, reduce_rec, _ = settle_reduce_window(
+                None, chunks, config=STRONG, seed_w=50 + window,
+                window=window, policy=policy, fault=kv_fault,
+            )
+            _, sum_v, _, sum_rec, _ = settle_sum_window(
+                None, [v for _, v in chunks], config=STRONG,
+                seed_w=60 + window, window=window, policy=policy,
+                fault=sum_fault,
+            )
+            records += [(reduce_v, reduce_rec, 50 + window),
+                        (sum_v, sum_rec, 60 + window)]
+        return records
+
+    def test_adaptive_window_settles_build_no_single_seed_checker(
+        self, no_single_seed_checker
+    ):
+        policy = AdaptiveCheckPolicy()
+        for verdict, record, seed_w in self._settle_both(fault_window=1):
+            adaptive = verdict.details["adaptive"]
+            if record.window == 0:
+                assert verdict.accepted
+                assert adaptive == self.ACCEPTED_ADAPTIVE
+                assert record.seeds_used == [seed_w]
+            else:
+                assert not verdict.accepted
+                assert adaptive["per_seed_accepted"] == [False] * 8
+                assert record.seeds_used == [seed_w] + [
+                    int(s) for s in policy.resolve_seeds(seed_w)
+                ]
+
+    def test_accepted_window_settles_derive_no_seeds(self, no_resolve):
+        for verdict, record, seed_w in self._settle_both(fault_window=None):
+            assert verdict.details["adaptive"] == self.ACCEPTED_ADAPTIVE
+            assert record.seeds_used == [seed_w]

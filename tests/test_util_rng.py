@@ -90,12 +90,49 @@ class TestUniformBelow:
 
 class TestDeriveSeedArray:
     def test_matches_scalar_over_roots(self):
-        from repro.util.rng import derive_seed_array
+        from repro.util.rng import _SCALAR_FOLD_MAX_ROOTS, derive_seed_array
 
         roots = np.array([0, 1, 12345, 2**63, 2**64 - 1], dtype=np.uint64)
         got = derive_seed_array(roots, "sum-checker", "modulus", 3)
         for r, g in zip(roots, got):
             assert derive_seed(int(r), "sum-checker", "modulus", 3) == int(g)
+
+        edge = roots
+        counters = np.array([0, 7, 2**64 - 1], dtype=np.uint64)
+        # Root counts on both sides of the scalar-fold / vectorized switch,
+        # each array carrying the edge roots as-is.
+        for n in (
+            _SCALAR_FOLD_MAX_ROOTS - 1,
+            _SCALAR_FOLD_MAX_ROOTS,
+            _SCALAR_FOLD_MAX_ROOTS + 1,
+        ):
+            roots = np.concatenate(
+                [edge, 1000 + np.arange(n - edge.size, dtype=np.uint64)]
+            )
+            got = derive_seed_array(roots, "sum-checker", "modulus", 3)
+            assert got.shape == (n,)
+            for r, g in zip(roots, got):
+                assert derive_seed(int(r), "sum-checker", "modulus", 3) == int(g)
+            # Mixed labels: an array label after string labels, then more
+            # int/str labels folded on the broadcast (n, 3) state.
+            got = derive_seed_array(
+                roots[:, None], "bucket", np.int64(-2), counters, 5, "x"
+            )
+            assert got.shape == (n, counters.size)
+            for i, r in enumerate(roots):
+                for j, c in enumerate(counters):
+                    want = derive_seed(int(r), "bucket", -2, int(c), 5, "x")
+                    assert want == int(got[i, j])
+        # 0-d roots: Python int, numpy scalar and 0-d array.
+        for root in (2**64 - 1, np.uint64(12345), np.array(9, dtype=np.uint64)):
+            got = derive_seed_array(root, "trial", 4)
+            assert got.shape == ()
+            assert int(got) == derive_seed(int(root), "trial", 4)
+            got = derive_seed_array(root, "adaptive-escalation", counters)
+            assert [int(g) for g in got] == [
+                derive_seed(int(root), "adaptive-escalation", int(c))
+                for c in counters
+            ]
 
     def test_scalar_root_with_counter_array(self):
         from repro.util.rng import derive_seed_array
