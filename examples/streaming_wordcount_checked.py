@@ -5,8 +5,8 @@ The streaming sibling of ``wordcount_checked.py``: the corpus arrives as
 a sequence of chunks (think log shipper or socket reader), nothing is
 materialized beyond the current window, and every window of chunks runs
 one distributed count-reduce whose verdict settles in a single packed
-collective — with adaptive multi-seed escalation standing by on the
-window's already-condensed aggregates.
+collective — with adaptive multi-seed escalation standing by, which
+condenses the window's pairs only if it runs.
 
     python examples/streaming_wordcount_checked.py
 """

@@ -94,7 +94,8 @@ class CondensedKV:
     per-key aggregation is verdict-neutral — and it is the *only* pass over
     the raw data any multi-seed sum check needs.  Escalating from 1 seed to
     T seeds (see :class:`repro.dataflow.pipeline.AdaptiveCheckPolicy`)
-    reuses the same condensation, so escalation never re-reads the input.
+    condenses each side once, and a localization of the same check reuses
+    that condensation.
 
     ``agg`` / ``agg_float`` / ``agg_xor`` are the exact per-unique-key
     aggregates on the accumulation paths that admit them; when all three
@@ -155,6 +156,43 @@ def condense_kv(keys, values, operator: str = "+") -> CondensedKV:
         # else: |Σ values| could overflow int64 — keys still dedup for the
         # hash pass, but accumulation stays per element (exact mod-r path).
     return CondensedKV(unique_keys, inverse, values, agg, agg_float, agg_xor)
+
+
+def _pairs_condensed(keys, values, operator: str = "+") -> CondensedKV:
+    """A :class:`CondensedKV` view of raw pairs, without deduplication.
+
+    Every consumer of a condensation is linear in the (key, value)
+    multiset — weighted bincounts, chunked mod-r scatter-adds, xor
+    scatters — so presenting the raw pairs as "unique" keys with their
+    own values as aggregates yields bit-identical lane tables while
+    skipping the sort.  The magnitude guards mirror :func:`condense_kv`
+    exactly (Σ|v| is the same for raw and condensed pairs), so the same
+    exactness path is selected.  Only valid where a condensation is
+    consumed as a multiset (table evaluation); the ``unique_keys`` field
+    may contain duplicates.
+
+    This is how a one-seed fold reads its side: sorting pays only when
+    its unique keys are hashed under many lanes (escalation, repair) or
+    searched (localization), which is when :func:`condense_kv` runs.
+    """
+    keys = _coerce_keys(keys)
+    values = _coerce_values(values)
+    if keys.size != values.size:
+        raise ValueError(
+            f"keys and values differ in length: {keys.size} vs {values.size}"
+        )
+    inverse = np.arange(keys.size, dtype=np.intp)
+    agg = agg_float = agg_xor = None
+    if keys.size:
+        bound = _magnitude_bound(values)
+        if operator == "xor":
+            agg_xor = values.view(np.uint64)
+        elif bound < (1 << _CHUNK_BITS):
+            agg = values
+            agg_float = values.astype(np.float64)
+        elif bound < (1 << 63):
+            agg = values
+    return CondensedKV(keys, inverse, values, agg, agg_float, agg_xor)
 
 
 class MultiSeedSumChecker:

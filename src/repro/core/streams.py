@@ -28,10 +28,7 @@ checker fed the concatenated input (the minireduction table and the
 hash-sum fingerprint are linear in the multiset of pairs/elements).
 Multi-seed variants ride the same condensed state: pass an array of seeds
 where a scalar is accepted and all ``T`` lanes evaluate against the one
-condensation.  The retained condensations are also what adaptive
-escalation reuses (the adaptive window settle of
-:mod:`repro.dataflow.streaming`) — escalating
-to ``T`` fresh seeds never re-reads a chunk.
+condensation.
 
 The zip checker is the one exception to condensation: its fingerprint is
 *positional* (order-sensitive), so :class:`ZipCheckerStream` instead
@@ -53,6 +50,7 @@ from repro.core.multiseed import (
     MultiSeedHashSumChecker,
     MultiSeedSumChecker,
     _coerce_seeds,
+    _pairs_condensed,
     condense_kv,
 )
 from repro.core.params import SumCheckConfig
@@ -421,13 +419,11 @@ class SumCheckerStream(_CondensingSumStream):
     pairs and output pairs in arbitrary chunk order, then settle the
     verdict once.  Chunks fold into exact per-key aggregates (the
     minireduction table is linear in the multiset of pairs, so condensed
-    accumulation is verdict-identical to the batch checker), which is also
-    what the adaptive window settle of :mod:`repro.dataflow.streaming`
-    escalates over.
+    accumulation is verdict-identical to the batch checker).
 
     Memory is O(unique keys) between feeds — deliberately richer than a
     direct O(iterations·d) table fold would be: the retained condensation
-    is what lets multi-seed lanes and adaptive escalation run against the
+    is what lets multi-seed lanes and fault localization run against the
     stream without ever re-reading a chunk.  Feeds over an unbounded key
     universe should settle in windows (see
     :mod:`repro.dataflow.streaming`) rather than grow one stream forever.
@@ -482,33 +478,6 @@ _FUSED_UNIQUE_RATIO = 0.9
 # of one per chunk, and proportionally fewer segment merges.  Scratch
 # stays bounded by the coalesce budget plus one chunk.
 _CONDENSE_COALESCE = 1 << 18
-
-
-def _pairs_condensed(keys, values, operator: str) -> CondensedKV:
-    """A :class:`CondensedKV` view of raw pairs, without deduplication.
-
-    Every consumer of a condensation is linear in the (key, value)
-    multiset — weighted bincounts, chunked mod-r scatter-adds, xor
-    scatters — so presenting the raw pairs as "unique" keys with their
-    own values as aggregates yields bit-identical lane tables while
-    skipping the per-chunk sort.  The magnitude guards mirror
-    :func:`condense_kv` exactly (Σ|v| is the same for raw and condensed
-    pairs), so the same exactness path is selected.  Only valid where a
-    condensation is consumed as a multiset (table evaluation); the
-    ``unique_keys`` field may contain duplicates.
-    """
-    inverse = np.arange(keys.size, dtype=np.intp)
-    agg = agg_float = agg_xor = None
-    if keys.size:
-        bound = _magnitude_bound(values)
-        if operator == "xor":
-            agg_xor = values.view(np.uint64)
-        elif bound < (1 << _CHUNK_BITS):
-            agg = values
-            agg_float = values.astype(np.float64)
-        elif bound < (1 << 63):
-            agg = values
-    return CondensedKV(keys, inverse, values, agg, agg_float, agg_xor)
 
 
 class _FusedSumSide:
@@ -654,8 +623,8 @@ class MultiSeedSumCheckerStream(CheckerStream):
     (no second condensed-keys traversal at settle).  ``fused=True``
     forces chunk-at-a-time table folding, ``fused=False`` the legacy
     always-condense behaviour (required by consumers of
-    :meth:`condensed_input` / :meth:`condensed_output`, e.g. adaptive
-    escalation).  Either way the distributed settle is a single packed
+    :meth:`condensed_input` / :meth:`condensed_output`, e.g. fault
+    localization).  Either way the distributed settle is a single packed
     collective, and per-seed verdicts are bit-identical to ``T``
     independent ``SumCheckerStream`` instances fed the same chunks.
     """
@@ -1192,10 +1161,8 @@ class ZipCheckerStream(CheckerStream):
         super().__init__()
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
-        self._scalar = np.ndim(seeds) == 0
-        seed_list = [int(s) for s in np.atleast_1d(np.asarray(seeds))]
-        if len(set(seed_list)) != len(seed_list):
-            raise ValueError("multi-seed checkers require distinct seeds")
+        seed_arr, self._scalar = _as_seed_array(seeds)
+        seed_list = [int(s) for s in seed_arr]
         self.iterations = iterations
         self._lane_seeds = [
             (derive_seed(s, "lane1"), derive_seed(s, "lane2"))

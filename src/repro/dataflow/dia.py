@@ -260,9 +260,9 @@ class KeyValueDIA:
     ) -> tuple["KeyValueDIA", CheckResult]:
         """ReduceByKey + Theorem 1 checker.
 
-        With a ``policy`` the check runs 1 seed inline and escalates to the
-        policy's ``T`` seeds on its trigger, reusing the condensed
-        unique-key aggregates (no second pass over the pairs).
+        With a ``policy`` the check runs 1 seed inline on the raw pairs and
+        escalates to the policy's ``T`` seeds on its trigger, against the
+        sides condensed once to their unique-key aggregates.
         """
         k, v = reduce_by_key(self.comm, self.keys, self.values, partitioner)
         if policy is not None:

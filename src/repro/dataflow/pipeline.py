@@ -9,9 +9,11 @@ path (the experiment harness does exactly that).
 :class:`AdaptiveCheckPolicy` adds the "verify cheaply first, escalate on
 suspicion" layer: every checked operation runs ONE seed inline and
 re-checks under ``T`` escalation seeds only when the primary verdict fails
-(or unconditionally, for a hardened δ^T run).  Escalation reuses the
-condensed unique-key aggregates the primary check already built, so it
-never takes a second pass over the raw data.
+(or unconditionally, for a hardened δ^T run).  A sum-family primary
+folds its one-seed tables straight from the raw pairs (one hash per
+pair, no sort, as in the paper's Algorithm 1); only escalation condenses
+each side to its unique keys, once, and evaluates all ``T`` seed lanes
+against those aggregates.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from repro.core.multiseed import (
     MultiSeedHashSumChecker,
     MultiSeedSumChecker,
     _coerce_seeds,
+    _pairs_condensed,
     condense_kv,
     condense_side,
 )
 from repro.core.groupby_checker import encode_records
 from repro.core.params import SumCheckConfig
 from repro.core.sort_checker import check_globally_sorted, check_sort
-from repro.core.sum_checker import SumAggregationChecker
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.sort import sample_sort
 from repro.util.rng import default_generator, derive_seed, derive_seed_array
@@ -173,7 +175,8 @@ class AdaptiveCheckPolicy:
     The checkers have one-sided error: a rejection *proves* the result (or
     the checker's own wire traffic) is corrupt, so before paying for a
     re-execution the pipeline confirms the verdict under ``T`` fresh seeds
-    — at condensed-aggregate cost, not another data pass.  Modes:
+    — at condensed-aggregate cost: each side is condensed once and all
+    ``T`` lanes evaluate against it.  Modes:
 
     * ``"reject"`` (default) — escalate only when the primary verdict
       rejects; the per-seed flags tell a true data error (every seed
@@ -252,53 +255,88 @@ def _adaptive_details(
     }
 
 
-def adaptive_sum_check(
-    input_side,
-    asserted_side,
-    config: SumCheckConfig,
-    seed: int = 0,
-    policy: AdaptiveCheckPolicy | None = None,
-    comm=None,
-    operator: str = "+",
-) -> CheckResult:
-    """Theorem 1 check with 1-seed primary and policy-driven escalation.
+def _run_stats(
+    result: CheckResult,
+    operation_seconds: float,
+    checker_seconds: float,
+    **counts,
+) -> CheckedRunStats:
+    """A checked run's stats, the escalation time split off when adaptive."""
+    adaptive = result.details.get("adaptive")
+    escalation_seconds = (
+        adaptive["escalation_seconds"] if adaptive is not None else 0.0
+    )
+    escalated = bool(adaptive and adaptive["escalated"])
+    return CheckedRunStats(
+        operation_seconds=operation_seconds,
+        checker_seconds=checker_seconds - escalation_seconds,
+        escalated=escalated,
+        escalation_seconds=escalation_seconds,
+        escalation_seeds=(
+            adaptive["num_escalation_seeds"] if escalated else 0
+        ),
+        **counts,
+    )
 
-    ``input_side`` / ``asserted_side`` are ``(keys, values)`` pairs or
-    already-built :class:`~repro.core.multiseed.CondensedKV` objects; both
-    sides are condensed exactly once, and the escalation evaluates its
-    ``T`` seed lanes against the *same* aggregates — no second pass over
-    raw data.  The primary verdict (and each escalation seed's verdict) is
-    identical to a fresh single-seed checker under that seed; the primary
-    verdict is globally agreed before the escalation decision, so all PEs
-    escalate together.
+
+def _primary_tables(primary: MultiSeedSumChecker, side) -> np.ndarray:
+    """The one-seed ``primary``'s tables of one check side.
+
+    Raw ``(keys, values)`` pairs fold without sorting
+    (:func:`~repro.core.multiseed._pairs_condensed`); a
+    :class:`CondensedKV` side folds as given.
     """
-    policy = policy or AdaptiveCheckPolicy()
-    cin = (
-        input_side
-        if isinstance(input_side, CondensedKV)
-        else condense_kv(*input_side, operator)
-    )
-    cout = (
-        asserted_side
-        if isinstance(asserted_side, CondensedKV)
-        else condense_kv(*asserted_side, operator)
-    )
-    primary = MultiSeedSumChecker(config, [seed], operator)
-    diff = primary.difference(
-        primary.local_tables_condensed(cin),
-        primary.local_tables_condensed(cout),
-    )
+    if not isinstance(side, CondensedKV):
+        side = _pairs_condensed(*side, primary.operator)
+    return primary.local_tables_condensed(side)
+
+
+def _settle_sum(
+    primary: MultiSeedSumChecker,
+    t_in: np.ndarray,
+    sides: list,
+    seed: int,
+    policy: AdaptiveCheckPolicy | None,
+    comm,
+    **plain_details,
+) -> CheckResult:
+    """Settle a sum check whose one-seed ``primary`` folded ``t_in``.
+
+    ``sides`` is the ``[input, asserted]`` list; the asserted side folds
+    from its raw pairs.  Without a ``policy`` the result is the plain
+    ``"sum-aggregation"`` verdict, its details the config label plus
+    ``plain_details``.  With one, each raw side is condensed once, after
+    the primary verdict and only when the policy escalates, and the ``T``
+    escalation lanes fold from those condensations.  The condensations
+    replace the raw sides in ``sides``, so a localization of the rejected
+    check reuses them.
+    """
+    operator = primary.operator
+    config = primary.config
+    diff = primary.difference(t_in, _primary_tables(primary, sides[1]))
     primary_ok = primary.per_seed_verdicts(diff, comm)[0]
+    if policy is None:
+        return CheckResult(
+            accepted=bool(primary_ok),
+            checker="sum-aggregation",
+            details={"config": config.label(), **plain_details},
+        )
 
     escalated = policy.should_escalate(primary_ok)
     per_seed = None
     escalation_seconds = 0.0
     if escalated:
         t0 = time.perf_counter()
+        sides[:] = [
+            side
+            if isinstance(side, CondensedKV)
+            else condense_kv(*side, operator)
+            for side in sides
+        ]
         esc = MultiSeedSumChecker(config, policy.resolve_seeds(seed), operator)
         esc_diff = esc.difference(
-            esc.local_tables_condensed(cin),
-            esc.local_tables_condensed(cout),
+            esc.local_tables_condensed(sides[0]),
+            esc.local_tables_condensed(sides[1]),
         )
         per_seed = esc.per_seed_verdicts(esc_diff, comm)
         escalation_seconds = time.perf_counter() - t0
@@ -313,6 +351,37 @@ def adaptive_sum_check(
                 policy, primary_ok, escalated, per_seed, escalation_seconds
             ),
         },
+    )
+
+
+def adaptive_sum_check(
+    input_side,
+    asserted_side,
+    config: SumCheckConfig,
+    seed: int = 0,
+    policy: AdaptiveCheckPolicy | None = None,
+    comm=None,
+    operator: str = "+",
+) -> CheckResult:
+    """Theorem 1 check with 1-seed primary and policy-driven escalation.
+
+    ``input_side`` / ``asserted_side`` are ``(keys, values)`` pairs or
+    already-built :class:`~repro.core.multiseed.CondensedKV` objects.
+    The primary folds raw pairs as they are, without sorting; escalation
+    condenses each raw side exactly once and evaluates its ``T`` seed
+    lanes against those aggregates.  The primary verdict (and each
+    escalation seed's verdict) is identical to a fresh single-seed
+    checker under that seed; the primary verdict is globally agreed
+    before the escalation decision, so all PEs escalate together.
+    """
+    primary = MultiSeedSumChecker(config, [seed], operator)
+    return _settle_sum(
+        primary,
+        _primary_tables(primary, input_side),
+        [input_side, asserted_side],
+        seed,
+        policy or AdaptiveCheckPolicy(),
+        comm,
     )
 
 
@@ -541,48 +610,16 @@ def checked_reduce_by_key(
     Returns ``(result_keys, result_values, CheckResult, CheckedRunStats)``.
     With a ``manipulator`` the fault is injected *inside* the black box (the
     checker still sees the original input), emulating a silent error in the
-    reduction.  With a ``policy`` the check is adaptive: the input is
-    condensed once as it streams into the operation, a single seed settles
-    inline, and escalation (on the policy's trigger) re-checks ``T`` seeds
-    against the same condensed aggregates — no second pass over the data.
+    reduction.  The one-seed checker folds the input's tables from the raw
+    pairs as they stream into the operation, before the black box runs.
+    With a ``policy`` the check is adaptive: that seed settles inline, and
+    escalation (on the policy's trigger) condenses both sides once and
+    re-checks ``T`` seeds against them.
     """
-    if policy is not None:
-        t0 = time.perf_counter()
-        cin = condense_kv(keys, values)  # checker taps the input stream
-        t1 = time.perf_counter()
-        op_keys, op_values = keys, values
-        if manipulator is not None:
-            rng = manipulator_rng or default_generator(seed)
-            manipulated = manipulator.apply(rng, keys, values)
-            op_keys, op_values = manipulated.keys, manipulated.values
-        out_keys, out_values = reduce_by_key(
-            comm, op_keys, op_values, partitioner
-        )
-        t2 = time.perf_counter()
-        result = adaptive_sum_check(
-            cin, (out_keys, out_values), config, seed, policy, comm
-        )
-        t3 = time.perf_counter()
-        adaptive = result.details["adaptive"]
-        stats = CheckedRunStats(
-            operation_seconds=t2 - t1,
-            checker_seconds=(t1 - t0)
-            + (t3 - t2)
-            - adaptive["escalation_seconds"],
-            escalated=adaptive["escalated"],
-            escalation_seconds=adaptive["escalation_seconds"],
-            escalation_seeds=(
-                adaptive["num_escalation_seeds"]
-                if adaptive["escalated"]
-                else 0
-            ),
-        )
-        return out_keys, out_values, result, stats
-
-    checker = SumAggregationChecker(config, seed)
-
     t0 = time.perf_counter()
-    t_in = checker.local_tables(keys, values)  # checker taps the input stream
+    primary = MultiSeedSumChecker(config, [seed])
+    # The checker taps the input stream.
+    t_in = _primary_tables(primary, (keys, values))
     t1 = time.perf_counter()
 
     op_keys, op_values = keys, values
@@ -593,30 +630,18 @@ def checked_reduce_by_key(
     out_keys, out_values = reduce_by_key(comm, op_keys, op_values, partitioner)
     t2 = time.perf_counter()
 
-    t_out = checker.local_tables(out_keys, out_values)
-    diff = checker.difference(t_in, t_out)
-    if comm is None:
-        verdict = not np.any(diff)
-    else:
-
-        def wire_op(a, b):
-            return checker.pack(
-                checker.combine(checker.unpack(a), checker.unpack(b))
-            )
-
-        combined = comm.reduce(checker.pack(diff), wire_op, root=0)
-        verdict = None
-        if comm.rank == 0:
-            verdict = not np.any(checker.unpack(combined))
-        verdict = comm.bcast(verdict, root=0)
-    t3 = time.perf_counter()
-
-    result = CheckResult(
-        accepted=bool(verdict),
-        checker="sum-aggregation",
-        details={"config": config.label(), "pipelined": True},
+    result = _settle_sum(
+        primary,
+        t_in,
+        [(keys, values), (out_keys, out_values)],
+        seed,
+        policy,
+        comm,
+        pipelined=True,
     )
-    stats = CheckedRunStats(
+    t3 = time.perf_counter()
+    stats = _run_stats(
+        result,
         operation_seconds=t2 - t1,
         checker_seconds=(t1 - t0) + (t3 - t2),
     )

@@ -6,15 +6,14 @@ any checker sees a byte.  This module is the §7-faithful alternative: a
 global materialization), and every checked operation processes the stream
 in **windows** of ``chunks_per_window`` chunks:
 
-* chunks are forwarded to a :mod:`repro.core.streams` checker stream *as
-  they arrive* (the checker folds them into condensed per-key aggregates —
-  memory O(unique keys per window));
-* the operation itself runs once per window (local pre-aggregation also
+* the operation itself runs once per window (local pre-aggregation
   happens chunk-at-a-time);
-* the verdict **settles once per window** — one data-bearing collective
-  per window, not per chunk — and with an
-  :class:`~repro.dataflow.pipeline.AdaptiveCheckPolicy` the escalation
-  lanes reuse the window's condensed aggregates (no chunk is re-read).
+* the checker folds its one-seed tables straight from the window's raw
+  pairs, without sorting, and the verdict **settles once per window** —
+  one data-bearing collective per window, not per chunk;
+* only a window that escalates (under an
+  :class:`~repro.dataflow.pipeline.AdaptiveCheckPolicy`) or is localized
+  condenses its two sides, once each, and both reuse that condensation.
 
 Per-window :class:`~repro.dataflow.pipeline.CheckedRunStats` accumulate
 into a run-level record (``windows``, ``elements_fed``, merged overhead
@@ -40,19 +39,18 @@ import numpy as np
 from repro.comm import ops
 from repro.core.base import CheckResult
 from repro.core.localize import FaultReport, localize_fault
+from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.streams import (
-    SumCheckerStream,
-    ZipCheckerStream,
-    _CondensingSumStream,
-)
-from repro.core.sum_checker import SumAggregationChecker
+from repro.core.streams import ZipCheckerStream
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.ops.reduce_by_key import local_aggregate, reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
 from repro.dataflow.pipeline import (
     AdaptiveCheckPolicy,
     CheckedRunStats,
-    adaptive_sum_check,
+    _primary_tables,
+    _run_stats,
+    _settle_sum,
 )
 from repro.dataflow.repair import (
     QuarantinedWindow,
@@ -210,9 +208,8 @@ class StreamingDIA(_ChunkSource):
         """Windowed global sum with the §4 checker (key 0 for all elements).
 
         Each window's output is the window's global total; the checker
-        sees every element as a ``(0, value)`` pair (condensed state is a
-        single key) and the asserted total as a single output pair on
-        PE 0.  One settle per window.
+        sees every element as a ``(0, value)`` pair and the asserted total
+        as a single output pair on PE 0.  One settle per window.
 
         A ``reexecute(window_id, key_ranges)`` callback heals rejected
         windows like :meth:`StreamingKeyValueDIA.reduce_by_key_checked`
@@ -339,15 +336,15 @@ class StreamingKeyValueDIA(_ChunkSource):
     ) -> StreamingCheckedRun:
         """Windowed ReduceByKey + Theorem 1 checker, one settle per window.
 
-        Every chunk is (a) folded into the window's checker stream and
-        (b) locally pre-aggregated — both O(unique keys) — then the window
-        runs one key-partitioned exchange and settles one verdict.  With a
+        Every chunk is locally pre-aggregated as it arrives; the checker
+        folds the window's raw pairs once, then the window runs one
+        key-partitioned exchange and settles one verdict.  With a
         ``policy`` the settle is adaptive: 1 seed inline, escalation lanes
-        evaluated against the window's already-condensed aggregates.
+        evaluated against the window's sides condensed once.
 
         With a ``reexecute(window_id, key_ranges)`` callback (see
         :mod:`repro.dataflow.repair` for the contract) a rejected window
-        is localized against the stream's retained condensations, then
+        is localized against the window's condensed sides, then
         repaired under bounded retry and either healed in place (its
         output and verdict replaced by the accepted re-execution) or
         appended to ``run.quarantined`` — subsequent windows settle
@@ -494,15 +491,19 @@ def settle_reduce_window(
     """
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
-    stream = _sum_stream(config, seed_w, policy)
     elements = 0
+    raw_k: list[np.ndarray] = []
+    raw_v: list[np.ndarray] = []
     parts_k: list[np.ndarray] = []
     parts_v: list[np.ndarray] = []
     checker_s = 0.0
     op_s = 0.0
     for keys, values in chunks:
         c0 = time.perf_counter()
-        stream.feed_input(keys, values)
+        # Coerced per chunk: concatenating int64 with uint64 keys would
+        # give float64 keys, which the checker refuses.
+        raw_k.append(_coerce_keys(keys))
+        raw_v.append(_coerce_values(values))
         c1 = time.perf_counter()
         lk, lv = local_aggregate(keys, values)
         c2 = time.perf_counter()
@@ -510,14 +511,19 @@ def settle_reduce_window(
         op_s += c2 - c1
         parts_k.append(lk)
         parts_v.append(lv)
-        elements += int(np.asarray(keys).size)
+        elements += int(raw_k[-1].size)
 
     def _operation(comm_, keys, values, part):
         if fault is not None:
             keys, values = fault(window, keys, values)
         return reduce_by_key(comm_, keys, values, part)
 
+    c0 = time.perf_counter()
+    in_side = (_concat(raw_k, dtype=np.uint64), _concat(raw_v, dtype=np.int64))
+    primary = MultiSeedSumChecker(config, [seed_w])
+    t_in = _primary_tables(primary, in_side)
     t0 = time.perf_counter()
+    checker_s += t0 - c0
     merged_k, merged_v = local_aggregate(
         _concat(parts_k, dtype=np.uint64),
         _concat(parts_v, dtype=np.int64),
@@ -525,15 +531,14 @@ def settle_reduce_window(
     out_k, out_v = _operation(comm, merged_k, merged_v, partitioner)
     t1 = time.perf_counter()
     op_s += t1 - t0
-    stream.feed_output(out_k, out_v)
-    verdict = stream.settle(comm)
+    sides = [in_side, (out_k, out_v)]
+    verdict = _settle_sum(
+        primary, t_in, sides, seed_w, policy, comm, streaming=True
+    )
     t2 = time.perf_counter()
     checker_s += t2 - t1
-    stats = _window_stats(
-        verdict,
-        operation_seconds=op_s,
-        checker_seconds=checker_s,
-        elements=elements,
+    stats = _run_stats(
+        verdict, op_s, checker_s, windows=1, elements_fed=elements
     )
     record = _window_record(window, verdict, seed_w, policy)
     output = (out_k, out_v)
@@ -547,9 +552,9 @@ def settle_reduce_window(
                 "localize",
                 np.arange(repair.localization_seeds, dtype=np.uint64),
             )
+            # The sides an escalation already condensed are reused.
             report = localize_fault(
-                stream.condensed_input(),
-                stream.condensed_output(),
+                *sides,
                 config,
                 loc_seeds,
                 comm,
@@ -598,17 +603,13 @@ def settle_sum_window(
         repair = RepairPolicy()
     rank = comm.rank if comm is not None else 0
     t0 = time.perf_counter()
-    stream = _sum_stream(config, seed_w, policy)
-    elements = 0
-    vals: list[np.ndarray] = []
-    checker_s = 0.0
-    for chunk in chunks:
-        chunk = np.asarray(chunk)
-        elements += int(chunk.size)
-        c0 = time.perf_counter()
-        stream.feed_input(np.zeros(chunk.shape, dtype=np.uint64), chunk)
-        checker_s += time.perf_counter() - c0
-        vals.append(chunk)
+    vals = [_coerce_values(chunk) for chunk in chunks]
+    values = _concat(vals, dtype=np.int64)
+    c0 = time.perf_counter()
+    in_side = (np.zeros_like(values, dtype=np.uint64), values)
+    primary = MultiSeedSumChecker(config, [seed_w])
+    t_in = _primary_tables(primary, in_side)
+    checker_s = time.perf_counter() - c0
 
     def _operation(comm_, values):
         if fault is not None:
@@ -618,20 +619,27 @@ def settle_sum_window(
             return local
         return comm_.allreduce(local, op=ops.SUM)
 
-    total = _operation(comm, _concat(vals, dtype=np.int64))
+    # The operation works on its own copy: the black box never touches
+    # the input the checker reads.
+    total = _operation(comm, values.copy())
     t_op_done = time.perf_counter()
+    out_side = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
     if rank == 0:
-        stream.feed_output(
+        out_side = (
             np.zeros(1, dtype=np.uint64),
             np.array([total], dtype=np.int64),
         )
-    verdict = stream.settle(comm)
+    verdict = _settle_sum(
+        primary, t_in, [in_side, out_side], seed_w, policy, comm,
+        streaming=True,
+    )
     t1 = time.perf_counter()
-    stats = _window_stats(
+    stats = _run_stats(
         verdict,
         operation_seconds=(t_op_done - t0) - checker_s,
         checker_seconds=checker_s + (t1 - t_op_done),
-        elements=elements,
+        windows=1,
+        elements_fed=int(values.size),
     )
     record = _window_record(window, verdict, seed_w, policy)
     output = total
@@ -757,47 +765,6 @@ def settle_zip_window(
     return output, verdict, stats, record, quarantine
 
 
-def _sum_stream(
-    config: SumCheckConfig, seed_w: int, policy: AdaptiveCheckPolicy | None
-):
-    """The window's sum-family checker stream.
-
-    With a policy the settle is adaptive and builds its own 1-seed primary
-    from the condensed sides, so no single-seed
-    :class:`SumAggregationChecker` is constructed for the window.
-    """
-    if policy is not None:
-        return _AdaptiveSumStream(config, seed_w, policy)
-    return SumCheckerStream(SumAggregationChecker(config, seed_w))
-
-
-class _AdaptiveSumStream(_CondensingSumStream):
-    """A sum stream that settles with a 1-seed primary + policy escalation.
-
-    The window's condensed aggregates serve both the primary verdict and
-    any escalation lanes (:func:`adaptive_sum_check`), so escalating
-    never re-reads a chunk.
-    """
-
-    def __init__(
-        self, config: SumCheckConfig, seed: int, policy: AdaptiveCheckPolicy
-    ):
-        super().__init__("+")
-        self.config = config
-        self.seed = seed
-        self.policy = policy
-
-    def _settle(self, comm) -> CheckResult:
-        return adaptive_sum_check(
-            self.condensed_input(),
-            self.condensed_output(),
-            self.config,
-            seed=self.seed,
-            policy=self.policy,
-            comm=comm,
-        )
-
-
 def _concat(parts: list, dtype=None) -> np.ndarray:
     arrays = [np.asarray(p) for p in parts]
     arrays = [a for a in arrays if a.size]
@@ -828,31 +795,6 @@ def _window_record(
         escalation_seeds=(
             int(adaptive["num_escalation_seeds"]) if escalated else 0
         ),
-    )
-
-
-def _window_stats(
-    verdict: CheckResult,
-    operation_seconds: float,
-    checker_seconds: float,
-    elements: int,
-) -> CheckedRunStats:
-    """One window's CheckedRunStats, escalation split off when adaptive."""
-    adaptive = verdict.details.get("adaptive")
-    escalation_seconds = (
-        adaptive["escalation_seconds"] if adaptive is not None else 0.0
-    )
-    escalated = bool(adaptive and adaptive["escalated"])
-    return CheckedRunStats(
-        operation_seconds=operation_seconds,
-        checker_seconds=checker_seconds - escalation_seconds,
-        escalated=escalated,
-        escalation_seconds=escalation_seconds,
-        escalation_seeds=(
-            adaptive["num_escalation_seeds"] if escalated else 0
-        ),
-        windows=1,
-        elements_fed=elements,
     )
 
 

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from repro.comm.context import Context
-from repro.core.multiseed import MultiSeedHashSumChecker, MultiSeedSumChecker
+from repro.core.multiseed import (
+    MultiSeedHashSumChecker,
+    MultiSeedSumChecker,
+    _pairs_condensed,
+)
 from repro.core.params import SumCheckConfig
 from repro.core.permutation_checker import (
     HashSumPermutationChecker,
@@ -48,10 +52,15 @@ class TestPerSeedIdentity:
         cfg = SumCheckConfig.parse("4x8 m5").with_hash(family)
         multi = MultiSeedSumChecker(cfg, SEEDS, operator=operator)
         tables = multi.local_tables(keys, values)
+        raw = multi.local_tables_condensed(
+            _pairs_condensed(keys, values, operator)
+        )
         assert tables.shape == (SEEDS.size, cfg.iterations, cfg.d)
         for t, seed in enumerate(SEEDS):
             ref = SumAggregationChecker(cfg, int(seed), operator=operator)
-            assert np.array_equal(tables[t], ref.local_tables(keys, values))
+            ref_tables = ref.local_tables(keys, values)
+            assert np.array_equal(tables[t], ref_tables)
+            assert np.array_equal(raw[t], ref_tables)
 
     @pytest.mark.parametrize(
         "label, num_keys",
@@ -75,10 +84,15 @@ class TestPerSeedIdentity:
         else:
             keys, values = _distinct_keys_workload(num_keys)
         cfg = SumCheckConfig.parse(label)
-        tables = MultiSeedSumChecker(cfg, SEEDS).local_tables(keys, values)
+        multi = MultiSeedSumChecker(cfg, SEEDS)
+        tables = multi.local_tables(keys, values)
+        raw = multi.local_tables_condensed(_pairs_condensed(keys, values))
         for t, seed in enumerate(SEEDS):
-            ref = SumAggregationChecker(cfg, int(seed))
-            assert np.array_equal(tables[t], ref.local_tables(keys, values))
+            ref_tables = SumAggregationChecker(cfg, int(seed)).local_tables(
+                keys, values
+            )
+            assert np.array_equal(tables[t], ref_tables)
+            assert np.array_equal(raw[t], ref_tables)
 
     @pytest.mark.parametrize("operator", ["+", "xor"])
     def test_verdicts_match_instances(self, operator, workload):
@@ -139,15 +153,26 @@ class TestPerSeedIdentity:
 
 
 class TestMagnitudePaths:
-    """All accumulation paths (float-fast, agg-mod, per-element) are exact."""
+    """All accumulation paths (float-fast, agg-mod, per-element) are exact,
+    from condensed and from raw pairs alike."""
 
     CFG = SumCheckConfig.parse("4x8 m15")
 
     def _assert_matches_instances(self, keys, values):
-        tables = MultiSeedSumChecker(self.CFG, SEEDS).local_tables(keys, values)
+        multi = MultiSeedSumChecker(self.CFG, SEEDS)
+        tables = multi.local_tables(keys, values)
+        raw = multi.local_tables_condensed(_pairs_condensed(keys, values))
         for t, seed in enumerate(SEEDS):
             ref = SumAggregationChecker(self.CFG, int(seed))
-            assert np.array_equal(tables[t], ref.local_tables(keys, values))
+            ref_tables = ref.local_tables(keys, values)
+            assert np.array_equal(tables[t], ref_tables)
+            assert np.array_equal(raw[t], ref_tables)
+
+    def test_small_values_use_float_bincount(self):
+        # Σ|v| < 2^52: the float64 bincount path with deferred modulo.
+        keys = np.array([1, 2, 1, 3, 2], dtype=np.uint64)
+        values = np.array([2**40, -7, 5, 5, -(2**40)], dtype=np.int64)
+        self._assert_matches_instances(keys, values)
 
     def test_int64_min_values(self):
         keys = np.array([1, 2, 1, 3], dtype=np.uint64)

@@ -1,17 +1,23 @@
 """Tests for adaptive seed escalation in the dataflow pipeline.
 
-Contract under test: one seed settles inline; escalation (per policy)
+Contract under test: one seed settles inline, folded from the raw pairs
+without condensing; escalation (per policy) condenses each side once and
 re-checks under ``T`` fresh seeds whose per-seed verdicts are identical to
-independent single-seed checks — and the escalation consumes the already
-condensed aggregates instead of re-reading the raw data.
+independent single-seed checks.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+import repro.core.localize as localize_mod
+import repro.core.multiseed as multiseed_mod
 import repro.dataflow.pipeline as pipeline_mod
 from repro.comm.context import Context
+from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
+from repro.core.streams import StreamedKV
 from repro.core.sort_checker import check_sort
 from repro.core.sum_checker import SumAggregationChecker
 from repro.core.zip_checker import check_zip
@@ -186,46 +192,40 @@ class TestAdaptiveSumCheck:
         assert not result.accepted
 
     def test_escalation_reuses_condensation(self, monkeypatch):
-        """Escalation must not trigger a second condensation pass."""
+        """The primary settles on raw pairs; only escalation condenses."""
         keys, values, out_k, out_v, bad_v = self._workload()
-        calls = []
-        original = pipeline_mod.condense_kv
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline_mod, "condense_kv", counting)
+        events = _record_condense_and_verdicts(monkeypatch, [pipeline_mod])
         result = adaptive_sum_check(
             (keys, values), (out_k, bad_v), STRONG, seed=5,
             policy=AdaptiveCheckPolicy(escalation_seeds=8),
         )
         assert result.details["adaptive"]["escalated"]
-        assert len(calls) == 2  # one per side, escalation included
+        # One condensation per side, escalation included, and both after
+        # the primary verdict.
+        assert events == ["verdict", "condense", "condense", "verdict"]
 
-    def test_stream_settle_matches_batch_and_settles_once(self):
-        from repro.dataflow.streaming import _AdaptiveSumStream
+    def test_window_settle_matches_batch_over_concatenated_window(self):
+        from repro.dataflow.streaming import settle_reduce_window
 
         keys, values, out_k, out_v, bad_v = self._workload()
         policy = AdaptiveCheckPolicy(escalation_seeds=16, escalate_on="always")
-        stream = _AdaptiveSumStream(WEAK, 3, policy)
-        for i in range(0, keys.size, 300):
-            stream.feed_input(keys[i : i + 300], values[i : i + 300])
-        stream.feed_output(out_k, bad_v)
-        got = stream.settle()
+        chunks = [
+            (keys[i : i + 300], values[i : i + 300])
+            for i in range(0, keys.size, 300)
+        ]
+        # The black box asserts (out_k, bad_v) for the whole window.
+        _, got, _, _, _ = settle_reduce_window(
+            None, chunks, config=WEAK, seed_w=3, window=0, policy=policy,
+            fault=lambda window, k, v: (out_k, bad_v),
+        )
         ref = adaptive_sum_check(
             (keys, values), (out_k, bad_v), WEAK, seed=3, policy=policy
         )
         assert got.accepted == ref.accepted
         assert got.details["primary_accepted"] == ref.details["primary_accepted"]
-        assert (
-            got.details["adaptive"]["per_seed_accepted"]
-            == ref.details["adaptive"]["per_seed_accepted"]
-        )
-        with pytest.raises(RuntimeError, match="already settled"):
-            stream.settle()
-        with pytest.raises(RuntimeError, match="already settled"):
-            stream.feed_input([1], [1])
+        per_seed = got.details["adaptive"]["per_seed_accepted"]
+        assert per_seed == ref.details["adaptive"]["per_seed_accepted"]
+        assert any(per_seed) and not all(per_seed)  # weak: mixed verdicts
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_distributed_escalation_is_globally_consistent(self, p):
@@ -652,3 +652,105 @@ class TestEscalationSeedsOnlyWhenEscalating:
         for verdict, record, seed_w in self._settle_both(fault_window=None):
             assert verdict.details["adaptive"] == self.ACCEPTED_ADAPTIVE
             assert record.seeds_used == [seed_w]
+
+
+def _record_condense_and_verdicts(monkeypatch, modules) -> list[str]:
+    """Log ``condense_kv`` calls (via ``modules``' bindings) and settles."""
+    events: list[str] = []
+    condense = multiseed_mod.condense_kv
+    verdicts = MultiSeedSumChecker.per_seed_verdicts
+
+    def logged_condense(*args, **kwargs):
+        events.append("condense")
+        return condense(*args, **kwargs)
+
+    def logged_verdicts(self, *args, **kwargs):
+        events.append("verdict")
+        return verdicts(self, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "condense_kv", logged_condense)
+    monkeypatch.setattr(
+        MultiSeedSumChecker, "per_seed_verdicts", logged_verdicts
+    )
+    return events
+
+
+class TestCleanChecksNeverCondense:
+    """A clean sum-family check folds its one-seed primary from the raw
+    pairs: nothing is condensed (sorted) unless the check escalates or a
+    rejected window is localized."""
+
+    @pytest.fixture
+    def no_condense(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a clean check condensed its input")
+
+        original = multiseed_mod.condense_kv
+        for name, module in list(sys.modules.items()):
+            if (
+                name.startswith("repro")
+                and getattr(module, "condense_kv", None) is original
+            ):
+                monkeypatch.setattr(module, "condense_kv", refuse)
+        # The streaming condensation counts too.
+        monkeypatch.setattr(StreamedKV, "fold", refuse)
+
+    def test_accepting_checks_fold_raw_pairs(self, no_condense):
+        from repro.dataflow.streaming import (
+            settle_reduce_window,
+            settle_sum_window,
+        )
+
+        keys, values = sum_workload(1_200, num_keys=60, seed=70)
+        chunks = [(keys[:600], values[:600]), (keys[600:], values[600:])]
+        policy = AdaptiveCheckPolicy()
+        _, _, batch, _ = checked_reduce_by_key(
+            None, keys, values, STRONG, seed=71, policy=policy
+        )
+        results = [batch]
+        for window_policy in (policy, None):
+            _, verdict, *_ = settle_reduce_window(
+                None, chunks, config=STRONG, seed_w=72, window=0,
+                policy=window_policy,
+            )
+            results.append(verdict)
+        _, verdict, *_ = settle_sum_window(
+            None, [v for _, v in chunks], config=STRONG, seed_w=73,
+            window=0, policy=policy,
+        )
+        results.append(verdict)
+        assert all(result.accepted for result in results)
+        assert results[2].checker == "sum-aggregation"
+        assert results[2].details == {
+            "config": STRONG.label(), "streaming": True
+        }
+
+    def test_rejected_window_condenses_once_for_escalation_and_localization(
+        self, monkeypatch
+    ):
+        from repro.dataflow.repair import RepairPolicy
+        from repro.dataflow.streaming import settle_reduce_window
+
+        keys, values = sum_workload(1_200, num_keys=60, seed=74)
+        chunks = [(keys[:600], values[:600]), (keys[600:], values[600:])]
+
+        def fault(window, k, v):
+            v = v.copy()
+            v[0] += 1
+            return k, v
+
+        events = _record_condense_and_verdicts(
+            monkeypatch, [pipeline_mod, localize_mod]
+        )
+        _, verdict, _, record, _ = settle_reduce_window(
+            None, chunks, config=STRONG, seed_w=75, window=0,
+            policy=AdaptiveCheckPolicy(), fault=fault,
+            reexecute=lambda window, ranges: chunks,
+            repair=RepairPolicy(max_attempts=1),
+        )
+        assert not verdict.accepted
+        assert record.escalated and record.report.localized
+        # Localization reuses the sides the escalation condensed.
+        assert events[:4] == ["verdict", "condense", "condense", "verdict"]
+        assert events.count("condense") == 2

@@ -29,10 +29,18 @@ def kv_chunks(keys, values, size):
 
 
 class TestStreamingReduceByKey:
-    def test_sequential_windows_match_batch_reduce(self):
+    @pytest.mark.parametrize("mixed_key_dtypes", [False, True])
+    def test_sequential_windows_match_batch_reduce(self, mixed_key_dtypes):
         keys, values = sum_workload(3_000, num_keys=80, seed=1)
+        chunks = kv_chunks(keys, values, 400)
+        if mixed_key_dtypes:
+            # Every window holds one int64-keyed and one uint64-keyed chunk.
+            chunks = [
+                (k.astype(np.int64) if i % 2 else k, v)
+                for i, (k, v) in enumerate(chunks)
+            ]
         run = StreamingKeyValueDIA.from_chunks(
-            None, kv_chunks(keys, values, 400)
+            None, chunks
         ).reduce_by_key_checked(CONFIG, seed=3, chunks_per_window=2)
         assert run.accepted
         assert run.stats.windows == 4  # ceil(8 chunks / 2)

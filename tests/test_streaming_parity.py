@@ -49,6 +49,7 @@ from repro.core.sum_checker import (
 )
 from repro.core.zip_checker import check_zip
 from repro.dataflow.ops.aggregates import average_by_key, min_by_key
+from repro.util.rng import derive_seed
 from repro.workloads.kv import aggregate_reference, sum_workload
 
 pytestmark = pytest.mark.streaming
@@ -372,6 +373,31 @@ def test_zip_stream_interleaved_chunks_match_batch():
     stream.feed_input(first=s1[30:], second=s2[45:])
     stream.feed_output(s1[10:], s2[10:])
     assert stream.settle().accepted == batch.accepted is True
+
+
+@pytest.mark.parametrize(
+    "seeds, error",
+    [
+        # Zero seeds would accept any output, a corrupted zip included.
+        (np.array([], dtype=np.uint64), ValueError),
+        (np.array([[1, 2], [3, 4]], dtype=np.uint64), ValueError),
+        (np.array([4, 4], dtype=np.uint64), ValueError),
+        (1.7, TypeError),  # would silently run as seed 1
+    ],
+)
+def test_zip_stream_rejects_invalid_seeds(seeds, error):
+    with pytest.raises(error):
+        ZipCheckerStream(seeds)
+
+
+@pytest.mark.parametrize(
+    "seeds", [SEED, -5, (1 << 63) + 5, SEEDS, np.array([-3, 9])]
+)
+def test_zip_stream_lane_seeds_follow_root_seeds(seeds):
+    roots = [int(s) for s in np.atleast_1d(seeds)]
+    assert ZipCheckerStream(seeds)._lane_seeds == [
+        (derive_seed(s, "lane1"), derive_seed(s, "lane2")) for s in roots
+    ]
 
 
 def _all_streams():
