@@ -47,7 +47,11 @@ from repro.core.sum_checker import (
     unpack_residues,
 )
 from repro.core.permutation_checker import _as_sequences, wide_weighted_sum
-from repro.hashing.bitgroups import iter_bucket_blocks, iter_superbucket_blocks
+from repro.hashing.bitgroups import (
+    evaluation_seeds,
+    iter_bucket_blocks,
+    iter_superbucket_blocks,
+)
 from repro.hashing.families import get_family, hash_lanes
 from repro.kernels import get_kernels, seeds_per_block
 from repro.util.bits import ceil_log2, is_power_of_two
@@ -78,7 +82,7 @@ def _coerce_seeds(seeds) -> np.ndarray:
         raise TypeError(
             f"multi-seed checkers require integer seeds, got dtype {seeds.dtype}"
         )
-    if np.unique(seeds).size != seeds.size:
+    if seeds.size > 1 and np.unique(seeds).size != seeds.size:
         # A duplicated seed re-runs the *same* checker: the observed lanes
         # agree by construction and the claimed δ^T bound silently degrades
         # to δ^(distinct seeds).  Refuse rather than over-promise.
@@ -231,10 +235,37 @@ class MultiSeedSumChecker:
         # (T, iterations) moduli — row t equals the scalar checker's draw.
         self.moduli = draw_moduli(config, self.seeds)
         # Root of each seed's bucket-hash tree, matching BucketAssigner's
-        # derive_seed(seed, "sum-checker", "buckets") construction.
+        # derive_seed(seed, "sum-checker", "buckets") construction, and the
+        # (evaluations, T) hash seeds under it — derived here once, not
+        # once per fold.
         self._bucket_seeds = derive_seed_array(
             self.seeds, "sum-checker", "buckets"
         )
+        self._eval_seeds = evaluation_seeds(
+            self._family, config.d, config.iterations, self._bucket_seeds
+        )
+
+    def seed_view(self, t: int) -> "MultiSeedSumChecker":
+        """The one-seed checker of seed ``seeds[t]``, deriving nothing.
+
+        The view shares this checker's moduli and evaluation seeds (as
+        array views), so its tables and verdicts equal
+        ``MultiSeedSumChecker(config, [seeds[t]], operator)`` bit for bit
+        at the cost of a few slices.  A window loop derives the next
+        block of window seeds as one checker and settles each window
+        with its view.
+        """
+        if not 0 <= t < self.num_seeds:
+            raise IndexError(f"seed index {t} out of range({self.num_seeds})")
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__)
+        pick = slice(t, t + 1)
+        view.seeds = self.seeds[pick]
+        view.num_seeds = 1
+        view.moduli = self.moduli[pick]
+        view._bucket_seeds = self._bucket_seeds[pick]
+        view._eval_seeds = self._eval_seeds[:, pick]
+        return view
 
     @property
     def table_bits(self) -> int:
@@ -294,6 +325,7 @@ class MultiSeedSumChecker:
         for start, count, buckets in iter_bucket_blocks(
             self._family, cfg.d, cfg.iterations, self._bucket_seeds,
             condensed.unique_keys, self.chunk_elements,
+            eval_seeds=self._eval_seeds,
         ):
             for c in range(count):
                 t = start + c
@@ -336,7 +368,7 @@ class MultiSeedSumChecker:
         cfg = self.config
         for start, count, buckets in iter_bucket_blocks(
             self._family, cfg.d, cfg.iterations, self._bucket_seeds,
-            keys, self.chunk_elements,
+            keys, self.chunk_elements, eval_seeds=self._eval_seeds,
         ):
             for c in range(count):
                 block = buckets[:, c * k : (c + 1) * k]
@@ -360,6 +392,7 @@ class MultiSeedSumChecker:
         for start, count, buckets in iter_bucket_blocks(
             self._family, cfg.d, cfg.iterations,
             self._bucket_seeds[t : t + 1], keys, self.chunk_elements,
+            eval_seeds=self._eval_seeds[:, t : t + 1],
         ):
             rows[:, :] = buckets
         return rows
@@ -377,7 +410,9 @@ class MultiSeedSumChecker:
         exact, because every marginal partial sum is a subset sum of the
         values and therefore bounded by the same Σ|v| < 2^52 guard that
         selected ``agg_float``; the per-iteration residues are
-        bit-identical to the per-group path.
+        bit-identical to the per-group path.  Every marginal of a seed
+        block lands in one float64 ``(count, iterations, d)`` block,
+        reduced by one cast and one broadcast ``% moduli``.
         """
         cfg = self.config
         kernels = get_kernels()
@@ -386,22 +421,28 @@ class MultiSeedSumChecker:
         for start, count, supers in iter_superbucket_blocks(
             self._family, cfg.d, cfg.iterations, self._bucket_seeds,
             condensed.unique_keys, self.chunk_elements,
+            eval_seeds=self._eval_seeds,
         ):
+            sums = np.empty((count, cfg.iterations, cfg.d), dtype=np.float64)
             for j0, m, idx in supers:
                 bins = 1 << (m * group_bits)
                 for c in range(count):
-                    t = start + c
-                    sums = kernels.weighted_bincount(idx[c], agg_float, bins)
-                    # C-order reshape: axis a holds the bits of group
-                    # j0 + (m-1-a), so iteration j0+q sums out all axes
-                    # except m-1-q.
-                    cube = sums.reshape((cfg.d,) * m)
-                    for q in range(m):
-                        axes = tuple(a for a in range(m) if a != m - 1 - q)
-                        marg = cube.sum(axis=axes) if axes else cube
-                        tables[t, j0 + q] = marg.astype(np.int64) % int(
-                            self.moduli[t, j0 + q]
-                        )
+                    lead = kernels.weighted_bincount(idx[c], agg_float, bins)
+                    # As a C-order (d,)*m cube, axis a holds the bits of
+                    # group j0 + (m-1-a).  Peel the leading axis off one
+                    # at a time: its row sums are that iteration's
+                    # marginal, its column sums carry the other axes on
+                    # (~2·d**m adds in all, not m·d**m).  Every partial
+                    # sum is a subset sum, exact in float64.
+                    for q in range(m - 1, 0, -1):
+                        grid = lead.reshape(cfg.d, -1)
+                        sums[c, j0 + q] = grid.sum(axis=1, dtype=np.float64)
+                        lead = grid.sum(axis=0, dtype=np.float64)
+                    sums[c, j0] = lead
+            tables[start : start + count] = (
+                sums.astype(np.int64)
+                % self.moduli[start : start + count, :, None]
+            )
 
     # -- table algebra -------------------------------------------------------
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -373,11 +373,34 @@ def repair_sum_window(
 
 
 def _gather_zip_chunks(chunks) -> np.ndarray:
-    """Concatenate one side of a zip reexecute callback's chunk iterable."""
+    """Concatenate one side of a zip window's chunks, every value exact.
+
+    Chunks that share one dtype concatenate as they are.  Integer chunks
+    whose common numpy type is a float (int64 next to uint64) would lose
+    their low bits there, so each chunk is coerced on its own: to int64
+    when every value fits in it, else to its 64-bit two's-complement
+    word (a negative int64 then comes back as a uint64 above 2**63).
+    Either way each value hashes to the uint64 word the zip fingerprint
+    reads, so the verdicts do not depend on the choice.
+    """
     parts = [np.asarray(c).ravel() for c in chunks]
     parts = [p for p in parts if p.size]
     if not parts:
         return np.zeros(0, dtype=np.int64)
+    kinds = {p.dtype.kind for p in parts}
+    if (
+        kinds <= {"i", "u"}
+        and np.result_type(*{p.dtype for p in parts}).kind == "f"
+    ):
+        if all(p.dtype.kind == "i" or int(p.max()) < 1 << 63 for p in parts):
+            parts = [p.astype(np.int64) for p in parts]
+        else:
+            parts = [
+                p.astype(np.int64).view(np.uint64)
+                if p.dtype.kind == "i"
+                else p.astype(np.uint64)
+                for p in parts
+            ]
     return np.concatenate(parts)
 
 

@@ -55,6 +55,7 @@ from repro.dataflow.pipeline import (
 from repro.dataflow.repair import (
     QuarantinedWindow,
     RepairPolicy,
+    _gather_zip_chunks,
     repair_reduce_window,
     repair_sum_window,
     repair_zip_window,
@@ -129,6 +130,71 @@ class StreamingCheckedRun:
 def _window_seed(seed: int, window: int) -> int:
     """Fresh checker randomness per window from one root seed."""
     return derive_seed(seed, "stream-window", window)
+
+
+#: Most consecutive windows whose seeds and one-seed primaries a window
+#: loop derives in one vectorized call (see :class:`_WindowCheckers`).
+_SEED_BLOCK = 64
+
+
+class _WindowCheckers:
+    """One-seed window primaries, derived in blocks of up to 64 windows.
+
+    Window ``w`` checks under ``window_seed(seed, w)``.  Deriving that
+    seed and the moduli and hash seeds under it one window at a time
+    costs tens of µs of scalar SplitMix chains and numpy dispatch per
+    window; here a block of windows' seeds comes from one
+    :func:`~repro.util.rng.derive_seed_array` call and builds one
+    multi-seed :class:`~repro.core.multiseed.MultiSeedSumChecker`, and
+    each window settles with its
+    :meth:`~repro.core.multiseed.MultiSeedSumChecker.seed_view`.  The
+    block opened at window ``w`` covers ``min(max(w, 1), 64)`` windows
+    (blocks start at 0, 1, 2, 4, … 64, 128, 192, …): a short stream
+    never derives more than twice the windows it settles, and a long
+    stream derives 64 windows per call.  Every value equals its per-window derivation, so tables, verdicts
+    and window records are unchanged.  (The seeds of one block are
+    distinct: the last SplitMix step is a bijection of ``state ^ w``.)
+    """
+
+    def __init__(self, config: SumCheckConfig, seed: int):
+        self.config = config
+        self.seed = seed
+        self._block: MultiSeedSumChecker | None = None
+        self._first = 0
+
+    def view(self, window: int) -> MultiSeedSumChecker:
+        """Window ``window``'s primary, deriving its block if none covers it."""
+        offset = window - self._first
+        if self._block is None or not 0 <= offset < self._block.num_seeds:
+            size = min(max(window, 1), _SEED_BLOCK)
+            seeds = derive_seed_array(
+                self.seed,
+                "stream-window",
+                np.arange(window, window + size, dtype=np.uint64),
+            )
+            self._block = MultiSeedSumChecker(self.config, seeds)
+            self._first, offset = window, 0
+        return self._block.seed_view(offset)
+
+
+def _window_primary(
+    config: SumCheckConfig,
+    seed_w: int,
+    window: int,
+    checkers: _WindowCheckers | None,
+) -> MultiSeedSumChecker:
+    """A settle's one-seed primary under ``seed_w``.
+
+    The block view of ``checkers`` when it checks ``seed_w`` under
+    ``config`` (an attempt under the window seed), else a new
+    ``MultiSeedSumChecker(config, [seed_w])`` (a daemon retry's fresh
+    seed, or a settle called without ``checkers``).
+    """
+    if checkers is not None and checkers.config == config:
+        view = checkers.view(window)
+        if int(view.seeds[0]) == seed_w:
+            return view
+    return MultiSeedSumChecker(config, [seed_w])
 
 
 class _ChunkSource:
@@ -221,6 +287,7 @@ class StreamingDIA(_ChunkSource):
         on exhaustion.
         """
         config = config or _DEFAULT_CONFIG
+        checkers = _WindowCheckers(config, seed)
         run = StreamingCheckedRun()
         w = 0
         while True:
@@ -237,6 +304,7 @@ class StreamingDIA(_ChunkSource):
                 reexecute=reexecute,
                 repair=repair,
                 fault=fault,
+                checkers=checkers,
             )
             if quarantine is not None:
                 run.quarantined.append(quarantine)
@@ -354,6 +422,7 @@ class StreamingKeyValueDIA(_ChunkSource):
         PE or none, like any other collective argument.
         """
         config = config or _DEFAULT_CONFIG
+        checkers = _WindowCheckers(config, seed)
         run = StreamingCheckedRun()
         w = 0
         while True:
@@ -372,6 +441,7 @@ class StreamingKeyValueDIA(_ChunkSource):
                     reexecute=reexecute,
                     repair=repair,
                     fault=fault,
+                    checkers=checkers,
                 )
             )
             if quarantine is not None:
@@ -481,6 +551,7 @@ def settle_reduce_window(
     reexecute=None,
     repair: RepairPolicy | None = None,
     fault=None,
+    checkers: _WindowCheckers | None = None,
 ):
     """Settle one ReduceByKey window over its local ``(keys, values)`` chunks.
 
@@ -488,6 +559,13 @@ def settle_reduce_window(
     ``quarantine`` is a :class:`QuarantinedWindow` when a repair loop
     exhausted its budget (else None).  Collective: every PE must call
     with the same window index and seed.
+
+    ``checkers`` is the window loop's :class:`_WindowCheckers`: a
+    settle under the window seed takes that window's block view as its
+    primary (deriving the block when this window opens one).  Without
+    ``checkers``, or under another seed, the settle builds
+    ``MultiSeedSumChecker(config, [seed_w])``.  Either way the primary's
+    cost is checker time.
     """
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
@@ -520,7 +598,7 @@ def settle_reduce_window(
 
     c0 = time.perf_counter()
     in_side = (_concat(raw_k, dtype=np.uint64), _concat(raw_v, dtype=np.int64))
-    primary = MultiSeedSumChecker(config, [seed_w])
+    primary = _window_primary(config, seed_w, window, checkers)
     t_in = _primary_tables(primary, in_side)
     t0 = time.perf_counter()
     checker_s += t0 - c0
@@ -592,12 +670,13 @@ def settle_sum_window(
     reexecute=None,
     repair: RepairPolicy | None = None,
     fault=None,
+    checkers: _WindowCheckers | None = None,
 ):
     """Settle one windowed-sum window over its local value chunks.
 
     The checker sees every element as a ``(0, value)`` pair and the
     asserted global total as one output pair on PE 0.  Same return shape
-    as :func:`settle_reduce_window`.
+    and ``checkers`` contract as :func:`settle_reduce_window`.
     """
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
@@ -607,7 +686,7 @@ def settle_sum_window(
     values = _concat(vals, dtype=np.int64)
     c0 = time.perf_counter()
     in_side = (np.zeros_like(values, dtype=np.uint64), values)
-    primary = MultiSeedSumChecker(config, [seed_w])
+    primary = _window_primary(config, seed_w, window, checkers)
     t_in = _primary_tables(primary, in_side)
     checker_s = time.perf_counter() - c0
 
@@ -683,8 +762,8 @@ def settle_zip_window(
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
     t0 = time.perf_counter()
-    w1 = _concat(window1)
-    w2 = _concat(window2)
+    w1 = _gather_zip_chunks(window1)
+    w2 = _gather_zip_chunks(window2)
 
     def _operation(comm_, s1, s2):
         first, second, offs = zip_arrays(comm_, s1, s2, return_offsets=True)
@@ -765,11 +844,11 @@ def settle_zip_window(
     return output, verdict, stats, record, quarantine
 
 
-def _concat(parts: list, dtype=None) -> np.ndarray:
+def _concat(parts: list, dtype) -> np.ndarray:
     arrays = [np.asarray(p) for p in parts]
     arrays = [a for a in arrays if a.size]
     if not arrays:
-        return np.zeros(0, dtype=dtype if dtype is not None else np.int64)
+        return np.zeros(0, dtype=dtype)
     return np.concatenate(arrays)
 
 

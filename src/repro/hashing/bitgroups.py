@@ -131,6 +131,47 @@ class BucketAssigner:
         )
 
 
+def _num_evaluations(family: HashFamily, d: int, iterations: int) -> int:
+    """Hash evaluations one seed spends on ``iterations`` bucket rows."""
+    if not is_power_of_two(d):
+        return iterations
+    groups_per_eval = max(1, family.bits // ceil_log2(d))
+    return -(-iterations // groups_per_eval)
+
+
+def evaluation_seeds(
+    family: HashFamily, d: int, iterations: int, seeds: np.ndarray
+) -> np.ndarray:
+    """Per-evaluation hash seeds of every bucket-hash root in ``seeds``.
+
+    Shape ``(num_evaluations, len(seeds))``: entry ``[e, t]`` is
+    ``derive_seed(seeds[t], "bucket", e)``, the seed of evaluation ``e``
+    of the :class:`BucketAssigner` rooted at ``seeds[t]``.  A checker
+    derives these once and hands them to :func:`iter_bucket_blocks` /
+    :func:`iter_superbucket_blocks` as ``eval_seeds``, so no fold
+    re-derives them.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    counters = np.arange(
+        _num_evaluations(family, d, iterations), dtype=np.uint64
+    )
+    # Fold the "bucket" label once per root; evaluations branch on their
+    # counter (identical to derive_seed(seed, "bucket", e)).
+    prefix = derive_seed_array(seeds, "bucket")
+    return splitmix64_array(counters[:, None] ^ prefix[None, :])
+
+
+def _checked_eval_seeds(family, d, iterations, seeds, eval_seeds):
+    if eval_seeds is None:
+        return evaluation_seeds(family, d, iterations, seeds)
+    shape = (_num_evaluations(family, d, iterations), seeds.size)
+    if eval_seeds.shape != shape:
+        raise ValueError(
+            f"eval_seeds must have shape {shape}, got {eval_seeds.shape}"
+        )
+    return eval_seeds
+
+
 def iter_bucket_blocks(
     family: HashFamily,
     d: int,
@@ -138,6 +179,8 @@ def iter_bucket_blocks(
     seeds: np.ndarray,
     keys: np.ndarray,
     chunk_elements: int = 1 << 20,
+    *,
+    eval_seeds: np.ndarray | None = None,
 ):
     """Bucket every key under every seed, yielded in bounded seed blocks.
 
@@ -151,6 +194,9 @@ def iter_bucket_blocks(
     of shape ``(iterations, count · len(keys))``; column ``c·len(keys)+i``
     is seed ``seeds[start+c]`` over ``keys[i]``.
 
+    ``eval_seeds`` are the seeds' :func:`evaluation_seeds`, when the
+    caller already derived them; otherwise they are derived here.
+
     Every registered family takes a shared-base fast path through its
     :class:`~repro.hashing.families.LaneHasher` (built once per call, via
     :meth:`~repro.hashing.families.HashFamily.multiseed_hasher`) — the
@@ -159,6 +205,7 @@ def iter_bucket_blocks(
     """
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     keys = np.asarray(keys, dtype=np.uint64).ravel()
+    eval_seeds = _checked_eval_seeds(family, d, iterations, seeds, eval_seeds)
     k = keys.size
     per_block = seeds_per_block(chunk_elements, k)
     # The base pass over the keys (CRC's seed-0 table-lookup sweep,
@@ -171,16 +218,15 @@ def iter_bucket_blocks(
     # lane hasher (custom registrations) hash tiled key blocks per seed.
     hasher = family.multiseed_hasher(keys)
     affine = isinstance(hasher, AffineLaneHasher)
-    # Stacked (tabulation) hashers expose a fused gather+extraction kernel:
-    # bit groups (or the mod-d residue) come straight out of the
-    # cache-resident gather accumulator, so the full uint64 lane matrix is
-    # never materialized and never re-streamed once per group.
+    # Stacked (tabulation) and broadcast (Mix/MShift) hashers expose a
+    # fused evaluation+extraction kernel: bit groups (or the mod-d
+    # residue) come straight out of the cache-resident lane block, so the
+    # full uint64 lane matrix is never materialized and never re-streamed
+    # once per group.
     fused = getattr(hasher, "bucket_lanes", None)
-    prefix = derive_seed_array(seeds, "bucket")
     if is_power_of_two(d):
         group_bits = ceil_log2(d)
         groups_per_eval = max(1, family.bits // group_bits)
-        num_evals = -(-iterations // groups_per_eval)
         mask = np.uint64(d - 1)
         base_groups = None
         if affine:
@@ -193,14 +239,12 @@ def iter_bucket_blocks(
     else:
         group_bits = 0
         groups_per_eval = 1
-        num_evals = iterations
     for start in range(0, seeds.size, per_block):
         count = min(per_block, seeds.size - start)
-        block_prefix = prefix[start : start + count]
         buckets = np.empty((iterations, count * k), dtype=np.intp)
         it = 0
-        for e in range(num_evals):
-            fn_seeds = splitmix64_array(block_prefix ^ np.uint64(e))
+        for e in range(eval_seeds.shape[0]):
+            fn_seeds = eval_seeds[e, start : start + count]
             if affine and group_bits:
                 consts = hasher.constants(fn_seeds)  # (count,) uint64
                 for g in range(groups_per_eval):
@@ -220,16 +264,15 @@ def iter_bucket_blocks(
                 groups = (
                     min(groups_per_eval, iterations - it) if group_bits else 1
                 )
-                fused(
-                    fn_seeds,
-                    d,
-                    group_bits,
-                    groups,
-                    [
-                        buckets[it + g].reshape(count, k)
-                        for g in range(groups)
-                    ],
-                )
+                rows = buckets[it : it + groups].reshape(groups, count, k)
+                if group_bits:
+                    fused(
+                        fn_seeds,
+                        [(g * group_bits, group_bits) for g in range(groups)],
+                        rows,
+                    )
+                else:
+                    fused(fn_seeds, [], rows, modulus=d)
                 it += groups
                 continue
             if hasher is not None:
@@ -265,6 +308,8 @@ def iter_superbucket_blocks(
     keys: np.ndarray,
     chunk_elements: int = 1 << 20,
     max_super_bits: int = _MAX_SUPER_BITS,
+    *,
+    eval_seeds: np.ndarray | None = None,
 ):
     """Bucket indices combined into *super-groups* of adjacent bit-groups.
 
@@ -286,6 +331,13 @@ def iter_superbucket_blocks(
     bins per super-group.  Inputs of ``2**max_super_bits`` keys or more
     keep the full width.
 
+    Each hash evaluation makes **one** base pass over the keys, whatever
+    the widths of its super-groups (the CRC base hash, one tabulation
+    gather, one broadcast mix): all of its super-groups are extracted as
+    ``(bit offset, width)`` fields of that pass.  ``eval_seeds`` are the
+    seeds' :func:`evaluation_seeds`, when the caller already derived
+    them; otherwise they are derived here.
+
     Yields ``(start, count, supers)`` per seed block, where ``supers``
     is a list of ``(j0, m, idx)``: iterations ``j0..j0+m-1`` packed into
     ``idx`` of shape ``(count, len(keys))``, dtype intp.  Bit-identical
@@ -295,17 +347,18 @@ def iter_superbucket_blocks(
     keys = np.asarray(keys, dtype=np.uint64).ravel()
     if not is_power_of_two(d):
         raise ValueError(f"super-group blocks need power-of-two d, got {d}")
+    eval_seeds = _checked_eval_seeds(family, d, iterations, seeds, eval_seeds)
     k = keys.size
     group_bits = ceil_log2(d)
     groups_per_eval = max(1, family.bits // group_bits)
-    num_evals = -(-iterations // groups_per_eval)
     # floor(log2 k) bits index at most k bins; k = 0 or 1 gives 0 → m = 1.
     key_bits = max(k, 1).bit_length() - 1
     m_max = max(1, min(max_super_bits, key_bits) // group_bits)
-    # Static plan: per evaluation, the (j0, g0, m) super-groups it carries.
+    # Static plan: per evaluation, the (j0, g0, m) super-groups it carries
+    # and their (bit offset, width) fields.
     evals: list[list[tuple[int, int, int]]] = []
     it = 0
-    for _ in range(num_evals):
+    for _ in range(eval_seeds.shape[0]):
         g = 0
         supers = []
         while g < groups_per_eval and it < iterations:
@@ -314,71 +367,55 @@ def iter_superbucket_blocks(
             g += m
             it += m
         evals.append(supers)
+    fields = [
+        [(g0 * group_bits, m * group_bits) for _, g0, m in supers]
+        for supers in evals
+    ]
     hasher = family.multiseed_hasher(keys)
     affine = isinstance(hasher, AffineLaneHasher)
     fused = None if affine else getattr(hasher, "bucket_lanes", None)
-    prefix = derive_seed_array(seeds, "bucket")
     per_block = seeds_per_block(chunk_elements, k)
     base_cache: dict[tuple[int, int], np.ndarray] = {}
     if affine:
         # Affine structure survives the packing: the packed index of lane s
         # is base_super XOR (packed constant bits of c(s)) — extract the
         # base's super fields once, outside the seed-block loop.
-        for supers in evals:
-            for _, g0, m in supers:
-                if (g0, m) not in base_cache:
-                    smask = np.uint64((1 << (m * group_bits)) - 1)
-                    base_cache[(g0, m)] = (
-                        (hasher.base >> np.uint64(g0 * group_bits)) & smask
+        for eval_fields in fields:
+            for shift, width in eval_fields:
+                if (shift, width) not in base_cache:
+                    smask = np.uint64((1 << width) - 1)
+                    base_cache[(shift, width)] = (
+                        (hasher.base >> np.uint64(shift)) & smask
                     ).astype(np.intp)
     for start in range(0, seeds.size, per_block):
         count = min(per_block, seeds.size - start)
-        block_prefix = prefix[start : start + count]
         out: list[tuple[int, int, np.ndarray]] = []
         for e, supers in enumerate(evals):
-            fn_seeds = splitmix64_array(block_prefix ^ np.uint64(e))
-            idxs = [np.empty((count, k), dtype=np.intp) for _ in supers]
+            fn_seeds = eval_seeds[e, start : start + count]
+            idxs = np.empty((len(supers), count, k), dtype=np.intp)
             if affine:
                 consts = hasher.constants(fn_seeds)
-                for (_, g0, m), idx in zip(supers, idxs):
-                    smask = np.uint64((1 << (m * group_bits)) - 1)
-                    lane_c = (
-                        (consts >> np.uint64(g0 * group_bits)) & smask
-                    ).astype(np.intp)
+                for (shift, width), idx in zip(fields[e], idxs):
+                    smask = np.uint64((1 << width) - 1)
+                    lane_c = ((consts >> np.uint64(shift)) & smask).astype(
+                        np.intp
+                    )
                     np.bitwise_xor(
-                        base_cache[(g0, m)][None, :], lane_c[:, None], out=idx
+                        base_cache[(shift, width)][None, :],
+                        lane_c[:, None],
+                        out=idx,
                     )
             elif fused is not None:
-                # Group runs of equal-width supers so the expensive base
-                # pass (tabulation gather / broadcast mix) runs once per
-                # run, extracting every super of the run in that pass.
-                i0 = 0
-                while i0 < len(supers):
-                    m0 = supers[i0][2]
-                    i1 = i0
-                    while i1 < len(supers) and supers[i1][2] == m0:
-                        i1 += 1
-                    sbits = m0 * group_bits
-                    fused(
-                        fn_seeds,
-                        1 << sbits,
-                        sbits,
-                        i1 - i0,
-                        idxs[i0:i1],
-                        bit_offset=supers[i0][1] * group_bits,
-                    )
-                    i0 = i1
+                fused(fn_seeds, fields[e], idxs)
             else:
                 h = (
                     hasher.lanes(fn_seeds)
                     if hasher is not None
                     else hash_lanes(family, fn_seeds, keys)
                 )
-                for (_, g0, m), idx in zip(supers, idxs):
-                    smask = np.uint64((1 << (m * group_bits)) - 1)
-                    idx[:] = (
-                        (h >> np.uint64(g0 * group_bits)) & smask
-                    ).astype(np.intp)
+                for (shift, width), idx in zip(fields[e], idxs):
+                    smask = np.uint64((1 << width) - 1)
+                    idx[:] = ((h >> np.uint64(shift)) & smask).astype(np.intp)
             for (j0, _, m), idx in zip(supers, idxs):
                 out.append((j0, m, idx))
         yield start, count, out
@@ -403,19 +440,14 @@ def assign_buckets_batch(
     keys = np.asarray(keys, dtype=np.uint64)
     owner = np.asarray(owner, dtype=np.intp)
     out = np.empty((iterations, keys.size), dtype=np.intp)
-    # Fold the "bucket" label once; each evaluation only branches on its
-    # counter (identical to derive_seed_array(seeds, "bucket", e)).
-    prefix = derive_seed_array(seeds, "bucket")
+    eval_seeds = evaluation_seeds(family, d, iterations, seeds)
     if is_power_of_two(d):
         group_bits = ceil_log2(d)
         groups_per_eval = max(1, family.bits // group_bits)
-        num_evals = -(-iterations // groups_per_eval)
         mask = np.uint64(d - 1)
         it = 0
-        for e in range(num_evals):
-            h = family.hash_array_batch(
-                splitmix64_array(prefix ^ np.uint64(e)), owner, keys
-            )
+        for fn_seeds in eval_seeds:
+            h = family.hash_array_batch(fn_seeds, owner, keys)
             for g in range(groups_per_eval):
                 if it >= iterations:
                     break
@@ -424,9 +456,7 @@ def assign_buckets_batch(
                 ).astype(np.intp)
                 it += 1
     else:
-        for it in range(iterations):
-            h = family.hash_array_batch(
-                splitmix64_array(prefix ^ np.uint64(it)), owner, keys
-            )
+        for it, fn_seeds in enumerate(eval_seeds):
+            h = family.hash_array_batch(fn_seeds, owner, keys)
             out[it] = (h % np.uint64(d)).astype(np.intp)
     return out

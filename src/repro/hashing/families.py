@@ -31,9 +31,9 @@ from repro.hashing.mixers import (
     splitmix_hash_batch,
 )
 from repro.hashing.tabulation import (
-    _FUSED_BLOCK_ELEMENTS,
     StackedLaneHasher,
     TabulationHash,
+    fused_lane_fields,
     tabulation_hash_batch,
 )
 from repro.kernels import get_kernels, seeds_per_block
@@ -278,51 +278,28 @@ class BroadcastLaneHasher:
         return out
 
     def bucket_lanes(
-        self,
-        seeds: np.ndarray,
-        d: int,
-        group_bits: int,
-        num_groups: int,
-        out: list,
-        bit_offset: int = 0,
+        self, seeds: np.ndarray, fields: list, out: np.ndarray,
+        modulus: int = 0,
     ) -> None:
         """Fused mix + bucket extraction (same contract as
         :meth:`repro.hashing.tabulation.StackedLaneHasher.bucket_lanes`).
 
-        Group ``g`` of lane ``t`` is the ``group_bits``-wide field at bit
-        ``bit_offset + g * group_bits`` of the lane value;
-        ``group_bits == 0`` means the general ``mod d`` path with one
+        ``out[i]`` (``out`` intp, shape ``(len(fields), len(seeds),
+        len(keys))``) receives the ``(bit_offset, width)`` field
+        ``fields[i]`` of every lane value, all fields from one mixing
+        pass; ``modulus > 0`` means the general ``mod d`` path with one
         output row.  Bit-identical to extracting from :meth:`lanes`.
         """
         seeds = np.asarray(seeds, dtype=np.uint64).ravel()
         consts = self._constants(seeds)
-        lanes, n = seeds.size, self._keys.size
-        if n == 0:
-            return
         kernels = get_kernels()
-        block = max(1, _FUSED_BLOCK_ELEMENTS // max(lanes, 1))
-        width = min(block, n)
-        acc = np.empty((lanes, width), dtype=np.uint64)
-        grp = np.empty((lanes, width), dtype=np.uint64)
-        mask = np.uint64((1 << group_bits) - 1) if group_bits else np.uint64(0)
-        for start in range(0, n, block):
-            end = min(start + block, n)
-            w = end - start
-            a = acc[:, :w]
-            self._eval_block(kernels, consts, start, end, a)
-            if group_bits:
-                for g in range(num_groups):
-                    dst = out[g][:, start:end]
-                    shift = bit_offset + g * group_bits
-                    if shift:
-                        gv = grp[:, :w]
-                        np.right_shift(a, np.uint64(shift), out=gv)
-                        np.bitwise_and(gv, mask, out=dst, casting="unsafe")
-                    else:
-                        np.bitwise_and(a, mask, out=dst, casting="unsafe")
-            else:
-                np.mod(a, np.uint64(d), out=out[0][:, start:end],
-                       casting="unsafe")
+
+        def mix(start, end, acc, scratch):
+            self._eval_block(kernels, consts, start, end, acc)
+
+        fused_lane_fields(
+            mix, seeds.size, self._keys.size, fields, out, modulus
+        )
 
 
 #: Seed-tiled elements per batched pass of the :func:`hash_lanes` fallback;

@@ -205,63 +205,79 @@ class StackedLaneHasher:
         return out
 
     def bucket_lanes(
-        self,
-        seeds: np.ndarray,
-        d: int,
-        group_bits: int,
-        num_groups: int,
-        out: list,
-        bit_offset: int = 0,
+        self, seeds: np.ndarray, fields: list, out: np.ndarray,
+        modulus: int = 0,
     ) -> None:
         """Fused gather + bucket extraction for the §4 bit-group scheme.
 
-        Writes bucket indices for ``num_groups`` bit-groups of every seed
-        lane into ``out`` — a list of ``num_groups`` intp arrays of shape
-        ``(len(seeds), num_keys)`` — extracting each group from the
-        gather accumulator **while it is still cache-resident**, instead
-        of materializing the full uint64 lane matrix and re-streaming it
-        once per group (that second DRAM pass is what dominated Tab64
-        lane consumption).  Group ``g`` is the ``group_bits``-wide field
-        at bit ``bit_offset + g * group_bits`` (``bit_offset`` lets the
-        super-group path extract wide fields starting mid-word).
-        ``group_bits == 0`` means the general ``mod d`` path with a
-        single output row.  Results are bit-identical to extracting from
+        Writes field ``fields[i] = (bit_offset, width)`` of every seed
+        lane into ``out[i]`` — ``out`` is intp of shape ``(len(fields),
+        len(seeds), num_keys)`` — extracting each field from the gather
+        accumulator **while it is still cache-resident**, instead of
+        materializing the full uint64 lane matrix and re-streaming it
+        once per field (that second DRAM pass is what dominated Tab64
+        lane consumption).  Fields may differ in width, so one gather
+        serves every super-group of a hash evaluation.  ``modulus > 0``
+        (with no fields) is the general ``mod d`` path with a single
+        output row.  Results are bit-identical to extracting from
         :meth:`lanes`.
         """
         seeds = np.asarray(seeds, dtype=np.uint64).ravel()
         tables = self._seed_major_tables(seeds)
-        lanes, n = seeds.size, self.num_keys
-        if n == 0:
-            return
         kernels = get_kernels()
-        block = max(1, _FUSED_BLOCK_ELEMENTS // max(lanes, 1))
-        width = min(block, n)
-        acc = np.empty((lanes, width), dtype=np.uint64)
-        tmp = np.empty((lanes, width), dtype=np.uint64)
-        grp = np.empty((lanes, width), dtype=np.uint64)
-        mask = np.uint64((1 << group_bits) - 1) if group_bits else np.uint64(0)
-        for start in range(0, n, block):
-            end = min(start + block, n)
-            w = end - start
-            a = acc[:, :w]
-            self._gather_block(kernels, tables, start, end, a, tmp[:, :w])
-            if group_bits:
-                for g in range(num_groups):
-                    dst = out[g][:, start:end]
-                    shift = bit_offset + g * group_bits
-                    if shift:
-                        gv = grp[:, :w]
-                        np.right_shift(a, np.uint64(shift), out=gv)
-                        # Mask and intp-cast in one pass straight into the
-                        # caller's bucket row ("unsafe" = dtype change
-                        # only; values are < 2**group_bits and cast
-                        # exactly).
-                        np.bitwise_and(gv, mask, out=dst, casting="unsafe")
-                    else:
-                        np.bitwise_and(a, mask, out=dst, casting="unsafe")
-            else:
-                np.mod(a, np.uint64(d), out=out[0][:, start:end],
-                       casting="unsafe")
+
+        def gather(start, end, acc, scratch):
+            self._gather_block(kernels, tables, start, end, acc, scratch)
+
+        fused_lane_fields(
+            gather, seeds.size, self.num_keys, fields, out, modulus
+        )
+
+
+def fused_lane_fields(
+    eval_block, lanes: int, n: int, fields: list, out: np.ndarray,
+    modulus: int = 0,
+) -> None:
+    """Cache-blocked lane evaluation fused with field extraction.
+
+    The shared loop of every lane hasher's ``bucket_lanes`` (stacked
+    tabulation here, the broadcast Mix/MShift hasher in
+    :mod:`repro.hashing.families`).  ``eval_block(start, end, acc,
+    scratch)`` writes the ``(lanes, end - start)`` lane values of keys
+    ``start:end`` into ``acc`` (``scratch`` is a same-shape buffer it may
+    clobber); each block is then sliced into ``out`` — intp, shape
+    ``(len(fields), lanes, n)`` — while it is still cache-resident:
+    ``out[i]`` receives the ``width``-bit field at ``bit_offset`` of
+    ``fields[i] = (bit_offset, width)``, all fields in one broadcast
+    shift and one broadcast mask, whatever their widths.  With
+    ``modulus > 0`` (and ``out`` of shape ``(1, lanes, n)``), ``out[0]``
+    receives every lane value mod ``modulus`` instead.
+    """
+    if n == 0:
+        return
+    block = max(1, _FUSED_BLOCK_ELEMENTS // max(lanes, 1))
+    width = min(block, n)
+    acc = np.empty((lanes, width), dtype=np.uint64)
+    scratch = np.empty((lanes, width), dtype=np.uint64)
+    # Every extracted value is below 2**width (or the modulus), so its
+    # uint64 word is its intp bucket index: write through a uint64 view
+    # of ``out`` and skip a casting pass.
+    words = out.view(np.uint64)
+    shifts = np.array([s for s, _ in fields], dtype=np.uint64)[:, None, None]
+    masks = np.array(
+        [(1 << bits) - 1 for _, bits in fields], dtype=np.uint64
+    )[:, None, None]
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        w = end - start
+        a = acc[:, :w]
+        eval_block(start, end, a, scratch[:, :w])
+        dst = words[:, :, start:end]
+        if modulus:
+            np.mod(a, np.uint64(modulus), out=dst[0])
+        else:
+            np.right_shift(a[None], shifts, out=dst)
+            np.bitwise_and(dst, masks, out=dst)
 
 
 def tabulation_lanes(

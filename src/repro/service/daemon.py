@@ -474,6 +474,9 @@ class CheckedStreamService:
         start = time.perf_counter()
         attempt = 0
         while True:
+            # Attempt 0 settles under the window seed, on the primary the
+            # sum-family engines derive in blocks of windows; a retry's
+            # fresh seed builds its own (repro.service.windows).
             seed_w = (
                 base_seed
                 if attempt == 0

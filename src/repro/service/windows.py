@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.params import SumCheckConfig
 from repro.dataflow.streaming import (
+    _WindowCheckers,
     settle_reduce_window,
     settle_sum_window,
     settle_zip_window,
@@ -100,7 +101,21 @@ class WindowEngine:
         raise NotImplementedError
 
 
-class ReduceWindowEngine(WindowEngine):
+class _SumFamilyEngine(WindowEngine):
+    """Engines whose windows settle a one-seed sum primary.
+
+    A tenant's window primaries are derived in blocks (a
+    ``_WindowCheckers`` of :mod:`repro.dataflow.streaming`); attempt 0
+    of a window settles under the window seed on its block view, and a
+    retry's fresh seed builds its own primary.
+    """
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self._checkers = _WindowCheckers(self.config, cfg.seed)
+
+
+class ReduceWindowEngine(_SumFamilyEngine):
     op = "reduce_by_key"
 
     def validate(self, chunk):
@@ -131,6 +146,7 @@ class ReduceWindowEngine(WindowEngine):
             reexecute=self.cfg.reexecute,
             repair=self.cfg.repair,
             fault=self.cfg.fault,
+            checkers=self._checkers,
         )
 
 
@@ -146,7 +162,7 @@ class CountWindowEngine(ReduceWindowEngine):
         return (k.astype(np.uint64), np.ones(k.shape, dtype=np.int64))
 
 
-class SumWindowEngine(WindowEngine):
+class SumWindowEngine(_SumFamilyEngine):
     op = "sum"
 
     def validate(self, chunk):
@@ -166,6 +182,7 @@ class SumWindowEngine(WindowEngine):
             reexecute=self.cfg.reexecute,
             repair=self.cfg.repair,
             fault=self.cfg.fault,
+            checkers=self._checkers,
         )
 
 

@@ -63,6 +63,12 @@ class TestPerSeedIdentity:
             assert np.array_equal(raw[t], ref_tables)
 
     @pytest.mark.parametrize(
+        "num_seeds",
+        # T = 17 derives its seed trees vectorized (more than 16 roots).
+        [1, 6, 17],
+        ids=lambda t: f"T{t}",
+    )
+    @pytest.mark.parametrize(
         "label, num_keys",
         [
             pytest.param(label, None, id=label)
@@ -76,23 +82,72 @@ class TestPerSeedIdentity:
             for k in sorted(
                 {0, 1, d - 1, d, d * d - 1, d * d, (1 << 16) - 1, 1 << 16}
             )
+        ]
+        + [
+            # Super-groups of mixed widths ([3, 3, 2] groups at 4096
+            # keys) through the stacked and the broadcast fused kernels.
+            pytest.param(label, k, id=f"{label}-k{k}")
+            for label in ("8x16 Tab64 m15", "8x16 MShift m15")
+            for k in (4095, 4096)
         ],
     )
-    def test_tables_match_across_configs(self, label, num_keys, workload):
+    def test_tables_match_across_configs(
+        self, label, num_keys, num_seeds, workload
+    ):
         if num_keys is None:
             keys, values = workload[:2]
         else:
             keys, values = _distinct_keys_workload(num_keys)
         cfg = SumCheckConfig.parse(label)
-        multi = MultiSeedSumChecker(cfg, SEEDS)
+        seeds = np.arange(num_seeds, dtype=np.uint64) * np.uint64(
+            1337
+        ) + np.uint64(5)
+        multi = MultiSeedSumChecker(cfg, seeds)
+        raw_pairs = _pairs_condensed(keys, values)
         tables = multi.local_tables(keys, values)
-        raw = multi.local_tables_condensed(_pairs_condensed(keys, values))
-        for t, seed in enumerate(SEEDS):
+        raw = multi.local_tables_condensed(raw_pairs)
+        for t, seed in enumerate(seeds):
             ref_tables = SumAggregationChecker(cfg, int(seed)).local_tables(
                 keys, values
             )
             assert np.array_equal(tables[t], ref_tables)
             assert np.array_equal(raw[t], ref_tables)
+            # The seed's one-seed view folds the same table.
+            view = multi.seed_view(t).local_tables_condensed(raw_pairs)
+            assert np.array_equal(view[0], ref_tables)
+
+    @pytest.mark.parametrize("operator", ["+", "xor"])
+    def test_seed_view_derives_nothing(self, operator, workload, monkeypatch):
+        import repro.core.multiseed as multiseed_mod
+
+        keys, values, out_k, out_v, bad_v = workload
+        cfg = SumCheckConfig.parse("8x16 m15")
+        seeds = np.arange(64, dtype=np.uint64) * np.uint64(31) + np.uint64(2)
+        block = MultiSeedSumChecker(cfg, seeds, operator=operator)
+
+        def derive(*args, **kwargs):
+            raise AssertionError("a seed view must not derive anything")
+
+        for name in ("derive_seed_array", "draw_moduli", "evaluation_seeds"):
+            monkeypatch.setattr(multiseed_mod, name, derive)
+        views = {t: block.seed_view(t) for t in (0, 17, 63)}
+        monkeypatch.undo()
+        for t, view in views.items():
+            fresh = MultiSeedSumChecker(cfg, [seeds[t]], operator=operator)
+            assert view.num_seeds == 1 and view.seeds.tolist() == [seeds[t]]
+            assert np.shares_memory(view.moduli, block.moduli)
+            assert np.array_equal(view.moduli, fresh.moduli)
+            for side in ((keys, values), (out_k, bad_v)):
+                raw = _pairs_condensed(*side, operator)
+                assert np.array_equal(
+                    view.local_tables_condensed(raw),
+                    fresh.local_tables_condensed(raw),
+                )
+            got = view.check_local((keys, values), (out_k, bad_v))
+            want = fresh.check_local((keys, values), (out_k, bad_v))
+            assert got.details == want.details
+        with pytest.raises(IndexError):
+            block.seed_view(64)
 
     @pytest.mark.parametrize("operator", ["+", "xor"])
     def test_verdicts_match_instances(self, operator, workload):

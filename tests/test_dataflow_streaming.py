@@ -6,6 +6,8 @@ lockstep), adaptive escalation over the window's condensed aggregates,
 per-window stats accumulation, and the batched exchange-offset helpers.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from repro.dataflow.exchange import Exchange, global_offsets
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
 from repro.dataflow.pipeline import AdaptiveCheckPolicy, CheckedRunStats
-from repro.dataflow.streaming import StreamingDIA, StreamingKeyValueDIA
+from repro.dataflow.streaming import (
+    StreamingDIA,
+    StreamingKeyValueDIA,
+    _WindowCheckers,
+    settle_reduce_window,
+    settle_sum_window,
+    window_seed,
+)
 from repro.workloads.kv import aggregate_reference, sum_workload
 
 CONFIG = SumCheckConfig.parse("8x16 m15")
@@ -26,6 +35,23 @@ def kv_chunks(keys, values, size):
         (keys[i : i + size], values[i : i + size])
         for i in range(0, keys.size, size)
     ]
+
+
+def _plain(obj):
+    """``obj`` with every timing field dropped, for record comparisons."""
+    if isinstance(obj, dict):
+        return {
+            k: _plain(v) for k, v in obj.items() if not k.endswith("seconds")
+        }
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_plain(v) for v in obj)
+    if hasattr(obj, "__dataclass_fields__"):
+        return {
+            name: _plain(getattr(obj, name))
+            for name in obj.__dataclass_fields__
+            if not name.endswith("seconds")
+        }
+    return obj
 
 
 class TestStreamingReduceByKey:
@@ -52,6 +78,139 @@ class TestStreamingReduceByKey:
             ek, ev = aggregate_reference(keys[lo:hi], values[lo:hi])
             assert np.array_equal(out_k, ek)
             assert np.array_equal(out_v, ev)
+
+    def test_block_derived_windows_match_per_window_settles(self):
+        """130 windows open nine seed blocks (at windows 0, 1, 2, 4, …
+        64, 128); window 64, the first of the 64-window block, is
+        corrupted once (escalates, is localized and healed).  Every
+        record equals the one a per-window ``settle_reduce_window`` call
+        (which builds its own primary) produces."""
+        keys, values = sum_workload(130 * 20, num_keys=60, seed=21)
+        chunks = kv_chunks(keys, values, 20)
+        policy = AdaptiveCheckPolicy(escalation_seeds=3)
+
+        def make_fault():
+            hit = set()
+
+            def fault(window, k, v):
+                if window == 64 and window not in hit:
+                    hit.add(window)
+                    v = v.copy()
+                    v[0] += 1
+                return k, v
+
+            return fault
+
+        def reexecute(w, ranges):
+            return [chunks[w]]
+
+        run = StreamingKeyValueDIA.from_chunks(
+            None, chunks
+        ).reduce_by_key_checked(
+            CONFIG,
+            seed=9,
+            chunks_per_window=1,
+            policy=policy,
+            reexecute=reexecute,
+            fault=make_fault(),
+        )
+        assert run.accepted and run.stats.windows == 130
+        faulted = run.window_history[64]
+        assert faulted.escalated and faulted.repaired
+        assert [r.window for r in run.window_history if r.escalated] == [64]
+        ref_fault = make_fault()
+        for w, record in enumerate(run.window_history):
+            output, _, _, ref, _ = settle_reduce_window(
+                None,
+                [chunks[w]],
+                config=CONFIG,
+                seed_w=window_seed(9, w),
+                window=w,
+                policy=policy,
+                reexecute=reexecute,
+                fault=ref_fault,
+            )
+            assert record.seed == window_seed(9, w)
+            assert _plain(record) == _plain(ref), w
+            assert np.array_equal(run.outputs[w][0], output[0])
+            assert np.array_equal(run.outputs[w][1], output[1])
+
+    def test_block_view_only_serves_its_own_seed_and_config(
+        self, monkeypatch
+    ):
+        """A settle takes the block view only under the window seed and
+        the checkers' config; any other seed (a daemon retry) or config
+        builds its own primary.  Every primary folds under the settle's
+        seed and config, and records match a settle without
+        ``checkers``."""
+        import repro.dataflow.streaming as streaming_mod
+
+        real = streaming_mod._primary_tables
+        folded = []
+
+        def recording(primary, side):
+            folded.append((primary.seeds.tolist(), primary.config))
+            return real(primary, side)
+
+        monkeypatch.setattr(streaming_mod, "_primary_tables", recording)
+        keys, values = sum_workload(200, num_keys=20, seed=23)
+        retry_seed = window_seed(4, 0) + 1
+        for seed_w, config in (
+            (window_seed(4, 0), CONFIG),
+            (retry_seed, CONFIG),
+            (window_seed(4, 0), SumCheckConfig.parse("4x16 m15")),
+        ):
+            folded.clear()
+            ref = settle_reduce_window(
+                None, [(keys, values)], config=config, seed_w=seed_w,
+                window=0,
+            )
+            got = settle_reduce_window(
+                None, [(keys, values)], config=config, seed_w=seed_w,
+                window=0, checkers=_WindowCheckers(CONFIG, 4),
+            )
+            assert _plain(got[3]) == _plain(ref[3])
+            ref = settle_sum_window(
+                None, [values], config=config, seed_w=seed_w, window=0
+            )
+            got = settle_sum_window(
+                None, [values], config=config, seed_w=seed_w, window=0,
+                checkers=_WindowCheckers(CONFIG, 4),
+            )
+            assert _plain(got[3]) == _plain(ref[3])
+            assert folded == [([seed_w], config)] * 4
+
+    def test_block_derivation_is_charged_to_checker_seconds(
+        self, monkeypatch
+    ):
+        import repro.dataflow.streaming as streaming_mod
+
+        delay = 0.05
+        real = streaming_mod.derive_seed_array
+        blocks = []
+
+        def slow_block(*args):
+            blocks.append(args[2][0])
+            time.sleep(delay)
+            return real(*args)
+
+        monkeypatch.setattr(streaming_mod, "derive_seed_array", slow_block)
+        keys, values = sum_workload(70 * 4, num_keys=10, seed=25)
+        run = StreamingKeyValueDIA.from_chunks(
+            None, kv_chunks(keys, values, 4)
+        ).reduce_by_key_checked(CONFIG, seed=1, chunks_per_window=1)
+        # Blocks grow from one window to 64: a short stream derives at
+        # most twice the windows it settles.
+        assert run.accepted and blocks == [0, 1, 2, 4, 8, 16, 32, 64]
+        assert run.stats.checker_seconds >= 8 * delay
+        assert run.stats.operation_seconds < delay
+        blocks.clear()
+        run = StreamingDIA.from_chunks(
+            None, [values[:4], values[4:8]]
+        ).sum_checked(CONFIG, seed=1, chunks_per_window=1)
+        assert run.accepted and blocks == [0, 1]
+        assert run.stats.checker_seconds >= 2 * delay
+        assert run.stats.operation_seconds < delay
 
     def test_from_generator_is_lazy(self):
         pulled = []
@@ -205,6 +364,65 @@ class TestStreamingSum:
 
 
 class TestStreamingZip:
+    @pytest.mark.parametrize(
+        "first_chunks, expected",
+        [
+            # Chunks of one dtype keep it.
+            (
+                [np.array([1, 2], np.int64), np.array([3], np.int64)],
+                np.array([1, 2, 3], np.int64),
+            ),
+            (
+                [np.array([1, 2], np.uint64), np.array([2**63 + 5], np.uint64)],
+                np.array([1, 2, 2**63 + 5], np.uint64),
+            ),
+            # Mixed int64/uint64 chunks used to concatenate to float64:
+            # 2**63 + 5 lost its low bits and a correct zip rejected, and
+            # even exact values came back as floats.  They come back as
+            # int64 when every value fits, else as uint64 words.
+            (
+                [np.array([1, 2], np.int64), np.array([2**63 + 5], np.uint64)],
+                np.array([1, 2, 2**63 + 5], np.uint64),
+            ),
+            (
+                [np.array([1, 2], np.int64), np.array([3], np.uint64)],
+                np.array([1, 2, 3], np.int64),
+            ),
+            (
+                [np.array([-1, 2], np.int64), np.array([3], np.uint64)],
+                np.array([-1, 2, 3], np.int64),
+            ),
+            (
+                [np.array([-1, 2], np.int64), np.array([2**63], np.uint64)],
+                np.array([2**64 - 1, 2, 2**63], np.uint64),
+            ),
+        ],
+        ids=[
+            "int64",
+            "uint64",
+            "mixed-big",
+            "mixed-small",
+            "mixed-negative",
+            "mixed-negative-big",
+        ],
+    )
+    def test_mixed_dtype_chunks_zip_exactly(self, first_chunks, expected):
+        second_chunks = [np.array([4, 5], np.int64), np.array([6], np.int64)]
+        run = StreamingDIA.from_chunks(None, first_chunks).zip_checked(
+            StreamingDIA.from_chunks(None, second_chunks),
+            seed=41,
+            chunks_per_window=2,
+            policy=AdaptiveCheckPolicy(escalate_on="always"),
+        )
+        assert run.accepted
+        assert run.verdicts[0].details["adaptive"]["per_seed_accepted"] == [
+            True
+        ] * AdaptiveCheckPolicy().num_escalation_seeds
+        first, second = run.outputs[0]
+        assert first.dtype == expected.dtype and second.dtype == np.int64
+        assert first.tolist() == expected.tolist()
+        assert second.tolist() == [4, 5, 6]
+
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_windowed_zip_accepts(self, p):
         a = np.arange(1_200, dtype=np.uint64)

@@ -16,7 +16,7 @@ import pytest
 from repro.core.params import SumCheckConfig
 from repro.dataflow.pipeline import CheckedRunStats, StatsAccumulator
 from repro.dataflow.repair import RepairPolicy
-from repro.dataflow.streaming import window_seed
+from repro.dataflow.streaming import settle_reduce_window, window_seed
 from repro.service import (
     BACKPRESSURE_SHED,
     BackpressureTimeout,
@@ -24,6 +24,7 @@ from repro.service import (
     TenantCommGrid,
     TenantConfig,
 )
+from repro.util.rng import derive_seed
 
 CONFIG = SumCheckConfig.parse("8x16 m15")
 
@@ -282,6 +283,108 @@ class TestSettleRetry:
         # Retried settle used a fresh derived seed, recorded in history.
         assert res.window_history[0].seed != window_seed(0, 0)
         svc.shutdown(timeout=10)
+
+    def test_retry_across_seed_block_boundary(self, monkeypatch):
+        """66 one-chunk windows; window 64 opens the tenant's first
+        64-window seed block: attempt 0 settles on its block-derived
+        primary, then fails after the settle, and the
+        retry settles under a fresh seed with a primary it builds
+        itself.  Every record and output equals a per-window
+        ``settle_reduce_window`` call under the seed that settled it."""
+        chunks = [
+            (
+                np.arange(8, dtype=np.uint64) * np.uint64(w + 1),
+                np.full(8, w + 1, dtype=np.int64),
+            )
+            for w in range(66)
+        ]
+        svc = CheckedStreamService()
+        h = svc.register(
+            "t",
+            TenantConfig(
+                op="reduce_by_key",
+                config=CONFIG,
+                seed=3,
+                chunks_per_window=1,
+                settle_retries=2,
+                retry_backoff=0.001,
+            ),
+        )
+        import repro.dataflow.streaming as streaming_mod
+
+        real_tables = streaming_mod._primary_tables
+        primaries = []
+
+        def recording(primary, side):
+            primaries.append(int(primary.seeds[0]))
+            return real_tables(primary, side)
+
+        monkeypatch.setattr(streaming_mod, "_primary_tables", recording)
+        tenant = svc._get("t")
+        real_settle = tenant.engine.settle_window
+        attempts = []
+
+        def flaky(comm, window, seed_w, chunks):
+            result = real_settle(comm, window, seed_w, chunks)
+            attempts.append((window, seed_w))
+            if (window, seed_w) == (64, window_seed(3, 64)):
+                raise RuntimeError("transient post-settle hiccup")
+            return result
+
+        tenant.engine.settle_window = flaky
+        for c in chunks:
+            h.submit(c)
+        h.close()
+        assert svc.drain(timeout=60)
+        res = h.result()
+        assert res.accepted and res.stats.settle_retries == 1
+        retry_seed = derive_seed(window_seed(3, 64), "settle-retry", 1)
+        assert [s for w, s in attempts if w == 64] == [
+            window_seed(3, 64),
+            retry_seed,
+        ]
+        # Every attempt's primary folds under that attempt's seed.
+        assert primaries == [s for _, s in attempts]
+        assert len(res.window_history) == 66
+        for w, record in enumerate(res.window_history):
+            seed_w = retry_seed if w == 64 else window_seed(3, w)
+            output, verdict, _, ref, _ = settle_reduce_window(
+                None, [chunks[w]], config=CONFIG, seed_w=seed_w, window=w
+            )
+            assert record.seed == seed_w
+            assert record.seeds_used == ref.seeds_used == [seed_w]
+            assert record.verdict.accepted and verdict.accepted
+            assert record.verdict.details == verdict.details
+            assert np.array_equal(res.outputs[w][0], output[0])
+            assert np.array_equal(res.outputs[w][1], output[1])
+        svc.shutdown(timeout=10)
+
+    def test_block_derivation_is_charged_to_checker_seconds(
+        self, monkeypatch
+    ):
+        import repro.dataflow.streaming as streaming_mod
+
+        delay = 0.05
+        real = streaming_mod.derive_seed_array
+
+        def slow_block(*args):
+            time.sleep(delay)
+            return real(*args)
+
+        monkeypatch.setattr(streaming_mod, "derive_seed_array", slow_block)
+        with CheckedStreamService() as svc:
+            h = svc.register(
+                "t", TenantConfig(op="sum", config=CONFIG, chunks_per_window=1)
+            )
+            for c in range(3):
+                h.submit(sum_chunk(c, n=4))
+            h.close()
+            assert svc.drain(timeout=60)
+            assert h.result().accepted
+            stats = svc.run_stats()
+        assert stats.windows == 3
+        assert stats.checker_seconds >= delay
+        assert stats.operation_seconds < delay
 
     def test_fatal_worker_error_contained(self):
         svc = CheckedStreamService()
