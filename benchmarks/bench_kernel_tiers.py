@@ -2,9 +2,7 @@
 
 Times every kernel in :data:`repro.kernels.dispatch.KERNEL_NAMES` on both
 tiers (when the numba tier is importable and self-check-clean) over
-checker-shaped inputs, plus the fused-vs-condensing multi-seed streaming
-comparison the tier exists to accelerate.  Written to
-``BENCH_kernel_tiers.json``.
+checker-shaped inputs.  Written to ``BENCH_kernel_tiers.json``.
 
 Gates (skipped in smoke mode):
 
@@ -27,16 +25,9 @@ import numpy as np
 
 from conftest import best_of, run_once, smoke_mode, write_artifact
 
-from repro.core.multiseed import MultiSeedSumChecker
-from repro.core.params import SumCheckConfig
-from repro.core.streams import MultiSeedSumCheckerStream
 from repro.kernels import get_kernels, numba_available
-from repro.util.rng import derive_seed, derive_seed_array
-from repro.workloads.kv import aggregate_reference, sum_workload
 
 _ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_kernel_tiers.json"
-_CONFIG = SumCheckConfig.parse("8x16 Tab64 m15")
-_CHUNK = 1 << 16
 _NUM_SEEDS = 8
 _MAX_NUMBA_REGRESSION = 1.5
 
@@ -52,10 +43,6 @@ def _kernel_inputs(n, rng):
     r = (1 << 15) - 19
     mod_vals = rng.integers(0, r, n, dtype=np.int64)
     weights = rng.integers(-(2**30), 2**30, n).astype(np.float64)
-    ka = np.unique(rng.integers(0, 2 * n, n, dtype=np.uint64))
-    kb = np.unique(rng.integers(n, 3 * n, n, dtype=np.uint64))
-    va = rng.integers(-(2**40), 2**40, ka.size, dtype=np.int64)
-    vb = rng.integers(-(2**40), 2**40, kb.size, dtype=np.int64)
     mask = np.uint64((1 << 15) - 1)
 
     # Every callable allocates its own outputs and *returns* them, so the
@@ -89,12 +76,6 @@ def _kernel_inputs(n, rng):
         ),
         "mix_lanes": mix_lanes,
         "mshift_lanes": mshift_lanes,
-        "merge_sorted_unique_sum": lambda k: k.merge_sorted_unique_sum(
-            ka, va, kb, vb
-        ),
-        "merge_sorted_unique_xor": lambda k: k.merge_sorted_unique_xor(
-            ka, va.view(np.uint64), kb, vb.view(np.uint64)
-        ),
     }
 
 
@@ -102,54 +83,7 @@ def _kernel_parity(name, call):
     """Bit-identity of the numba kernel vs the numpy oracle on bench inputs."""
     a = call(get_kernels("numpy"))
     b = call(get_kernels("numba"))
-    if isinstance(a, tuple):
-        assert all(np.array_equal(x, y) for x, y in zip(a, b)), name
-    else:
-        assert np.array_equal(a, b), name
-
-
-def _stream_cell(n) -> dict:
-    keys, values = sum_workload(n, seed=derive_seed(0x7133, "wl"))
-    out_k, out_v = aggregate_reference(keys, values)
-    seeds = derive_seed_array(
-        0x7133, "ms", np.arange(_NUM_SEEDS, dtype=np.uint64)
-    )
-    checker = MultiSeedSumChecker(_CONFIG, seeds)
-    chunks = [
-        (keys[i : i + _CHUNK], values[i : i + _CHUNK])
-        for i in range(0, n, _CHUNK)
-    ]
-
-    def stream_once(fused):
-        stream = MultiSeedSumCheckerStream(checker, fused=fused)
-        for k, v in chunks:
-            stream.feed_input(k, v)
-        stream.feed_output(out_k, out_v)
-        return stream.settle()
-
-    auto = stream_once("auto")
-    fused = stream_once(True)
-    unfused = stream_once(False)
-    assert (
-        auto.details["per_seed_accepted"]
-        == fused.details["per_seed_accepted"]
-        == unfused.details["per_seed_accepted"]
-    )
-    auto_s = best_of(lambda: stream_once("auto"), 2)
-    fused_s = best_of(lambda: stream_once(True), 2)
-    unfused_s = best_of(lambda: stream_once(False), 2)
-    return {
-        "section": "fused-vs-condense-multiseed-stream",
-        "config": _CONFIG.label(),
-        "num_seeds": _NUM_SEEDS,
-        "elements": int(n),
-        "chunk": _CHUNK,
-        "auto_seconds": auto_s,
-        "fused_seconds": fused_s,
-        "condense_seconds": unfused_s,
-        "auto_over_condense": auto_s / unfused_s,
-        "fused_over_condense": fused_s / unfused_s,
-    }
+    assert np.array_equal(a, b), name
 
 
 def test_kernel_tier_throughput(benchmark, overhead_elements):
@@ -158,29 +92,32 @@ def test_kernel_tier_throughput(benchmark, overhead_elements):
     calls = _kernel_inputs(n, rng)
     have_numba = numba_available()
 
-    kernels = {}
-    for name, call in calls.items():
-        if have_numba:
-            _kernel_parity(name, call)
-        row = {
-            "elements": int(n),
-            "numpy_seconds": best_of(lambda c=call: c(get_kernels("numpy")), 3),
-        }
-        if have_numba:
-            nb = get_kernels("numba")
-            call(nb)  # JIT warm-up outside the timed region
-            row["numba_seconds"] = best_of(lambda c=call: c(nb), 3)
-            row["numba_over_numpy"] = (
-                row["numba_seconds"] / row["numpy_seconds"]
-            )
-        kernels[name] = row
+    def time_kernels():
+        kernels = {}
+        for name, call in calls.items():
+            if have_numba:
+                _kernel_parity(name, call)
+            row = {
+                "elements": int(n),
+                "numpy_seconds": best_of(
+                    lambda c=call: c(get_kernels("numpy")), 3
+                ),
+            }
+            if have_numba:
+                nb = get_kernels("numba")
+                call(nb)  # JIT warm-up outside the timed region
+                row["numba_seconds"] = best_of(lambda c=call: c(nb), 3)
+                row["numba_over_numpy"] = (
+                    row["numba_seconds"] / row["numpy_seconds"]
+                )
+            kernels[name] = row
+        return kernels
 
-    stream = run_once(benchmark, lambda: _stream_cell(n))
+    kernels = run_once(benchmark, time_kernels)
     report = {
         "numba_available": have_numba,
         "max_allowed_numba_over_numpy": _MAX_NUMBA_REGRESSION,
         "kernels": kernels,
-        "cells": [stream],
     }
     write_artifact(_ARTIFACT, report)
     benchmark.extra_info.update(
@@ -195,10 +132,6 @@ def test_kernel_tier_throughput(benchmark, overhead_elements):
             else ""
         )
         print(f"{name}: numpy {row['numpy_seconds'] * 1e3:.2f}ms{extra}")
-    print(
-        f"stream fused/condense = {stream['fused_over_condense']:.3f}, "
-        f"auto/condense = {stream['auto_over_condense']:.3f}"
-    )
     if not smoke_mode() and have_numba:
         for name, row in kernels.items():
             assert row["numba_over_numpy"] <= _MAX_NUMBA_REGRESSION, (

@@ -118,7 +118,7 @@ class Module:
     source: str
     tree: ast.Module
     lines: list[str]
-    dotted: str  # best-effort dotted module name, e.g. "repro.core.streams"
+    dotted: str  # best-effort dotted module name, e.g. "repro.core.zip_checker"
     pragmas: _Pragmas
 
     @classmethod
@@ -141,7 +141,7 @@ def _dotted_name(posix_path: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     # Strip any leading path up to and including a "src" component, so
-    # "/abs/repo/src/repro/core/streams.py" -> "repro.core.streams".
+    # "/abs/repo/src/repro/core/zip_checker.py" -> "repro.core.zip_checker".
     if "src" in parts:
         parts = parts[parts.index("src") + 1 :]
     else:

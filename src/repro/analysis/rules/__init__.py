@@ -6,12 +6,10 @@ from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.kernel_parity import KernelParityRule
 from repro.analysis.rules.lockstep import LockstepRule
 from repro.analysis.rules.overflow import OverflowRule
-from repro.analysis.rules.stream_protocol import StreamProtocolRule
 
 #: Every shipped rule, in catalogue order.
 ALL_RULES = [
     LockstepRule,
-    StreamProtocolRule,
     KernelParityRule,
     DeterminismRule,
     OverflowRule,

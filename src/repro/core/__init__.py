@@ -38,17 +38,6 @@ from repro.core.sum_checker import (
 )
 from repro.core.localize import FaultReport, localize_fault
 from repro.core.multiseed import MultiSeedHashSumChecker, MultiSeedSumChecker
-from repro.core.streams import (
-    AverageCheckerStream,
-    CheckerStream,
-    CountCheckerStream,
-    GroupByCheckerStream,
-    MinMaxCheckerStream,
-    MultiSeedSumCheckerStream,
-    PermutationCheckerStream,
-    SumCheckerStream,
-    ZipCheckerStream,
-)
 from repro.core.average_checker import check_average_aggregation
 from repro.core.minmax_checker import (
     check_max_aggregation,
@@ -82,15 +71,6 @@ __all__ = [
     "MultiSeedHashSumChecker",
     "MultiSeedSumChecker",
     "SumAggregationChecker",
-    "AverageCheckerStream",
-    "CheckerStream",
-    "CountCheckerStream",
-    "GroupByCheckerStream",
-    "MinMaxCheckerStream",
-    "MultiSeedSumCheckerStream",
-    "PermutationCheckerStream",
-    "SumCheckerStream",
-    "ZipCheckerStream",
     "check_count_aggregation",
     "check_replicated",
     "check_sum_aggregation",

@@ -384,9 +384,8 @@ def localize_fault(
 
     ``input_side`` / ``asserted_side`` are ``(keys, values)`` pairs or
     already-built :class:`CondensedKV` sides — pass the condensations the
-    failed check retained (e.g. a settled
-    :class:`~repro.core.streams.SumCheckerStream`'s) and localization
-    never re-reads a chunk.  ``seeds`` follows the multi-seed checker
+    failed check retained (e.g. the sides a window settle condensed to
+    escalate) and localization never re-reads a chunk.  ``seeds`` follows the multi-seed checker
     convention (scalar or array; more seeds → sharper bucket filter).
 
     All PEs must call collectively.  The return value is replicated:

@@ -558,17 +558,6 @@ class MultiSeedSumChecker:
         return np.any(tables != 0, axis=(1, 2))
 
 
-def __getattr__(name: str):
-    # Back-compat: MultiSeedSumCheckerStream moved to repro.core.streams
-    # when the CheckerStream protocol was extracted.  Lazy import keeps the
-    # modules cycle-free.
-    if name == "MultiSeedSumCheckerStream":
-        from repro.core.streams import MultiSeedSumCheckerStream
-
-        return MultiSeedSumCheckerStream
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def condense_side(side) -> list[tuple[np.ndarray, np.ndarray]]:
     """Condense one permutation-check side to (uniques, counts) pairs.
 

@@ -356,18 +356,6 @@ class SumAggregationChecker:
         return bool(np.any(table))
 
 
-def __getattr__(name: str):
-    # Back-compat: SumCheckerStream moved to repro.core.streams when the
-    # CheckerStream protocol was extracted (it now folds chunks into
-    # condensed per-key aggregates).  Lazy so the two modules stay free of
-    # an import cycle.
-    if name == "SumCheckerStream":
-        from repro.core.streams import SumCheckerStream
-
-        return SumCheckerStream
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Convenience wrappers
 # ---------------------------------------------------------------------------

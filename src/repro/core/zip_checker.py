@@ -11,6 +11,13 @@ We evaluate the inner product in the field F_p with the Mersenne prime
 ``p = 2^31 − 1``: weights and hashed values are reduced below 2^31 so
 products fit int64 exactly, and a differing single position survives with
 probability 1/p per iteration (boosted by independent iterations).
+
+The fingerprint is linear in positions, so a slice fingerprinted at its
+global offset adds up with every other slice: a window is checked by
+fingerprinting its concatenation once.  One :func:`check_zip` call checks
+``T`` root seeds (``seed`` may be an array): all ``T · iterations · 4``
+fingerprints and the sequence lengths travel in ONE int64 ``SUM``
+allreduce and are reduced modulo ``2^31 − 1`` afterwards.
 """
 
 from __future__ import annotations
@@ -19,12 +26,15 @@ import numpy as np
 
 from repro.comm import ops
 from repro.core.base import CheckResult
+from repro.core.multiseed import _coerce_seeds
 from repro.hashing.families import get_family
 from repro.util.rng import derive_seed
 
 MERSENNE31 = (1 << 31) - 1
 
-_CHUNK = 1 << 30
+#: Elements fingerprinted per block: a block's positions and words stay
+#: cache-resident while every (seed, iteration) lane reads them.
+_CHUNK = 1 << 13
 
 
 def _mod_p31(x: np.ndarray) -> np.ndarray:
@@ -33,6 +43,42 @@ def _mod_p31(x: np.ndarray) -> np.ndarray:
     x = (x & p) + (x >> np.int64(31))
     x = (x & p) + (x >> np.int64(31))
     return np.where(x >= p, x - p, x)
+
+
+def _lane(seed: int, iteration: int) -> tuple:
+    """The (positional weight ``h'``, value hash ``g``) pair of one lane."""
+    mix = get_family("Mix")
+    return (
+        mix.instance(derive_seed(seed, "zip-pos", iteration)),
+        mix.instance(derive_seed(seed, "zip-val", iteration)),
+    )
+
+
+def _fingerprints(values, global_offset: int, lanes: list) -> list[int]:
+    """``Σ_i h'(offset+i) · g(x_i)  mod 2^31−1`` for every ``(h', g)`` lane.
+
+    Signed values hash as their 64-bit two's-complement words.
+    """
+    values = np.asarray(values).ravel()
+    if values.dtype.kind == "i":
+        words = values.astype(np.int64, copy=False).view(np.uint64)
+    else:
+        words = values.astype(np.uint64, copy=False)
+    p = np.uint64(MERSENNE31)
+    totals = [0] * len(lanes)
+    for start in range(0, words.size, _CHUNK):
+        block = words[start : start + _CHUNK]
+        idx = np.arange(
+            global_offset + start,
+            global_offset + start + block.size,
+            dtype=np.uint64,
+        )
+        for k, (weight_fn, value_fn) in enumerate(lanes):
+            w = (weight_fn.hash_array(idx) % p).astype(np.int64)
+            g = (value_fn.hash_array(block) % p).astype(np.int64)
+            # Products reduce below 2^31, so a block's int64 sum is exact.
+            totals[k] = (totals[k] + int(_mod_p31(w * g).sum())) % MERSENNE31
+    return totals
 
 
 def positional_fingerprint(
@@ -45,37 +91,7 @@ def positional_fingerprint(
     slice's global offset — no data exchange (the "computed on the fly"
     property the paper requires).
     """
-    values = np.asarray(values)
-    if values.dtype.kind == "i":
-        values = values.astype(np.int64).view(np.uint64)
-    else:
-        values = values.astype(np.uint64)
-    n = values.size
-    if n == 0:
-        return 0
-    weight_fn = get_family("Mix").instance(derive_seed(seed, "zip-pos", iteration))
-    value_fn = get_family("Mix").instance(derive_seed(seed, "zip-val", iteration))
-    total = 0
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        idx = np.arange(
-            global_offset + start, global_offset + stop, dtype=np.uint64
-        )
-        w = (weight_fn.hash_array(idx) % np.uint64(MERSENNE31)).astype(np.int64)
-        g = (value_fn.hash_array(values[start:stop]) % np.uint64(MERSENNE31)).astype(
-            np.int64
-        )
-        prods = _mod_p31(w * g)
-        # prods < 2^31; int64 chunk sums of < 2^30 terms are exact.
-        total = (total + int(prods.sum())) % MERSENNE31
-    return total
-
-
-def _global_offset(comm, local_count: int) -> int:
-    """Exclusive prefix sum of local counts = this PE's global offset."""
-    if comm is None:
-        return 0
-    return comm.exscan(local_count, op=ops.SUM, identity=0)
+    return _fingerprints(values, global_offset, [_lane(seed, iteration)])[0]
 
 
 def _global_offsets(comm, *local_counts: int) -> tuple[int, ...]:
@@ -96,14 +112,85 @@ def _global_offsets(comm, *local_counts: int) -> tuple[int, ...]:
     )
 
 
+def _local_words(columns, offsets, roots: np.ndarray, iterations: int):
+    """This PE's ``(T, iterations + 1, 4)`` int64 words of the check.
+
+    ``columns`` are ``(s1, zipped_first, s2, zipped_second)``.  Row ``j <
+    iterations`` of seed ``t`` holds iteration ``j``'s fingerprints of
+    the four columns; the last row holds the four column lengths.  A seed
+    accepts iff in every row column 0 equals column 1 and column 2
+    equals column 3.
+    """
+    s1, first, s2, second = columns
+    off1, off2, offz = (int(o) for o in offsets)
+    words = np.zeros((roots.size, iterations + 1, 4), dtype=np.int64)
+    for label, sides in (
+        ("lane1", ((s1, off1, 0), (first, offz, 1))),
+        ("lane2", ((s2, off2, 2), (second, offz, 3))),
+    ):
+        lanes = [
+            _lane(derive_seed(int(root), label), j)
+            for root in roots
+            for j in range(iterations)
+        ]
+        for values, offset, column in sides:
+            words[:, :-1, column] = np.reshape(
+                _fingerprints(values, offset, lanes), (roots.size, iterations)
+            )
+    words[:, -1] = [c.size for c in columns]
+    return words
+
+
+def _sum_over_pes(words: np.ndarray, comm) -> np.ndarray:
+    """The words summed over all PEs: the check's one collective.
+
+    A function of its own, so that its return, and the verdict
+    :func:`_verdict` reads off it alone, is provably replicated: callers
+    may branch on the verdict even when they passed per-PE ``offsets``
+    (the ``collective-lockstep`` rule checks exactly this).
+    """
+    if comm is None:
+        return words
+    return comm.allreduce(words, op=ops.SUM)
+
+
+def _verdict(words: np.ndarray) -> CheckResult:
+    """The verdict and per-seed flags from the globally summed words.
+
+    Everything is read off ``words`` (seed count and iterations from its
+    shape), so the verdict is as replicated as the allreduce result.
+    """
+    rows = words.copy()
+    rows[:, :-1] %= MERSENNE31
+    # The lengths row is compared exactly: fingerprints of equal-sum
+    # random values could in principle hide a length mismatch (they do
+    # not for random weights, but the check is a single integer per PE).
+    mismatch = (rows[..., 0] != rows[..., 1]) | (rows[..., 2] != rows[..., 3])
+    per_seed = (~mismatch.any(axis=1)).tolist()
+    n1, nz, n2, _ = (int(n) for n in rows[0, -1])
+    return CheckResult(
+        accepted=all(per_seed),
+        checker="zip",
+        details={
+            "iterations": rows.shape[1] - 1,
+            "detecting_iterations": np.flatnonzero(mismatch[0, :-1]).tolist(),
+            "lengths": (n1, n2, nz),
+            "length_ok": not mismatch[0, -1],
+            "num_seeds": rows.shape[0],
+            "per_seed_accepted": per_seed,
+        },
+    )
+
+
 def check_zip(
     s1,
     s2,
     zipped_first,
     zipped_second,
     iterations: int = 2,
-    seed: int = 0,
+    seed=0,
     comm=None,
+    offsets: tuple[int, int, int] | None = None,
 ) -> CheckResult:
     """Theorem 11: verify ``Zip(S1, S2) = ⟨(x_i, y_i)⟩`` index-wise.
 
@@ -112,57 +199,29 @@ def check_zip(
     asserted output.  The output's distribution may differ from the inputs'.
     Accepts iff for every iteration the positional fingerprint of S1 matches
     that of the first components and S2 matches the second components.
+
+    ``seed`` is a root seed or an array of ``T`` distinct root seeds (a
+    scalar is ``T = 1``); ``per_seed_accepted[t]`` equals the verdict of
+    a call under seed ``t`` alone, and ``detecting_iterations`` lists the
+    first seed's.  ``offsets`` are this PE's global starting offsets
+    ``(s1, s2, output)`` when the caller already has them (the zip
+    exchange computes them); without them the check runs one exscan.
+    Either way every seed and iteration settles in one allreduce.
     """
-    s1 = np.asarray(s1)
-    s2 = np.asarray(s2)
-    zipped_first = np.asarray(zipped_first)
-    zipped_second = np.asarray(zipped_second)
-    if zipped_first.size != zipped_second.size:
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    roots = _coerce_seeds(seed)
+    columns = [
+        np.asarray(c).ravel() for c in (s1, zipped_first, s2, zipped_second)
+    ]
+    if columns[1].size != columns[3].size:
         raise ValueError(
             "zipped component columns differ in length: "
-            f"{zipped_first.size} vs {zipped_second.size}"
+            f"{columns[1].size} vs {columns[3].size}"
         )
-    off_s1, off_s2, off_z = _global_offsets(
-        comm, s1.size, s2.size, zipped_first.size
-    )
-
-    detecting = []
-    for j in range(iterations):
-        fps = [
-            positional_fingerprint(s1, off_s1, derive_seed(seed, "lane1"), j),
-            positional_fingerprint(
-                zipped_first, off_z, derive_seed(seed, "lane1"), j
-            ),
-            positional_fingerprint(s2, off_s2, derive_seed(seed, "lane2"), j),
-            positional_fingerprint(
-                zipped_second, off_z, derive_seed(seed, "lane2"), j
-            ),
-        ]
-        if comm is not None:
-            fps = comm.allreduce(
-                fps,
-                op=lambda a, b: [(x + y) % MERSENNE31 for x, y in zip(a, b)],
-            )
-        if fps[0] != fps[1] or fps[2] != fps[3]:
-            detecting.append(j)
-
-    # Lengths must match as well: fingerprints of equal-sum random values
-    # could in principle hide a length mismatch (they do not for random
-    # weights, but the check is a single integer per PE — do it exactly).
-    lens = (int(s1.size), int(s2.size), int(zipped_first.size))
-    if comm is not None:
-        lens = comm.allreduce(
-            lens, op=lambda a, b: tuple(x + y for x, y in zip(a, b))
+    if offsets is None:
+        offsets = _global_offsets(
+            comm, columns[0].size, columns[2].size, columns[1].size
         )
-    length_ok = lens[0] == lens[1] == lens[2]
-
-    return CheckResult(
-        accepted=not detecting and length_ok,
-        checker="zip",
-        details={
-            "iterations": iterations,
-            "detecting_iterations": detecting,
-            "lengths": lens,
-            "length_ok": length_ok,
-        },
-    )
+    local = _local_words(columns, offsets, roots, iterations)
+    return _verdict(_sum_over_pes(local, comm))

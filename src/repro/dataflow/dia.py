@@ -187,8 +187,14 @@ class DIA:
         iterations: int = 2,
         policy: AdaptiveCheckPolicy | None = None,
     ) -> tuple["KeyValueDIA", CheckResult]:
-        """Zip + Theorem 11 checker (adaptive when ``policy`` given)."""
-        first, second = zip_arrays(self.comm, self.local, other.local)
+        """Zip + Theorem 11 checker (adaptive when ``policy`` given).
+
+        The checker reuses the global offsets the zip exchange computed.
+        """
+        first, second, (off1, off2) = zip_arrays(
+            self.comm, self.local, other.local, return_offsets=True
+        )
+        offsets = (off1, off2, off1)
         if policy is not None:
             verdict = adaptive_zip_check(
                 self.local,
@@ -199,6 +205,7 @@ class DIA:
                 policy=policy,
                 comm=self.comm,
                 iterations=iterations,
+                offsets=offsets,
             )
         else:
             verdict = check_zip(
@@ -209,6 +216,7 @@ class DIA:
                 iterations=iterations,
                 seed=seed,
                 comm=self.comm,
+                offsets=offsets,
             )
         return KeyValueDIA(self.comm, first, second), verdict
 

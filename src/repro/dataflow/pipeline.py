@@ -38,6 +38,8 @@ from repro.core.multiseed import (
 from repro.core.groupby_checker import encode_records
 from repro.core.params import SumCheckConfig
 from repro.core.sort_checker import check_globally_sorted, check_sort
+from repro.core.zip_checker import check_zip
+from repro.dataflow.exchange import global_offsets
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.sort import sample_sort
 from repro.util.rng import default_generator, derive_seed, derive_seed_array
@@ -550,21 +552,27 @@ def adaptive_zip_check(
     policy: AdaptiveCheckPolicy | None = None,
     comm=None,
     iterations: int = 2,
+    offsets: tuple[int, int, int] | None = None,
 ) -> CheckResult:
     """Theorem 11 check with policy-driven escalation.
 
     The zip fingerprint is *positional* (order-sensitive inner products),
     so unlike the sum/permutation checkers it admits no unique-key
-    condensation: each escalation seed costs a fresh fingerprint pass.
-    That is exactly why it sits behind the adaptive policy — the ``T``-pass
-    price is paid only on a suspicious verdict, never inline.
+    condensation: escalation fingerprints the sequences again, all ``T``
+    seeds in one multi-seed :func:`check_zip` call.  That pass sits
+    behind the adaptive policy — its price is paid only on a suspicious
+    verdict, never inline.  Primary and escalation share ``offsets``
+    (this PE's global ``(s1, s2, output)`` offsets): the caller's, or
+    one exscan here.
     """
-    from repro.core.zip_checker import check_zip
-
     policy = policy or AdaptiveCheckPolicy()
+    if offsets is None:
+        offsets = global_offsets(
+            comm, np.size(s1), np.size(s2), np.size(zipped_first)
+        )
     primary = check_zip(
         s1, s2, zipped_first, zipped_second,
-        iterations=iterations, seed=seed, comm=comm,
+        iterations=iterations, seed=seed, comm=comm, offsets=offsets,
     )
     primary_ok = primary.accepted
 
@@ -573,13 +581,11 @@ def adaptive_zip_check(
     escalation_seconds = 0.0
     if escalated:
         t0 = time.perf_counter()
-        per_seed = [
-            check_zip(
-                s1, s2, zipped_first, zipped_second,
-                iterations=iterations, seed=int(s), comm=comm,
-            ).accepted
-            for s in policy.resolve_seeds(seed)
-        ]
+        per_seed = check_zip(
+            s1, s2, zipped_first, zipped_second,
+            iterations=iterations, seed=policy.resolve_seeds(seed),
+            comm=comm, offsets=offsets,
+        ).details["per_seed_accepted"]
         escalation_seconds = time.perf_counter() - t0
     accepted = primary_ok and (per_seed is None or all(per_seed))
     return CheckResult(

@@ -39,7 +39,7 @@ from repro.core.base import CheckResult
 from repro.core.localize import FaultReport
 from repro.core.multiseed import MultiSeedSumChecker, condense_kv
 from repro.core.params import SumCheckConfig
-from repro.core.streams import ZipCheckerStream
+from repro.core.zip_checker import check_zip
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
 from repro.util.rng import derive_seed, derive_seed_array
@@ -442,13 +442,11 @@ def repair_zip_window(
                 comm, s1, s2, return_offsets=True
             )
         roots = policy.attempt_seed_roots(window_seed, attempt)
-        stream = ZipCheckerStream(
-            roots, iterations, offsets=(off1, off2, off1)
-        )
-        stream.feed_input(first=s1, second=s2)
-        stream.feed_output(first, second)
-        verdict = stream.settle(comm)
-        per_seed = verdict.details["per_seed_accepted"]
+        per_seed = check_zip(
+            s1, s2, first, second,
+            iterations=iterations, seed=roots, comm=comm,
+            offsets=(off1, off2, off1),
+        ).details["per_seed_accepted"]
         healed = all(per_seed)
         verdicts.append(
             CheckResult(

@@ -41,8 +41,8 @@ from repro.core.base import CheckResult
 from repro.core.localize import FaultReport, localize_fault
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.streams import ZipCheckerStream
 from repro.core.sum_checker import _coerce_keys, _coerce_values
+from repro.core.zip_checker import check_zip
 from repro.dataflow.ops.reduce_by_key import local_aggregate, reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
 from repro.dataflow.pipeline import (
@@ -51,6 +51,7 @@ from repro.dataflow.pipeline import (
     _primary_tables,
     _run_stats,
     _settle_sum,
+    adaptive_zip_check,
 )
 from repro.dataflow.repair import (
     QuarantinedWindow,
@@ -328,9 +329,10 @@ class StreamingDIA(_ChunkSource):
 
         Both streams advance in lockstep windows; within a window the zip
         exchange computes the PE offsets once (one batched exscan) and the
-        checker stream reuses them — the positional fingerprint admits no
-        condensation, so the window's arrays are retained exactly until
-        its settle (and, with a ``policy``, its escalation) completes.
+        checker reuses them, fingerprinting the whole window in one
+        allreduce — the positional fingerprint admits no condensation, so
+        the window's arrays are retained exactly until its settle (and,
+        with a ``policy``, its escalation) completes.
 
         A ``reexecute(window_id, key_ranges)`` callback must return
         ``(chunks1, chunks2)`` — this PE's complete chunks for both
@@ -755,9 +757,14 @@ def settle_zip_window(
 ):
     """Settle one Zip window over both streams' local chunk lists.
 
-    Same return shape as :func:`settle_reduce_window`; ``fault`` (when
-    given) corrupts the zipped output columns — the operation's product —
-    while the checker keeps fingerprinting the original inputs.
+    Same return shape as :func:`settle_reduce_window`.  The checker
+    fingerprints the window's gathered inputs and the zipped output once,
+    at the offsets the zip exchange computed, through
+    :func:`~repro.core.zip_checker.check_zip` (or
+    :func:`~repro.dataflow.pipeline.adaptive_zip_check` under a
+    ``policy``).  ``fault`` (when given) corrupts the zipped output
+    columns — the operation's product — while the checker keeps
+    fingerprinting the original inputs.
     """
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
@@ -773,62 +780,29 @@ def settle_zip_window(
 
     first, second, (off1, off2) = _operation(comm, w1, w2)
     t1 = time.perf_counter()
-    stream = ZipCheckerStream(seed_w, iterations, offsets=(off1, off2, off1))
-    for chunk in window1:
-        stream.feed_input(first=chunk)
-    for chunk in window2:
-        stream.feed_input(second=chunk)
-    stream.feed_output(first, second)
-    verdict = stream.settle(comm)
-    t2 = time.perf_counter()
-    escalation_seconds = 0.0
-    esc_seeds = 0
-    escalated = False
-    per_seed = None
-    ok = verdict.accepted
-    if policy is not None:
-        escalated = policy.should_escalate(verdict.accepted)
-        if escalated:
-            e0 = time.perf_counter()
-            roots = policy.resolve_seeds(seed_w)
-            esc = ZipCheckerStream(
-                roots, iterations, offsets=(off1, off2, off1)
-            )
-            esc.feed_input(first=w1, second=w2)
-            esc.feed_output(first, second)
-            esc_res = esc.settle(comm)
-            per_seed = esc_res.details["per_seed_accepted"]
-            esc_seeds = int(roots.size)
-            escalation_seconds = time.perf_counter() - e0
-        ok = verdict.accepted and (per_seed is None or all(per_seed))
-        verdict = CheckResult(
-            accepted=ok,
-            checker="zip-adaptive",
-            details={
-                **verdict.details,
-                "primary_accepted": verdict.accepted,
-                "adaptive": {
-                    "escalated": escalated,
-                    "escalate_on": policy.escalate_on,
-                    "num_escalation_seeds": esc_seeds,
-                    "per_seed_accepted": per_seed,
-                    "escalation_seconds": escalation_seconds,
-                },
-            },
+    offsets = (off1, off2, off1)
+    if policy is None:
+        verdict = check_zip(
+            w1, w2, first, second,
+            iterations=iterations, seed=seed_w, comm=comm, offsets=offsets,
         )
-    stats = CheckedRunStats(
+    else:
+        verdict = adaptive_zip_check(
+            w1, w2, first, second, seed=seed_w, policy=policy, comm=comm,
+            iterations=iterations, offsets=offsets,
+        )
+    t2 = time.perf_counter()
+    stats = _run_stats(
+        verdict,
         operation_seconds=t1 - t0,
         checker_seconds=t2 - t1,
-        escalated=escalated,
-        escalation_seconds=escalation_seconds,
-        escalation_seeds=esc_seeds,
         windows=1,
         elements_fed=int(w1.size + w2.size),
     )
     record = _window_record(window, verdict, seed_w, policy)
     output = (first, second)
     quarantine = None
-    if not ok and reexecute is not None:
+    if not verdict.accepted and reexecute is not None:
         outcome = repair_zip_window(
             comm,
             window,

@@ -1,10 +1,9 @@
 """Tiered hot-path kernels behind a single dispatch point.
 
-The three dominant hot loops of the reproduction — stacked-table gathers
-(:mod:`repro.hashing.tabulation`), bucket lane accumulation
-(:mod:`repro.hashing.bitgroups` / :mod:`repro.core.multiseed`), and
-streamed segment compaction (:class:`repro.core.streams.StreamedKV`) —
-call through this package instead of open-coding their inner loops.  Two
+The dominant hot loops of the reproduction — stacked-table gathers
+(:mod:`repro.hashing.tabulation`) and bucket lane accumulation
+(:mod:`repro.hashing.bitgroups` / :mod:`repro.core.multiseed`) — call
+through this package instead of open-coding their inner loops.  Two
 backends implement one kernel signature set:
 
 * :mod:`repro.kernels.numpy_backend` — the portable oracle, pure numpy,

@@ -29,8 +29,6 @@ KERNEL_NAMES = (
     "weighted_bincount",
     "mix_lanes",
     "mshift_lanes",
-    "merge_sorted_unique_sum",
-    "merge_sorted_unique_xor",
 )
 
 _lock = threading.Lock()

@@ -89,86 +89,6 @@ def mshift_lanes(multipliers, keys, shift, out):
             out[t, i] = (keys[i] * a) >> shift
 
 
-@njit(cache=False, nogil=True)
-def merge_sorted_unique_sum(keys_a, vals_a, keys_b, vals_b):
-    """Two-pointer merge of sorted-unique segments, summing collisions."""
-    na = keys_a.shape[0]
-    nb = keys_b.shape[0]
-    out_k = np.empty(na + nb, dtype=np.uint64)
-    out_v = np.empty(na + nb, dtype=np.int64)
-    i = 0
-    j = 0
-    w = 0
-    while i < na and j < nb:
-        x = keys_a[i]
-        y = keys_b[j]
-        if x < y:
-            out_k[w] = x
-            out_v[w] = vals_a[i]
-            i += 1
-        elif y < x:
-            out_k[w] = y
-            out_v[w] = vals_b[j]
-            j += 1
-        else:
-            out_k[w] = x
-            out_v[w] = vals_a[i] + vals_b[j]
-            i += 1
-            j += 1
-        w += 1
-    while i < na:
-        out_k[w] = keys_a[i]
-        out_v[w] = vals_a[i]
-        i += 1
-        w += 1
-    while j < nb:
-        out_k[w] = keys_b[j]
-        out_v[w] = vals_b[j]
-        j += 1
-        w += 1
-    return out_k[:w].copy(), out_v[:w].copy()
-
-
-@njit(cache=False, nogil=True)
-def merge_sorted_unique_xor(keys_a, vals_a, keys_b, vals_b):
-    """Two-pointer merge of sorted-unique segments, XOR-ing collisions."""
-    na = keys_a.shape[0]
-    nb = keys_b.shape[0]
-    out_k = np.empty(na + nb, dtype=np.uint64)
-    out_v = np.empty(na + nb, dtype=np.uint64)
-    i = 0
-    j = 0
-    w = 0
-    while i < na and j < nb:
-        x = keys_a[i]
-        y = keys_b[j]
-        if x < y:
-            out_k[w] = x
-            out_v[w] = vals_a[i]
-            i += 1
-        elif y < x:
-            out_k[w] = y
-            out_v[w] = vals_b[j]
-            j += 1
-        else:
-            out_k[w] = x
-            out_v[w] = vals_a[i] ^ vals_b[j]
-            i += 1
-            j += 1
-        w += 1
-    while i < na:
-        out_k[w] = keys_a[i]
-        out_v[w] = vals_a[i]
-        i += 1
-        w += 1
-    while j < nb:
-        out_k[w] = keys_b[j]
-        out_v[w] = vals_b[j]
-        j += 1
-        w += 1
-    return out_k[:w].copy(), out_v[:w].copy()
-
-
 def self_check(oracle) -> None:
     """Compile every kernel on small inputs and compare with ``oracle``.
 
@@ -224,24 +144,3 @@ def self_check(oracle) -> None:
     oracle.mshift_lanes(mult, keys, np.uint64(32), want)
     if not np.array_equal(got, want):
         raise RuntimeError("numba mshift_lanes disagrees with numpy oracle")
-
-    ka = np.unique(rng.integers(0, 50, 20, dtype=np.uint64))
-    kb = np.unique(rng.integers(0, 50, 20, dtype=np.uint64))
-    va = rng.integers(-(10**6), 10**6, ka.size, dtype=np.int64)
-    vb = rng.integers(-(10**6), 10**6, kb.size, dtype=np.int64)
-    gk, gv = merge_sorted_unique_sum(ka, va, kb, vb)
-    wk, wv = oracle.merge_sorted_unique_sum(ka, va, kb, vb)
-    if not (np.array_equal(gk, wk) and np.array_equal(gv, wv)):
-        raise RuntimeError(
-            "numba merge_sorted_unique_sum disagrees with numpy oracle"
-        )
-    gk, gv = merge_sorted_unique_xor(
-        ka, va.view(np.uint64), kb, vb.view(np.uint64)
-    )
-    wk, wv = oracle.merge_sorted_unique_xor(
-        ka, va.view(np.uint64), kb, vb.view(np.uint64)
-    )
-    if not (np.array_equal(gk, wk) and np.array_equal(gv, wv)):
-        raise RuntimeError(
-            "numba merge_sorted_unique_xor disagrees with numpy oracle"
-        )

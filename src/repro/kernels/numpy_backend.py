@@ -83,59 +83,3 @@ def mshift_lanes(
     with np.errstate(over="ignore"):
         product = keys[None, :] * multipliers[:, None]
     np.right_shift(product, shift, out=out)
-
-
-def _merge_sorted_unique(keys_a, vals_a, keys_b, vals_b, xor: bool):
-    # Both segments are sorted-unique by contract, so the union needs no
-    # sort: rank each side's keys into the merged order with two
-    # searchsorted passes and scatter (vs concat + np.unique, which
-    # re-sorts elements the segments already ordered — the difference is
-    # most of the streamed-compaction cost on duplicate-heavy feeds).
-    if keys_a.size == 0:
-        return keys_b, vals_b
-    if keys_b.size == 0:
-        return keys_a, vals_a
-    pos = np.searchsorted(keys_a, keys_b)
-    dup = (pos < keys_a.size) & (
-        keys_a[np.minimum(pos, keys_a.size - 1)] == keys_b
-    )
-    merged_a_vals = vals_a.copy()
-    if xor:
-        merged_a_vals[pos[dup]] ^= vals_b[dup]
-    else:
-        merged_a_vals[pos[dup]] += vals_b[dup]
-    fresh = ~dup
-    keys_new = keys_b[fresh]
-    total = keys_a.size + keys_new.size
-    # Merged rank of a[i] is i + |{fresh b < a[i]}| (and symmetrically
-    # for the fresh b keys; no ties remain between the two sides).
-    rank_a = np.arange(keys_a.size, dtype=np.intp)
-    rank_a += np.searchsorted(keys_new, keys_a)
-    rank_b = np.arange(keys_new.size, dtype=np.intp) + pos[fresh]
-    uk = np.empty(total, dtype=keys_a.dtype)
-    out = np.empty(total, dtype=vals_a.dtype)
-    uk[rank_a] = keys_a
-    out[rank_a] = merged_a_vals
-    uk[rank_b] = keys_new
-    out[rank_b] = vals_b[fresh]
-    return uk, out
-
-
-def merge_sorted_unique_sum(
-    keys_a: np.ndarray,
-    vals_a: np.ndarray,
-    keys_b: np.ndarray,
-    vals_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two sorted-unique (uint64 keys, int64 sums) segments."""
-    return _merge_sorted_unique(keys_a, vals_a, keys_b, vals_b, xor=False)
-
-
-def merge_sorted_unique_xor(
-    keys_a: np.ndarray,
-    vals_a: np.ndarray,
-    keys_b: np.ndarray,
-    vals_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two sorted-unique (uint64 keys, uint64 xor-aggs) segments."""
-    return _merge_sorted_unique(keys_a, vals_a, keys_b, vals_b, xor=True)

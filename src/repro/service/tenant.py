@@ -105,6 +105,10 @@ class TenantConfig:
             raise ValueError(
                 f"settle_retries must be >= 0, got {self.settle_retries}"
             )
+        if self.iterations < 1:
+            raise ValueError(
+                f"iterations must be >= 1, got {self.iterations}"
+            )
 
 
 @dataclass

@@ -14,6 +14,8 @@ BigCrush when used as a counter-based generator.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 #: Golden-ratio increment used by SplitMix64.
@@ -55,8 +57,9 @@ def derive_seed(root: int, *path: int | str) -> int:
     derivation is a chain of SplitMix64 steps, so distinct paths give
     (computationally) independent seeds.  Used throughout the repo:
     ``derive_seed(seed, "sum-checker", iteration, "modulus")`` etc.
+    ``root`` may be any integer, numpy integer scalars included.
     """
-    state = splitmix64(root & _MASK64)
+    state = splitmix64(operator.index(root) & _MASK64)
     for label in path:
         if isinstance(label, str):
             for byte in label.encode("utf-8"):

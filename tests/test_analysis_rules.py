@@ -164,108 +164,6 @@ def test_lockstep_branching_on_settled_verdict_is_replicated():
 
 
 # ---------------------------------------------------------------------------
-# stream-protocol
-# ---------------------------------------------------------------------------
-
-_STREAM_BASE = (
-    "class CheckerStream:\n"
-    "    def __init__(self):\n"
-    "        self._settled = False\n"
-    "    def _ensure_open(self):\n"
-    "        if self._settled:\n"
-    "            raise RuntimeError('stream already settled')\n"
-    "    def settle(self, comm=None):\n"
-    "        self._ensure_open()\n"
-    "        self._settled = True\n"
-    "        return self._settle(comm)\n"
-    "    def _settle(self, comm):\n"
-    "        raise NotImplementedError\n"
-    "    def feed_input(self, chunk):\n"
-    "        raise NotImplementedError\n"
-    "    def feed_output(self, chunk):\n"
-    "        raise NotImplementedError\n"
-)
-
-
-def test_stream_protocol_flags_unguarded_feed_and_settle_override():
-    found = unsuppressed(
-        {
-            "src/repro/core/badstream.py": _STREAM_BASE
-            + (
-                "class BadStream(CheckerStream):\n"
-                "    def feed_input(self, chunk):\n"
-                "        self._acc = chunk\n"
-                "    def feed_output(self, chunk):\n"
-                "        self._ensure_open()\n"
-                "    def settle(self, comm=None):\n"
-                "        return self._settle(comm)\n"
-                "    def _settle(self, comm):\n"
-                "        return None\n"
-            )
-        },
-        "stream-protocol",
-    )
-    messages = "\n".join(f.message for f in found)
-    assert len(found) == 2
-    assert "without calling self._ensure_open()" in messages
-    assert "overrides the base settle()" in messages
-
-
-def test_stream_protocol_flags_missing_protocol_methods():
-    found = unsuppressed(
-        {
-            "src/repro/core/incomplete.py": _STREAM_BASE
-            + (
-                "class IncompleteStream(CheckerStream):\n"
-                "    def feed_input(self, chunk):\n"
-                "        self._ensure_open()\n"
-            )
-        },
-        "stream-protocol",
-    )
-    messages = "\n".join(f.message for f in found)
-    assert "does not implement feed_output()" in messages
-    assert "neither _settle() nor settle()" in messages
-
-
-def test_stream_protocol_accepts_conforming_stream():
-    clean = {
-        "src/repro/core/goodstream.py": _STREAM_BASE
-        + (
-            "class GoodStream(CheckerStream):\n"
-            "    def feed_input(self, chunk):\n"
-            "        self._ensure_open()\n"
-            "        self._acc = chunk\n"
-            "    def feed_output(self, chunk):\n"
-            "        self._ensure_open()\n"
-            "        self._out = chunk\n"
-            "    def _settle(self, comm):\n"
-            "        return None\n"
-        )
-    }
-    assert unsuppressed(clean, "stream-protocol") == []
-
-
-def test_stream_protocol_mutation_deleting_guard_flips_to_finding():
-    mutated = {
-        "src/repro/core/goodstream.py": _STREAM_BASE
-        + (
-            "class GoodStream(CheckerStream):\n"
-            "    def feed_input(self, chunk):\n"
-            "        self._acc = chunk\n"  # _ensure_open() deleted
-            "    def feed_output(self, chunk):\n"
-            "        self._ensure_open()\n"
-            "        self._out = chunk\n"
-            "    def _settle(self, comm):\n"
-            "        return None\n"
-        )
-    }
-    found = unsuppressed(mutated, "stream-protocol")
-    assert len(found) == 1
-    assert "GoodStream.feed_input" in found[0].message
-
-
-# ---------------------------------------------------------------------------
 # kernel-parity
 # ---------------------------------------------------------------------------
 

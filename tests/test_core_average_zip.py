@@ -9,6 +9,7 @@ from repro.core.params import SumCheckConfig
 from repro.core.zip_checker import check_zip, positional_fingerprint
 
 STRONG = SumCheckConfig.parse("8x16 m15")
+ZIP_SEEDS = np.arange(6, dtype=np.uint64) * np.uint64(911) + np.uint64(7)
 
 
 class TestReconstructSums:
@@ -209,6 +210,140 @@ class TestZipChecker:
         s1, s2 = self._data()
         with pytest.raises(ValueError):
             check_zip(s1, s2, s1, s2[:-1], seed=1)
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_non_positive_iterations_raise(self, iterations):
+        # Zero iterations compare no fingerprints and would accept any
+        # output, a corrupted zip included.
+        s1, s2 = self._data()
+        bad = s1.copy()
+        bad[0] += 1
+        with pytest.raises(ValueError, match="iterations"):
+            check_zip(s1, s2, bad, s2, iterations=iterations, seed=1)
+
+    @pytest.mark.parametrize(
+        "seeds, error",
+        [
+            # Zero seeds would accept any output, a corrupted zip included.
+            (np.array([], dtype=np.uint64), ValueError),
+            (np.array([[1, 2], [3, 4]], dtype=np.uint64), ValueError),
+            (np.array([4, 4], dtype=np.uint64), ValueError),
+            (1.7, TypeError),  # would silently run as seed 1
+        ],
+    )
+    def test_rejects_invalid_seeds(self, seeds, error):
+        s1, s2 = self._data()
+        with pytest.raises(error):
+            check_zip(s1, s2, s1, s2, seed=seeds)
+
+    def test_multiseed_flags_equal_scalar_calls(self):
+        s1, s2 = self._data()
+        bad = s2.copy()
+        bad[7] += 1
+        for zipped_second in (s2, bad, s2[::-1]):
+            multi = check_zip(s1, s2, s1, zipped_second, seed=ZIP_SEEDS)
+            scalar = [
+                check_zip(s1, s2, s1, zipped_second, seed=int(s))
+                for s in ZIP_SEEDS
+            ]
+            assert multi.details["num_seeds"] == ZIP_SEEDS.size
+            assert multi.details["per_seed_accepted"] == [
+                r.accepted for r in scalar
+            ]
+            assert multi.accepted == all(r.accepted for r in scalar)
+            assert multi.details["detecting_iterations"] == scalar[
+                0
+            ].details["detecting_iterations"]
+
+    @pytest.mark.parametrize(
+        "seeds", [5, -5, (1 << 63) + 5, ZIP_SEEDS, np.array([-3, 9])]
+    )
+    def test_lanes_follow_root_seeds(self, seeds):
+        """Seed ``t``'s fingerprints are the scalar derivation's under it."""
+        from repro.core.multiseed import _coerce_seeds
+        from repro.core.zip_checker import _local_words
+        from repro.util.rng import derive_seed
+
+        s1, s2 = self._data()
+        columns = [s1, s1, s2, s2]
+        words = _local_words(columns, (3, 5, 3), _coerce_seeds(seeds), 2)
+        for t, root in enumerate(np.atleast_1d(seeds)):
+            lane1 = derive_seed(int(root), "lane1")
+            lane2 = derive_seed(int(root), "lane2")
+            for j in range(2):
+                assert words[t, j, 0] == positional_fingerprint(s1, 3, lane1, j)
+                assert words[t, j, 2] == positional_fingerprint(s2, 5, lane2, j)
+            assert list(words[t, -1]) == [s1.size, s1.size, s2.size, s2.size]
+
+    def test_offsets_match_the_exscan(self):
+        """Passing the offsets a caller already has changes no verdict."""
+        from repro.dataflow.ops.zip_op import zip_arrays
+
+        s1, s2 = self._data()
+        ctx = Context(3)
+
+        def run(comm, a, b):
+            f, s, (off1, off2) = zip_arrays(comm, a, b, return_offsets=True)
+            bad = s.copy()
+            if comm.rank == 1:
+                bad[0] += 1
+            out = []
+            for second in (s, bad):
+                plain = check_zip(a, b, f, second, seed=ZIP_SEEDS, comm=comm)
+                given = check_zip(
+                    a, b, f, second, seed=ZIP_SEEDS, comm=comm,
+                    offsets=(off1, off2, off1),
+                )
+                out.append(plain.details == given.details)
+                out.append(plain.accepted)
+            return out
+
+        outs = ctx.run(run, per_rank_args=list(zip(ctx.split(s1), ctx.split(s2))))
+        assert outs == [[True, True, True, False]] * 3
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_distributed_check_is_one_allreduce_and_one_exscan(self, p):
+        """All seeds, iterations and lengths settle in one allreduce."""
+        from repro.comm import ops
+        from repro.dataflow.ops.zip_op import zip_arrays
+
+        s1, s2 = self._data()
+        ctx = Context(p)
+        words = np.zeros((ZIP_SEEDS.size, 3, 4), dtype=np.int64)
+
+        def messages(meter, label):
+            traffic = meter.since(label)
+            return traffic["messages_sent"], traffic["messages_received"]
+
+        def run(comm, a, b):
+            f, s, (off1, off2) = zip_arrays(comm, a, b, return_offsets=True)
+            meter = comm.meter
+            meter.mark("allreduce")
+            comm.allreduce(words, op=ops.SUM)
+            allreduce = messages(meter, "allreduce")
+            meter.mark("exscan")
+            comm.exscan(
+                (0, 0, 0),
+                op=lambda x, y: tuple(u + v for u, v in zip(x, y)),
+                identity=(0, 0, 0),
+            )
+            exscan = messages(meter, "exscan")
+            meter.mark("zip")
+            check_zip(a, b, f, s, iterations=2, seed=ZIP_SEEDS, comm=comm)
+            plain = messages(meter, "zip")
+            meter.mark("given")
+            check_zip(
+                a, b, f, s, iterations=2, seed=ZIP_SEEDS, comm=comm,
+                offsets=(off1, off2, off1),
+            )
+            given = messages(meter, "given")
+            expected = tuple(x + y for x, y in zip(allreduce, exscan))
+            return plain == expected, given == allreduce
+
+        outs = ctx.run(
+            run, per_rank_args=list(zip(ctx.split(s1), ctx.split(s2)))
+        )
+        assert outs == [(True, True)] * p
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_distributed_uneven_distributions(self, p):

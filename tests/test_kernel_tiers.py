@@ -1,4 +1,4 @@
-"""Kernel-tier contract suite: dispatch, parity, fused streams, compaction.
+"""Kernel-tier contract suite: dispatch, parity, chunk-bounded fallback.
 
 The tiered kernels (:mod:`repro.kernels`) are only admissible if every
 backend is *bit-identical* to the numpy oracle — a faster wrong verdict
@@ -9,10 +9,6 @@ would break the paper's one-sided-error guarantee.  This suite pins:
 * the numpy kernels against hand-rolled Python references;
 * numba/numpy parity per kernel across dtypes and edge shapes (skipped
   when numba is absent — the suite must pass in the numba-free matrix);
-* the fused multi-seed stream (chunk-at-a-time table folding) against the
-  condensing stream and the batch checker;
-* :class:`StreamedKV` adaptive compaction (duplicate-ratio feedback,
-  deferred merges, the segment-count backstop);
 * the O(chunk) scratch bound of the tiled ``hash_lanes`` fallback under a
   forced kernel-tier environment.
 """
@@ -24,14 +20,6 @@ import pytest
 
 from repro.core.multiseed import MultiSeedSumChecker, condense_kv
 from repro.core.params import SumCheckConfig
-from repro.core.streams import (
-    _FUSED_UNIQUE_RATIO,
-    _MAX_SEGMENTS,
-    _MERGE_FACTOR_MIN,
-    _MERGE_FACTOR_START,
-    MultiSeedSumCheckerStream,
-    StreamedKV,
-)
 from repro.hashing.families import HashFamily, get_family, hash_lanes
 from repro.hashing.mixers import MultiplyShiftHash, SplitMixHash
 from repro.kernels import (
@@ -257,47 +245,6 @@ class TestNumpyKernelCorrectness:
             expected = MultiplyShiftHash(int(seed), 32).hash_array(keys)
             assert np.array_equal(out[t], expected)
 
-    @pytest.mark.parametrize("op", ["sum", "xor"])
-    def test_merges_match_dict_reference(self, rng, op):
-        vdtype = np.int64 if op == "sum" else np.uint64
-        merge = getattr(numpy_backend, f"merge_sorted_unique_{op}")
-
-        def segment(lo, hi, n):
-            keys = np.unique(rng.integers(lo, hi, n, dtype=np.uint64))
-            vals = rng.integers(0, 2**32, keys.size, dtype=np.uint64)
-            return keys, vals.astype(vdtype) if op == "xor" else vals.view(
-                np.int64
-            ) - (1 << 31)
-
-        for (alo, ahi), (blo, bhi) in [
-            ((0, 100), (50, 150)),  # overlapping
-            ((0, 100), (200, 300)),  # disjoint
-            ((0, 10), (0, 10)),  # heavily colliding
-        ]:
-            a = segment(alo, ahi, 80)
-            b = segment(blo, bhi, 80)
-            uk, out = merge(*a, *b)
-            ref: dict = {}
-            for seg in (a, b):
-                for k, v in zip(seg[0].tolist(), seg[1].tolist()):
-                    if op == "xor":
-                        ref[k] = ref.get(k, 0) ^ v
-                    else:
-                        ref[k] = ref.get(k, 0) + v
-            assert uk.tolist() == sorted(ref)
-            assert out.tolist() == [ref[k] for k in sorted(ref)]
-            assert out.dtype == vdtype
-
-    def test_merge_with_empty_segment(self):
-        keys = np.array([3, 9], dtype=np.uint64)
-        vals = np.array([5, -2], dtype=np.int64)
-        empty_k = np.zeros(0, dtype=np.uint64)
-        empty_v = np.zeros(0, dtype=np.int64)
-        uk, out = numpy_backend.merge_sorted_unique_sum(
-            keys, vals, empty_k, empty_v
-        )
-        assert uk.tolist() == [3, 9] and out.tolist() == [5, -2]
-
 
 # ---------------------------------------------------------------------------
 # Numba parity (skipped when the tier is unavailable)
@@ -358,24 +305,6 @@ class TestNumbaParity:
         b = nb.weighted_bincount(buckets, weights, 64)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("op", ["sum", "xor"])
-    def test_merge_parity_duplicate_heavy(self, nb, rng, op):
-        vdtype = np.int64 if op == "sum" else np.uint64
-        ka = np.unique(rng.integers(0, 40, 200, dtype=np.uint64))
-        kb = np.unique(rng.integers(20, 60, 200, dtype=np.uint64))
-        va = rng.integers(0, 2**31, ka.size).astype(vdtype)
-        vb = rng.integers(0, 2**31, kb.size).astype(vdtype)
-        for args in [
-            (ka, va, kb, vb),
-            (ka, va, np.zeros(0, np.uint64), np.zeros(0, vdtype)),
-            (np.zeros(0, np.uint64), np.zeros(0, vdtype), kb, vb),
-        ]:
-            a = getattr(numpy_backend, f"merge_sorted_unique_{op}")(*args)
-            b = getattr(nb, f"merge_sorted_unique_{op}")(*args)
-            assert np.array_equal(a[0], b[0])
-            assert np.array_equal(a[1], b[1])
-            assert a[1].dtype == b[1].dtype == vdtype
-
     def test_end_to_end_tables_identical_across_tiers(self, clean_env, rng):
         keys = rng.integers(0, 900, 6_000, dtype=np.uint64)
         values = rng.integers(-1_000, 1_000, 6_000, dtype=np.int64)
@@ -386,214 +315,6 @@ class TestNumbaParity:
             checker = MultiSeedSumChecker(_CONFIG, _SEEDS)
             tables[tier] = checker.local_tables_condensed(condensed)
         assert np.array_equal(tables["numpy"], tables["numba"])
-
-
-# ---------------------------------------------------------------------------
-# Fused multi-seed streaming
-# ---------------------------------------------------------------------------
-
-
-def _chunked(keys, values, chunk):
-    for start in range(0, keys.size, chunk):
-        yield keys[start : start + chunk], values[start : start + chunk]
-
-
-@pytest.mark.streaming
-class TestFusedStreamParity:
-    def _feed(self, stream, keys, values, out_keys, out_values, chunk=700):
-        for k, v in _chunked(keys, values, chunk):
-            stream.feed_input(k, v)
-        for k, v in _chunked(out_keys, out_values, chunk):
-            stream.feed_output(k, v)
-
-    @pytest.mark.parametrize("operator", ["+", "xor"])
-    @pytest.mark.parametrize("fused", [True, False, "auto"])
-    def test_modes_match_batch_verdicts(self, rng, operator, fused):
-        keys = rng.integers(0, 2**64, 5_000, dtype=np.uint64)  # mostly unique
-        values = rng.integers(-500, 500, 5_000, dtype=np.int64)
-        checker = MultiSeedSumChecker(_CONFIG, _SEEDS, operator=operator)
-        batch = checker.check_local((keys, values), (keys, values))
-
-        stream = MultiSeedSumCheckerStream(
-            MultiSeedSumChecker(_CONFIG, _SEEDS, operator=operator),
-            fused=fused,
-        )
-        self._feed(stream, keys, values, keys, values)
-        res = stream.settle()
-        assert res.accepted == batch.accepted
-        assert (
-            res.details["per_seed_accepted"]
-            == batch.details["per_seed_accepted"]
-        )
-
-    @pytest.mark.parametrize("fused", [True, False, "auto"])
-    def test_modes_detect_a_corrupted_output(self, rng, fused):
-        keys = rng.integers(0, 2**64, 4_000, dtype=np.uint64)
-        values = rng.integers(-500, 500, 4_000, dtype=np.int64)
-        bad = values.copy()
-        bad[123] += 1
-        stream = MultiSeedSumCheckerStream(
-            MultiSeedSumChecker(_CONFIG, _SEEDS), fused=fused
-        )
-        self._feed(stream, keys, values, keys, bad)
-        assert not stream.settle().accepted
-
-    @pytest.mark.parametrize("fused", [True, False, "auto"])
-    def test_settle_tables_bit_identical_to_batch(self, rng, fused):
-        # Stronger than verdict parity: the settled (T, it, d) tensor is
-        # the batch tensor of the concatenated feed, bit for bit.
-        keys = rng.integers(0, 2**64, 3_000, dtype=np.uint64)
-        values = rng.integers(-500, 500, 3_000, dtype=np.int64)
-        checker = MultiSeedSumChecker(_CONFIG, _SEEDS)
-        expected = checker.local_tables_condensed(condense_kv(keys, values))
-        stream = MultiSeedSumCheckerStream(checker, fused=fused)
-        for k, v in _chunked(keys, values, 512):
-            stream.feed_input(k, v)
-        assert np.array_equal(stream._input.settle_tables(), expected)
-
-    def test_auto_fuses_unique_feeds_and_condenses_zipf(self, rng):
-        stream = MultiSeedSumCheckerStream(
-            MultiSeedSumChecker(_CONFIG, _SEEDS), fused="auto"
-        )
-        unique_keys = rng.integers(0, 2**64, 2_000, dtype=np.uint64)
-        stream.feed_input(unique_keys, np.ones(2_000, dtype=np.int64))
-        assert stream._input.mode == "fused"
-        dup_keys = rng.integers(0, 50, 2_000, dtype=np.uint64)
-        stream.feed_output(dup_keys, np.ones(2_000, dtype=np.int64))
-        assert stream._output.mode == "condense"
-        # The decision threshold itself stays pinned.
-        assert _FUSED_UNIQUE_RATIO == 0.9
-
-    def test_fused_mode_refuses_condensed_access(self, rng):
-        stream = MultiSeedSumCheckerStream(
-            MultiSeedSumChecker(_CONFIG, _SEEDS), fused=True
-        )
-        keys = rng.integers(0, 2**64, 100, dtype=np.uint64)
-        stream.feed_input(keys, np.ones(100, dtype=np.int64))
-        with pytest.raises(RuntimeError, match="fused"):
-            stream.condensed_input()
-        # The condensing construction keeps the aggregates available.
-        legacy = MultiSeedSumCheckerStream(
-            MultiSeedSumChecker(_CONFIG, _SEEDS), fused=False
-        )
-        legacy.feed_input(keys, np.ones(100, dtype=np.int64))
-        assert legacy.condensed_input().unique_keys.size == 100
-
-    @pytest.mark.parametrize("bad", ["bogus", "fused", None, 2])
-    def test_invalid_fused_value_raises(self, bad):
-        with pytest.raises(ValueError, match="fused"):
-            MultiSeedSumCheckerStream(
-                MultiSeedSumChecker(_CONFIG, _SEEDS), fused=bad
-            )
-
-
-# ---------------------------------------------------------------------------
-# StreamedKV adaptive compaction
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.streaming
-class TestAdaptiveCompaction:
-    def _reference(self, chunks):
-        ref: dict = {}
-        for keys, values in chunks:
-            for k, v in zip(keys.tolist(), values.tolist()):
-                ref[k] = ref.get(k, 0) + v
-        return ref
-
-    def test_all_unique_feed_lowers_factor_and_defers_merges(self):
-        kv = StreamedKV()
-        chunks = []
-        for i in range(12):
-            keys = np.arange(i * 100, (i + 1) * 100, dtype=np.uint64)
-            values = np.full(100, i + 1, dtype=np.int64)
-            chunks.append((keys, values))
-            kv.fold(keys, values)
-        # Merges never shrink a disjoint feed, so the factor backs off…
-        assert kv._merge_factor < _MERGE_FACTOR_START
-        # …and segments are left unmerged instead of re-copied each fold.
-        assert len(kv._segments) > 1
-        uk, aggs = kv.merged()
-        ref = self._reference(chunks)
-        assert uk.tolist() == sorted(ref)
-        assert aggs.tolist() == [ref[k] for k in sorted(ref)]
-
-    def test_duplicate_heavy_feed_keeps_merging_eagerly(self, rng):
-        kv = StreamedKV()
-        for _ in range(12):
-            keys = rng.integers(0, 64, 500, dtype=np.uint64)
-            kv.fold(keys, np.ones(500, dtype=np.int64))
-        # Halving merges keep the factor at (or above) its start value and
-        # the retained state collapses to the true unique count.
-        assert kv._merge_factor >= _MERGE_FACTOR_START
-        assert len(kv._segments) == 1
-        assert kv.unique_count <= 64
-        assert kv.compactions >= 10
-
-    def test_segment_count_backstop_forces_concat_all(self):
-        kv = StreamedKV()
-        max_seen = 0
-        collapsed_after_deferral = False
-        for i in range(3 * _MAX_SEGMENTS):
-            keys = np.arange(i * 8, i * 8 + 8, dtype=np.uint64)
-            kv.fold(keys, np.ones(8, dtype=np.int64))
-            n = len(kv._segments)
-            assert n <= _MAX_SEGMENTS  # the backstop bounds segment count
-            if max_seen >= _MAX_SEGMENTS - 1 and n == 1:
-                collapsed_after_deferral = True
-            max_seen = max(max_seen, n)
-        assert max_seen >= _MAX_SEGMENTS - 1  # merges really were deferred
-        assert collapsed_after_deferral  # …then one concat-all fired
-        assert kv._merge_factor >= _MERGE_FACTOR_MIN
-        uk, aggs = kv.merged()
-        assert uk.size == 3 * _MAX_SEGMENTS * 8
-        assert bool(np.all(aggs == 1))
-
-    def test_compactions_counter_counts_merges(self):
-        kv = StreamedKV()
-        assert kv.compactions == 0
-        keys = np.arange(10, dtype=np.uint64)
-        kv.fold(keys, np.ones(10, dtype=np.int64))
-        assert kv.compactions == 0  # one segment: nothing to merge
-        kv.fold(keys, np.ones(10, dtype=np.int64))
-        assert kv.compactions == 1  # equal-size segments merge immediately
-
-    @pytest.mark.parametrize("operator", ["+", "xor"])
-    def test_direct_condensed_matches_batch_condensation(self, rng, operator):
-        kv = StreamedKV(operator)
-        for _ in range(5):
-            keys = rng.integers(0, 300, 1_000, dtype=np.uint64)
-            values = rng.integers(-(2**40), 2**40, 1_000, dtype=np.int64)
-            kv.fold(keys, values)
-        direct = kv.condensed()
-        ref = condense_kv(*kv.pairs(), kv.operator)
-        assert np.array_equal(direct.unique_keys, ref.unique_keys)
-        assert np.array_equal(direct.inverse, ref.inverse)
-        assert np.array_equal(direct.values, ref.values)
-        for field in ("agg", "agg_float", "agg_xor"):
-            a, b = getattr(direct, field), getattr(ref, field)
-            assert (a is None) == (b is None), field
-            if a is not None:
-                assert np.array_equal(a, b), field
-
-    def test_python_int_promotion_survives_adaptive_merges(self):
-        kv = StreamedKV()
-        big = (1 << 62) - 1
-        for _ in range(4):  # Σ|v| crosses 2^63 → object-dtype promotion
-            kv.fold(
-                np.array([7, 7, 9], dtype=np.uint64),
-                np.array([big, big, 1], dtype=np.int64),
-            )
-        uk, aggs = kv.merged()
-        assert aggs.dtype == object
-        assert uk.tolist() == [7, 9]
-        assert aggs.tolist() == [8 * big, 4]
-        # The exploded int64 pairs still reproduce the exact sums.
-        pk, pv = kv.pairs()
-        totals: dict = {}
-        for k, v in zip(pk.tolist(), pv.tolist()):
-            totals[k] = totals.get(k, 0) + v
-        assert totals == {7: 8 * big, 9: 4}
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,13 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="unknown op"):
             svc.register("t", TenantConfig(op="sort"))
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_non_positive_iterations_rejected(self, iterations):
+        # Zero zip iterations would fail every settle and quarantine
+        # every window; refuse the config up front instead.
+        with pytest.raises(ValueError, match="iterations"):
+            TenantConfig(op="zip", iterations=iterations)
+
     def test_duplicate_name_rejected(self):
         with CheckedStreamService() as svc:
             svc.register("t", TenantConfig(op="sum"))

@@ -1,5 +1,7 @@
 """Tests for the SplitMix64 seeding substrate."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,88 @@ class TestDeriveSeed:
 
     def test_order_matters(self):
         assert derive_seed(1, "a", "b") != derive_seed(1, "b", "a")
+
+    def test_python_int_roots_keep_their_values(self):
+        assert derive_seed(5, "lane1") == 10668834423626596828
+        assert derive_seed(-3, "stream-window", 2) == 16237566289173528986
+        assert derive_seed((1 << 63) + 5, "zip-pos", 1) == 2330834415631988475
+
+    @pytest.mark.parametrize(
+        "root, same_as",
+        [
+            (np.int64(5), 5),
+            (np.int32(5), 5),
+            (np.uint64(5), 5),
+            (np.int64(-3), -3),
+            (np.uint64(2**64 - 3), -3),
+            (np.uint64(2**63 + 5), 2**63 + 5),
+        ],
+    )
+    def test_numpy_integer_roots_match_python_ints(self, root, same_as):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no uint64 overflow warnings
+            got = derive_seed(root, "lane1", 3)
+        assert type(got) is int
+        assert got == derive_seed(same_as, "lane1", 3)
+
+    def test_non_integer_root_rejected(self):
+        with pytest.raises(TypeError):
+            derive_seed(1.5, "lane1")
+
+
+class TestNumpyIntegerSeedsEndToEnd:
+    """Checkers and windowed ops take numpy integer seeds like ints."""
+
+    def test_check_zip(self):
+        from repro.core.zip_checker import check_zip
+
+        s = np.arange(40, dtype=np.uint64)
+        bad = s.copy()
+        bad[3] += 1
+        for zipped in (s, bad):
+            want = check_zip(s, s, zipped, s, seed=5)
+            for seed in (np.int64(5), np.uint64(5)):
+                got = check_zip(s, s, zipped, s, seed=seed)
+                assert got.accepted == want.accepted
+                assert got.details == want.details
+
+    def test_sum_aggregation_checker(self):
+        from repro.core.params import SumCheckConfig
+        from repro.core.sum_checker import SumAggregationChecker
+
+        config = SumCheckConfig.parse("4x16 m15")
+        keys = np.arange(50, dtype=np.uint64) % 7
+        values = np.arange(50, dtype=np.int64)
+        want = SumAggregationChecker(config, 5).local_tables(keys, values)
+        for seed in (np.int64(5), np.uint64(5)):
+            got = SumAggregationChecker(config, seed).local_tables(keys, values)
+            assert np.array_equal(got, want)
+
+    def test_windowed_ops(self):
+        from repro.dataflow.streaming import StreamingDIA, StreamingKeyValueDIA
+
+        keys = np.arange(300, dtype=np.uint64) % 11
+        values = np.arange(300, dtype=np.int64)
+        chunks = [(keys[i : i + 50], values[i : i + 50]) for i in range(0, 300, 50)]
+        cols = [values[i : i + 50] for i in range(0, 300, 50)]
+
+        def runs(seed):
+            reduce_run = StreamingKeyValueDIA.from_chunks(
+                None, chunks
+            ).reduce_by_key_checked(seed=seed, chunks_per_window=2)
+            zip_run = StreamingDIA.from_chunks(None, cols).zip_checked(
+                StreamingDIA.from_chunks(None, cols),
+                seed=seed,
+                chunks_per_window=2,
+            )
+            return [
+                [(r.seed, r.seeds_used, r.accepted) for r in run.window_history]
+                for run in (reduce_run, zip_run)
+            ]
+
+        want = runs(5)
+        assert runs(np.int64(5)) == want
+        assert runs(np.uint64(5)) == want
 
 
 class TestUniformBelow:
