@@ -104,11 +104,13 @@ class CondensedKV:
     ``agg`` / ``agg_float`` / ``agg_xor`` are the exact per-unique-key
     aggregates on the accumulation paths that admit them; when all three
     are None the magnitude guard fell back to per-element accumulation
-    (``values`` and ``inverse`` are kept for exactly that path).
+    (``values`` and ``inverse`` are kept for exactly that path).  A
+    raw-pair view (:func:`_pairs_condensed`) builds ``inverse`` only on
+    that path and leaves it None otherwise.
     """
 
     unique_keys: np.ndarray
-    inverse: np.ndarray
+    inverse: np.ndarray | None
     values: np.ndarray
     agg: np.ndarray | None
     agg_float: np.ndarray | None
@@ -178,6 +180,9 @@ def _pairs_condensed(keys, values, operator: str = "+") -> CondensedKV:
     This is how a one-seed fold reads its side: sorting pays only when
     its unique keys are hashed under many lanes (escalation, repair) or
     searched (localization), which is when :func:`condense_kv` runs.
+    The view allocates only what its accumulation path reads: int64
+    values are not copied, xor needs no magnitude bound, and the
+    identity ``inverse`` exists only on the per-element path.
     """
     keys = _coerce_keys(keys)
     values = _coerce_values(values)
@@ -185,17 +190,18 @@ def _pairs_condensed(keys, values, operator: str = "+") -> CondensedKV:
         raise ValueError(
             f"keys and values differ in length: {keys.size} vs {values.size}"
         )
-    inverse = np.arange(keys.size, dtype=np.intp)
-    agg = agg_float = agg_xor = None
-    if keys.size:
+    inverse = agg = agg_float = agg_xor = None
+    if operator == "xor":
+        agg_xor = values.view(np.uint64)
+    elif keys.size:
         bound = _magnitude_bound(values)
-        if operator == "xor":
-            agg_xor = values.view(np.uint64)
-        elif bound < (1 << _CHUNK_BITS):
+        if bound < (1 << _CHUNK_BITS):
             agg = values
             agg_float = values.astype(np.float64)
         elif bound < (1 << 63):
             agg = values
+        else:
+            inverse = np.arange(keys.size, dtype=np.intp)
     return CondensedKV(keys, inverse, values, agg, agg_float, agg_xor)
 
 

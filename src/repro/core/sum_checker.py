@@ -68,7 +68,8 @@ def _coerce_values(values) -> np.ndarray:
             f"sum checker requires integer values, got dtype {values.dtype} "
             "(the paper leaves floating-point aggregation as future work)"
         )
-    return values.astype(np.int64).ravel()
+    # int64 input comes back uncopied: no consumer writes into it.
+    return values.astype(np.int64, copy=False).ravel()
 
 
 def _max_magnitude(values: np.ndarray) -> int:
@@ -85,26 +86,27 @@ def _max_magnitude(values: np.ndarray) -> int:
 
 
 def _magnitude_bound(values: np.ndarray) -> int:
-    """Upper bound on ``|Σ subset|`` over any subset of ``values``: Σ|v|.
+    """Upper bound on ``|Σ subset|`` over any subset of ``values``.
 
     Every quantity the checkers accumulate — a bucket sum, a per-key
     aggregate, any partial sum inside a bincount — is a subset sum of the
-    value array, so Σ|v| bounds them all.  It is dramatically tighter
-    than the historical ``n · max|v|`` (a 10^6-element workload of ±10^6
-    values has Σ|v| ≈ 5·10^11 < 2^52 but ``n·max`` ≈ 10^12 — the loose
-    bound knocked streamed condensations off the exact float64 bincount
-    fast path).  The float64 total is inflated by the pairwise-summation
-    error margin so the result is always a true upper bound; near the
-    int64 extreme, where ``np.abs`` itself would overflow, it falls back
-    to the old conservative product.
+    value array, so both ``n · max|v|`` and Σ|v| bound them all.  The
+    product costs only the min/max pass, and when it is already below
+    2^52 (the float64 exactness guard, ``_CHUNK_BITS``) the callers'
+    decision is made and the Σ|v| pass is skipped.  Above it, Σ|v| is
+    much tighter (a 10^6-element workload of ±10^6 values has Σ|v| ≈
+    5·10^11 < 2^52 but ``n·max`` ≈ 10^12 — the loose bound knocked
+    streamed condensations off the exact float64 bincount fast path).
+    Either bound picks an exact accumulation path, so tables never
+    depend on which one is returned.  The float64 total is inflated by
+    the pairwise-summation error margin so the result is always a true
+    upper bound; near the int64 extreme, where ``np.abs`` itself would
+    overflow, the product is returned.
     """
-    if values.size == 0:
-        return 0
     m = _max_magnitude(values)
-    if m == 0:
-        return 0
-    if m >= (1 << 62):
-        return values.size * m
+    product = values.size * m
+    if product < (1 << _CHUNK_BITS) or m >= (1 << 62):
+        return product
     total = float(np.abs(values).sum(dtype=np.float64))
     return int(total * (1.0 + 2.0**-30)) + 1
 

@@ -18,6 +18,13 @@ fingerprinting its concatenation once.  One :func:`check_zip` call checks
 ``T`` root seeds (``seed`` may be an array): all ``T · iterations · 4``
 fingerprints and the sequence lengths travel in ONE int64 ``SUM``
 allreduce and are reduced modulo ``2^31 − 1`` afterwards.
+
+Only what moved is hashed.  The paper fingerprints because "the elements
+of (at least) one sequence need to be moved in the general case"; the
+other sequence keeps its distribution (``zip_arrays`` keeps S1's).  An
+output column that sits at its input's global offset with the same
+words would add the same fingerprint to both sides of the comparison,
+so such a pair contributes nothing and is not hashed.
 """
 
 from __future__ import annotations
@@ -54,16 +61,21 @@ def _lane(seed: int, iteration: int) -> tuple:
     )
 
 
-def _fingerprints(values, global_offset: int, lanes: list) -> list[int]:
-    """``Σ_i h'(offset+i) · g(x_i)  mod 2^31−1`` for every ``(h', g)`` lane.
+def _words(values) -> np.ndarray:
+    """The 64-bit words a column hashes as.
 
-    Signed values hash as their 64-bit two's-complement words.
+    Signed values hash as their two's-complement words, so an int64 and
+    a uint64 column with equal words fingerprint alike.
     """
     values = np.asarray(values).ravel()
     if values.dtype.kind == "i":
-        words = values.astype(np.int64, copy=False).view(np.uint64)
-    else:
-        words = values.astype(np.uint64, copy=False)
+        return values.astype(np.int64, copy=False).view(np.uint64)
+    return values.astype(np.uint64, copy=False)
+
+
+def _fingerprints(values, global_offset: int, lanes: list) -> list[int]:
+    """``Σ_i h'(offset+i) · g(x_i)  mod 2^31−1`` for every ``(h', g)`` lane."""
+    words = _words(values)
     p = np.uint64(MERSENNE31)
     totals = [0] * len(lanes)
     for start in range(0, words.size, _CHUNK):
@@ -120,14 +132,24 @@ def _local_words(columns, offsets, roots: np.ndarray, iterations: int):
     the four columns; the last row holds the four column lengths.  A seed
     accepts iff in every row column 0 equals column 1 and column 2
     equals column 3.
+
+    An input and its output column at the same global offset with equal
+    words (:func:`_words`; equal words imply equal lengths) would get the
+    same fingerprint ``F`` under every lane.  Their words stay 0 and
+    their lanes are never derived: dropping ``F`` from both sides of a
+    comparison of sums changes no verdict.  Every other pair is
+    fingerprinted in full.
     """
     s1, first, s2, second = columns
     off1, off2, offz = (int(o) for o in offsets)
     words = np.zeros((roots.size, iterations + 1, 4), dtype=np.int64)
     for label, sides in (
-        ("lane1", ((s1, off1, 0), (first, offz, 1))),
-        ("lane2", ((s2, off2, 2), (second, offz, 3))),
+        ("lane1", ((_words(s1), off1, 0), (_words(first), offz, 1))),
+        ("lane2", ((_words(s2), off2, 2), (_words(second), offz, 3))),
     ):
+        (a, off_a, _), (b, off_b, _) = sides
+        if off_a == off_b and np.array_equal(a, b):
+            continue
         lanes = [
             _lane(derive_seed(int(root), label), j)
             for root in roots
@@ -166,6 +188,8 @@ def _verdict(words: np.ndarray) -> CheckResult:
     # random values could in principle hide a length mismatch (they do
     # not for random weights, but the check is a single integer per PE).
     mismatch = (rows[..., 0] != rows[..., 1]) | (rows[..., 2] != rows[..., 3])
+    # A ragged output (columns of different global lengths) is no zip.
+    mismatch[:, -1] |= rows[:, -1, 1] != rows[:, -1, 3]
     per_seed = (~mismatch.any(axis=1)).tolist()
     n1, nz, n2, _ = (int(n) for n in rows[0, -1])
     return CheckResult(
@@ -198,7 +222,11 @@ def check_zip(
     ``zipped_second`` the component columns of the local slice of the
     asserted output.  The output's distribution may differ from the inputs'.
     Accepts iff for every iteration the positional fingerprint of S1 matches
-    that of the first components and S2 matches the second components.
+    that of the first components and S2 matches the second components,
+    and the global lengths agree.  Only moved or differing columns are
+    hashed (see :func:`_local_words`); a column pair left in place costs
+    one comparison.  The asserted output is untrusted, so a ragged one
+    (columns of different lengths) is rejected, never raised on.
 
     ``seed`` is a root seed or an array of ``T`` distinct root seeds (a
     scalar is ``T = 1``); ``per_seed_accepted[t]`` equals the verdict of
@@ -214,11 +242,6 @@ def check_zip(
     columns = [
         np.asarray(c).ravel() for c in (s1, zipped_first, s2, zipped_second)
     ]
-    if columns[1].size != columns[3].size:
-        raise ValueError(
-            "zipped component columns differ in length: "
-            f"{columns[1].size} vs {columns[3].size}"
-        )
     if offsets is None:
         offsets = _global_offsets(
             comm, columns[0].size, columns[2].size, columns[1].size

@@ -206,10 +206,52 @@ class TestZipChecker:
         s1, s2 = self._data()
         assert not check_zip(s1, s2, s1[:-1], s2[:-1], seed=1).accepted
 
-    def test_component_length_mismatch_raises(self):
+    @pytest.mark.parametrize(
+        "shape",
+        ["first-short", "second-short", "inputs-differ"],
+    )
+    def test_ragged_output_rejects(self, shape):
+        """A ragged asserted output is rejected through the lengths row.
+
+        The output is the untrusted side: columns of different lengths
+        are a wrong answer, not a caller error.  ``inputs-differ`` zips
+        inputs of different lengths into matching columns: each column
+        equals its input, but the two global lengths differ.
+        """
         s1, s2 = self._data()
-        with pytest.raises(ValueError):
-            check_zip(s1, s2, s1, s2[:-1], seed=1)
+        a, b, first, second = {
+            "first-short": (s1, s2, s1[:-1], s2),
+            "second-short": (s1, s2, s1, s2[:-1]),
+            "inputs-differ": (s1, s2[:-1], s1, s2[:-1]),
+        }[shape]
+        result = check_zip(a, b, first, second, seed=ZIP_SEEDS)
+        assert not result.accepted
+        assert result.details["per_seed_accepted"] == [False] * ZIP_SEEDS.size
+        assert not result.details["length_ok"]
+        assert result.details["lengths"] == (a.size, b.size, first.size)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_distributed_ragged_output_rejects_on_every_pe(self, p):
+        from repro.dataflow.ops.zip_op import zip_arrays
+
+        s1, s2 = self._data()
+        ctx = Context(p)
+
+        def run(comm, a, b):
+            f, s, (off1, off2) = zip_arrays(comm, a, b, return_offsets=True)
+            if comm.rank == 0:
+                f = f[:-1]
+            plain = check_zip(a, b, f, s, seed=ZIP_SEEDS, comm=comm)
+            given = check_zip(
+                a, b, f, s, seed=ZIP_SEEDS, comm=comm,
+                offsets=(off1, off2, off1),
+            )
+            return plain.accepted, given.accepted, plain.details["length_ok"]
+
+        outs = ctx.run(
+            run, per_rank_args=list(zip(ctx.split(s1), ctx.split(s2)))
+        )
+        assert outs == [(False, False, False)] * p
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_non_positive_iterations_raise(self, iterations):
@@ -259,21 +301,57 @@ class TestZipChecker:
         "seeds", [5, -5, (1 << 63) + 5, ZIP_SEEDS, np.array([-3, 9])]
     )
     def test_lanes_follow_root_seeds(self, seeds):
-        """Seed ``t``'s fingerprints are the scalar derivation's under it."""
+        """Seed ``t``'s fingerprints are the scalar derivation's under it.
+
+        Both pairs are fingerprinted: ``first`` differs from S1 in one
+        word, and ``second`` has S2's words at another offset.
+        """
         from repro.core.multiseed import _coerce_seeds
         from repro.core.zip_checker import _local_words
         from repro.util.rng import derive_seed
 
         s1, s2 = self._data()
-        columns = [s1, s1, s2, s2]
+        first = s1.copy()
+        first[0] += 1
+        columns = [s1, first, s2, s2]
         words = _local_words(columns, (3, 5, 3), _coerce_seeds(seeds), 2)
         for t, root in enumerate(np.atleast_1d(seeds)):
             lane1 = derive_seed(int(root), "lane1")
             lane2 = derive_seed(int(root), "lane2")
             for j in range(2):
                 assert words[t, j, 0] == positional_fingerprint(s1, 3, lane1, j)
+                assert words[t, j, 1] == positional_fingerprint(
+                    first, 3, lane1, j
+                )
                 assert words[t, j, 2] == positional_fingerprint(s2, 5, lane2, j)
+                assert words[t, j, 3] == positional_fingerprint(s2, 3, lane2, j)
             assert list(words[t, -1]) == [s1.size, s1.size, s2.size, s2.size]
+
+    def test_pair_left_in_place_is_not_hashed(self, monkeypatch):
+        """An input and its output column at one offset with equal words
+        leave their fingerprint words at 0, even across int64/uint64."""
+        from repro.core import zip_checker
+        from repro.core.multiseed import _coerce_seeds
+
+        s1, s2 = self._data()
+        signed = s2.astype(np.int64) - (1 << 31)
+        hashed = []
+        real = zip_checker._fingerprints
+
+        def counting(values, offset, lanes):
+            hashed.append(offset)
+            return real(values, offset, lanes)
+
+        monkeypatch.setattr(zip_checker, "_fingerprints", counting)
+        columns = [s1, s1.copy(), signed, signed.view(np.uint64)]
+        roots = _coerce_seeds(ZIP_SEEDS)
+        words = zip_checker._local_words(columns, (3, 3, 3), roots, 2)
+        assert hashed == []
+        assert not words[:, :-1].any()
+        assert list(words[0, -1]) == [s1.size] * 2 + [s2.size] * 2
+        # The same pairs one position apart are both hashed.
+        zip_checker._local_words(columns, (3, 3, 4), roots, 2)
+        assert hashed == [3, 4, 3, 4]
 
     def test_offsets_match_the_exscan(self):
         """Passing the offsets a caller already has changes no verdict."""
@@ -383,3 +461,150 @@ class TestZipChecker:
         )
         # The swap is detected unless the swapped elements were equal.
         assert verdicts == [False] * p or s1[0] == s1[1]
+
+
+P31 = (1 << 31) - 1
+
+
+def _reference_zip(comm, s1, s2, first, second, roots, iterations):
+    """The verdict of fingerprinting every column (the unoptimised check).
+
+    Each PE fingerprints all four columns with
+    :func:`positional_fingerprint` at their global offsets (S1's, S2's,
+    and the output's for both output columns); the words and lengths
+    are summed over PEs and compared modulo ``2^31 − 1``.
+    """
+    from repro.util.rng import derive_seed
+
+    columns = [np.asarray(c).ravel() for c in (s1, first, s2, second)]
+    sizes = comm.allgather(tuple(c.size for c in columns))
+    off1, offz, off2 = (
+        sum(row[c] for row in sizes[: comm.rank]) for c in (0, 1, 2)
+    )
+    offsets = (off1, offz, off2, offz)
+    labels = ("lane1", "lane1", "lane2", "lane2")
+    local = np.zeros((roots.size, iterations + 1, 4), dtype=np.int64)
+    for t, root in enumerate(roots):
+        for c, values in enumerate(columns):
+            lane = derive_seed(int(root), labels[c])
+            for j in range(iterations):
+                local[t, j, c] = positional_fingerprint(
+                    values, offsets[c], lane, j
+                )
+        local[t, -1] = [c.size for c in columns]
+    total = sum(comm.allgather(local))
+    n1, nz, n2, n2z = (int(n) for n in total[0, -1])
+    length_ok = n1 == nz and n2 == n2z and nz == n2z
+    fp = total[:, :-1] % P31
+    seed_ok = (fp[..., 0] == fp[..., 1]) & (fp[..., 2] == fp[..., 3])
+    per_seed = [bool(length_ok and row.all()) for row in seed_ok]
+    return {
+        "accepted": all(per_seed),
+        "per_seed_accepted": per_seed,
+        "detecting_iterations": np.flatnonzero(~seed_ok[0]).tolist(),
+        "lengths": (n1, n2, nz),
+        "length_ok": length_ok,
+    }
+
+
+def _summary(result):
+    d = result.details
+    return {
+        "accepted": result.accepted,
+        "per_seed_accepted": d["per_seed_accepted"],
+        "detecting_iterations": d["detecting_iterations"],
+        "lengths": d["lengths"],
+        "length_ok": d["length_ok"],
+    }
+
+
+class TestZipOracle:
+    """``check_zip`` against the every-column reference, verdict for verdict.
+
+    The matrix crosses PE counts, S2 distributed like and unlike S1,
+    clean and corrupted outputs, one and four seeds, and column dtypes
+    (int64, uint64, and int64 inputs against uint64 output columns with
+    equal words).  Skipping the hash of a pair left in place must change
+    none of ``accepted``, ``per_seed_accepted``, ``detecting_iterations``,
+    ``lengths`` and ``length_ok``.
+    """
+
+    N = 300
+    #: S2 repeats with period 60, and its "unlike" split at p = 3 gives
+    #: PE 1 a 100-element slice at offset 40 where the output's is at
+    #: 100: equal words at different offsets, which must be hashed.
+    PERIOD = 60
+    UNLIKE = {2: [0, 40, 300], 3: [0, 40, 140, 300]}
+
+    def _inputs(self, dtype):
+        rng = np.random.default_rng(17)
+        if dtype == "uint64":
+            s1, block = (
+                rng.integers(0, 1 << 64, n, dtype=np.uint64)
+                for n in (self.N, self.PERIOD)
+            )
+        else:
+            s1, block = (
+                rng.integers(-(1 << 40), 1 << 40, n).astype(np.int64)
+                for n in (self.N, self.PERIOD)
+            )
+        return s1, np.tile(block, self.N // self.PERIOD)
+
+    @staticmethod
+    def _corrupt(kind, first, second):
+        first, second = first.copy(), second.copy()
+        if kind == "first":
+            first[1:2] += 1
+        elif kind == "second":
+            second[2:3] += 1
+        elif kind == "swap":
+            first[[0, 1]] = first[[1, 0]]
+            second[[0, 1]] = second[[1, 0]]
+        elif kind == "truncate":
+            first, second = first[:-1], second[:-1]
+        return first, second
+
+    @pytest.mark.parametrize("kind", ["clean", "first", "second", "swap", "truncate"])
+    @pytest.mark.parametrize("dtype", ["int64", "uint64", "mixed"])
+    @pytest.mark.parametrize(
+        "p, layout",
+        [(1, "like"), (2, "like"), (2, "unlike"), (3, "like"), (3, "unlike")],
+    )
+    def test_matches_reference(self, p, layout, dtype, kind):
+        from repro.core.multiseed import _coerce_seeds
+        from repro.dataflow.ops.zip_op import zip_arrays
+
+        s1, s2 = self._inputs(dtype)
+        ctx = Context(p)
+        splits_1 = ctx.split(s1)
+        if layout == "like":
+            splits_2 = ctx.split(s2)
+        else:
+            bounds = self.UNLIKE[p]
+            splits_2 = [s2[bounds[i] : bounds[i + 1]] for i in range(p)]
+
+        def run(comm, a, b):
+            f, s, (off1, off2) = zip_arrays(comm, a, b, return_offsets=True)
+            if dtype == "mixed":
+                f, s = f.view(np.uint64), s.view(np.uint64)
+            if comm.rank == comm.size - 1:
+                f, s = self._corrupt(kind, f, s)
+            out = []
+            for seed in (5, ZIP_SEEDS[:4]):
+                reference = _reference_zip(
+                    comm, a, b, f, s, _coerce_seeds(seed), 2
+                )
+                for offsets in (None, (off1, off2, off1)):
+                    result = check_zip(
+                        a, b, f, s, iterations=2, seed=seed, comm=comm,
+                        offsets=offsets,
+                    )
+                    out.append((_summary(result), reference))
+            return out
+
+        outs = ctx.run(run, per_rank_args=list(zip(splits_1, splits_2)))
+        for pe in outs:
+            assert pe == outs[0]
+            for summary, reference in pe:
+                assert summary == reference
+                assert reference["accepted"] == (kind == "clean")

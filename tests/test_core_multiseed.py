@@ -13,6 +13,7 @@ from repro.core.multiseed import (
     MultiSeedHashSumChecker,
     MultiSeedSumChecker,
     _pairs_condensed,
+    condense_kv,
 )
 from repro.core.params import SumCheckConfig
 from repro.core.permutation_checker import (
@@ -244,6 +245,38 @@ class TestMagnitudePaths:
         # 2^52 ≤ bound < 2^63: the agg-mod path (int64 scatter, chunked mod).
         keys = np.array([1, 2, 1, 3, 2], dtype=np.uint64)
         values = np.array([2**50, -(2**41), 5, 5, 2**50], dtype=np.int64)
+        self._assert_matches_instances(keys, values)
+
+    @pytest.mark.parametrize(
+        "values, path",
+        [
+            # n·max|v| = 2^52 − 4 decides the float path without Σ|v|.
+            pytest.param([2**50 - 1, 1 - 2**50] * 2, "float", id="nmax-below"),
+            # n·max|v| = 2^52 + 4, but Σ|v| = 2^50 + 5 keeps it.
+            pytest.param([2**50 + 1, 1, -1, 2], "float", id="nmax-above"),
+            # Σ|v| = 2^52 + 3: exact in int64, past the float mantissa.
+            pytest.param([2**51, -(2**51), 1, 2], "agg", id="abs-sum-above"),
+            # |v| ≥ 2^62: n·max|v| ≥ 2^63, per element.
+            pytest.param(
+                [2**62, -(2**62), 3, 2**62 + 5], "element", id="v-2^62"
+            ),
+        ],
+    )
+    def test_bound_boundaries_take_one_exact_path(self, values, path):
+        """Raw and condensed sides pick the same path at each boundary of
+        the magnitude bound, and fold the same tables."""
+        keys = np.array([1, 2, 1, 2], dtype=np.uint64)
+        values = np.array(values, dtype=np.int64)
+        raw = _pairs_condensed(keys, values)
+        for side in (condense_kv(keys, values), raw):
+            taken = (
+                "float" if side.agg_float is not None
+                else "agg" if side.agg is not None
+                else "element"
+            )
+            assert taken == path
+        # The raw view builds its identity inverse only where it is read.
+        assert (raw.inverse is None) == (path != "element")
         self._assert_matches_instances(keys, values)
 
     def test_empty_input(self):

@@ -252,6 +252,36 @@ class TestInt64MinRegression:
         # np.abs is the broken baseline this guards against.
         assert int(np.abs(np.array([-(2**63)], dtype=np.int64)).max()) < 0
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "empty", "zeros", "small-random", "wide-random", "full-random",
+            "int64-min", "int64-extremes", "2^62", "nmax-below", "abs-sum-above",
+            "float-rounding",
+        ],
+    )
+    def test_magnitude_bound_covers_abs_sum(self, name):
+        from repro.core.sum_checker import _magnitude_bound
+
+        rng = np.random.default_rng(len(name))
+        i64 = np.iinfo(np.int64)
+        values = {
+            "empty": [],
+            "zeros": [0] * 9,
+            "small-random": rng.integers(-1000, 1001, 10_000),
+            "wide-random": rng.integers(-(2**45), 2**45, 10_000),
+            "full-random": rng.integers(i64.min, i64.max, 1_000),
+            "int64-min": [i64.min],
+            "int64-extremes": [i64.min, i64.max, i64.min],
+            "2^62": [2**62, -(2**62), 2**62 - 1],
+            "nmax-below": [2**50 - 1] * 4,
+            "abs-sum-above": [2**51, -(2**51), 1],
+            # Σ|v| ≈ 2^62 in float64: pairwise rounding must stay covered.
+            "float-rounding": (2**48 + 2 * rng.integers(0, 2**20, 16_384) + 1),
+        }[name]
+        values = np.asarray(values, dtype=np.int64)
+        assert _magnitude_bound(values) >= sum(abs(int(v)) for v in values)
+
     def test_guard_chooses_slow_path_not_inexact_float(self):
         # One int64-min value among small ones: the old guard computed a
         # *negative* bound and took the float64 bincount path, whose sums

@@ -302,6 +302,36 @@ class TestCheckedPipelinesWithPolicy:
                 result.details["adaptive"]["per_seed_accepted"] == [False] * 4
             )
 
+    @pytest.mark.parametrize(
+        "magnitude", [1 << 20, 1 << 45, 1 << 62],
+        ids=["float-path", "agg-path", "per-element"],
+    )
+    def test_checked_runs_leave_caller_arrays_unchanged(self, magnitude):
+        """The checker reads the caller's int64 values without copying,
+        so no checked path may write into them: the arrays are read-only
+        here, and equal their copies after a rejected, escalated and
+        localized check on every accumulation path."""
+        from repro.core.localize import localize_fault
+
+        rng = np.random.default_rng(magnitude.bit_length())
+        keys = rng.integers(0, 40, 800).astype(np.uint64)
+        values = rng.integers(-magnitude, magnitude, 800)
+        frozen = (keys.copy(), values.copy())
+        for array in (keys, values):
+            array.setflags(write=False)
+        ok, ov, result, stats = checked_reduce_by_key(
+            None, keys, values, STRONG, seed=13,
+            manipulator=get_kv_manipulator("Bitflip"),
+            manipulator_rng=np.random.default_rng(5),
+            policy=AdaptiveCheckPolicy(escalation_seeds=2),
+        )
+        assert not result.accepted and stats.escalated
+        report = localize_fault((keys, values), (ok, ov), STRONG, seeds=[1, 2])
+        assert report.localized
+        SumAggregationChecker(STRONG, 3).local_tables(keys, values)
+        assert np.array_equal(keys, frozen[0])
+        assert np.array_equal(values, frozen[1])
+
     def test_sort_fault_escalates(self):
         data = uniform_integers(3_000, seed=12)
         man = get_seq_manipulator("Reset")

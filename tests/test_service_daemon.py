@@ -255,6 +255,33 @@ class TestSettleRetry:
             # The daemon and its other tenants are unaffected.
             assert other.result().accepted
 
+    def test_ragged_zip_output_rejects_without_retry(self):
+        """A zip op that drops an element of ``first`` asserts a ragged
+        output: the settle rejects the window instead of raising into
+        the retry loop and quarantining it as a settle failure."""
+
+        def drop(window, first, second):
+            if window == 1:
+                first = first[:-1]
+            return first, second
+
+        chunks = [(sum_chunk(c), sum_chunk(100 + c)) for c in range(6)]
+        with CheckedStreamService() as svc:
+            h = svc.register(
+                "z", TenantConfig(op="zip", chunks_per_window=2, fault=drop)
+            )
+            for chunk in chunks:
+                h.submit(chunk)
+            h.close()
+            assert svc.drain(timeout=60)
+            res = h.result()
+        assert [v.accepted for v in res.verdicts] == [True, False, True]
+        assert not res.verdicts[1].details["length_ok"]
+        view = res.stats
+        assert view.windows_rejected == 1 and view.windows_quarantined == 0
+        assert view.settle_retries == 0 and view.settle_failures == 0
+        assert not view.degraded
+
     def test_flaky_settle_retries_then_succeeds(self):
         svc = CheckedStreamService()
         h = svc.register(

@@ -170,6 +170,37 @@ class TestZipHeal:
                 second, np.concatenate(c2[2 * w : 2 * w + 2])
             )
 
+    def test_ragged_window_rejects_then_heals(self):
+        """A fault that drops an element of a window's ``first`` column
+        makes a ragged output: the window rejects (it used to raise out
+        of the whole stream) and repair re-executes it."""
+        c1, c2 = self._streams(45)
+        fault = _TransientFault(target=1)
+
+        def drop(window, first, second):
+            if fault.hit(window):
+                first = first[:-1]
+            return first, second
+
+        run = StreamingDIA.from_chunks(None, c1).zip_checked(
+            StreamingDIA.from_chunks(None, c2),
+            seed=11,
+            chunks_per_window=2,
+            reexecute=lambda w, ranges: (
+                c1[2 * w : 2 * w + 2],
+                c2[2 * w : 2 * w + 2],
+            ),
+            fault=drop,
+        )
+        assert run.accepted
+        record = run.window_history[1]
+        assert record.accepted and record.repaired
+        assert record.repair_attempts == 1
+        assert not run.window_history[0].repaired
+        first, second = run.outputs[1]
+        assert np.array_equal(first, np.concatenate(c1[2:4]))
+        assert np.array_equal(second, np.concatenate(c2[2:4]))
+
     def test_persistent_fault_quarantines(self):
         c1, c2 = self._streams(43)
         fault = _TransientFault(target=1, persistent=True)
