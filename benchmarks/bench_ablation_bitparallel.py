@@ -11,29 +11,41 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import SumAggregationChecker
+from repro.hashing.bitgroups import evaluation_seeds
+from repro.hashing.families import get_family
 from repro.workloads.kv import sum_workload
+
+_SEED = 0xAB17
 
 
 def _make(label: str):
     cfg = SumCheckConfig.parse(label)
-    checker = SumAggregationChecker(cfg, seed=0xAB17)
+    checker = MultiSeedSumChecker(cfg, [_SEED])
     keys, values = sum_workload(200_000, seed=1)
     return checker, keys, values
+
+
+def _hash_evaluations(checker) -> int:
+    """Hash passes one seed spends per fold (rows of its evaluation seeds)."""
+    cfg = checker.config
+    return evaluation_seeds(
+        get_family(cfg.hash_family), cfg.d, cfg.iterations, [_SEED]
+    ).shape[0]
 
 
 def test_bitparallel_pow2_buckets(benchmark):
     """8 iterations × 16 buckets — one hash evaluation, 8 bit groups."""
     checker, keys, values = _make("8x16 Tab64 m15")
-    assert checker.assigner.num_hash_evaluations == 1
+    assert _hash_evaluations(checker) == 1
     benchmark(checker.local_tables, keys, values)
 
 
 def test_general_buckets_mod_d(benchmark):
     """8 iterations × 17 buckets — d not a power of two: 8 evaluations."""
     checker, keys, values = _make("8x17 Tab64 m15")
-    assert checker.assigner.num_hash_evaluations == 8
+    assert _hash_evaluations(checker) == 8
     benchmark(checker.local_tables, keys, values)
 
 

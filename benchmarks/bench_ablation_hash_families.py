@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import SumAggregationChecker
 from repro.workloads.kv import sum_workload
 
 _N = 200_000
@@ -28,9 +28,9 @@ def workload():
 def test_hash_family_kernel_cost(benchmark, family, workload):
     keys, values = workload
     cfg = SumCheckConfig(iterations=8, d=16, rhat=1 << 15, hash_family=family)
-    checker = SumAggregationChecker(cfg, seed=3)
+    checker = MultiSeedSumChecker(cfg, [3])
     table = benchmark(checker.local_tables, keys, values)
-    assert table.shape == (8, 16)
+    assert table.shape == (1, 8, 16)
     benchmark.extra_info["ns_per_element"] = (
         benchmark.stats.stats.min / _N * 1e9 if benchmark.stats else None
     )

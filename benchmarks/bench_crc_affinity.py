@@ -10,12 +10,13 @@ Three sections, all written to ``BENCH_crc_affinity.json``:
    per seed block, today's per-seed kernel path).  Outputs are asserted
    bit-identical.
 2. **Checker level**: ``MultiSeedSumChecker`` end-to-end on the CRC
-   config against the ``T``-instance loop, for continuity with
-   ``BENCH_multiseed.json`` (whose CRC row the affinity kernel now
+   config against a loop of ``T`` reference folds
+   (:func:`~repro.core.sum_checker.reference_tables`), for continuity
+   with ``BENCH_multiseed.json`` (whose CRC row the affinity kernel now
    accelerates for free).
-3. **Derived rows**: the multi-seed average/median checkers against
-   ``T`` independent single-seed calls — the amortization the derived
-   layer inherits from the shared sum core.
+3. **Derived rows**: the average/median checks called once with all
+   ``T`` seeds against ``T`` calls with one seed each — the amortization
+   the derived layer inherits from the shared sum core.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks everything and skips the artifact/gate.
 """
@@ -29,17 +30,11 @@ import numpy as np
 
 from conftest import best_of, run_once, smoke_mode, write_artifact
 
-from repro.core.average_checker import (
-    check_average_aggregation,
-    check_average_aggregation_multiseed,
-)
-from repro.core.median_checker import (
-    check_median_aggregation,
-    check_median_aggregation_multiseed,
-)
+from repro.core.average_checker import check_average_aggregation
+from repro.core.median_checker import check_median_aggregation
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import SumAggregationChecker
+from repro.core.sum_checker import reference_tables
 from repro.hashing.bitgroups import iter_bucket_blocks
 from repro.hashing.families import HashFamily, _CRCHash, _crc_batch_kernel, get_family
 from repro.util.rng import derive_seed, derive_seed_array
@@ -112,10 +107,7 @@ def _checker_cell(cfg: SumCheckConfig, seeds, keys, values) -> dict:
     multi = MultiSeedSumChecker(cfg, seeds)
 
     def instance_loop():
-        return [
-            SumAggregationChecker(cfg, int(s)).local_tables(keys, values)
-            for s in seeds
-        ]
+        return [reference_tables(cfg, int(s), keys, values) for s in seeds]
 
     reference = instance_loop()
     tables = multi.local_tables(keys, values)
@@ -154,8 +146,8 @@ def _derived_cells(cfg: SumCheckConfig, seeds, keys, values) -> list[dict]:
         ]
 
     def avg_multi():
-        return check_average_aggregation_multiseed(
-            (keys, values), *avg_args, seeds, config=cfg
+        return check_average_aggregation(
+            (keys, values), *avg_args, config=cfg, seed=seeds
         )
 
     multi_res = avg_multi()
@@ -181,8 +173,8 @@ def _derived_cells(cfg: SumCheckConfig, seeds, keys, values) -> list[dict]:
         ]
 
     def med_multi():
-        return check_median_aggregation_multiseed(
-            keys, values, out_k, med_num, den, seeds, config=cfg
+        return check_median_aggregation(
+            keys, values, out_k, med_num, den, config=cfg, seed=seeds
         )
 
     multi_res = med_multi()

@@ -7,7 +7,7 @@ result is accepted with probability at most a configurable δ.
 =====================  ==========================================  ==========
 Checker                paper reference                             module
 =====================  ==========================================  ==========
-sum / count / xor      §4, Algorithm 1, Theorem 1                  sum_checker
+sum / count / xor      §4, Algorithm 1, Theorem 1                  multiseed
 average                §6.1, Corollary 8                           average_checker
 minimum / maximum      §6.2, Theorem 9 (deterministic)             minmax_checker
 median                 §6.3, Algorithm 2, Theorem 10               median_checker
@@ -18,8 +18,14 @@ union                  §6.5.1, Corollary 12                        union_checke
 merge                  §6.5.2, Corollary 13                        merge_checker
 group-by (invasive)    §6.5.3, Corollary 14                        groupby_checker
 join (invasive)        §6.5.4, Corollary 15                        join_checker
-multi-seed batching    §7.1 amortization across instances          multiseed
 =====================  ==========================================  ==========
+
+Every check of the sum family (sum, count, average, median) runs on
+:class:`MultiSeedSumChecker`, as do min/max for their seeded integrity
+digest: ``seed`` takes one root seed or an array of ``T`` distinct roots,
+and a single seed is ``T = 1``.  ``sum_checker`` holds the shared folds,
+the wire codec and :func:`~repro.core.sum_checker.reference_tables`, the
+paper's per-iteration fold kept as oracle and timing baseline.
 """
 
 from repro.core.base import CheckResult
@@ -31,13 +37,13 @@ from repro.core.params import (
     optimize_parameters,
 )
 from repro.core.integrity import check_replicated, replicated_digest
-from repro.core.sum_checker import (
-    SumAggregationChecker,
+from repro.core.localize import FaultReport, localize_fault
+from repro.core.multiseed import (
+    MultiSeedHashSumChecker,
+    MultiSeedSumChecker,
     check_count_aggregation,
     check_sum_aggregation,
 )
-from repro.core.localize import FaultReport, localize_fault
-from repro.core.multiseed import MultiSeedHashSumChecker, MultiSeedSumChecker
 from repro.core.average_checker import check_average_aggregation
 from repro.core.minmax_checker import (
     check_max_aggregation,
@@ -70,7 +76,6 @@ __all__ = [
     "localize_fault",
     "MultiSeedHashSumChecker",
     "MultiSeedSumChecker",
-    "SumAggregationChecker",
     "check_count_aggregation",
     "check_replicated",
     "check_sum_aggregation",

@@ -23,11 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CheckResult
-from repro.core.multiseed import MultiSeedSumChecker
+from repro.core.multiseed import _DEFAULT_CONFIG, MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import SumAggregationChecker, _coerce_keys
-
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 
 
 def reconstruct_sums(
@@ -40,9 +38,9 @@ def reconstruct_sums(
     not divide ``count``, or non-positive count/denominator) — such rows are
     immediate rejections without any probabilistic step.
     """
-    numerators = np.asarray(numerators, dtype=np.int64)
-    denominators = np.asarray(denominators, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
+    numerators = _coerce_values(numerators)
+    denominators = _coerce_values(denominators)
+    counts = _coerce_values(counts)
     valid = (denominators > 0) & (counts > 0) & (counts % denominators == 0)
     safe_den = np.where(valid, denominators, 1)
     quotient = counts // safe_den
@@ -67,7 +65,7 @@ def check_average_aggregation(
     asserted_denominators,
     certificate_counts,
     config: SumCheckConfig | None = None,
-    seed: int = 0,
+    seed=0,
     comm=None,
 ) -> CheckResult:
     """Corollary 8: check per-key averages given the count certificate.
@@ -77,23 +75,28 @@ def check_average_aggregation(
     ``num/den`` plus the certificate count.  Both may be distributed — the
     reconstruction is componentwise, so averages and counts only need to be
     co-located per key (exactly the paper's requirement).
+
+    ``seed`` is one root seed or an array of ``T`` distinct roots.  The
+    reconstruction and its structural test are seed-independent and run
+    once; both coupled columns go through one
+    :class:`~repro.core.multiseed.MultiSeedSumChecker` and, distributed,
+    settle in one reduction.  ``per_seed_accepted[t]`` equals the check
+    under ``seeds[t]`` alone.
     """
     cfg = config or _DEFAULT_CONFIG
-    in_keys, in_values = input_kv
-    in_keys = _coerce_keys(in_keys)
-    in_values = np.asarray(in_values, dtype=np.int64).ravel()
+    in_keys = _coerce_keys(input_kv[0])
+    in_values = _coerce_values(input_kv[1])
     out_keys = _coerce_keys(asserted_keys)
-
     sums, valid = reconstruct_sums(
         asserted_numerators, asserted_denominators, certificate_counts
     )
     structurally_ok = bool(np.all(valid))
-    counts = np.asarray(certificate_counts, dtype=np.int64).ravel()
+    counts = _coerce_values(certificate_counts)
 
     # The two coupled checks of §6.1 share all checker randomness: one
-    # checker instance, applied to the value column and to the count column
-    # (the (value, count)-pair ⊕ of the paper, evaluated componentwise).
-    checker = SumAggregationChecker(cfg, seed)
+    # checker, applied to the value column and to the count column (the
+    # (value, count)-pair ⊕ of the paper, evaluated componentwise).
+    checker = MultiSeedSumChecker(cfg, seed)
     ones = np.ones(in_keys.shape, dtype=np.int64)
     diff_values = checker.difference(
         checker.local_tables(in_keys, in_values),
@@ -104,96 +107,14 @@ def check_average_aggregation(
         checker.local_tables(out_keys, counts),
     )
 
-    if comm is None:
-        verdict = (
-            structurally_ok
-            and not np.any(diff_values)
-            and not np.any(diff_counts)
+    def verdicts(ok, values_diff, counts_diff) -> list[bool]:
+        zero = ~np.any(values_diff != 0, axis=(1, 2)) & ~np.any(
+            counts_diff != 0, axis=(1, 2)
         )
-    else:
-
-        def wire_op(a, b):
-            ok_a, va, ca = a
-            ok_b, vb, cb = b
-            return (
-                ok_a and ok_b,
-                checker.pack(checker.combine(checker.unpack(va), checker.unpack(vb))),
-                checker.pack(checker.combine(checker.unpack(ca), checker.unpack(cb))),
-            )
-
-        payload = (structurally_ok, checker.pack(diff_values), checker.pack(diff_counts))
-        combined = comm.reduce(payload, wire_op, root=0)
-        verdict = None
-        if comm.rank == 0:
-            ok, values_packed, counts_packed = combined
-            verdict = (
-                ok
-                and not np.any(checker.unpack(values_packed))
-                and not np.any(checker.unpack(counts_packed))
-            )
-        verdict = comm.bcast(verdict, root=0)
-
-    return CheckResult(
-        accepted=bool(verdict),
-        checker="average-aggregation",
-        details={
-            "config": cfg.label(),
-            "certificate": "per-key counts (distributed)",
-            "structural_ok": structurally_ok,
-        },
-    )
-
-
-def check_average_aggregation_multiseed(
-    input_kv,
-    asserted_keys,
-    asserted_numerators,
-    asserted_denominators,
-    certificate_counts,
-    seeds,
-    config: SumCheckConfig | None = None,
-    comm=None,
-) -> CheckResult:
-    """Corollary 8 under ``T`` root seeds, one pass per column.
-
-    The reconstruction and the structural validity test are
-    seed-independent and run once; the two coupled §6.1 checks (value and
-    count columns) then go through one :class:`MultiSeedSumChecker`, so
-    all ``T`` seeds share the key condensations and, when distributed,
-    settle in a single reduction.  Per-seed verdicts
-    (``details["per_seed_accepted"]``) equal ``T`` independent
-    :func:`check_average_aggregation` calls.
-    """
-    cfg = config or _DEFAULT_CONFIG
-    in_keys, in_values = input_kv
-    in_keys = _coerce_keys(in_keys)
-    in_values = np.asarray(in_values, dtype=np.int64).ravel()
-    out_keys = _coerce_keys(asserted_keys)
-
-    sums, valid = reconstruct_sums(
-        asserted_numerators, asserted_denominators, certificate_counts
-    )
-    structurally_ok = bool(np.all(valid))
-    counts = np.asarray(certificate_counts, dtype=np.int64).ravel()
-
-    checker = MultiSeedSumChecker(cfg, seeds)
-    ones = np.ones(in_keys.shape, dtype=np.int64)
-    diff_values = checker.difference(
-        checker.local_tables(in_keys, in_values),
-        checker.local_tables(out_keys, sums),
-    )
-    diff_counts = checker.difference(
-        checker.local_tables(in_keys, ones),
-        checker.local_tables(out_keys, counts),
-    )
+        return [ok and bool(z) for z in zero]
 
     if comm is None:
-        values_ok = ~np.any(diff_values != 0, axis=(1, 2))
-        counts_ok = ~np.any(diff_counts != 0, axis=(1, 2))
-        per_seed = [
-            structurally_ok and bool(v and c)
-            for v, c in zip(values_ok, counts_ok)
-        ]
+        per_seed = verdicts(structurally_ok, diff_values, diff_counts)
     else:
 
         def wire_op(a, b):
@@ -218,16 +139,14 @@ def check_average_aggregation_multiseed(
         per_seed = None
         if comm.rank == 0:
             ok, values_packed, counts_packed = combined
-            values_ok = ~np.any(checker.unpack(values_packed), axis=(1, 2))
-            counts_ok = ~np.any(checker.unpack(counts_packed), axis=(1, 2))
-            per_seed = [
-                ok and bool(v and c) for v, c in zip(values_ok, counts_ok)
-            ]
+            per_seed = verdicts(
+                ok, checker.unpack(values_packed), checker.unpack(counts_packed)
+            )
         per_seed = comm.bcast(per_seed, root=0)
 
     return CheckResult(
         accepted=all(per_seed),
-        checker="average-aggregation-multiseed",
+        checker="average-aggregation",
         details={
             "config": cfg.label(),
             "certificate": "per-key counts (distributed)",

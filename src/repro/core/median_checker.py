@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.comm import ops
 from repro.core.base import CheckResult
-from repro.core.multiseed import MultiSeedSumChecker
+from repro.core.multiseed import _DEFAULT_CONFIG, MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import SumAggregationChecker, _coerce_keys
-
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 
 
 @dataclass
@@ -61,10 +60,10 @@ def signed_contributions(
     unconditional rejection).
     """
     keys = _coerce_keys(keys)
-    values = np.asarray(values, dtype=np.int64).ravel()
+    values = _coerce_values(values)
     asserted_keys = _coerce_keys(asserted_keys)
-    num = np.asarray(asserted_num, dtype=np.int64).ravel()
-    den = np.asarray(asserted_den, dtype=np.int64).ravel()
+    num = _coerce_values(asserted_num)
+    den = _coerce_values(asserted_den)
     if np.any((den != 1) & (den != 2)):
         raise ValueError("median denominators must be 1 or 2")
 
@@ -121,13 +120,17 @@ def check_median_aggregation(
     certificate: MedianCertificate | None = None,
     input_uids=None,
     config: SumCheckConfig | None = None,
-    seed: int = 0,
+    seed=0,
     comm=None,
 ) -> CheckResult:
     """Theorem 10: check per-key medians via the balance property.
 
     The asserted result (and certificate, if values repeat) must be the
     full result, identical at every PE.  Cost: O(T_check-sum(n, p, δ)).
+    ``seed`` is one root seed or an array of ``T`` distinct roots: the
+    −1/0/+1 mapping is seed-independent and runs once, and the zero-sum
+    test settles every seed in one collective.  ``per_seed_accepted[t]``
+    equals the check under ``seeds[t]`` alone.
     """
     cfg = config or _DEFAULT_CONFIG
     if input_uids is None:
@@ -142,70 +145,12 @@ def check_median_aggregation(
         certificate,
     )
 
-    checker = SumAggregationChecker(cfg, seed)
-    empty = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
-    if comm is None:
-        inner = checker.check_local((keys, contrib), empty)
-        verdict = structurally_ok and inner.accepted
-    else:
-        structurally_ok = comm.allreduce(
-            bool(structurally_ok), op=lambda a, b: a and b
-        )
-        inner = checker.check_distributed(comm, (keys, contrib), empty)
-        verdict = structurally_ok and inner.accepted
-    return CheckResult(
-        accepted=bool(verdict),
-        checker="median-aggregation",
-        details={
-            "config": cfg.label(),
-            "structural_ok": bool(structurally_ok),
-            "certificate": certificate is not None,
-        },
-    )
-
-
-def check_median_aggregation_multiseed(
-    input_keys,
-    input_values,
-    asserted_keys,
-    asserted_num,
-    asserted_den,
-    seeds,
-    certificate: MedianCertificate | None = None,
-    input_uids=None,
-    config: SumCheckConfig | None = None,
-    comm=None,
-) -> CheckResult:
-    """Theorem 10 under ``T`` root seeds, one contribution pass.
-
-    The −1/0/+1 mapping of Algorithm 2 is seed-independent and computed
-    once; the inner zero-sum test runs through one
-    :class:`MultiSeedSumChecker`, sharing the contribution condensation
-    across all seeds and settling distributed in a single collective.
-    Per-seed verdicts equal ``T`` independent
-    :func:`check_median_aggregation` calls.
-    """
-    cfg = config or _DEFAULT_CONFIG
-    if input_uids is None:
-        input_uids = np.zeros(np.asarray(input_keys).size, dtype=np.int64)
-    keys, contrib, structurally_ok = signed_contributions(
-        input_keys,
-        input_values,
-        input_uids,
-        asserted_keys,
-        asserted_num,
-        asserted_den,
-        certificate,
-    )
-
-    checker = MultiSeedSumChecker(cfg, seeds)
+    checker = MultiSeedSumChecker(cfg, seed)
     empty = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
     if comm is None:
         inner = checker.check_local((keys, contrib), empty)
     else:
-        structurally_ok = comm.allreduce(
-            bool(structurally_ok), op=lambda a, b: a and b
-        )
+        structurally_ok = comm.allreduce(bool(structurally_ok), op=ops.LAND)
         inner = checker.check_distributed(comm, (keys, contrib), empty)
     per_seed = [
         bool(structurally_ok) and ok
@@ -213,7 +158,7 @@ def check_median_aggregation_multiseed(
     ]
     return CheckResult(
         accepted=all(per_seed),
-        checker="median-aggregation-multiseed",
+        checker="median-aggregation",
         details={
             "config": cfg.label(),
             "structural_ok": bool(structurally_ok),

@@ -24,55 +24,40 @@ from repro.core.base import CheckResult
 from repro.core.integrity import replicated_digest as _digest
 from repro.core.integrity import replicated_digest_multiseed
 from repro.core.multiseed import _coerce_seeds
-from repro.core.sum_checker import _coerce_keys
-
-_INT64_MAX = np.iinfo(np.int64).max
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 
 
-def _extremum_inputs(input_kv, asserted_keys, asserted_values, certificate_owners, sign):
-    in_keys = _coerce_keys(input_kv[0])
-    in_values = sign * np.asarray(input_kv[1], dtype=np.int64).ravel()
-    keys = _coerce_keys(asserted_keys)
-    values = sign * np.asarray(asserted_values, dtype=np.int64).ravel()
-    owners = np.asarray(certificate_owners, dtype=np.int64).ravel()
-    if not (keys.size == values.size == owners.size):
-        raise ValueError("asserted keys, values and certificate must align")
-    return in_keys, in_values, keys, values, owners
-
-
-def _extremum_local_ok(in_keys, in_values, keys, values, owners, rank, size) -> bool:
-    """The seed-independent part of the Theorem 9 check, one PE's verdict."""
-    # Index the asserted result by sorted key for O(log k) lookups.
+def _sorted_result(keys, values):
+    """The asserted result sorted by key, and whether a key repeats."""
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    sorted_values = values[order]
-    duplicate_keys = bool(
-        sorted_keys.size > 1 and np.any(sorted_keys[:-1] == sorted_keys[1:])
-    )
+    duplicate = bool(np.any(sorted_keys[1:] == sorted_keys[:-1]))
+    return order, sorted_keys, values[order], duplicate
 
-    ok = not duplicate_keys and bool(np.all((owners >= 0) & (owners < size)))
-    if ok and in_keys.size:
-        # (a) every input key appears in the result, and no local element
-        #     undercuts its key's asserted minimum.
-        if sorted_keys.size == 0:
-            ok = False  # input has keys the result "forgot"
-        else:
-            pos = np.searchsorted(sorted_keys, in_keys)
-            clipped = np.minimum(pos, sorted_keys.size - 1)
-            known = (pos < sorted_keys.size) & (sorted_keys[clipped] == in_keys)
-            ok = bool(np.all(known)) and bool(
-                np.all(in_values >= sorted_values[clipped])
-            )
-    if ok:
-        # (b) for keys this PE owns per the certificate, the asserted
-        #     minimum must actually occur locally.
-        local_min = np.full(sorted_keys.size, _INT64_MAX, dtype=np.int64)
-        if in_keys.size:
-            pos = np.searchsorted(sorted_keys, in_keys)
-            np.minimum.at(local_min, pos, in_values)
-        owned = owners[order] == rank
-        ok = bool(np.all(local_min[owned] == sorted_values[owned]))
-    return ok
+
+def _local_hits(in_keys, in_values, sorted_keys, sorted_values):
+    """Which result keys have a local element equal to their asserted minimum.
+
+    ``None`` when property (a) fails locally: some element's key is
+    missing from the result, or an element undercuts its key's asserted
+    minimum.  Presence is tracked per key, so a key no element carries
+    has no hit whatever value the result asserts for it.
+    """
+    hits = np.zeros(sorted_keys.size, dtype=bool)
+    if in_keys.size == 0:
+        return hits
+    if sorted_keys.size == 0:
+        return None  # the input has keys the result "forgot"
+    pos = np.minimum(
+        np.searchsorted(sorted_keys, in_keys), sorted_keys.size - 1
+    )
+    if not (
+        np.array_equal(sorted_keys[pos], in_keys)
+        and np.all(in_values >= sorted_values[pos])
+    ):
+        return None
+    hits[pos[in_values == sorted_values[pos]]] = True
+    return hits
 
 
 def _check_extremum(
@@ -81,81 +66,54 @@ def _check_extremum(
     asserted_values,
     certificate_owners,
     comm,
-    seed: int,
-    sign: int,
+    seed,
+    flip: bool,
     name: str,
 ) -> CheckResult:
-    in_keys, in_values, keys, values, owners = _extremum_inputs(
-        input_kv, asserted_keys, asserted_values, certificate_owners, sign
-    )
-    rank = comm.rank if comm is not None else 0
-    size = comm.size if comm is not None else 1
-
-    # Result integrity (§2): all PEs must hold identical result+certificate.
-    integrity_ok = True
-    if comm is not None:
-        digest = _digest(seed, keys, values, owners)
-        root_digest = comm.bcast(digest, root=0)
-        integrity_ok = digest == root_digest
-
-    ok = integrity_ok and _extremum_local_ok(
-        in_keys, in_values, keys, values, owners, rank, size
-    )
-    if comm is not None:
-        ok = comm.allreduce(bool(ok), op=ops.LAND)
-
-    return CheckResult(
-        accepted=bool(ok),
-        checker=name,
-        details={
-            "deterministic": True,
-            "certificate": "owner PE per key, replicated at all PEs",
-            "integrity_ok": bool(integrity_ok),
-        },
-    )
-
-
-def _check_extremum_multiseed(
-    input_kv,
-    asserted_keys,
-    asserted_values,
-    certificate_owners,
-    seeds,
-    comm,
-    sign: int,
-    name: str,
-) -> CheckResult:
-    """Theorem 9 under ``T`` seeds: one deterministic pass, T digests.
+    """Theorem 9 under one seed or ``T``: one deterministic pass, T digests.
 
     The deterministic body is seed-free and runs once; only the §2
     integrity digest is seeded, and
     :func:`~repro.core.integrity.replicated_digest_multiseed` evaluates
-    all ``T`` digests in one pass over the replicated result (CRC is
-    linear in its initial state).  Per-seed verdicts equal ``T``
-    independent single-seed checks.
+    all ``T`` digests in one pass over the replicated result.  The
+    verdict and the ``T`` integrity flags settle in one AND-allreduce of
+    ``T`` flags after the digest broadcast.
     """
-    seeds = _coerce_seeds(seeds)
-    in_keys, in_values, keys, values, owners = _extremum_inputs(
-        input_kv, asserted_keys, asserted_values, certificate_owners, sign
-    )
+    seeds = _coerce_seeds(seed)
+    in_keys = _coerce_keys(input_kv[0])
+    in_values = _coerce_values(input_kv[1])
+    keys = _coerce_keys(asserted_keys)
+    values = _coerce_values(asserted_values)
+    owners = np.asarray(certificate_owners, dtype=np.int64).ravel()
+    if not (keys.size == values.size == owners.size):
+        raise ValueError("asserted keys, values and certificate must align")
     rank = comm.rank if comm is not None else 0
     size = comm.size if comm is not None else 1
 
-    integrity = [True] * seeds.size
+    # Result integrity (§2): all PEs must hold identical result+certificate.
+    # One uint8 flag per seed: MPI defines BAND on bytes, not on bools.
+    flags = np.ones(seeds.size, dtype=np.uint8)
     if comm is not None:
         digests = replicated_digest_multiseed(seeds, keys, values, owners)
         root_digests = comm.bcast(digests, root=0)
-        integrity = [a == b for a, b in zip(digests, root_digests)]
+        flags[:] = [a == b for a, b in zip(digests, root_digests)]
 
-    det_ok = _extremum_local_ok(
-        in_keys, in_values, keys, values, owners, rank, size
-    )
+    if flip:
+        # max(v) = ~min(~v): ~ reverses the int64 order and, unlike
+        # negation, cannot overflow at int64 min.
+        in_values, values = ~in_values, ~values
+    order, sorted_keys, sorted_values, duplicate = _sorted_result(keys, values)
+    ok = not duplicate and bool(np.all((owners >= 0) & (owners < size)))
+    if ok:
+        # (a) no local element undercuts its key's asserted minimum, and
+        # (b) every key the certificate assigns to this PE has a local
+        #     element equal to its asserted minimum.
+        hits = _local_hits(in_keys, in_values, sorted_keys, sorted_values)
+        ok = hits is not None and bool(np.all(hits[owners[order] == rank]))
+    flags &= ok
     if comm is not None:
-        det_ok = comm.allreduce(bool(det_ok), op=ops.LAND)
-        integrity = comm.allreduce(
-            integrity, op=lambda a, b: [x and y for x, y in zip(a, b)]
-        )
-    per_seed = [bool(det_ok) and i for i in integrity]
+        flags = comm.allreduce(flags, op=ops.BAND)
+    per_seed = flags.astype(bool).tolist()
     return CheckResult(
         accepted=all(per_seed),
         checker=name,
@@ -174,12 +132,15 @@ def check_min_aggregation(
     asserted_values,
     certificate_owners,
     comm=None,
-    seed: int = 0,
+    seed=0,
 ) -> CheckResult:
     """Theorem 9: deterministic check of per-key minima.
 
     ``asserted_keys/values`` must be the *full* result, identical at every
     PE; ``certificate_owners[i]`` names a PE holding the minimum of key i.
+    ``seed`` (one root seed or an array of ``T`` distinct roots) seeds
+    only the integrity digest: ``per_seed_accepted[t]`` equals the check
+    under ``seeds[t]`` alone.
     """
     return _check_extremum(
         input_kv,
@@ -188,7 +149,7 @@ def check_min_aggregation(
         certificate_owners,
         comm,
         seed,
-        sign=+1,
+        flip=False,
         name="min-aggregation",
     )
 
@@ -199,9 +160,9 @@ def check_max_aggregation(
     asserted_values,
     certificate_owners,
     comm=None,
-    seed: int = 0,
+    seed=0,
 ) -> CheckResult:
-    """Theorem 9 for maxima (w.l.o.g. via negation)."""
+    """Theorem 9 for maxima (w.l.o.g. via the order-reversing ``~v``)."""
     return _check_extremum(
         input_kv,
         asserted_keys,
@@ -209,7 +170,7 @@ def check_max_aggregation(
         certificate_owners,
         comm,
         seed,
-        sign=-1,
+        flip=True,
         name="max-aggregation",
     )
 
@@ -232,9 +193,9 @@ def check_min_aggregation_bitvector(
     exactly the cost the certificate of Theorem 9 avoids.
     """
     in_keys = _coerce_keys(input_kv[0])
-    in_values = np.asarray(input_kv[1], dtype=np.int64).ravel()
+    in_values = _coerce_values(input_kv[1])
     keys = _coerce_keys(asserted_keys)
-    values = np.asarray(asserted_values, dtype=np.int64).ravel()
+    values = _coerce_values(asserted_values)
     if keys.size != values.size:
         raise ValueError("asserted keys and values must align")
 
@@ -243,29 +204,15 @@ def check_min_aggregation_bitvector(
         digest = _digest(seed, keys, values)
         integrity_ok = digest == comm.bcast(digest, root=0)
 
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_values = values[order]
-    duplicate_keys = bool(
-        sorted_keys.size > 1 and np.any(sorted_keys[:-1] == sorted_keys[1:])
+    _, sorted_keys, sorted_values, duplicate = _sorted_result(keys, values)
+    hits = None
+    if integrity_ok and not duplicate:
+        hits = _local_hits(in_keys, in_values, sorted_keys, sorted_values)
+    ok = hits is not None
+    present = (
+        hits.astype(np.uint8) if ok
+        else np.zeros(sorted_keys.size, dtype=np.uint8)
     )
-
-    ok = integrity_ok and not duplicate_keys
-    present = np.zeros(sorted_keys.size, dtype=np.uint8)
-    if ok and in_keys.size:
-        if sorted_keys.size == 0:
-            ok = False
-        else:
-            pos = np.searchsorted(sorted_keys, in_keys)
-            clipped = np.minimum(pos, sorted_keys.size - 1)
-            known = (pos < sorted_keys.size) & (sorted_keys[clipped] == in_keys)
-            # (a) no element undercuts its key's asserted minimum.
-            ok = bool(np.all(known)) and bool(
-                np.all(in_values >= sorted_values[clipped])
-            )
-            if ok:
-                hit = in_values == sorted_values[clipped]
-                np.bitwise_or.at(present, clipped[hit], np.uint8(1))
 
     if comm is not None:
         ok = comm.allreduce(bool(ok), op=ops.LAND)
@@ -283,46 +230,4 @@ def check_min_aggregation_bitvector(
             "communication": "O(k) bits per PE (bitvector OR-reduction)",
             "integrity_ok": bool(integrity_ok),
         },
-    )
-
-
-def check_min_aggregation_multiseed(
-    input_kv,
-    asserted_keys,
-    asserted_values,
-    certificate_owners,
-    seeds,
-    comm=None,
-) -> CheckResult:
-    """Theorem 9 under ``T`` integrity seeds (see `_check_extremum_multiseed`)."""
-    return _check_extremum_multiseed(
-        input_kv,
-        asserted_keys,
-        asserted_values,
-        certificate_owners,
-        seeds,
-        comm,
-        sign=+1,
-        name="min-aggregation-multiseed",
-    )
-
-
-def check_max_aggregation_multiseed(
-    input_kv,
-    asserted_keys,
-    asserted_values,
-    certificate_owners,
-    seeds,
-    comm=None,
-) -> CheckResult:
-    """Theorem 9 for maxima under ``T`` integrity seeds."""
-    return _check_extremum_multiseed(
-        input_kv,
-        asserted_keys,
-        asserted_values,
-        certificate_owners,
-        seeds,
-        comm,
-        sign=-1,
-        name="max-aggregation-multiseed",
     )

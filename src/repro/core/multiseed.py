@@ -1,31 +1,34 @@
-"""Multi-seed batched checking: many independent checkers, one data pass.
+"""The sum-family checker: ``T`` independent seeds, one data pass.
 
 Re-checking a result under ``T`` independent root seeds drives the failure
-probability from δ to δ^T, but running ``T`` :class:`SumAggregationChecker`
-instances costs ``T`` passes over the local data — ``T`` key coercions,
-``T`` hash sweeps, ``T·iterations`` scatter passes.  This module pushes the
+probability from δ to δ^T (Lemma 3), but running ``T`` one-seed folds
+(:func:`~repro.core.sum_checker.reference_tables`) costs ``T`` passes over
+the local data — ``T`` key coercions, ``T`` hash sweeps,
+``T·iterations`` scatter passes.  :class:`MultiSeedSumChecker` pushes the
 paper's amortization theme (§7.1: one evaluation serves many iterations)
-across checker *instances*:
+across checker *instances*, and a single seed is just ``T = 1``:
 
-* the local slice is condensed **once** to its unique keys with exact
-  per-key aggregates (the minireduction table is linear in the multiset of
-  pairs, so aggregating by key first is verdict-neutral — and Zipf-keyed
-  workloads shrink 4–5×);
+* at ``T > 1`` the local slice is condensed **once** to its unique keys
+  with exact per-key aggregates (the minireduction table is linear in the
+  multiset of pairs, so aggregating by key first is verdict-neutral — and
+  Zipf-keyed workloads shrink 4–5×); at ``T = 1`` the raw pairs are folded
+  without sorting (:func:`_pairs_condensed`);
 * bucket indices for all ``T × iterations`` lanes come from the batched
   hash kernels (:func:`repro.hashing.bitgroups.iter_bucket_blocks` over
   :func:`~repro.hashing.bitgroups.assign_buckets_batch`), evaluated in
   bounded seed blocks;
 * moduli for all seeds come from the vectorized
   :func:`~repro.core.sum_checker.draw_moduli` path;
-* tables accumulate as a ``(T, iterations, d)`` tensor with the same
-  deferred-modulo chunking as the single-seed checker;
+* tables accumulate as a ``(T, iterations, d)`` tensor with the
+  deferred-modulo chunking of :mod:`repro.core.sum_checker`;
 * the wire format packs all ``T·iterations·d`` residues into one message,
   so :meth:`MultiSeedSumChecker.check_distributed` reduces every seed's
   difference table in a **single** collective.
 
-Every per-seed verdict (and table) is bit-identical to the corresponding
-single-seed checker — property-tested across hash families and operators
-in ``tests/test_core_multiseed.py``.
+Every per-seed table equals :func:`~repro.core.sum_checker.reference_tables`
+under that seed — property-tested across hash families, operators and
+accumulation paths in ``tests/test_core_multiseed.py``.  The count,
+average (§6.1) and median (§6.3) checks run on the same checker.
 """
 
 from __future__ import annotations
@@ -125,8 +128,8 @@ def condense_kv(keys, values, operator: str = "+") -> CondensedKV:
     """Condense a local slice to unique keys with exact aggregates.
 
     One pass over the raw data; magnitude guards pick the cheapest exact
-    accumulation path exactly as the single-seed checker does (see
-    :meth:`SumAggregationChecker.local_tables`).
+    accumulation path exactly as
+    :func:`~repro.core.sum_checker.reference_tables` does.
     """
     if operator not in ("+", "xor"):
         raise ValueError(f"unsupported reduce operator {operator!r}")
@@ -213,10 +216,10 @@ class MultiSeedSumChecker:
     config:
         Shared bucket count, modulus parameter, iteration count, hash family.
     seeds:
-        Array of ``T`` root seeds; seed ``t``'s lanes reproduce
-        ``SumAggregationChecker(config, seeds[t], operator)`` exactly.
+        One root seed (``T = 1``) or an array of ``T`` distinct roots; seed
+        ``t``'s tables equal ``reference_tables(config, seeds[t], ...)``.
     operator:
-        ``"+"`` or ``"xor"`` (as in the single-seed checker).
+        ``"+"`` (sum, count, average, median) or ``"xor"``.
     chunk_elements:
         Budget for one batched hash pass (seed-tiled unique keys).
     """
@@ -279,15 +282,20 @@ class MultiSeedSumChecker:
         return self.num_seeds * self.config.table_bits
 
     # -- local kernel --------------------------------------------------------
+    def _condense(self, keys, values) -> CondensedKV:
+        """One side as the fold reads it: raw pairs at ``T = 1``, unique
+        keys otherwise (sorting pays only when many lanes hash them)."""
+        if self.num_seeds == 1:
+            return _pairs_condensed(keys, values, self.operator)
+        return condense_kv(keys, values, self.operator)
+
     def local_tables(self, keys, values) -> np.ndarray:
         """Condensed reductions of all seeds: ``(T, iterations, d)`` int64.
 
-        ``out[t]`` is bit-identical to
-        ``SumAggregationChecker(config, seeds[t], operator).local_tables``.
+        ``out[t]`` equals ``reference_tables(config, seeds[t], keys,
+        values, operator)``.
         """
-        return self.local_tables_condensed(
-            condense_kv(keys, values, self.operator)
-        )
+        return self.local_tables_condensed(self._condense(keys, values))
 
     def local_tables_condensed(self, condensed: CondensedKV) -> np.ndarray:
         """:meth:`local_tables` from an existing :class:`CondensedKV`.
@@ -489,7 +497,7 @@ class MultiSeedSumChecker:
     ) -> CheckResult:
         return CheckResult(
             accepted=all(per_seed),
-            checker="sum-aggregation-multiseed",
+            checker="sum-aggregation",
             details={
                 "config": self.config.label(),
                 "operator": self.operator,
@@ -523,8 +531,7 @@ class MultiSeedSumChecker:
     def check_local(self, input_kv, asserted_kv) -> CheckResult:
         """Single-PE check; accepted iff every seed's checker accepts."""
         return self.check_local_condensed(
-            condense_kv(*input_kv, self.operator),
-            condense_kv(*asserted_kv, self.operator),
+            self._condense(*input_kv), self._condense(*asserted_kv)
         )
 
     def check_local_condensed(
@@ -540,9 +547,7 @@ class MultiSeedSumChecker:
     def check_distributed(self, comm, input_kv, asserted_kv) -> CheckResult:
         """SPMD check settling all ``T`` seeds in one packed reduction."""
         return self.check_distributed_condensed(
-            comm,
-            condense_kv(*input_kv, self.operator),
-            condense_kv(*asserted_kv, self.operator),
+            comm, self._condense(*input_kv), self._condense(*asserted_kv)
         )
 
     def check_distributed_condensed(
@@ -709,42 +714,46 @@ class MultiSeedHashSumChecker:
 
 
 # ---------------------------------------------------------------------------
-# Convenience wrappers (multi-seed forms of the sum_checker module's)
+# Convenience wrappers
 # ---------------------------------------------------------------------------
 
 _DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
 
 
-def check_sum_aggregation_multiseed(
+def check_sum_aggregation(
     input_kv,
     asserted_kv,
-    seeds,
     config: SumCheckConfig | None = None,
+    seed=0,
     comm=None,
     operator: str = "+",
 ) -> CheckResult:
-    """Check a sum aggregation under ``T`` root seeds in one data pass.
+    """Check a sum aggregation; sequential if ``comm`` is None.
 
-    Per-seed verdicts (``details["per_seed_accepted"]``) equal ``T``
-    independent :func:`~repro.core.sum_checker.check_sum_aggregation`
-    calls; accepted iff every seed accepts (failure probability δ^T).
+    ``input_kv`` and ``asserted_kv`` are ``(keys, values)`` array pairs
+    (the local slices when running under a communicator).  ``seed`` is
+    one root seed or an array of ``T`` distinct roots, checked in one data
+    pass and, distributed, one collective: ``per_seed_accepted[t]`` equals
+    the check under ``seeds[t]`` alone, and the result is accepted iff
+    every seed accepts (failure probability δ^T).
     """
-    checker = MultiSeedSumChecker(config or _DEFAULT_CONFIG, seeds, operator)
+    checker = MultiSeedSumChecker(config or _DEFAULT_CONFIG, seed, operator)
     if comm is None:
         return checker.check_local(input_kv, asserted_kv)
     return checker.check_distributed(comm, input_kv, asserted_kv)
 
 
-def check_count_aggregation_multiseed(
+def check_count_aggregation(
     input_keys,
     asserted_kv,
-    seeds,
     config: SumCheckConfig | None = None,
+    seed=0,
     comm=None,
 ) -> CheckResult:
-    """Count aggregation = sum aggregation of ones (§4), under ``T`` seeds."""
+    """Count aggregation = sum aggregation of ones (§4); ``seed`` as in
+    :func:`check_sum_aggregation`."""
     keys = np.asarray(input_keys)
     ones = np.ones(keys.shape, dtype=np.int64)
-    return check_sum_aggregation_multiseed(
-        (keys, ones), asserted_kv, seeds, config=config, comm=comm
+    return check_sum_aggregation(
+        (keys, ones), asserted_kv, config=config, seed=seed, comm=comm
     )

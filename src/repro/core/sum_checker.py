@@ -1,4 +1,4 @@
-"""The §4 sum/count-aggregation checker (Algorithm 1, Theorem 1).
+"""Building blocks of the §4 sum/count-aggregation checker (Algorithm 1).
 
 A sum aggregation maps a distributed multiset of ``(key, value)`` pairs to
 one ``(key, Σ values)`` pair per key.  The checker condenses the unknown key
@@ -8,27 +8,30 @@ reduces values modulo a random ``r ∈ (r̂, 2r̂]``; the condensed reduction
 Lemma 2: one iteration accepts an incorrect result with probability at most
 ``1/r̂ + 1/d``; independent repetitions drive this to δ (Lemma 3).
 
-Implementation notes mirroring §7.1:
+This module holds what every fold of that table shares, mirroring §7.1:
 
-* **Bit-parallel hashing** — one hash evaluation provides the bucket indices
-  of several iterations (see :class:`repro.hashing.bitgroups.BucketAssigner`).
 * **Deferred modulo** — local accumulation uses 64-bit lanes and reduces
   modulo ``r`` per chunk instead of per element (exactness argument in
-  :func:`_scatter_add_mod`).
+  :func:`_scatter_add_mod`), guarded by :func:`_magnitude_bound`.
 * **Packed wire format** — the minireduction table travels as
   ``iterations · d`` residues of ``⌈log2 2r̂⌉`` bits each, so the metered
   communication volume equals the paper's ``table size`` column (Table 3).
+* **Moduli** — :func:`draw_moduli`, one row per root seed.
 
-The checker also supports any reduce operator satisfying Theorem 1's
-requirement ``x ⊕ y ≠ x for y ≠ 0``; besides ``+`` we provide ``xor``
-(count aggregation is sum aggregation of ones, §4).
+The checker itself, for one seed or ``T``, is
+:class:`repro.core.multiseed.MultiSeedSumChecker`, with
+:func:`~repro.core.multiseed.check_sum_aggregation` and
+:func:`~repro.core.multiseed.check_count_aggregation` on top.
+:func:`reference_tables` is the paper's per-iteration fold for one seed,
+kept as the oracle and the timing baseline.  Besides ``+`` the checker
+accepts ``xor``, which satisfies Theorem 1's requirement
+``x ⊕ y ≠ x for y ≠ 0`` (count aggregation is sum aggregation of ones, §4).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import CheckResult
 from repro.core.params import SumCheckConfig
 from repro.hashing.bitgroups import BucketAssigner
 from repro.hashing.families import get_family
@@ -55,7 +58,7 @@ def _coerce_keys(keys) -> np.ndarray:
         # both become key 1), merging distinct keys and letting the checker
         # accept outputs it must reject — mirror _coerce_values and refuse.
         raise TypeError(
-            f"sum checker requires integer keys, got dtype {keys.dtype} "
+            f"checkers require integer keys, got dtype {keys.dtype} "
             "(float keys would be truncated and could collide)"
         )
     return keys.ravel()
@@ -65,7 +68,7 @@ def _coerce_values(values) -> np.ndarray:
     values = np.asarray(values)
     if values.dtype.kind not in ("i", "u"):
         raise TypeError(
-            f"sum checker requires integer values, got dtype {values.dtype} "
+            f"checkers require integer values, got dtype {values.dtype} "
             "(the paper leaves floating-point aggregation as future work)"
         )
     # int64 input comes back uncopied: no consumer writes into it.
@@ -130,10 +133,10 @@ def _scatter_add_mod(
 def pack_residues(flat: np.ndarray, bits: int) -> bytes:
     """Bit-pack residues into ``flat.size · bits`` bits (LSB first, + padding).
 
-    Shared wire codec of the single- and multi-seed checkers: the scratch is
-    bounded by expanding residues into bits a chunk at a time; chunks hold a
-    multiple of 8 residues, so each chunk's bitstream is byte-aligned and
-    the concatenation is identical to packing the whole stream at once.
+    The sum checker's wire codec: the scratch is bounded by expanding
+    residues into bits a chunk at a time; chunks hold a multiple of 8
+    residues, so each chunk's bitstream is byte-aligned and the
+    concatenation is identical to packing the whole stream at once.
     """
     flat = np.asarray(flat).ravel().astype(np.uint64)
     shifts = np.arange(bits, dtype=np.uint64)
@@ -167,11 +170,11 @@ def unpack_residues(payload: bytes, total: int, bits: int) -> np.ndarray:
 def draw_moduli(config: SumCheckConfig, seeds) -> np.ndarray:
     """Per-iteration moduli ``r ∈ r̂+1 .. 2r̂`` for one or many checker seeds.
 
-    A scalar ``seeds`` yields the ``(iterations,)`` int64 vector a
-    :class:`SumAggregationChecker` stores; a ``(T,)`` array yields the
-    ``(T, iterations)`` matrix of T independent checkers — row ``t`` equals
-    the scalar draw for ``seeds[t]``.  Seed derivation and rejection
-    sampling match the historical per-iteration scalar loop exactly.
+    A scalar ``seeds`` yields the ``(iterations,)`` int64 vector of one
+    checker; a ``(T,)`` array yields the ``(T, iterations)`` matrix of T
+    independent checkers — row ``t`` equals the scalar draw for
+    ``seeds[t]``.  Seed derivation and rejection sampling match the
+    historical per-iteration scalar loop exactly.
     """
     counters = np.arange(config.iterations, dtype=np.uint64)
     if np.ndim(seeds) == 0:
@@ -186,214 +189,54 @@ def draw_moduli(config: SumCheckConfig, seeds) -> np.ndarray:
     return draws + np.int64(config.rhat + 1)
 
 
-class SumAggregationChecker:
-    """A seeded instance of the Algorithm 1 checker.
+def reference_tables(
+    config: SumCheckConfig, seed, keys, values, operator: str = "+"
+) -> np.ndarray:
+    """The paper's per-iteration fold of Algorithm 1 under one root seed.
 
-    Parameters
-    ----------
-    config:
-        Bucket count, modulus parameter, iteration count, hash family.
-    seed:
-        Root seed; bucket hashes and moduli are derived deterministically.
-    operator:
-        ``"+"`` (sum/count/average building block) or ``"xor"``.
+    Returns the ``(iterations, d)`` int64 condensed reduction ``cRed``:
+    entry ``[j, b]`` is the ⊕-aggregate (mod ``r_j`` for ``+``) of all
+    values whose key hashes to bucket ``b`` in iteration ``j``.  One
+    :class:`BucketAssigner` hashes the raw keys, and each iteration folds
+    its bucket row with one bincount or scatter.
+    :class:`~repro.core.multiseed.MultiSeedSumChecker` folds the same
+    table for every seed; tests compare the two, and Table 5, the
+    accuracy reference loop and the multi-seed benches time this fold as
+    the one-instance baseline.
     """
-
-    def __init__(self, config: SumCheckConfig, seed: int, operator: str = "+"):
-        if operator not in ("+", "xor"):
-            raise ValueError(f"unsupported reduce operator {operator!r}")
-        self.config = config
-        self.seed = seed
-        self.operator = operator
-        self.assigner = BucketAssigner(
-            get_family(config.hash_family),
-            config.d,
-            config.iterations,
-            derive_seed(seed, "sum-checker", "buckets"),
+    if operator not in ("+", "xor"):
+        raise ValueError(f"unsupported reduce operator {operator!r}")
+    keys = _coerce_keys(keys)
+    values = _coerce_values(values)
+    if keys.size != values.size:
+        raise ValueError(
+            f"keys and values differ in length: {keys.size} vs {values.size}"
         )
-        # r drawn uniformly from r̂+1 .. 2r̂ per iteration (Algorithm 1),
-        # all iterations in one vectorized rejection-sampling pass (the
-        # values are identical to the former per-iteration scalar draws).
-        self.moduli = draw_moduli(config, seed)
-
-    # -- local kernel (the n/p term of Theorem 1) ---------------------------
-    def local_tables(self, keys, values) -> np.ndarray:
-        """Condensed reduction ``cRed`` of Algorithm 1, all iterations.
-
-        Returns an ``(iterations, d)`` int64 table; entry ``[j, b]`` is the
-        ⊕-aggregate (mod r_j for ``+``) of all values whose key hashes to
-        bucket ``b`` in iteration ``j``.
-        """
-        keys = _coerce_keys(keys)
-        values = _coerce_values(values)
-        if keys.size != values.size:
-            raise ValueError(
-                f"keys and values differ in length: {keys.size} vs {values.size}"
-            )
-        cfg = self.config
-        tables = np.zeros((cfg.iterations, cfg.d), dtype=np.int64)
-        if keys.size == 0:
-            return tables
-        buckets = self.assigner.assign(keys)
-        if self.operator == "+":
-            # Fast path ("deferred modulo", §7.1): when the raw bucket sums
-            # provably fit the float64 mantissa (Σ|v| bounds every bucket
-            # sum), accumulate raw values with one shared weight array and
-            # reduce mod r only once per iteration at the very end — exact
-            # and ~3x cheaper than per-element modulo.
-            if _magnitude_bound(values) < (1 << _CHUNK_BITS):
-                weights = values.astype(np.float64)
-                kernels = get_kernels()
-                for j in range(cfg.iterations):
-                    part = kernels.weighted_bincount(
-                        buckets[j], weights, cfg.d
-                    ).astype(np.int64)
-                    tables[j] = part % int(self.moduli[j])
-            else:
-                for j in range(cfg.iterations):
-                    r = int(self.moduli[j])
-                    _scatter_add_mod(tables[j], buckets[j], values % r, r)
-        else:  # xor: no modulus needed, values live in GF(2)^64
-            uvals = values.view(np.uint64)
-            utables = tables.view(np.uint64)
-            for j in range(cfg.iterations):
-                np.bitwise_xor.at(utables[j], buckets[j], uvals)
+    tables = np.zeros((config.iterations, config.d), dtype=np.int64)
+    if keys.size == 0:
         return tables
-
-    def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise ⊕ of two tables (the reduction operator on the wire)."""
-        if self.operator == "+":
-            return (a + b) % self.moduli[:, None]
-        return (a.view(np.uint64) ^ b.view(np.uint64)).view(np.int64)
-
-    def difference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise ⊕-difference ``a ⊖ b`` of two tables."""
-        if self.operator == "+":
-            return (a - b) % self.moduli[:, None]
-        return (a.view(np.uint64) ^ b.view(np.uint64)).view(np.int64)
-
-    # -- wire format -----------------------------------------------------------
-    def pack(self, table: np.ndarray) -> bytes:
-        """Bit-pack a table into ``iterations·d·⌈log2 2r̂⌉`` bits (+ padding).
-
-        This is the message actually metered on the network, making measured
-        volumes comparable with the paper's "table size" column.
-        """
-        if self.operator == "xor":
-            return table.astype(np.int64).tobytes()
-        return pack_residues(table, self.config.residue_bits)
-
-    def unpack(self, payload: bytes) -> np.ndarray:
-        """Inverse of :meth:`pack`."""
-        cfg = self.config
-        if self.operator == "xor":
-            return np.frombuffer(payload, dtype=np.int64).reshape(
-                cfg.iterations, cfg.d
-            ).copy()
-        return unpack_residues(
-            payload, cfg.iterations * cfg.d, cfg.residue_bits
-        ).reshape(cfg.iterations, cfg.d)
-
-    # -- verdicts ------------------------------------------------------------
-    def check_local(self, input_kv, asserted_kv) -> CheckResult:
-        """Single-PE check: compare the two minireduction tables directly."""
-        t_in = self.local_tables(*input_kv)
-        t_out = self.local_tables(*asserted_kv)
-        diff = self.difference(t_in, t_out)
-        mismatched = np.flatnonzero(np.any(diff != 0, axis=1))
-        return CheckResult(
-            accepted=mismatched.size == 0,
-            checker="sum-aggregation",
-            details={
-                "config": self.config.label(),
-                "operator": self.operator,
-                "detecting_iterations": mismatched.tolist(),
-                "table_bits": self.config.table_bits,
-            },
-        )
-
-    def check_distributed(self, comm, input_kv, asserted_kv) -> CheckResult:
-        """SPMD check over a communicator (Algorithm 1's reduce to PE 0).
-
-        Every PE passes its local slice of the operation's input and of the
-        asserted output (the output may be distributed arbitrarily).  The
-        ⊕-difference of the two local tables is reduced to PE 0 in packed
-        form; PE 0 accepts iff every residue is zero, and the verdict is
-        broadcast so all PEs return the same :class:`CheckResult`.
-        """
-        t_in = self.local_tables(*input_kv)
-        t_out = self.local_tables(*asserted_kv)
-        diff = self.difference(t_in, t_out)
-
-        def wire_op(a: bytes, b: bytes) -> bytes:
-            return self.pack(self.combine(self.unpack(a), self.unpack(b)))
-
-        combined = comm.reduce(self.pack(diff), wire_op, root=0)
-        verdict = None
-        if comm.rank == 0:
-            verdict = not np.any(self.unpack(combined))
-        verdict = comm.bcast(verdict, root=0)
-        return CheckResult(
-            accepted=bool(verdict),
-            checker="sum-aggregation",
-            details={
-                "config": self.config.label(),
-                "operator": self.operator,
-                "table_bits": self.config.table_bits,
-            },
-        )
-
-    # -- exact fast path for the accuracy experiments ------------------------
-    def detects_delta(self, delta_keys, delta_values) -> bool:
-        """Would this checker reject an error with the given per-key deltas?
-
-        The minireduction table is linear in the multiset of pairs, and
-        input and correct output produce identical tables; hence the full
-        checker rejects **iff** the table of the (sparse) error deltas is
-        non-zero.  This is an exact shortcut, validated against
-        :meth:`check_local` by property tests, and it is what makes the
-        paper-scale accuracy experiments (100 000 trials) affordable.
-        """
-        table = self.local_tables(delta_keys, delta_values)
-        return bool(np.any(table))
-
-
-# ---------------------------------------------------------------------------
-# Convenience wrappers
-# ---------------------------------------------------------------------------
-
-_DEFAULT_CONFIG = SumCheckConfig(iterations=8, d=16, rhat=1 << 15)
-
-
-def check_sum_aggregation(
-    input_kv,
-    asserted_kv,
-    config: SumCheckConfig | None = None,
-    seed: int = 0,
-    comm=None,
-    operator: str = "+",
-) -> CheckResult:
-    """Check a sum aggregation; sequential if ``comm`` is None.
-
-    ``input_kv`` and ``asserted_kv`` are ``(keys, values)`` array pairs
-    (the local slices when running under a communicator).
-    """
-    checker = SumAggregationChecker(config or _DEFAULT_CONFIG, seed, operator)
-    if comm is None:
-        return checker.check_local(input_kv, asserted_kv)
-    return checker.check_distributed(comm, input_kv, asserted_kv)
-
-
-def check_count_aggregation(
-    input_keys,
-    asserted_kv,
-    config: SumCheckConfig | None = None,
-    seed: int = 0,
-    comm=None,
-) -> CheckResult:
-    """Count aggregation = sum aggregation with every value mapped to 1 (§4)."""
-    keys = np.asarray(input_keys)
-    ones = np.ones(keys.shape, dtype=np.int64)
-    return check_sum_aggregation(
-        (keys, ones), asserted_kv, config=config, seed=seed, comm=comm
-    )
+    buckets = BucketAssigner(
+        get_family(config.hash_family),
+        config.d,
+        config.iterations,
+        derive_seed(seed, "sum-checker", "buckets"),
+    ).assign(keys)
+    if operator == "xor":  # no modulus needed, values live in GF(2)^64
+        utables = tables.view(np.uint64)
+        for j in range(config.iterations):
+            np.bitwise_xor.at(utables[j], buckets[j], values.view(np.uint64))
+        return tables
+    moduli = draw_moduli(config, seed)
+    if _magnitude_bound(values) < (1 << _CHUNK_BITS):
+        # Deferred modulo (§7.1): every bucket sum fits the float64
+        # mantissa, so accumulate raw values and reduce mod r once.
+        weights = values.astype(np.float64)
+        kernels = get_kernels()
+        for j in range(config.iterations):
+            part = kernels.weighted_bincount(buckets[j], weights, config.d)
+            tables[j] = part.astype(np.int64) % int(moduli[j])
+    else:
+        for j in range(config.iterations):
+            r = int(moduli[j])
+            _scatter_add_mod(tables[j], buckets[j], values % r, r)
+    return tables

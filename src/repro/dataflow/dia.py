@@ -25,7 +25,7 @@ from repro.comm import ops
 from repro.core.base import CheckResult
 from repro.core.params import SumCheckConfig
 from repro.core.sort_checker import check_globally_sorted, check_sort
-from repro.core.sum_checker import check_sum_aggregation
+from repro.core.multiseed import check_sum_aggregation
 from repro.core.union_checker import check_union
 from repro.core.merge_checker import check_merge
 from repro.core.zip_checker import check_zip

@@ -57,13 +57,15 @@ def sum_delta_verdicts(
     checker_seeds: np.ndarray,
     delta: KVManipulationBatch,
 ) -> np.ndarray:
-    """``SumAggregationChecker(config, seed_t).detects_delta`` for many trials.
+    """Does trial ``t``'s checker detect its delta?  For many trials at once.
 
     ``checker_seeds[t]`` seeds trial ``t``'s checker; ``delta`` carries the
     trials' sparse per-key aggregate deltas.  Returns a boolean ``(T,)``
     vector — exact: the minireduction residues of each trial's deltas are
     computed mod that trial's drawn moduli under that trial's bucket
-    hashes, matching the scalar checker bit for bit.
+    hashes, matching :func:`~repro.core.sum_checker.reference_tables`
+    under ``checker_seeds[t]`` bit for bit (a trial detects iff its
+    table is non-zero).
     """
     checker_seeds = np.asarray(checker_seeds, dtype=np.uint64).ravel()
     trials = checker_seeds.size

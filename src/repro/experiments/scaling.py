@@ -25,8 +25,7 @@ from repro.comm.context import Context
 from repro.comm.cost import CostModel
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import SumAggregationChecker
-from repro.dataflow.ops.reduce_by_key import local_aggregate, reduce_by_key
+from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.experiments.overhead import (
     multiseed_sum_overhead_ns,
     reduce_baseline_ns,
@@ -86,15 +85,13 @@ def _run_reduction(
         # Checker construction (hash tables, moduli) happens once per job in
         # Thrill too — keep it outside the timed pipeline.
         checker = None
-        if checker_cfg is not None and num_seeds > 1:
-            checker = MultiSeedSumChecker(
-                checker_cfg,
-                derive_seed_array(
+        if checker_cfg is not None:
+            seeds = seed
+            if num_seeds > 1:
+                seeds = derive_seed_array(
                     seed, "scaling", np.arange(num_seeds, dtype=np.uint64)
-                ),
-            )
-        elif checker_cfg is not None:
-            checker = SumAggregationChecker(checker_cfg, seed)
+                )
+            checker = MultiSeedSumChecker(checker_cfg, seeds)
         t0 = time.perf_counter()
         if checker is not None:
             t_in = checker.local_tables(keys, values)
@@ -102,22 +99,8 @@ def _run_reduction(
         if checker is not None:
             t_out = checker.local_tables(out_k, out_v)
             diff = checker.difference(t_in, t_out)
-            if num_seeds > 1:
-                # All seed lanes settle in the multi-seed checker's single
-                # packed collective.
-                verdict = all(checker.per_seed_verdicts(diff, comm))
-            else:
-
-                def wire_op(a, b):
-                    return checker.pack(
-                        checker.combine(checker.unpack(a), checker.unpack(b))
-                    )
-
-                combined = comm.reduce(checker.pack(diff), wire_op, root=0)
-                verdict = None
-                if comm.rank == 0:
-                    verdict = not np.any(checker.unpack(combined))
-                verdict = comm.bcast(verdict, root=0)
+            # All seed lanes settle in one packed collective.
+            verdict = all(checker.per_seed_verdicts(diff, comm))
             if not verdict:
                 raise AssertionError("checker rejected a correct reduction")
         return time.perf_counter() - t0

@@ -19,10 +19,10 @@ from repro.comm import ops
 from repro.comm.context import Context
 from repro.comm.cost import bottleneck_volume
 from repro.core.median_checker import check_median_aggregation
+from repro.core.multiseed import check_sum_aggregation
 from repro.core.params import SumCheckConfig
 from repro.core.permutation_checker import check_permutation_hashsum
 from repro.core.sort_checker import check_sort
-from repro.core.sum_checker import check_sum_aggregation
 from repro.core.zip_checker import check_zip
 from repro.dataflow.ops.aggregates import median_by_key
 from repro.dataflow.ops.reduce_by_key import reduce_by_key

@@ -185,3 +185,111 @@ class TestMinDistributed:
 
         verdicts = ctx.run(run, per_rank_args=chunks)
         assert verdicts == [False] * 2
+
+
+_I64 = np.iinfo(np.int64)
+_EMPTY = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
+
+
+def _kv_chunk(keys, values):
+    return np.array(keys, dtype=np.uint64), np.array(values, dtype=np.int64)
+
+
+def _verdicts(chunks, check):
+    """``check(comm, k, v).accepted`` on one PE per ``(keys, values)``."""
+    ctx = Context(len(chunks))
+    return ctx.run(
+        lambda comm, k, v: check(comm, k, v).accepted, per_rank_args=chunks
+    )
+
+
+class TestInt64Extremes:
+    """Maxima map onto minima by ``~v``; negation wrapped at int64 min."""
+
+    # PE 0 holds int64 min, the last PE the maximum 0; at p = 3 the
+    # middle PE holds nothing.
+    CHUNKS = {
+        2: [_kv_chunk([7], [_I64.min]), _kv_chunk([7], [0])],
+        3: [_kv_chunk([7], [_I64.min]), _EMPTY, _kv_chunk([7], [0])],
+    }
+
+    @staticmethod
+    def _max(comm, k, v, claimed):
+        return check_max_aggregation(
+            (k, v),
+            np.array([7], dtype=np.uint64),
+            np.array([claimed], dtype=np.int64),
+            np.array([0 if comm is None else comm.size - 1], dtype=np.int64),
+            comm=comm,
+        )
+
+    def test_max_with_int64_min_sequential(self):
+        k, v = _kv_chunk([7, 7], [_I64.min, 0])
+        assert self._max(None, k, v, 0).accepted
+        assert not self._max(None, k, v, _I64.min).accepted
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_max_with_int64_min_distributed(self, p):
+        for claimed, want in ((0, True), (_I64.min, False)):
+            verdicts = _verdicts(
+                self.CHUNKS[p],
+                lambda comm, k, v: self._max(comm, k, v, claimed),
+            )
+            assert verdicts == [want] * p, claimed
+
+    def test_min_with_int64_extremes(self):
+        k, v = _kv_chunk([7, 7], [_I64.max, _I64.min])
+        for claimed in (_I64.min, _I64.max):
+            result = check_min_aggregation(
+                (k, v),
+                np.array([7], dtype=np.uint64),
+                np.array([claimed], dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
+            )
+            assert result.accepted == (claimed == _I64.min)
+
+
+class TestInventedKeyAtSentinel:
+    """A result key no PE holds is rejected whatever value it asserts."""
+
+    # Key 1 (min 3, max 5) sits on PE 0, key 2 (8) on PE 1; at p = 3 the
+    # last PE holds nothing.  The invented key 99 goes to the last PE.
+    CHUNKS = {
+        2: [_kv_chunk([1, 1], [5, 3]), _kv_chunk([2], [8])],
+        3: [_kv_chunk([1, 1], [5, 3]), _kv_chunk([2], [8]), _EMPTY],
+    }
+    CASES = [
+        (check_min_aggregation, [3, 8], _I64.max),
+        (check_max_aggregation, [5, 8], _I64.min + 1),
+        (check_max_aggregation, [5, 8], _I64.min),
+    ]
+
+    @staticmethod
+    def _check(check, values, comm, k, v, invented=None):
+        keys, owners = [1, 2], [0, 0 if comm is None else 1]
+        if invented is not None:
+            keys, values = keys + [99], values + [invented]
+            owners = owners + [0 if comm is None else comm.size - 1]
+        return check(
+            (k, v),
+            np.array(keys, dtype=np.uint64),
+            np.array(values, dtype=np.int64),
+            np.array(owners, dtype=np.int64),
+            comm=comm,
+        )
+
+    @pytest.mark.parametrize("check, values, invented", CASES)
+    def test_sequential(self, check, values, invented):
+        k, v = _kv_chunk([1, 1, 2], [5, 3, 8])
+        assert self._check(check, values, None, k, v).accepted
+        assert not self._check(check, values, None, k, v, invented).accepted
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("check, values, invented", CASES)
+    def test_distributed(self, p, check, values, invented):
+        for extra, want in ((None, True), (invented, False)):
+            verdicts = _verdicts(
+                self.CHUNKS[p],
+                lambda comm, k, v: self._check(check, values, comm, k, v, extra),
+            )
+            assert verdicts == [want] * p, extra

@@ -1,44 +1,33 @@
-"""Tests for the multi-seed derived checkers and the condensed-reuse API.
+"""Tests for the derived checkers under a seed array, and condensed reuse.
 
-The load-bearing property mirrors ``test_core_multiseed.py``: every
-derived multi-seed checker's per-seed verdict is identical to ``T``
-independent single-seed checker calls, while touching the raw data once.
+The load-bearing property mirrors ``test_core_multiseed.py``: a derived
+check called with ``T`` seeds returns per-seed verdicts identical to ``T``
+calls with one seed each, while touching the raw data once.
 """
 
 import numpy as np
 import pytest
 
 from repro.comm.context import Context
-from repro.core.average_checker import (
-    check_average_aggregation,
-    check_average_aggregation_multiseed,
-)
+from repro.core.average_checker import check_average_aggregation
 from repro.core.groupby_checker import (
     check_groupby_redistribution,
     check_groupby_redistribution_multiseed,
     default_partitioner,
 )
 from repro.core.integrity import replicated_digest, replicated_digest_multiseed
-from repro.core.median_checker import (
-    check_median_aggregation,
-    check_median_aggregation_multiseed,
-)
-from repro.core.minmax_checker import (
-    check_max_aggregation,
-    check_min_aggregation,
-    check_min_aggregation_multiseed,
-    check_max_aggregation_multiseed,
-)
+from repro.core.median_checker import check_median_aggregation
+from repro.core.minmax_checker import check_max_aggregation, check_min_aggregation
 from repro.core.multiseed import (
     MultiSeedHashSumChecker,
     MultiSeedSumChecker,
-    check_count_aggregation_multiseed,
-    check_sum_aggregation_multiseed,
+    check_count_aggregation,
+    check_sum_aggregation,
     condense_kv,
     condense_side,
 )
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import check_count_aggregation
+from repro.core.sum_checker import reference_tables
 from repro.workloads.kv import aggregate_reference, sum_workload
 
 SEEDS = np.arange(12, dtype=np.uint64) * np.uint64(997) + np.uint64(3)
@@ -161,8 +150,8 @@ class TestCountWrapper:
         out_k, out_c = aggregate_reference(keys, np.ones(keys.size, np.int64))
         bad_c = out_c.copy()
         bad_c[4] += 1
-        got = check_count_aggregation_multiseed(
-            keys, (out_k, bad_c), SEEDS, config=WEAK
+        got = check_count_aggregation(
+            keys, (out_k, bad_c), config=WEAK, seed=SEEDS
         )
         expected = [
             check_count_aggregation(
@@ -171,12 +160,20 @@ class TestCountWrapper:
             for s in SEEDS
         ]
         assert got.details["per_seed_accepted"] == expected
+        ones = np.ones(keys.size, dtype=np.int64)
+        assert expected == [
+            np.array_equal(
+                reference_tables(WEAK, int(s), keys, ones),
+                reference_tables(WEAK, int(s), out_k, bad_c),
+            )
+            for s in SEEDS
+        ]
 
     def test_sum_wrapper_accepts_correct(self):
         keys, values = sum_workload(1_000, num_keys=60, seed=11)
         out = aggregate_reference(keys, values)
-        res = check_sum_aggregation_multiseed(
-            (keys, values), out, SEEDS, config=STRONG
+        res = check_sum_aggregation(
+            (keys, values), out, config=STRONG, seed=SEEDS
         )
         assert res.accepted
         assert res.details["per_seed_accepted"] == [True] * SEEDS.size
@@ -194,8 +191,9 @@ class TestAverageMultiseed:
 
     def test_accepts_correct(self):
         keys, values, out_keys, num, den, counts = self._case()
-        res = check_average_aggregation_multiseed(
-            (keys, values), out_keys, num, den, counts, SEEDS, config=STRONG
+        res = check_average_aggregation(
+            (keys, values), out_keys, num, den, counts, config=STRONG,
+            seed=SEEDS,
         )
         assert res.accepted
         assert res.details["per_seed_accepted"] == [True] * SEEDS.size
@@ -214,9 +212,9 @@ class TestAverageMultiseed:
             ).accepted
 
         if comm_size is None:
-            got = check_average_aggregation_multiseed(
+            got = check_average_aggregation(
                 (keys, values), out_keys, bad_num, den, counts,
-                SEEDS, config=WEAK,
+                config=WEAK, seed=SEEDS,
             )
             expected = [single(int(s)) for s in SEEDS]
             assert got.details["per_seed_accepted"] == expected
@@ -226,9 +224,9 @@ class TestAverageMultiseed:
 
             def run(comm, k, v):
                 # result columns replicated; input distributed
-                multi = check_average_aggregation_multiseed(
+                multi = check_average_aggregation(
                     (k, v), out_keys, bad_num, den, counts,
-                    SEEDS, config=WEAK, comm=comm,
+                    config=WEAK, seed=SEEDS, comm=comm,
                 )
                 singles = [
                     check_average_aggregation(
@@ -252,9 +250,9 @@ class TestAverageMultiseed:
         bad_counts[0] = 4  # den=1 divides, but sums no longer match; make
         bad_den = den.copy()
         bad_den[0] = 5  # 5 does not divide count 3 → structural rejection
-        res = check_average_aggregation_multiseed(
+        res = check_average_aggregation(
             (keys, values), out_keys, num, bad_den, counts,
-            SEEDS, config=WEAK,
+            config=WEAK, seed=SEEDS,
         )
         assert not res.accepted
         assert res.details["per_seed_accepted"] == [False] * SEEDS.size
@@ -263,9 +261,9 @@ class TestAverageMultiseed:
     def test_empty_input(self):
         empty_u = np.zeros(0, dtype=np.uint64)
         empty_i = np.zeros(0, dtype=np.int64)
-        res = check_average_aggregation_multiseed(
+        res = check_average_aggregation(
             (empty_u, empty_i), empty_u, empty_i, empty_i, empty_i,
-            SEEDS, config=WEAK,
+            config=WEAK, seed=SEEDS,
         )
         assert res.accepted
 
@@ -281,8 +279,8 @@ class TestMedianMultiseed:
 
     def test_accepts_correct(self):
         keys, values, out_keys, num, den = self._case()
-        res = check_median_aggregation_multiseed(
-            keys, values, out_keys, num, den, SEEDS, config=STRONG
+        res = check_median_aggregation(
+            keys, values, out_keys, num, den, config=STRONG, seed=SEEDS
         )
         assert res.accepted
         assert res.details["per_seed_accepted"] == [True] * SEEDS.size
@@ -291,8 +289,8 @@ class TestMedianMultiseed:
         keys, values, out_keys, num, den = self._case()
         bad_num = num.copy()
         bad_num[0] = 6  # wrong median, weak config → mixed verdicts
-        got = check_median_aggregation_multiseed(
-            keys, values, out_keys, bad_num, den, SEEDS, config=WEAK
+        got = check_median_aggregation(
+            keys, values, out_keys, bad_num, den, config=WEAK, seed=SEEDS
         )
         expected = [
             check_median_aggregation(
@@ -305,22 +303,24 @@ class TestMedianMultiseed:
 
     def test_structural_failure_rejects_every_seed(self):
         keys, values, out_keys, num, den = self._case()
-        res = check_median_aggregation_multiseed(
-            keys, values, out_keys[:1], num[:1], den[:1], SEEDS, config=WEAK
+        res = check_median_aggregation(
+            keys, values, out_keys[:1], num[:1], den[:1], config=WEAK,
+            seed=SEEDS,
         )
         assert res.details["per_seed_accepted"] == [False] * SEEDS.size
 
     @pytest.mark.parametrize("p", [2])
     def test_distributed_matches_sequential(self, p):
         keys, values, out_keys, num, den = self._case()
-        sequential = check_median_aggregation_multiseed(
-            keys, values, out_keys, num, den, SEEDS, config=STRONG
+        sequential = check_median_aggregation(
+            keys, values, out_keys, num, den, config=STRONG, seed=SEEDS
         )
         ctx = Context(p)
 
         def run(comm, k, v):
-            return check_median_aggregation_multiseed(
-                k, v, out_keys, num, den, SEEDS, config=STRONG, comm=comm
+            return check_median_aggregation(
+                k, v, out_keys, num, den, config=STRONG, seed=SEEDS,
+                comm=comm,
             ).details["per_seed_accepted"]
 
         outs = ctx.run(
@@ -337,24 +337,24 @@ class TestMinMaxMultiseed:
 
     def test_sequential_accepts_correct(self):
         keys, values = self._kv()
-        res = check_min_aggregation_multiseed(
+        res = check_min_aggregation(
             (keys, values),
             np.array([1, 2, 3], dtype=np.uint64),
             np.array([3, 2, 7], dtype=np.int64),
             np.zeros(3, dtype=np.int64),
-            SEEDS,
+            seed=SEEDS,
         )
         assert res.accepted
         assert res.details["per_seed_accepted"] == [True] * SEEDS.size
 
     def test_max_rejects_wrong_value_every_seed(self):
         keys, values = self._kv()
-        res = check_max_aggregation_multiseed(
+        res = check_max_aggregation(
             (keys, values),
             np.array([1, 2, 3], dtype=np.uint64),
             np.array([5, 8, 8], dtype=np.int64),  # max of key 3 is 9
             np.zeros(3, dtype=np.int64),
-            SEEDS,
+            seed=SEEDS,
         )
         assert res.details["per_seed_accepted"] == [False] * SEEDS.size
 
@@ -375,8 +375,8 @@ class TestMinMaxMultiseed:
                     break
 
         def run(comm, k, v):
-            multi = check_min_aggregation_multiseed(
-                (k, v), res_keys, res_vals, owners, SEEDS, comm=comm
+            multi = check_min_aggregation(
+                (k, v), res_keys, res_vals, owners, comm=comm, seed=SEEDS
             )
             singles = [
                 check_min_aggregation(
@@ -401,8 +401,8 @@ class TestMinMaxMultiseed:
             vals = res_vals.copy()
             if comm.rank == 1:
                 vals[0] += 1  # rank 1 holds a corrupted replica
-            return check_min_aggregation_multiseed(
-                (k, v), res_keys, vals, owners, SEEDS, comm=comm
+            return check_min_aggregation(
+                (k, v), res_keys, vals, owners, comm=comm, seed=SEEDS
             ).details["per_seed_accepted"]
 
         outs = ctx.run(
@@ -454,3 +454,213 @@ class TestGroupByMultiseed:
         res = check_groupby_redistribution_multiseed((k, v), (k, v), part, SEEDS)
         assert res.accepted
         assert res.details["per_seed_accepted"] == [True] * SEEDS.size
+
+
+def _on_pe0(comm, *arrays):
+    """``arrays`` sequentially and on PE 0, their empty slices elsewhere."""
+    if comm is None or comm.rank == 0:
+        return arrays
+    return tuple(a[:0] for a in arrays)
+
+
+def _six_checks(config):
+    """Each of the six aggregation checks as ``fn(seed, comm, k, v)``.
+
+    Every check gets a wrong result: the sum family's errors are
+    opposite deltas on keys 1 and 2, which ``WEAK`` misses under some
+    seeds (same bucket); min/max reject deterministically.  Results
+    are replicated, except that the sum family's distributed output sits
+    on PE 0; inputs may be a PE's slice.
+    """
+    keys = np.array([1, 1, 1, 2, 2, 2, 2, 3], dtype=np.uint64)
+    values = np.array([3, 9, 5, 1, 2, 8, 4, 6], dtype=np.int64)
+    out_k = np.array([1, 2, 3], dtype=np.uint64)
+    sums = np.array([18, 14, 6], dtype=np.int64)  # true: 17, 15, 6
+    counts = np.array([3, 4, 1], dtype=np.int64)
+    owners = np.zeros(3, dtype=np.int64)
+    checks = {
+        "sum": lambda seed, comm, k, v: check_sum_aggregation(
+            (k, v), _on_pe0(comm, out_k, sums),
+            config=config, seed=seed, comm=comm,
+        ),
+        "count": lambda seed, comm, k, v: check_count_aggregation(
+            k, _on_pe0(comm, out_k, counts[[1, 0, 2]]),
+            config=config, seed=seed, comm=comm,
+        ),
+        "average": lambda seed, comm, k, v: check_average_aggregation(
+            (k, v), *_on_pe0(comm, out_k, sums, counts, counts),
+            config=config, seed=seed, comm=comm,
+        ),
+        "median": lambda seed, comm, k, v: check_median_aggregation(
+            k, v, out_k, np.array([4, 4, 6]), np.ones(3, dtype=np.int64),
+            config=config, seed=seed, comm=comm,
+        ),
+        "min": lambda seed, comm, k, v: check_min_aggregation(
+            (k, v), out_k, np.array([3, 1, 7]), owners, comm=comm, seed=seed
+        ),
+        "max": lambda seed, comm, k, v: check_max_aggregation(
+            (k, v), out_k, np.array([9, 8, 5]), owners, comm=comm, seed=seed
+        ),
+    }
+    return keys, values, checks
+
+
+_KEYS, _VALUES, _CHECKS = _six_checks(WEAK)
+
+
+class TestSeedArrays:
+    """A seed array is T scalar calls; a scalar seed is T = 1."""
+
+    @pytest.mark.parametrize("name", sorted(_CHECKS))
+    @pytest.mark.parametrize("p", [None, 2])
+    def test_per_seed_equals_scalar_calls(self, name, p):
+        check = _CHECKS[name]
+
+        def run(comm, k, v):
+            multi = check(SEEDS, comm, k, v)
+            singles = [check(int(s), comm, k, v) for s in SEEDS]
+            return multi, singles
+
+        if p is None:
+            outs = [run(None, _KEYS, _VALUES)]
+        else:
+            ctx = Context(p)
+            outs = ctx.run(
+                run,
+                per_rank_args=list(zip(ctx.split(_KEYS), ctx.split(_VALUES))),
+            )
+        for multi, singles in outs:
+            expected = [single.accepted for single in singles]
+            assert multi.details["per_seed_accepted"] == expected
+            assert multi.accepted == all(expected)
+            assert multi.details["num_seeds"] == SEEDS.size
+            for single in singles:
+                assert single.details["num_seeds"] == 1
+                assert single.details["per_seed_accepted"] == [single.accepted]
+        if name in ("min", "max"):
+            assert expected == [False] * SEEDS.size
+        else:
+            assert any(expected) and not all(expected), expected
+
+    @pytest.mark.parametrize(
+        "seed", [2**64, -(2**63) - 1, True, 1.0],
+        ids=["2^64", "-2^63-1", "True", "1.0"],
+    )
+    def test_out_of_range_or_non_integer_seed_refused(self, seed):
+        # Coercing these would alias another seed's checker (2^64 wraps to
+        # 0, True is 1) or truncate; every check refuses them instead.
+        for check in _CHECKS.values():
+            with pytest.raises(TypeError):
+                check(seed, None, _KEYS, _VALUES)
+
+
+class TestFloatColumnsRefused:
+    """Float value columns would be truncated into wrong acceptances."""
+
+    def test_min(self):
+        with pytest.raises(TypeError):
+            check_min_aggregation(
+                (np.array([4, 4], dtype=np.uint64), np.array([1.5, 1.7])),
+                np.array([4], dtype=np.uint64),
+                np.array([1], dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
+            )
+
+    def test_max_asserted(self):
+        with pytest.raises(TypeError):
+            check_max_aggregation(
+                (np.array([4], dtype=np.uint64), np.array([2])),
+                np.array([4], dtype=np.uint64),
+                np.array([2.5]),
+                np.zeros(1, dtype=np.int64),
+            )
+
+    def test_average(self):
+        with pytest.raises(TypeError):
+            check_average_aggregation(
+                (np.array([4, 4], dtype=np.uint64), np.array([1.5, 2.5])),
+                np.array([4], dtype=np.uint64),
+                np.array([3]), np.array([2]), np.array([2]),
+            )
+
+    @pytest.mark.parametrize("column", ["numerators", "denominators", "counts"])
+    def test_average_asserted_columns(self, column):
+        args = {
+            "numerators": np.array([2]),
+            "denominators": np.array([1]),
+            "counts": np.array([2]),
+        }
+        args[column] = args[column].astype(np.float64)
+        with pytest.raises(TypeError):
+            check_average_aggregation(
+                (np.array([4, 4], dtype=np.uint64), np.array([1, 3])),
+                np.array([4], dtype=np.uint64),
+                args["numerators"], args["denominators"], args["counts"],
+            )
+
+    def test_median(self):
+        with pytest.raises(TypeError):
+            check_median_aggregation(
+                np.array([4, 4, 4], dtype=np.uint64),
+                np.array([0.2, 1.4, 2.6]),
+                np.array([4], dtype=np.uint64),
+                np.array([1]),
+                np.array([1]),
+            )
+
+
+class TestTraffic:
+    """The merged checks add no collective.
+
+    Per PE: (messages sent, bytes sent, messages received, bytes
+    received) on threads, as the separate single-seed functions sent them
+    (8x16 m15: a 256-byte packed table, one-byte flags, 8-byte digests).
+    """
+
+    PER_PE = {
+        2: {
+            "sum": [(1, 1, 1, 256), (1, 256, 1, 1)],
+            "count": [(1, 1, 1, 256), (1, 256, 1, 1)],
+            "average": [(1, 1, 1, 513), (1, 513, 1, 1)],
+            "median": [(2, 2, 2, 257), (2, 257, 2, 2)],
+            "min": [(2, 9, 1, 1), (1, 1, 2, 9)],
+            "max": [(2, 9, 1, 1), (1, 1, 2, 9)],
+        },
+        3: {
+            "sum": [(2, 2, 2, 512), (1, 256, 1, 1), (1, 256, 1, 1)],
+            "count": [(2, 2, 2, 512), (1, 256, 1, 1), (1, 256, 1, 1)],
+            "average": [(2, 2, 2, 1026), (1, 513, 1, 1), (1, 513, 1, 1)],
+            "median": [(4, 4, 4, 514), (2, 257, 2, 2), (2, 257, 2, 2)],
+            "min": [(4, 18, 2, 2), (1, 1, 2, 9), (1, 1, 2, 9)],
+            "max": [(4, 18, 2, 2), (1, 1, 2, 9), (1, 1, 2, 9)],
+        },
+    }
+
+    @staticmethod
+    def _traffic(name, p, seed):
+        check = _six_checks(STRONG)[2][name]
+
+        def run(comm, k, v):
+            check(seed, comm, k, v)
+            m = comm.meter
+            return (
+                m.messages_sent, m.bytes_sent,
+                m.messages_received, m.bytes_received,
+            )
+
+        ctx = Context(p)
+        return ctx.run(
+            run, per_rank_args=list(zip(ctx.split(_KEYS), ctx.split(_VALUES)))
+        )
+
+    @pytest.mark.parametrize("name", sorted(_CHECKS))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_seed_sends_single_seed_traffic(self, name, p):
+        assert self._traffic(name, p, 5) == self.PER_PE[p][name]
+
+    @pytest.mark.parametrize("name", ["min", "max"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_extremum_seed_count_adds_no_message(self, name, p):
+        one = self._traffic(name, p, 5)
+        four = self._traffic(name, p, SEEDS[:4])
+        assert [(t[0], t[2]) for t in four] == [(t[0], t[2]) for t in one]

@@ -1,14 +1,15 @@
-"""Tests for the §4 sum-aggregation checker (Algorithm 1)."""
+"""Tests for the §4 sum-aggregation checker (Algorithm 1) under one seed."""
 
 import numpy as np
 import pytest
 
-from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import (
-    SumAggregationChecker,
+from repro.core.multiseed import (
+    MultiSeedSumChecker,
     check_count_aggregation,
     check_sum_aggregation,
 )
+from repro.core.params import SumCheckConfig
+from repro.core.sum_checker import draw_moduli, reference_tables
 from repro.workloads.kv import aggregate_reference, sum_workload
 
 CFG = SumCheckConfig.parse("4x8 m15")
@@ -47,7 +48,7 @@ class TestOneSidedError:
         # Split one key's sum into two partial entries is NOT allowed (it
         # changes the multiset) — but splitting the key *list* is fine.
         half = out_k.size // 2
-        checker = SumAggregationChecker(CFG, seed=5)
+        checker = MultiSeedSumChecker(CFG, 5)
         t1 = checker.local_tables(out_k[:half], out_v[:half])
         t2 = checker.local_tables(out_k[half:], out_v[half:])
         combined = checker.combine(t1, t2)
@@ -101,10 +102,10 @@ class TestDetection:
         misses = 0
         trials = 400
         for seed in range(trials):
-            checker = SumAggregationChecker(cfg, seed)
+            checker = MultiSeedSumChecker(cfg, seed)
             if not checker.detects_delta(
                 np.array([123], dtype=np.uint64), np.array([5], dtype=np.int64)
-            ):
+            )[0]:
                 misses += 1
         # P[miss] = P[both keys同bucket]... single key: delta lands in one
         # bucket; the diff is nonzero there unless 5 ≡ 0 mod r (impossible
@@ -115,10 +116,10 @@ class TestDetection:
         """Two opposite deltas evade iff hashed to the same bucket (P=1/d)."""
         cfg = SumCheckConfig(iterations=1, d=2, rhat=1 << 31)
         misses = sum(
-            not SumAggregationChecker(cfg, seed).detects_delta(
+            not MultiSeedSumChecker(cfg, seed).detects_delta(
                 np.array([123, 456], dtype=np.uint64),
                 np.array([5, -5], dtype=np.int64),
-            )
+            )[0]
             for seed in range(600)
         )
         assert 0.4 < misses / 600 < 0.6  # expect 1/2
@@ -138,12 +139,12 @@ class TestDeltaShortcut:
         bad_v = out_v.copy()
         bad_v[idx] += delta
         cfg = SumCheckConfig(iterations=1, d=2, rhat=8)  # weak → misses occur
-        checker = SumAggregationChecker(cfg, seed=seed * 17)
+        checker = MultiSeedSumChecker(cfg, seed * 17)
         full = checker.check_local((keys, values), (out_k, bad_v))
         shortcut = checker.detects_delta(
             np.array([out_k[idx]], dtype=np.uint64),
             np.array([delta], dtype=np.int64),
-        )
+        )[0]
         assert full.accepted == (not shortcut)
 
 
@@ -153,20 +154,20 @@ class TestWireFormat:
     )
     def test_pack_unpack_round_trip(self, label):
         cfg = SumCheckConfig.parse(label)
-        checker = SumAggregationChecker(cfg, seed=1)
+        checker = MultiSeedSumChecker(cfg, 1)
         rng = np.random.default_rng(0)
         table = np.stack(
             [
                 rng.integers(0, int(m), cfg.d, dtype=np.int64)
-                for m in checker.moduli
+                for m in checker.moduli[0]
             ]
-        )
+        )[None]
         assert np.array_equal(checker.unpack(checker.pack(table)), table)
 
     def test_packed_size_matches_table_bits(self):
         cfg = SumCheckConfig.parse("8x16 m15")
-        checker = SumAggregationChecker(cfg, seed=1)
-        table = np.zeros((cfg.iterations, cfg.d), dtype=np.int64)
+        checker = MultiSeedSumChecker(cfg, 1)
+        table = np.zeros((1, cfg.iterations, cfg.d), dtype=np.int64)
         packed = checker.pack(table)
         assert len(packed) == (cfg.table_bits + 7) // 8
 
@@ -175,14 +176,14 @@ class TestModuli:
     def test_in_half_open_interval(self):
         cfg = SumCheckConfig.parse("8x16 m5")
         for seed in range(20):
-            checker = SumAggregationChecker(cfg, seed)
-            assert np.all(checker.moduli > cfg.rhat)
-            assert np.all(checker.moduli <= 2 * cfg.rhat)
+            moduli = draw_moduli(cfg, seed)
+            assert np.all(moduli > cfg.rhat)
+            assert np.all(moduli <= 2 * cfg.rhat)
 
     def test_vary_across_iterations_and_seeds(self):
         cfg = SumCheckConfig.parse("8x16 m15")
-        a = SumAggregationChecker(cfg, 1).moduli
-        b = SumAggregationChecker(cfg, 2).moduli
+        a = draw_moduli(cfg, 1)
+        b = draw_moduli(cfg, 2)
         assert not np.array_equal(a, b)
         assert len(set(a.tolist())) > 1
 
@@ -209,8 +210,11 @@ class TestXorOperator:
         assert not result.accepted
 
     def test_rejects_unknown_operator(self):
+        kv = (np.array([1], dtype=np.uint64), np.array([1], dtype=np.int64))
         with pytest.raises(ValueError):
-            SumAggregationChecker(CFG, 0, operator="min")
+            check_sum_aggregation(kv, kv, CFG, operator="min")
+        with pytest.raises(ValueError):
+            reference_tables(CFG, 0, *kv, operator="min")
 
 
 class TestCountAggregation:
@@ -229,19 +233,26 @@ class TestInt64MinRegression:
     """The fast-path guard must survive |int64 min| (np.abs overflows)."""
 
     def test_batched_tables_equal_exact_scatter_path(self):
-        from repro.core.sum_checker import _coerce_keys, _scatter_add_mod
+        from repro.core.sum_checker import _scatter_add_mod
+        from repro.hashing.bitgroups import BucketAssigner
+        from repro.hashing.families import get_family
+        from repro.util.rng import derive_seed
 
         cfg = SumCheckConfig.parse("4x8 m15")
-        checker = SumAggregationChecker(cfg, seed=3)
         keys = np.array([7, 11, 7, 13], dtype=np.uint64)
         values = np.array([-(2**63), 3, 5, -(2**63)], dtype=np.int64)
-        tables = checker.local_tables(keys, values)
-        buckets = checker.assigner.assign(_coerce_keys(keys))
+        buckets = BucketAssigner(
+            get_family(cfg.hash_family), cfg.d, cfg.iterations,
+            derive_seed(3, "sum-checker", "buckets"),
+        ).assign(keys)
+        moduli = draw_moduli(cfg, 3)
         expected = np.zeros((cfg.iterations, cfg.d), dtype=np.int64)
         for j in range(cfg.iterations):
-            r = int(checker.moduli[j])
+            r = int(moduli[j])
             _scatter_add_mod(expected[j], buckets[j], values % r, r)
-        assert np.array_equal(tables, expected)
+        tables = MultiSeedSumChecker(cfg, 3).local_tables(keys, values)
+        assert np.array_equal(tables[0], expected)
+        assert np.array_equal(reference_tables(cfg, 3, keys, values), expected)
 
     def test_max_magnitude_is_overflow_safe(self):
         from repro.core.sum_checker import _max_magnitude
@@ -289,9 +300,14 @@ class TestInt64MinRegression:
         cfg = SumCheckConfig(iterations=1, d=2, rhat=1 << 15)
         keys = np.array([5, 5], dtype=np.uint64)
         values = np.array([-(2**63), 1], dtype=np.int64)
-        table = SumAggregationChecker(cfg, seed=1).local_tables(keys, values)
-        r = int(SumAggregationChecker(cfg, seed=1).moduli[0])
-        assert table.ravel()[table.ravel() != 0][0] == ((-(2**63) + 1) % r)
+        r = int(draw_moduli(cfg, 1)[0])
+        for table in (
+            MultiSeedSumChecker(cfg, 1).local_tables(keys, values),
+            reference_tables(cfg, 1, keys, values),
+        ):
+            assert table.ravel()[table.ravel() != 0][0] == (
+                (-(2**63) + 1) % r
+            )
 
 
 class TestInputValidation:
@@ -370,49 +386,51 @@ class TestDistributed:
 
 
 class TestWireFormatChunked:
-    """The chunked bit-(un)packing must stay exact for any residue width."""
+    """The chunked bit-(un)packing must stay exact for any residue width.
+
+    A one-seed checker's wire carries one ``(iterations, d)`` table."""
 
     @pytest.mark.parametrize("log_rhat", [2, 4, 6, 10, 16, 30])
     def test_round_trip_property_odd_residue_bits(self, log_rhat):
         # rhat = 2^k gives residue_bits = k + 1: odd widths for even k.
         cfg = SumCheckConfig(iterations=5, d=13, rhat=1 << log_rhat)
-        checker = SumAggregationChecker(cfg, seed=log_rhat)
+        checker = MultiSeedSumChecker(cfg, log_rhat)
         rng = np.random.default_rng(log_rhat)
         for _ in range(5):
             table = np.stack(
                 [
                     rng.integers(0, int(m), cfg.d, dtype=np.int64)
-                    for m in checker.moduli
+                    for m in checker.moduli[0]
                 ]
             )
-            assert np.array_equal(checker.unpack(checker.pack(table)), table)
-            assert len(checker.pack(table)) == (cfg.table_bits + 7) // 8
+            assert np.array_equal(checker.unpack(checker.pack(table[None]))[0], table)
+            assert len(checker.pack(table[None])) == (cfg.table_bits + 7) // 8
 
     def test_round_trip_one_residue_bit(self):
         # r̂ = 1 is the width floor: r is always 2, one bit per residue.
         cfg = SumCheckConfig(iterations=3, d=5, rhat=1)
-        checker = SumAggregationChecker(cfg, seed=7)
+        checker = MultiSeedSumChecker(cfg, 7)
         assert cfg.residue_bits == 1
         assert np.all(checker.moduli == 2)
         rng = np.random.default_rng(7)
         table = rng.integers(0, 2, (cfg.iterations, cfg.d), dtype=np.int64)
-        assert np.array_equal(checker.unpack(checker.pack(table)), table)
-        assert len(checker.pack(table)) == (cfg.table_bits + 7) // 8
+        assert np.array_equal(checker.unpack(checker.pack(table[None]))[0], table)
+        assert len(checker.pack(table[None])) == (cfg.table_bits + 7) // 8
 
     def test_round_trip_widest_residues(self):
         # r̂ near 2^62 gives 63-bit residues — the widest int64 can carry.
         cfg = SumCheckConfig(iterations=2, d=7, rhat=(1 << 62) - 1)
-        checker = SumAggregationChecker(cfg, seed=5)
+        checker = MultiSeedSumChecker(cfg, 5)
         assert cfg.residue_bits == 63
         assert np.all(checker.moduli > cfg.rhat)
         rng = np.random.default_rng(5)
         table = np.stack(
             [
                 rng.integers(0, int(m), cfg.d, dtype=np.int64)
-                for m in checker.moduli
+                for m in checker.moduli[0]
             ]
         )
-        assert np.array_equal(checker.unpack(checker.pack(table)), table)
+        assert np.array_equal(checker.unpack(checker.pack(table[None]))[0], table)
 
     @pytest.mark.parametrize("extra", [-3, 1, 7])
     def test_round_trip_table_not_multiple_of_pack_chunk(self, extra):
@@ -421,24 +439,24 @@ class TestWireFormatChunked:
         cfg = SumCheckConfig(
             iterations=1, d=_PACK_CHUNK_RESIDUES + extra, rhat=1 << 2
         )
-        checker = SumAggregationChecker(cfg, seed=extra & 7)
+        checker = MultiSeedSumChecker(cfg, extra & 7)
         rng = np.random.default_rng(extra & 7)
         table = rng.integers(
-            0, int(checker.moduli[0]), (1, cfg.d), dtype=np.int64
+            0, int(checker.moduli[0, 0]), (1, cfg.d), dtype=np.int64
         )
-        assert np.array_equal(checker.unpack(checker.pack(table)), table)
-        assert len(checker.pack(table)) == (cfg.table_bits + 7) // 8
+        assert np.array_equal(checker.unpack(checker.pack(table[None]))[0], table)
+        assert len(checker.pack(table[None])) == (cfg.table_bits + 7) // 8
 
     def test_xor_wire_round_trip(self):
         # The xor operator ships raw 64-bit lanes; negative int64 views
         # must survive the trip bit-for-bit.
         cfg = SumCheckConfig.parse("4x8 m5")
-        checker = SumAggregationChecker(cfg, seed=2, operator="xor")
+        checker = MultiSeedSumChecker(cfg, 2, operator="xor")
         rng = np.random.default_rng(2)
         table = rng.integers(
             -(2**63), 2**63, (cfg.iterations, cfg.d), dtype=np.int64
         )
-        assert np.array_equal(checker.unpack(checker.pack(table)), table)
+        assert np.array_equal(checker.unpack(checker.pack(table[None]))[0], table)
 
     def test_many_chunk_boundaries(self):
         # A table larger than the pack chunk exercises chunk stitching.
@@ -447,15 +465,15 @@ class TestWireFormatChunked:
         cfg = SumCheckConfig(
             iterations=3, d=_PACK_CHUNK_RESIDUES // 2 + 5, rhat=1 << 4
         )
-        checker = SumAggregationChecker(cfg, seed=2)
+        checker = MultiSeedSumChecker(cfg, 2)
         rng = np.random.default_rng(2)
         table = np.stack(
             [
                 rng.integers(0, int(m), cfg.d, dtype=np.int64)
-                for m in checker.moduli
+                for m in checker.moduli[0]
             ]
         )
-        assert np.array_equal(checker.unpack(checker.pack(table)), table)
+        assert np.array_equal(checker.unpack(checker.pack(table[None]))[0], table)
 
 
 class TestVectorizedModuli:
@@ -466,7 +484,6 @@ class TestVectorizedModuli:
 
         for label, seed in (("8x16 m15", 3), ("1x2 m31", 0xF163), ("16x16 m15", 9)):
             cfg = SumCheckConfig.parse(label)
-            checker = SumAggregationChecker(cfg, seed)
             expected = [
                 cfg.rhat
                 + 1
@@ -475,15 +492,13 @@ class TestVectorizedModuli:
                 )
                 for j in range(cfg.iterations)
             ]
-            assert checker.moduli.tolist() == expected
+            assert draw_moduli(cfg, seed).tolist() == expected
+            assert MultiSeedSumChecker(cfg, seed).moduli.tolist() == [expected]
 
-    def test_batched_moduli_match_checker_instances(self):
-        from repro.core.sum_checker import draw_moduli
-
+    def test_batched_moduli_match_scalar_draws(self):
         cfg = SumCheckConfig.parse("4x8 m7")
         seeds = np.arange(20, dtype=np.uint64) * np.uint64(101) + np.uint64(3)
         matrix = draw_moduli(cfg, seeds)
         assert matrix.shape == (20, cfg.iterations)
         for t in range(20):
-            checker = SumAggregationChecker(cfg, int(seeds[t]))
-            assert np.array_equal(matrix[t], checker.moduli)
+            assert np.array_equal(matrix[t], draw_moduli(cfg, int(seeds[t])))

@@ -15,10 +15,9 @@ import repro.core.localize as localize_mod
 import repro.core.multiseed as multiseed_mod
 import repro.dataflow.pipeline as pipeline_mod
 from repro.comm.context import Context
-from repro.core.multiseed import MultiSeedSumChecker
+from repro.core.multiseed import MultiSeedSumChecker, check_sum_aggregation
 from repro.core.params import SumCheckConfig
 from repro.core.sort_checker import check_sort
-from repro.core.sum_checker import SumAggregationChecker
 from repro.core.zip_checker import check_zip
 from repro.dataflow.dia import DIA
 from repro.dataflow.pipeline import (
@@ -151,8 +150,8 @@ class TestAdaptiveSumCheck:
                 (keys, values), (out_k, bad_v), WEAK, seed=seed,
                 policy=AdaptiveCheckPolicy(escalate_on="never"),
             )
-            ref = SumAggregationChecker(WEAK, seed).check_local(
-                (keys, values), (out_k, bad_v)
+            ref = check_sum_aggregation(
+                (keys, values), (out_k, bad_v), WEAK, seed=seed
             )
             assert result.details["primary_accepted"] == ref.accepted
             assert result.accepted == ref.accepted
@@ -169,9 +168,9 @@ class TestAdaptiveSumCheck:
         adaptive = result.details["adaptive"]
         assert adaptive["escalated"]
         expected = [
-            SumAggregationChecker(WEAK, int(s))
-            .check_local((keys, values), (out_k, bad_v))
-            .accepted
+            check_sum_aggregation(
+                (keys, values), (out_k, bad_v), WEAK, seed=int(s)
+            ).accepted
             for s in policy.resolve_seeds(3)
         ]
         assert adaptive["per_seed_accepted"] == expected
@@ -328,7 +327,7 @@ class TestCheckedPipelinesWithPolicy:
         assert not result.accepted and stats.escalated
         report = localize_fault((keys, values), (ok, ov), STRONG, seeds=[1, 2])
         assert report.localized
-        SumAggregationChecker(STRONG, 3).local_tables(keys, values)
+        MultiSeedSumChecker(STRONG, 3).local_tables(keys, values)
         assert np.array_equal(keys, frozen[0])
         assert np.array_equal(values, frozen[1])
 
@@ -588,8 +587,8 @@ class TestDIAAdaptive:
 
 class TestEscalationSeedsOnlyWhenEscalating:
     """An accepted ``escalate_on="reject"`` check never derives the ``T``
-    escalation seeds, and an adaptive window settle never builds the
-    single-seed checker it does not use."""
+    escalation seeds, and an adaptive window settle spends its primary
+    seed, then the escalation seeds only on a reject."""
 
     ACCEPTED_ADAPTIVE = {
         "escalated": False,
@@ -605,13 +604,6 @@ class TestEscalationSeedsOnlyWhenEscalating:
             raise AssertionError("escalation seeds derived on an accept")
 
         monkeypatch.setattr(AdaptiveCheckPolicy, "resolve_seeds", refuse)
-
-    @pytest.fixture
-    def no_single_seed_checker(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("single-seed checker built for a window")
-
-        monkeypatch.setattr(SumAggregationChecker, "__init__", refuse)
 
     def test_accepted_checks_derive_no_seeds(self, no_resolve):
         keys, values = sum_workload(1_000, num_keys=50, seed=40)
@@ -660,9 +652,7 @@ class TestEscalationSeedsOnlyWhenEscalating:
                         (sum_v, sum_rec, 60 + window)]
         return records
 
-    def test_adaptive_window_settles_build_no_single_seed_checker(
-        self, no_single_seed_checker
-    ):
+    def test_adaptive_window_settles_spend_primary_then_escalation(self):
         policy = AdaptiveCheckPolicy()
         for verdict, record, seed_w in self._settle_both(fault_window=1):
             adaptive = verdict.details["adaptive"]

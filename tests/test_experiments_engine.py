@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.params import PermCheckConfig, SumCheckConfig
 from repro.core.permutation_checker import HashSumPermutationChecker
-from repro.core.sum_checker import SumAggregationChecker
+from repro.core.sum_checker import draw_moduli, reference_tables
 from repro.experiments.accuracy import (
     _kv_manipulator,
     _seq_manipulator,
@@ -54,10 +54,12 @@ def _reference_sum_verdicts(config, manipulator, trials, seed):
     for trial in range(trials):
         rng = SplitMixStream(derive_seed(seed, "trial", trial))
         effect = man.sample_delta(rng, keys, values)
-        checker = SumAggregationChecker(
-            effective, derive_seed(seed, "checker", trial)
-        )
-        out[trial] = checker.detects_delta(effect.delta_keys, effect.delta_values)
+        out[trial] = reference_tables(
+            effective,
+            derive_seed(seed, "checker", trial),
+            effect.delta_keys,
+            effect.delta_values,
+        ).any()
     return out
 
 
@@ -207,7 +209,7 @@ class TestEdgeCases:
 
 class TestVerdictKernelsDirect:
     def test_sum_delta_verdicts_vs_scalar_checkers(self):
-        """The kernel equals per-seed ``detects_delta`` on a shared delta."""
+        """The kernel equals per-seed reference tables on a shared delta."""
         config = SumCheckConfig.parse("2x4 m2").with_hash("Mix")
         trials = 200
         seeds = np.arange(trials, dtype=np.uint64) * np.uint64(13) + np.uint64(5)
@@ -221,8 +223,7 @@ class TestVerdictKernelsDirect:
         )
         got = sum_delta_verdicts(config, seeds, delta)
         for t in range(trials):
-            checker = SumAggregationChecker(config, int(seeds[t]))
-            assert got[t] == checker.detects_delta(dk, dv)
+            assert got[t] == reference_tables(config, int(seeds[t]), dk, dv).any()
         assert got.any() and not got.all()
 
     def test_perm_change_verdicts_vs_scalar_checkers(self):
@@ -247,7 +248,7 @@ class TestVerdictKernelsDirect:
 
         Three same-bucket residues near 2r̂ = 2^53 overflow the float64
         fast path; the kernel must fall back to exact int64 accumulation
-        and agree with the scalar checker.
+        and agree with the reference fold.
         """
         config = SumCheckConfig(iterations=1, d=2, rhat=1 << 52, hash_family="Mix")
         trials = 16
@@ -260,17 +261,17 @@ class TestVerdictKernelsDirect:
             trials=trials,
         )
         for t in range(trials):
-            checker = SumAggregationChecker(config, int(seeds[t]))
-            r = int(checker.moduli[0])
+            r = int(draw_moduli(config, int(seeds[t]))[0])
             dv = np.array([r - 1, r - 1, 3 - 2 * r], dtype=np.int64)
             delta.delta_values[3 * t : 3 * t + 3] = dv
         got = sum_delta_verdicts(config, seeds, delta)
         for t in range(trials):
-            checker = SumAggregationChecker(config, int(seeds[t]))
-            expected = checker.detects_delta(
+            expected = reference_tables(
+                config,
+                int(seeds[t]),
                 delta.delta_keys[3 * t : 3 * t + 3],
                 delta.delta_values[3 * t : 3 * t + 3],
-            )
+            ).any()
             assert got[t] == expected, t
 
     def test_perm_log_h_out_of_range(self):

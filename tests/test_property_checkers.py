@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.median_checker import check_median_aggregation
+from repro.core.multiseed import MultiSeedSumChecker, check_sum_aggregation
 from repro.core.params import SumCheckConfig, optimize_parameters
 from repro.core.permutation_checker import (
     check_permutation_gf64,
@@ -18,7 +19,6 @@ from repro.core.permutation_checker import (
     wide_sum,
 )
 from repro.core.sort_checker import check_sort
-from repro.core.sum_checker import SumAggregationChecker, check_sum_aggregation
 from repro.core.zip_checker import check_zip
 from repro.hashing.gf2 import gf64_mul
 from repro.workloads.kv import aggregate_reference
@@ -83,7 +83,7 @@ class TestSumCheckerOneSided:
         """T(A ⊎ B) = T(A) ⊕ T(B) — the identity behind detects_delta."""
         keys, values = _to_arrays(pairs)
         half = keys.size // 2
-        checker = SumAggregationChecker(config, seed)
+        checker = MultiSeedSumChecker(config, seed)
         whole = checker.local_tables(keys, values)
         parts = checker.combine(
             checker.local_tables(keys[:half], values[:half]),
@@ -95,7 +95,7 @@ class TestSumCheckerOneSided:
     @settings(max_examples=60, deadline=None)
     def test_pack_unpack_identity(self, pairs, config, seed):
         keys, values = _to_arrays(pairs)
-        checker = SumAggregationChecker(config, seed)
+        checker = MultiSeedSumChecker(config, seed)
         table = checker.local_tables(keys, values)
         assert np.array_equal(checker.unpack(checker.pack(table)), table)
 

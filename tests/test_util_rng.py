@@ -108,16 +108,20 @@ class TestNumpyIntegerSeedsEndToEnd:
                 assert got.details == want.details
 
     def test_sum_aggregation_checker(self):
+        from repro.core.multiseed import MultiSeedSumChecker
         from repro.core.params import SumCheckConfig
-        from repro.core.sum_checker import SumAggregationChecker
+        from repro.core.sum_checker import reference_tables
 
         config = SumCheckConfig.parse("4x16 m15")
         keys = np.arange(50, dtype=np.uint64) % 7
         values = np.arange(50, dtype=np.int64)
-        want = SumAggregationChecker(config, 5).local_tables(keys, values)
+        want = reference_tables(config, 5, keys, values)
         for seed in (np.int64(5), np.uint64(5)):
-            got = SumAggregationChecker(config, seed).local_tables(keys, values)
-            assert np.array_equal(got, want)
+            got = MultiSeedSumChecker(config, seed).local_tables(keys, values)
+            assert np.array_equal(got[0], want)
+            assert np.array_equal(
+                reference_tables(config, seed, keys, values), want
+            )
 
     def test_windowed_ops(self):
         from repro.dataflow.streaming import StreamingDIA, StreamingKeyValueDIA
