@@ -112,7 +112,7 @@ def _cell(size: int, windows: int, streams: int = 1) -> dict:
             best["operation"], operation / (windows * streams)
         )
 
-    once()  # warm-up: hash tables, kernel tier, allocator
+    once()  # warm-up: hash tables, instance caches, allocator
     best_of(once, _REPEATS)
     return {
         "pairs_per_window": size,

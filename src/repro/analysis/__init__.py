@@ -1,8 +1,8 @@
 """Static analysis for the repro codebase (``python -m repro.analysis``).
 
 An AST-based rule engine that checks the invariants the runtime cannot:
-collective lockstep across PEs, kernel-backend parity,
-seeded-randomness discipline, and int64 overflow discipline.  See :mod:`repro.analysis.rules` for the catalogue and
+collective lockstep across PEs, seeded-randomness discipline, and int64
+overflow discipline.  See :mod:`repro.analysis.rules` for the catalogue and
 :mod:`repro.analysis.engine` for suppression syntax.
 """
 

@@ -327,9 +327,6 @@ class CallGraph:
                             info.transitive |= target.transitive
                             changed = True
 
-    def issues_collectives(self, info: FunctionInfo) -> bool:
-        return bool(info.transitive)
-
     # -- return-replication -------------------------------------------------------
 
     def _returns_levels(self) -> None:

@@ -1,8 +1,8 @@
 """Analyzer engine: modules, findings, suppressions, and the rule runner.
 
 The analyzer is purely static — it parses source with :mod:`ast` and never
-imports the code under analysis (so e.g. the numba backend is analyzable on
-a machine without numba).  A :class:`Project` is the unit of analysis: a set
+imports the code under analysis (so e.g. the MPI backend is analyzable on a
+machine without mpi4py).  A :class:`Project` is the unit of analysis: a set
 of parsed modules plus the cross-module indexes rules need (built lazily by
 :mod:`repro.analysis.callgraph`).
 

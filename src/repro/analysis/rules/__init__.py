@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from repro.analysis.rules.determinism import DeterminismRule
-from repro.analysis.rules.kernel_parity import KernelParityRule
 from repro.analysis.rules.lockstep import LockstepRule
 from repro.analysis.rules.overflow import OverflowRule
 
 #: Every shipped rule, in catalogue order.
 ALL_RULES = [
     LockstepRule,
-    KernelParityRule,
     DeterminismRule,
     OverflowRule,
 ]

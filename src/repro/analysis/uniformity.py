@@ -28,7 +28,6 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.callgraph import (
-    CONV,
     NONUNIFORM,
     REPLICATED_COLLECTIVES,
     TRUE,
@@ -405,8 +404,3 @@ def compute_returns(graph: CallGraph, info: FunctionInfo) -> tuple[int, int]:
         else:
             levels.append(TRUE)  # implicit `return None`
     return levels[0], levels[1]
-
-
-def function_returns_level(graph: CallGraph, info: FunctionInfo):
-    """Back-compat shim used by the callgraph fixed point."""
-    return compute_returns(graph, info)

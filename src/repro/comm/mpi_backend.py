@@ -1,11 +1,10 @@
 """Optional mpi4py backend: real distributed-memory PEs under ``mpiexec``.
 
 mpi4py is never a hard dependency.  The import is lazy and the outcome
-sticky (mirroring the numba tier in :mod:`repro.kernels.dispatch`): when
-``mpi4py`` is absent or ``MPI.Init`` fails, :func:`mpi_available` is False,
-a once-per-process :class:`RuntimeWarning` fires if ``mpi`` was explicitly
-requested, and the caller falls back to the thread oracle — importing this
-module never raises.
+sticky: when ``mpi4py`` is absent or ``MPI.Init`` fails,
+:func:`mpi_available` is False, a once-per-process :class:`RuntimeWarning`
+fires if ``mpi`` was explicitly requested, and the caller falls back to the
+thread oracle — importing this module never raises.
 
 Point-to-point messages reuse the shared wire format of
 :mod:`repro.comm.backend` as single ``MPI.BYTE`` frames (``Probe`` +

@@ -17,7 +17,7 @@ import numpy as np
 from repro.comm import ops
 from repro.core.base import CheckResult
 from repro.core.permutation_checker import check_permutation_hashsum
-from repro.core.sum_checker import _coerce_keys
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.hashing.families import get_family
 from repro.util.rng import derive_seed, derive_seed_array, splitmix64_array
 
@@ -31,7 +31,7 @@ def encode_records(keys, values) -> np.ndarray:
     ≤ n·2^-64 to the checker's failure probability.
     """
     keys = _coerce_keys(keys)
-    values = np.asarray(values, dtype=np.int64).view(np.uint64).ravel()
+    values = _coerce_values(values).view(np.uint64)
     return splitmix64_array(splitmix64_array(keys) ^ values)
 
 

@@ -55,8 +55,7 @@ from repro.hashing.bitgroups import (
     iter_bucket_blocks,
     iter_superbucket_blocks,
 )
-from repro.hashing.families import get_family, hash_lanes
-from repro.kernels import get_kernels, seeds_per_block
+from repro.hashing.families import get_family, hash_lanes, seeds_per_block
 from repro.util.bits import ceil_log2, is_power_of_two
 from repro.util.rng import derive_seed_array, splitmix64_array
 
@@ -335,7 +334,6 @@ class MultiSeedSumChecker:
             self._accumulate_supergroups(condensed, tables)
             return tables
 
-        kernels = get_kernels()
         for start, count, buckets in iter_bucket_blocks(
             self._family, cfg.d, cfg.iterations, self._bucket_seeds,
             condensed.unique_keys, self.chunk_elements,
@@ -348,8 +346,8 @@ class MultiSeedSumChecker:
                     if agg_float is not None:
                         # Fast path: raw weighted bincount per lane, one
                         # deferred mod at the end (exact under `bound`).
-                        sums = kernels.weighted_bincount(
-                            block[j], agg_float, cfg.d
+                        sums = np.bincount(
+                            block[j], weights=agg_float, minlength=cfg.d
                         )
                         tables[t, j] = sums.astype(np.int64) % int(
                             self.moduli[t, j]
@@ -429,7 +427,6 @@ class MultiSeedSumChecker:
         reduced by one cast and one broadcast ``% moduli``.
         """
         cfg = self.config
-        kernels = get_kernels()
         agg_float = condensed.agg_float
         group_bits = ceil_log2(cfg.d)
         for start, count, supers in iter_superbucket_blocks(
@@ -441,7 +438,9 @@ class MultiSeedSumChecker:
             for j0, m, idx in supers:
                 bins = 1 << (m * group_bits)
                 for c in range(count):
-                    lead = kernels.weighted_bincount(idx[c], agg_float, bins)
+                    lead = np.bincount(
+                        idx[c], weights=agg_float, minlength=bins
+                    )
                     # As a C-order (d,)*m cube, axis a holds the bits of
                     # group j0 + (m-1-a).  Peel the leading axis off one
                     # at a time: its row sums are that iteration's

@@ -26,12 +26,11 @@ fingerprints — ``O((n/(p·w) + β) log 1/δ + α log p)`` (Theorem 6).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.comm import ops
 from repro.core.base import CheckResult
+from repro.core.sum_checker import _coerce_keys
 from repro.hashing.families import get_family
 from repro.hashing.gf2 import gf64_mul, gf64_product
 from repro.hashing.primes import random_prime_in_range
@@ -84,7 +83,9 @@ def _as_sequences(side) -> list[np.ndarray]:
 
     A side may be a single array or a list of arrays — the latter supports
     the Union/Merge checkers, which compare ``concat(S1, S2)`` against ``S``
-    without materialising the concatenation.
+    without materialising the concatenation.  Elements must be integers
+    (``_coerce_keys``): truncating 0.5 and 0.7 to the same word would let
+    a wrong float result fingerprint like the right one.
     """
     if isinstance(side, (list, tuple)) and not (
         len(side) == 2 and np.isscalar(side[0])
@@ -92,15 +93,7 @@ def _as_sequences(side) -> list[np.ndarray]:
         seqs = list(side)
     else:
         seqs = [side]
-    out = []
-    for seq in seqs:
-        arr = np.asarray(seq)
-        if arr.dtype.kind == "i":
-            arr = arr.astype(np.int64).view(np.uint64)
-        else:
-            arr = arr.astype(np.uint64)
-        out.append(arr.ravel())
-    return out
+    return [_coerce_keys(seq) for seq in seqs]
 
 
 class HashSumPermutationChecker:

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.params import SumCheckConfig
 from repro.hashing.bitgroups import BucketAssigner
 from repro.hashing.families import get_family
-from repro.kernels import get_kernels
 from repro.util.rng import (
     derive_seed,
     derive_seed_array,
@@ -117,17 +116,27 @@ def _magnitude_bound(values: np.ndarray) -> int:
 def _scatter_add_mod(
     table: np.ndarray, buckets: np.ndarray, values: np.ndarray, r: int
 ) -> None:
-    """``table[buckets[i]] += values[i] (mod r)`` exactly, via the kernel tier.
+    """``table[buckets[i]] += values[i] (mod r)`` exactly, in place.
 
-    Values are pre-reduced mod r (so ``0 <= v < r``).  The numpy tier
-    sizes chunks so a chunk's bucket sum stays below 2^52 and is exact in
-    the float64 arithmetic of ``np.bincount``, reducing mod r once per
-    chunk ("deferred modulo", §7.1); the numba tier keeps a running
-    residue with one conditional subtract per element.  Both are exact.
+    Values are pre-reduced mod r (so ``0 <= v < r``).  Chunks are sized
+    so a chunk's bucket sum stays below 2^52 and is exact in the float64
+    arithmetic of ``np.bincount``, reducing mod r once per chunk
+    ("deferred modulo", §7.1).
     """
     if values.size == 0:
         return
-    get_kernels().scatter_add_mod(table, buckets, values, int(r))
+    r = int(r)
+    chunk = max(1, (1 << _CHUNK_BITS) // max(r, 2))
+    d = table.shape[0]
+    for start in range(0, values.size, chunk):
+        stop = start + chunk
+        part = np.bincount(
+            buckets[start:stop],
+            weights=values[start:stop].astype(np.float64),
+            minlength=d,
+        ).astype(np.int64)
+        table += part
+        table %= r
 
 
 def pack_residues(flat: np.ndarray, bits: int) -> bytes:
@@ -231,9 +240,8 @@ def reference_tables(
         # Deferred modulo (§7.1): every bucket sum fits the float64
         # mantissa, so accumulate raw values and reduce mod r once.
         weights = values.astype(np.float64)
-        kernels = get_kernels()
         for j in range(config.iterations):
-            part = kernels.weighted_bincount(buckets[j], weights, config.d)
+            part = np.bincount(buckets[j], weights=weights, minlength=config.d)
             tables[j] = part.astype(np.int64) % int(moduli[j])
     else:
         for j in range(config.iterations):

@@ -65,12 +65,18 @@ def _words(values) -> np.ndarray:
     """The 64-bit words a column hashes as.
 
     Signed values hash as their two's-complement words, so an int64 and
-    a uint64 column with equal words fingerprint alike.
+    a uint64 column with equal words fingerprint alike.  Any other dtype
+    raises ``TypeError``: truncating floats to words would let a wrong
+    float column fingerprint like the right one.
     """
     values = np.asarray(values).ravel()
     if values.dtype.kind == "i":
         return values.astype(np.int64, copy=False).view(np.uint64)
-    return values.astype(np.uint64, copy=False)
+    if values.dtype.kind == "u":
+        return values.astype(np.uint64, copy=False)
+    raise TypeError(
+        f"zip checks require integer columns, got dtype {values.dtype}"
+    )
 
 
 def _fingerprints(values, global_offset: int, lanes: list) -> list[int]:

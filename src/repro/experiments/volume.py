@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.comm import ops
 from repro.comm.context import Context
-from repro.comm.cost import bottleneck_volume
 from repro.core.median_checker import check_median_aggregation
 from repro.core.multiseed import check_sum_aggregation
 from repro.core.params import SumCheckConfig
@@ -40,15 +39,6 @@ class VolumeRow:
     p: int
     bottleneck_bytes: int
     max_messages_per_pe: int
-
-
-def _measure(ctx: Context, program, per_rank_args) -> tuple[int, int]:
-    ctx.run(program, per_rank_args=per_rank_args)
-    meters = ctx.meters
-    return (
-        bottleneck_volume(meters),
-        max(max(m.messages_sent, m.messages_received) for m in meters),
-    )
 
 
 def _sum_volume(n: int, p: int, seed: int) -> VolumeRow:

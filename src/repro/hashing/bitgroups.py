@@ -19,8 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.families import AffineLaneHasher, HashFamily, hash_lanes
-from repro.kernels import seeds_per_block
+from repro.hashing.families import (
+    AffineLaneHasher,
+    HashFamily,
+    hash_lanes,
+    seeds_per_block,
+)
 from repro.util.bits import ceil_log2, is_power_of_two
 from repro.util.rng import derive_seed, derive_seed_array, splitmix64_array
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import get_kernels
 from repro.util.rng import derive_seed, derive_seed_array, splitmix64, splitmix64_array
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -35,57 +34,6 @@ def splitmix_hash_batch(
     if out_bits < 64:
         mixed &= np.uint64((1 << out_bits) - 1)
     return mixed
-
-
-#: Lane-matrix elements per broadcast block; bounds each block's
-#: temporaries to ~2 MB so the mixing passes run cache-resident instead
-#: of streaming full (T, n) intermediates through DRAM (measured ~1.7×
-#: on Mix lanes at T=32, n=2·10^5 vs the unblocked broadcast).
-_BROADCAST_BLOCK_ELEMENTS = 1 << 18
-
-
-def _blocked_lanes(seeds: np.ndarray, keys: np.ndarray, block_eval) -> np.ndarray:
-    """Fill a (T, n) lane matrix via ``block_eval(key_block, out_block)``,
-    cache-blocked over the key axis."""
-    out = np.empty((seeds.size, keys.size), dtype=np.uint64)
-    block = max(1, _BROADCAST_BLOCK_ELEMENTS // max(seeds.size, 1))
-    for start in range(0, keys.size, block):
-        end = min(start + block, keys.size)
-        block_eval(keys[start:end], out[:, start:end])
-    return out
-
-
-def splitmix_lanes(
-    seeds: np.ndarray, keys: np.ndarray, out_bits: int = 64
-) -> np.ndarray:
-    """Lane matrix ``out[t] = SplitMixHash(seeds[t], out_bits).hash_array``.
-
-    The multi-seed access pattern (every seed over the same keys) as a
-    broadcast mix over ``seeds[:, None] ^ keys[None, :]`` — no per-seed
-    loop and no key tiling.  Shape ``(len(seeds), len(keys))``.  The mix
-    runs on the active kernel tier (:mod:`repro.kernels`).
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    mask = np.uint64((1 << out_bits) - 1) if out_bits < 64 else np.uint64(_MASK64)
-    kernels = get_kernels()
-    return _blocked_lanes(
-        seeds, keys, lambda k, o: kernels.mix_lanes(seeds, k, mask, o)
-    )
-
-
-def multiply_shift_lanes(
-    seeds: np.ndarray, keys: np.ndarray, out_bits: int = 32
-) -> np.ndarray:
-    """Lane matrix of :class:`MultiplyShiftHash` rows (broadcast product)."""
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    multipliers = derive_seed_array(seeds, "multiply-shift") | np.uint64(1)
-    shift = np.uint64(64 - out_bits)
-    kernels = get_kernels()
-    return _blocked_lanes(
-        seeds, keys, lambda k, o: kernels.mshift_lanes(multipliers, k, shift, o)
-    )
 
 
 def multiply_shift_hash_batch(

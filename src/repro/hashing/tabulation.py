@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import get_kernels
 from repro.util.rng import derive_seed, derive_seed_array, splitmix64_array
 
 
@@ -128,8 +127,8 @@ _FUSED_BLOCK_ELEMENTS = 1 << 16
 def _key_byte_indices(keys: np.ndarray, num_tables: int) -> np.ndarray:
     """Per-table byte indices of every key, shape ``(num_tables, n)`` intp.
 
-    One 2-D array (the gather addresses) so kernel tiers can take a
-    contiguous-row slice per cache block without per-table list plumbing.
+    One 2-D array (the gather addresses), so each cache block takes a
+    contiguous-row slice without per-table list plumbing.
     """
     keys = np.asarray(keys, dtype=np.uint64).ravel()
     out = np.empty((num_tables, keys.size), dtype=np.intp)
@@ -174,11 +173,22 @@ class StackedLaneHasher:
         )
 
     def _gather_block(
-        self, kernels, tables: np.ndarray, start: int, end: int,
+        self, tables: np.ndarray, start: int, end: int,
         acc: np.ndarray, tmp: np.ndarray,
     ) -> None:
-        """XOR-accumulate all tables' gathers for keys ``start:end``."""
-        kernels.tab_gather(tables, self._bytes[:, start:end], acc, tmp)
+        """XOR-accumulate all tables' gathers for keys ``start:end``.
+
+        ``acc[t, i] = ⊕_j tables[j, t, byte_j(key_i)]``; ``tmp`` is a
+        same-shape scratch.  ``mode="clip"`` skips numpy's per-element
+        bounds check without changing results (indices are bytes by
+        construction).
+        """
+        byte_idx = self._bytes[:, start:end]
+        np.take(tables[0], byte_idx[0], axis=1, out=tmp, mode="clip")
+        acc[:] = tmp
+        for j in range(1, tables.shape[0]):
+            np.take(tables[j], byte_idx[j], axis=1, out=tmp, mode="clip")
+            acc ^= tmp
 
     def lanes(self, seeds: np.ndarray) -> np.ndarray:
         """Lane matrix ``out[t] = TabulationHash(seeds[t], ...).hash_array``.
@@ -193,13 +203,12 @@ class StackedLaneHasher:
         out = np.empty((lanes, n), dtype=np.uint64)
         if n == 0:
             return out
-        kernels = get_kernels()
         block = max(1, _LANE_BLOCK_ELEMENTS // max(lanes, 1))
         scratch = np.empty((lanes, min(block, n)), dtype=np.uint64)
         for start in range(0, n, block):
             end = min(start + block, n)
             self._gather_block(
-                kernels, tables, start, end,
+                tables, start, end,
                 out[:, start:end], scratch[:, : end - start],
             )
         return out
@@ -224,10 +233,9 @@ class StackedLaneHasher:
         """
         seeds = np.asarray(seeds, dtype=np.uint64).ravel()
         tables = self._seed_major_tables(seeds)
-        kernels = get_kernels()
 
         def gather(start, end, acc, scratch):
-            self._gather_block(kernels, tables, start, end, acc, scratch)
+            self._gather_block(tables, start, end, acc, scratch)
 
         fused_lane_fields(
             gather, seeds.size, self.num_keys, fields, out, modulus

@@ -164,65 +164,6 @@ def test_lockstep_branching_on_settled_verdict_is_replicated():
 
 
 # ---------------------------------------------------------------------------
-# kernel-parity
-# ---------------------------------------------------------------------------
-
-
-def _kernel_sources(numpy_src: str, numba_src: str, names: str = "'alpha', 'beta'"):
-    return {
-        "src/repro/kernels/dispatch.py": f"KERNEL_NAMES = ({names},)\n",
-        "src/repro/kernels/numpy_backend.py": numpy_src,
-        "src/repro/kernels/numba_backend.py": numba_src,
-    }
-
-
-_MATCHING = "def alpha(x, y):\n    return x\n\ndef beta(a):\n    return a\n"
-
-
-def test_kernel_parity_accepts_matching_backends():
-    assert (
-        unsuppressed(_kernel_sources(_MATCHING, _MATCHING), "kernel-parity")
-        == []
-    )
-
-
-def test_kernel_parity_flags_missing_kernel():
-    numba = "def alpha(x, y):\n    return x\n"
-    found = unsuppressed(_kernel_sources(_MATCHING, numba), "kernel-parity")
-    assert len(found) == 1
-    assert "'beta'" in found[0].message and "numba_backend" in found[0].message
-
-
-def test_kernel_parity_flags_signature_mismatch():
-    numba = "def alpha(x, z):\n    return x\n\ndef beta(a):\n    return a\n"
-    found = unsuppressed(_kernel_sources(_MATCHING, numba), "kernel-parity")
-    assert len(found) == 1
-    assert "signature mismatch" in found[0].message
-
-
-def test_kernel_parity_flags_undispatched_public_function():
-    numpy_src = _MATCHING + "\ndef gamma(q):\n    return q\n"
-    found = unsuppressed(_kernel_sources(numpy_src, _MATCHING), "kernel-parity")
-    assert len(found) == 1
-    assert "'gamma'" in found[0].message
-    assert "missing from KERNEL_NAMES" in found[0].message
-
-
-def test_kernel_parity_helpers_and_self_check_are_exempt():
-    extra = "\ndef _helper(q):\n    return q\n\ndef self_check(oracle):\n    return None\n"
-    sources = _kernel_sources(_MATCHING + extra, _MATCHING)
-    assert unsuppressed(sources, "kernel-parity") == []
-
-
-def test_kernel_parity_mutation_dropping_table_entry_flips_to_finding():
-    # Same backends, but the dispatch table no longer lists beta.
-    sources = _kernel_sources(_MATCHING, _MATCHING, names="'alpha'")
-    found = unsuppressed(sources, "kernel-parity")
-    assert len(found) == 2  # beta now undispatched in both backends
-    assert all("'beta'" in f.message for f in found)
-
-
-# ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 

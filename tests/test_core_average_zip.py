@@ -190,6 +190,12 @@ class TestZipChecker:
         s1, s2 = self._data()
         assert check_zip(s1, s2, s1, s2, seed=1).accepted
 
+    def test_rejects_float_columns(self):
+        # Truncated to words, [0.5, 1.5] would zip like [0, 1].
+        s2 = np.array([7, 8], dtype=np.uint64)
+        with pytest.raises(TypeError, match="integer columns"):
+            check_zip(np.array([0.5, 1.5]), s2, np.array([0.0, 1.0]), s2)
+
     def test_detects_swap_within_first(self):
         s1, s2 = self._data()
         z1 = s1.copy()

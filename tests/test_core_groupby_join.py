@@ -28,6 +28,13 @@ class TestEncodeRecords:
             0
         ] != encode_records(np.array([2], dtype=np.uint64), np.array([3]))[0]
 
+    def test_signed_and_unsigned_values_encode_alike(self):
+        k = np.array([1, 2], dtype=np.uint64)
+        v = np.array([-1, 5], dtype=np.int64)
+        assert np.array_equal(
+            encode_records(k, v), encode_records(k, v.view(np.uint64))
+        )
+
     def test_no_collisions_on_small_domain(self):
         keys = np.repeat(np.arange(100, dtype=np.uint64), 100)
         values = np.tile(np.arange(100, dtype=np.int64), 100)
@@ -223,3 +230,33 @@ class TestJoinChecker:
             check_join_redistribution(empty, empty, empty, empty, mode="fuzzy")
         with pytest.raises(ValueError):
             check_join_redistribution(empty, empty, empty, empty, mode="hash")
+
+
+class TestFloatValuesRejected:
+    """Cast to int64, record values 1.5 and 1.2 both encode as 1, so a
+    changed value would pass the redistribution check; float values
+    raise instead."""
+
+    KEYS = np.arange(8, dtype=np.uint64)
+
+    def _records(self, value):
+        return self.KEYS, np.full(self.KEYS.size, value)
+
+    def test_encode_records(self):
+        with pytest.raises(TypeError, match="integer values"):
+            encode_records(*self._records(1.5))
+
+    def test_groupby(self):
+        with pytest.raises(TypeError, match="integer values"):
+            check_groupby_redistribution(
+                self._records(1.5), self._records(1.2), default_partitioner(1)
+            )
+
+    @pytest.mark.parametrize("mode", ["hash", "range"])
+    def test_join(self, mode):
+        s = (self.KEYS, np.arange(self.KEYS.size, dtype=np.int64))
+        with pytest.raises(TypeError, match="integer values"):
+            check_join_redistribution(
+                self._records(1.5), s, self._records(1.2), s,
+                mode=mode, partitioner=default_partitioner(1),
+            )

@@ -500,6 +500,13 @@ class TestValidation:
                 SumCheckConfig.parse("4x8 m5"), np.array([0.4, 0.6])
             )
 
+    def test_permutation_rejects_float_elements(self):
+        # Truncated to words, [0.5, 1.5, 2.5] would match [0, 1, 2].
+        with pytest.raises(TypeError, match="integer"):
+            MultiSeedHashSumChecker([1, 2]).check(
+                np.array([0.5, 1.5, 2.5]), np.array([0.0, 1.0, 2.0])
+            )
+
     def test_rejects_bad_chunk_budget(self):
         with pytest.raises(ValueError):
             MultiSeedSumChecker(

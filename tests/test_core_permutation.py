@@ -65,6 +65,21 @@ class TestAllMethods:
         o = np.array([5, 7, 7], dtype=np.uint64)
         assert not _METHODS[method](e, o).accepted
 
+    def test_rejects_float_elements(self, method):
+        # Truncated to words, [0.5, 1.5, 2.5] would match [0, 1, 2].
+        with pytest.raises(TypeError, match="integer"):
+            _METHODS[method](
+                np.array([0.5, 1.5, 2.5]), np.array([0.0, 1.0, 2.0])
+            )
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.uint16, np.int32, np.uint32]
+    )
+    def test_narrow_integers_compare_by_word(self, method, dtype):
+        e = np.array([3, 1, 2, 100], dtype=dtype)
+        assert _METHODS[method](e, np.array([1, 2, 3, 100])).accepted
+        assert not _METHODS[method](e, np.array([1, 2, 3, 101])).accepted
+
     def test_empty_sequences_accepted(self, method):
         empty = np.zeros(0, dtype=np.uint64)
         assert _METHODS[method](empty, empty.copy()).accepted

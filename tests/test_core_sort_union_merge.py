@@ -163,3 +163,27 @@ class TestCheckMerge:
         bad[10] += 1
         bad.sort()
         assert not check_merge(s1, s2, bad, seed=1).accepted
+
+
+class TestFloatElementsRejected:
+    """Truncated to words, 0.5, 1.5, 2.5 would be a permutation of 0.0,
+    1.0, 2.0, so every method would accept the wrong output; non-integer
+    elements raise instead."""
+
+    E = np.array([0.5, 1.5, 2.5])
+    O = np.array([0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("method", ["hashsum", "polynomial", "gf64"])
+    def test_sort(self, method):
+        with pytest.raises(TypeError, match="integer"):
+            check_sort(self.E, self.O, method=method)
+
+    @pytest.mark.parametrize("method", ["hashsum", "polynomial", "gf64"])
+    def test_union(self, method):
+        with pytest.raises(TypeError, match="integer"):
+            check_union(self.E[:1], self.E[1:], self.O, method=method)
+
+    @pytest.mark.parametrize("method", ["hashsum", "polynomial", "gf64"])
+    def test_merge(self, method):
+        with pytest.raises(TypeError, match="integer"):
+            check_merge(self.E[:1], self.E[1:], self.O, method=method)

@@ -9,7 +9,11 @@ from repro.core.multiseed import (
     check_sum_aggregation,
 )
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import draw_moduli, reference_tables
+from repro.core.sum_checker import (
+    _scatter_add_mod,
+    draw_moduli,
+    reference_tables,
+)
 from repro.workloads.kv import aggregate_reference, sum_workload
 
 CFG = SumCheckConfig.parse("4x8 m15")
@@ -229,11 +233,44 @@ class TestCountAggregation:
         assert not check_count_aggregation(keys, out, STRONG, seed=1).accepted
 
 
+class TestScatterAddMod:
+    def test_matches_python_dict(self, rng):
+        r = 101
+        d = 16
+        buckets = rng.integers(0, d, 5_000).astype(np.intp)
+        values = rng.integers(0, r, 5_000, dtype=np.int64)
+        table = np.zeros(d, dtype=np.int64)
+        _scatter_add_mod(table, buckets, values, r)
+        ref = [0] * d
+        for b, v in zip(buckets.tolist(), values.tolist()):
+            ref[b] = (ref[b] + v) % r
+        assert table.tolist() == ref
+
+    def test_huge_modulus_chunks_exactly(self, rng):
+        # r near 2^51 forces ~2-element chunks: the deferred-modulo path
+        # must stay exact across many chunk boundaries.
+        r = (1 << 51) - 129
+        buckets = rng.integers(0, 4, 64).astype(np.intp)
+        values = rng.integers(0, r, 64, dtype=np.int64)
+        table = np.zeros(4, dtype=np.int64)
+        _scatter_add_mod(table, buckets, values, r)
+        ref = [0, 0, 0, 0]
+        for b, v in zip(buckets.tolist(), values.tolist()):
+            ref[b] = (ref[b] + v) % r
+        assert table.tolist() == ref
+
+    def test_empty_is_noop(self):
+        table = np.arange(5, dtype=np.int64)
+        _scatter_add_mod(
+            table, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64), 7
+        )
+        assert table.tolist() == [0, 1, 2, 3, 4]
+
+
 class TestInt64MinRegression:
     """The fast-path guard must survive |int64 min| (np.abs overflows)."""
 
     def test_batched_tables_equal_exact_scatter_path(self):
-        from repro.core.sum_checker import _scatter_add_mod
         from repro.hashing.bitgroups import BucketAssigner
         from repro.hashing.families import get_family
         from repro.util.rng import derive_seed

@@ -379,6 +379,39 @@ class TestAdaptiveKwargsAndDeterministicCompanions:
         )
         assert verdict.accepted
 
+    @pytest.mark.parametrize("escalate_on", ["reject", "always"])
+    def test_float_elements_rejected(self, escalate_on):
+        # Truncated to words, [0.5, 1.5, 2.5] would match [0, 1, 2].
+        from repro.dataflow.pipeline import adaptive_sort_check
+
+        with pytest.raises(TypeError, match="integer"):
+            adaptive_sort_check(
+                np.array([0.5, 1.5, 2.5]), np.array([0.0, 1.0, 2.0]),
+                policy=AdaptiveCheckPolicy(escalate_on=escalate_on),
+            )
+
+    @pytest.mark.parametrize("escalate_on", ["reject", "always"])
+    def test_float_record_values_rejected(self, escalate_on):
+        # Cast to int64, values 1.5 and 1.2 would encode alike.
+        from repro.core.groupby_checker import default_partitioner
+        from repro.dataflow.pipeline import adaptive_groupby_check
+
+        keys = np.arange(8, dtype=np.uint64)
+        with pytest.raises(TypeError, match="integer values"):
+            adaptive_groupby_check(
+                (keys, np.full(8, 1.5)), (keys, np.full(8, 1.2)),
+                default_partitioner(1),
+                policy=AdaptiveCheckPolicy(escalate_on=escalate_on),
+            )
+
+    def test_float_zip_columns_rejected(self):
+        s2 = np.array([7, 8], dtype=np.uint64)
+        with pytest.raises(TypeError, match="integer columns"):
+            adaptive_zip_check(
+                np.array([0.5, 1.5]), s2, np.array([0.0, 1.0]), s2,
+                policy=AdaptiveCheckPolicy(escalate_on="always"),
+            )
+
     def test_deterministic_failure_does_not_escalate(self):
         """An unsorted-but-complete output is proven wrong seed-free; the
         policy must not burn T fingerprint lanes confirming it."""

@@ -137,7 +137,7 @@ class TestFusedFields:
         calls = []
 
         def counting(*args):
-            calls.append(args[2:4])  # (start, end)
+            calls.append(args[1:3])  # (start, end)
             return real(*args)
 
         setattr(hasher, name, counting)

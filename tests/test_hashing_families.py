@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.hashing.families import get_family, list_families
+from repro.hashing.families import (
+    BroadcastLaneHasher,
+    get_family,
+    list_families,
+    seeds_per_block,
+)
+from repro.hashing.mixers import MultiplyShiftHash, SplitMixHash
 
 
 class TestRegistry:
@@ -92,3 +98,41 @@ class TestBatchedFamilyHash:
         finally:
             fam._batch_kernel = kernel
         assert np.array_equal(fast, slow)
+
+
+class TestSeedsPerBlock:
+    def test_block_sizes(self):
+        assert seeds_per_block(250, 100) == 2
+        assert seeds_per_block(10, 50) == 1  # never stalls at 0
+        assert seeds_per_block(1 << 20, 1) == 1 << 20
+        assert seeds_per_block(100, 0) == 100  # empty keys: any block works
+
+    @pytest.mark.parametrize("chunk", [0, -1, -100])
+    def test_rejects_non_positive_chunks(self, chunk):
+        with pytest.raises(ValueError, match="chunk_elements"):
+            seeds_per_block(chunk, 10)
+
+
+class TestBroadcastEvalBlock:
+    """The Mix/MShift broadcast loop against per-seed instances."""
+
+    def test_mix_matches_splitmix_instances(self, rng):
+        seeds = rng.integers(0, 2**64, 5, dtype=np.uint64)
+        keys = rng.integers(0, 2**64, 97, dtype=np.uint64)
+        for bits in (64, 32, 15):
+            hasher = BroadcastLaneHasher(keys, "mix", bits)
+            out = np.empty((5, 97), dtype=np.uint64)
+            hasher._eval_block(hasher._constants(seeds), 0, 97, out)
+            for t, seed in enumerate(seeds):
+                expected = SplitMixHash(int(seed), bits).hash_array(keys)
+                assert np.array_equal(out[t], expected), bits
+
+    def test_mshift_matches_multiply_shift_instances(self, rng):
+        seeds = rng.integers(0, 2**64, 5, dtype=np.uint64)
+        keys = rng.integers(0, 2**64, 97, dtype=np.uint64)
+        hasher = BroadcastLaneHasher(keys, "mshift", 32)
+        out = np.empty((5, 97), dtype=np.uint64)
+        hasher._eval_block(hasher._constants(seeds), 0, 97, out)
+        for t, seed in enumerate(seeds):
+            expected = MultiplyShiftHash(int(seed), 32).hash_array(keys)
+            assert np.array_equal(out[t], expected)
