@@ -9,7 +9,8 @@ scaling), on both the thread-mailbox oracle backend and the
   (:meth:`MultiSeedSumChecker.check_distributed_condensed`: per-rank
   condense + table build, one packed reduction + verdict broadcast);
 * ``perm-settle`` — the hash-sum permutation fingerprint settle
-  (:class:`HashSumPermutationChecker` with a distributed λ reduction);
+  (a one-seed :class:`MultiSeedHashSumChecker` from
+  ``repro.core.permutation_checker``, with a distributed λ reduction);
 * ``windowed-pipeline`` — the windowed streaming
   ``reduce_by_key_checked`` pipeline (exchange + per-window settles).
 
@@ -46,7 +47,7 @@ from conftest import best_of, run_once, smoke_mode, write_artifact
 from repro.comm.context import Context
 from repro.core.multiseed import MultiSeedSumChecker, condense_kv
 from repro.core.params import SumCheckConfig
-from repro.core.permutation_checker import HashSumPermutationChecker
+from repro.core.permutation_checker import MultiSeedHashSumChecker
 from repro.dataflow.streaming import StreamingKeyValueDIA
 from repro.util.rng import derive_seed, derive_seed_array
 from repro.workloads.kv import aggregate_reference, sum_workload
@@ -86,11 +87,9 @@ def _sum_settle_job(comm, keys, values, out_k, out_v, seeds):
 
 
 def _perm_settle_job(comm, e_share, o_share, seed):
-    checker = HashSumPermutationChecker(
-        iterations=_PERM_ITERATIONS, seed=seed
-    )
+    checker = MultiSeedHashSumChecker(seed, iterations=_PERM_ITERATIONS)
     res = checker.check(e_share, o_share, comm=comm)
-    return bool(res.accepted), list(res.details["detecting_iterations"])
+    return bool(res.accepted), list(res.details["per_seed_accepted"])
 
 
 def _pipeline_job(comm, keys, values, chunk, seed):

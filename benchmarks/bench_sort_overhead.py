@@ -21,7 +21,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.comm.context import Context
-from repro.core.permutation_checker import HashSumPermutationChecker
+from repro.core.permutation_checker import MultiSeedHashSumChecker
 from repro.core.sort_checker import check_globally_sorted
 from repro.dataflow.ops.sort import sample_sort
 from repro.experiments.overhead import sort_checker_overhead_ns
@@ -41,13 +41,13 @@ def _pipeline_fraction(n_total: int, p: int = 4) -> tuple[float, float]:
     data = uniform_integers(n_total, seed=7)
 
     def program(comm, chunk):
-        checker = HashSumPermutationChecker(
-            iterations=1, hash_family="Mix", log_h=32, seed=3
+        checker = MultiSeedHashSumChecker(
+            3, iterations=1, hash_family="Mix", log_h=32
         )
         t0 = time.perf_counter()
         out = sample_sort(comm, chunk)
         t1 = time.perf_counter()
-        lambdas = checker.lambda_values(chunk, out)
+        (lambdas,) = checker.lambda_values(chunk, out)
         t_fingerprint = time.perf_counter() - t1
         total = comm.allreduce(
             lambdas, op=lambda a, b: [x + y for x, y in zip(a, b)]
@@ -71,8 +71,8 @@ def test_sort_checker_overhead(benchmark, overhead_elements):
         out = np.sort(data)
         per_logh = []
         for log_h in (1, 8, 32):
-            checker = HashSumPermutationChecker(
-                iterations=1, hash_family="CRC4", log_h=log_h, seed=2
+            checker = MultiSeedHashSumChecker(
+                2, iterations=1, hash_family="CRC4", log_h=log_h
             )
             checker.lambda_values(data, out)  # warm-up
             t0 = time.perf_counter()

@@ -26,6 +26,11 @@ digest: ``seed`` takes one root seed or an array of ``T`` distinct roots,
 and a single seed is ``T = 1``.  ``sum_checker`` holds the shared folds,
 the wire codec and :func:`~repro.core.sum_checker.reference_tables`, the
 paper's per-iteration fold kept as oracle and timing baseline.
+
+Every hash-sum permutation check (sort, union, merge, group-by, join)
+runs on :class:`~repro.core.permutation_checker.MultiSeedHashSumChecker`
+the same way: one seed hashes each raw sequence once per iteration,
+``T`` seeds condense each side once and evaluate all lanes over it.
 """
 
 from repro.core.base import CheckResult
@@ -39,7 +44,6 @@ from repro.core.params import (
 from repro.core.integrity import check_replicated, replicated_digest
 from repro.core.localize import FaultReport, localize_fault
 from repro.core.multiseed import (
-    MultiSeedHashSumChecker,
     MultiSeedSumChecker,
     check_count_aggregation,
     check_sum_aggregation,
@@ -52,7 +56,7 @@ from repro.core.minmax_checker import (
 )
 from repro.core.median_checker import MedianCertificate, check_median_aggregation
 from repro.core.permutation_checker import (
-    HashSumPermutationChecker,
+    MultiSeedHashSumChecker,
     check_permutation_gf64,
     check_permutation_hashsum,
     check_permutation_polynomial,
@@ -86,7 +90,6 @@ __all__ = [
     "check_max_aggregation",
     "MedianCertificate",
     "check_median_aggregation",
-    "HashSumPermutationChecker",
     "check_permutation_gf64",
     "check_permutation_hashsum",
     "check_permutation_polynomial",

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.comm import ops
 from repro.core.base import CheckResult
+from repro.core.multiseed import _coerce_seeds
 from repro.core.permutation_checker import check_permutation_hashsum
 from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.hashing.families import get_family
@@ -46,6 +47,18 @@ def default_partitioner(num_pes: int, seed: int = 0):
     return part
 
 
+def records_placed(post_keys, partitioner, comm=None) -> bool:
+    """Is every received record at the PE ``partitioner`` assigns it to?
+
+    Seed-free and exact: one comparison per record, one AND-reduction.
+    """
+    rank = comm.rank if comm is not None else 0
+    ok = bool(np.all(partitioner(np.asarray(post_keys)) == rank))
+    if comm is not None:
+        ok = comm.allreduce(ok, op=ops.LAND)
+    return ok
+
+
 def check_groupby_redistribution(
     pre_kv,
     post_kv,
@@ -54,7 +67,7 @@ def check_groupby_redistribution(
     iterations: int = 2,
     hash_family: str = "Mix",
     log_h: int = 32,
-    seed: int = 0,
+    seed=0,
 ) -> CheckResult:
     """Corollary 14: verify the exchange phase of a GroupBy.
 
@@ -62,78 +75,28 @@ def check_groupby_redistribution(
     exchange; ``partitioner(keys) -> ranks`` is the operation's key→PE map.
     Accepts iff (1) post is a permutation of pre (records preserved) and
     (2) every received record is at the PE the partitioner assigns it to.
+    ``seed`` is one root seed or an array of distinct roots: records are
+    encoded once, the placement test runs once, and
+    ``per_seed_accepted[t]`` equals the check under ``seeds[t]`` alone.
     """
-    pre_records = encode_records(*pre_kv)
-    post_records = encode_records(*post_kv)
+    seeds = _coerce_seeds(seed)
     perm = check_permutation_hashsum(
-        pre_records,
-        post_records,
+        encode_records(*pre_kv),
+        encode_records(*post_kv),
         iterations=iterations,
         hash_family=hash_family,
         log_h=log_h,
-        seed=derive_seed(seed, "groupby-perm"),
+        seed=derive_seed_array(seeds, "groupby-perm"),
         comm=comm,
     )
-    rank = comm.rank if comm is not None else 0
-    post_keys = np.asarray(post_kv[0])
-    placement_ok = bool(np.all(partitioner(post_keys) == rank))
-    if comm is not None:
-        placement_ok = comm.allreduce(placement_ok, op=ops.LAND)
+    placed = records_placed(post_kv[0], partitioner, comm)
+    per_seed = [p and placed for p in perm.details["per_seed_accepted"]]
     return CheckResult(
-        accepted=perm.accepted and placement_ok,
+        accepted=all(per_seed),
         checker="groupby-redistribution",
         details={
             "permutation": perm.details | {"accepted": perm.accepted},
-            "placement_ok": placement_ok,
-            "invasive": True,
-        },
-    )
-
-
-def check_groupby_redistribution_multiseed(
-    pre_kv,
-    post_kv,
-    partitioner,
-    seeds,
-    comm=None,
-    iterations: int = 2,
-    hash_family: str = "Mix",
-    log_h: int = 32,
-) -> CheckResult:
-    """Corollary 14 under ``T`` root seeds, one encoding pass.
-
-    Records are encoded once; the permutation lanes of all seeds run
-    through one :class:`~repro.core.multiseed.MultiSeedHashSumChecker`
-    (the per-seed fingerprint seeds derive exactly as the single-seed
-    checker's), and the placement test is seed-free and runs once.
-    Per-seed verdicts equal ``T`` independent
-    :func:`check_groupby_redistribution` calls.
-    """
-    from repro.core.multiseed import MultiSeedHashSumChecker, _coerce_seeds
-
-    seeds = _coerce_seeds(seeds)
-    pre_records = encode_records(*pre_kv)
-    post_records = encode_records(*post_kv)
-    perm = MultiSeedHashSumChecker(
-        derive_seed_array(seeds, "groupby-perm"),
-        iterations=iterations,
-        hash_family=hash_family,
-        log_h=log_h,
-    ).check(pre_records, post_records, comm=comm)
-    rank = comm.rank if comm is not None else 0
-    post_keys = np.asarray(post_kv[0])
-    placement_ok = bool(np.all(partitioner(post_keys) == rank))
-    if comm is not None:
-        placement_ok = comm.allreduce(placement_ok, op=ops.LAND)
-    per_seed = [
-        p and placement_ok for p in perm.details["per_seed_accepted"]
-    ]
-    return CheckResult(
-        accepted=all(per_seed),
-        checker="groupby-redistribution-multiseed",
-        details={
-            "permutation": perm.details | {"accepted": perm.accepted},
-            "placement_ok": placement_ok,
+            "placement_ok": placed,
             "invasive": True,
             "num_seeds": int(seeds.size),
             "per_seed_accepted": per_seed,

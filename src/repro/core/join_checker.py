@@ -24,31 +24,8 @@ from repro.comm import ops
 from repro.core.base import CheckResult
 from repro.core.groupby_checker import encode_records
 from repro.core.permutation_checker import check_permutation_hashsum
+from repro.core.sort_checker import boundaries_ordered
 from repro.util.rng import derive_seed
-
-_NEG_INF = None
-
-
-def _max_op(a, b):
-    if a is _NEG_INF:
-        return b
-    if b is _NEG_INF:
-        return a
-    return max(a, b)
-
-
-def _range_partitioned(keys: np.ndarray, comm) -> bool:
-    """All keys at PE i precede all keys at PEs > i (order irrelevant within)."""
-    keys = np.asarray(keys)
-    local_max = int(keys.max()) if keys.size else _NEG_INF
-    local_min = int(keys.min()) if keys.size else None
-    if comm is None:
-        return True
-    prev_max = comm.exscan(local_max, _max_op, identity=_NEG_INF)
-    ok = True
-    if keys.size and prev_max is not _NEG_INF:
-        ok = local_min >= prev_max
-    return bool(comm.allreduce(ok, op=ops.LAND))
 
 
 def check_join_redistribution(
@@ -96,14 +73,16 @@ def check_join_redistribution(
         )
         if comm is not None:
             placement_ok = comm.allreduce(placement_ok, op=ops.LAND)
+    elif comm is None:
+        placement_ok = True
     else:
-        combined = np.concatenate(
-            [
-                np.asarray(r_post[0], dtype=np.int64).ravel(),
-                np.asarray(s_post[0], dtype=np.int64).ravel(),
-            ]
-        )
-        placement_ok = _range_partitioned(combined, comm)
+        # All keys at PE i precede all keys at PEs > i (order irrelevant
+        # within): compared as exact ints, in the keys' own order.
+        keys = [np.asarray(kv[0]) for kv in (r_post, s_post)]
+        keys = [k for k in keys if k.size]
+        first = min((int(k.min()) for k in keys), default=None)
+        last = max((int(k.max()) for k in keys), default=None)
+        placement_ok = boundaries_ordered(comm, first, last)
 
     accepted = perms["R"].accepted and perms["S"].accepted and placement_ok
     return CheckResult(

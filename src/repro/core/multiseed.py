@@ -49,15 +49,14 @@ from repro.core.sum_checker import (
     pack_residues,
     unpack_residues,
 )
-from repro.core.permutation_checker import _as_sequences, wide_weighted_sum
 from repro.hashing.bitgroups import (
     evaluation_seeds,
     iter_bucket_blocks,
     iter_superbucket_blocks,
 )
-from repro.hashing.families import get_family, hash_lanes, seeds_per_block
+from repro.hashing.families import get_family
 from repro.util.bits import ceil_log2, is_power_of_two
-from repro.util.rng import derive_seed_array, splitmix64_array
+from repro.util.rng import derive_seed_array
 
 #: Lane-matrix elements (seed lanes × unique keys) per batched hash pass;
 #: bounds the bucket-index scratch to ``iterations · chunk · 8`` bytes and
@@ -566,150 +565,6 @@ class MultiSeedSumChecker:
         """Per-seed detection flags for a sparse error delta, ``(T,)`` bool."""
         tables = self.local_tables(delta_keys, delta_values)
         return np.any(tables != 0, axis=(1, 2))
-
-
-def condense_side(side) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Condense one permutation-check side to (uniques, counts) pairs.
-
-    The hash-sum fingerprint over a multiset equals the count-weighted
-    fingerprint over its support, so this single pass over the raw
-    sequence(s) is all any number of seed lanes needs — the permutation
-    analog of :func:`condense_kv`, and what adaptive escalation reuses.
-    """
-    return [
-        np.unique(seq, return_counts=True)
-        for seq in _as_sequences(side)
-        if seq.size
-    ]
-
-
-class MultiSeedHashSumChecker:
-    """``T`` independent hash-sum permutation checkers, one pass per side.
-
-    Seed ``t`` reproduces
-    ``HashSumPermutationChecker(iterations, hash_family, log_h, seeds[t])``
-    exactly: iteration hashes derive from the same
-    ``derive_seed(seed, "perm-checker", j)`` tree, evaluated through the
-    family's batched kernel over each side's unique elements (with exact
-    multiplicity weighting via :func:`wide_weighted_sum`).
-    """
-
-    def __init__(
-        self,
-        seeds,
-        iterations: int = 2,
-        hash_family: str = "Mix",
-        log_h: int = 32,
-        chunk_elements: int = _DEFAULT_CHUNK_ELEMENTS,
-    ):
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        family = get_family(hash_family)
-        if not 1 <= log_h <= family.bits:
-            raise ValueError(
-                f"log_h={log_h} out of range for {family.name} "
-                f"({family.bits} output bits)"
-            )
-        if chunk_elements < 1:
-            raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
-        self.seeds = _coerce_seeds(seeds)
-        self.num_seeds = self.seeds.size
-        self.iterations = iterations
-        self.hash_family = hash_family
-        self.log_h = log_h
-        self.chunk_elements = chunk_elements
-        self._family = family
-        self._mask = np.uint64((1 << log_h) - 1)
-        # Fold the "perm-checker" label once per seed; iterations branch on
-        # their counter (identical to derive_seed(seed, "perm-checker", j)).
-        self._prefix = derive_seed_array(self.seeds, "perm-checker")
-
-    def fingerprints(self, side) -> list[list[int]]:
-        """Wide hash sums per seed and iteration: ``T`` rows of ``iterations``."""
-        return self.fingerprints_condensed(condense_side(side))
-
-    def fingerprints_condensed(
-        self, condensed: list[tuple[np.ndarray, np.ndarray]]
-    ) -> list[list[int]]:
-        """:meth:`fingerprints` from pre-condensed (uniques, counts) pairs.
-
-        Every registered family goes through its
-        :class:`~repro.hashing.families.LaneHasher`, built once per
-        (uniques) array: the fixed-keys base pass (CRC's seed-0 table
-        lookups, tabulation's byte extraction) serves every
-        ``T × iterations`` lane, and each lane evaluation is a constant
-        XOR (CRC), a stacked-table gather (Tab/Tab64), or a broadcast mix
-        (Mix) — never a tiled per-seed hash pass.
-        """
-        totals = [[0] * self.iterations for _ in range(self.num_seeds)]
-        for uniques, counts in condensed:
-            k = uniques.size
-            if k == 0:
-                continue
-            hasher = self._family.multiseed_hasher(uniques)
-            per_block = seeds_per_block(self.chunk_elements, k)
-            for start in range(0, self.num_seeds, per_block):
-                count = min(per_block, self.num_seeds - start)
-                prefix = self._prefix[start : start + count]
-                for j in range(self.iterations):
-                    fn_seeds = splitmix64_array(prefix ^ np.uint64(j))
-                    hashed = (
-                        hash_lanes(self._family, fn_seeds, uniques, hasher)
-                        & self._mask
-                    )
-                    for c in range(count):
-                        totals[start + c][j] += wide_weighted_sum(
-                            hashed[c], counts
-                        )
-        return totals
-
-    def lambda_values(self, e_side, o_side) -> list[list[int]]:
-        """λ_{t,j} = Σ h_{t,j}(e) − Σ h_{t,j}(o); zero row ⇔ seed accepts."""
-        fe = self.fingerprints(e_side)
-        fo = self.fingerprints(o_side)
-        return [
-            [a - b for a, b in zip(row_e, row_o)]
-            for row_e, row_o in zip(fe, fo)
-        ]
-
-    def check_condensed(
-        self, e_condensed, o_condensed, comm=None
-    ) -> CheckResult:
-        """:meth:`check` over pre-condensed sides (see :func:`condense_side`)."""
-        fe = self.fingerprints_condensed(e_condensed)
-        fo = self.fingerprints_condensed(o_condensed)
-        lambdas = [
-            [a - b for a, b in zip(row_e, row_o)]
-            for row_e, row_o in zip(fe, fo)
-        ]
-        return self._settle(lambdas, comm)
-
-    def check(self, e_side, o_side, comm=None) -> CheckResult:
-        """Accept iff every seed's every λ is zero; one collective if SPMD."""
-        lambdas = self.lambda_values(e_side, o_side)
-        return self._settle(lambdas, comm)
-
-    def _settle(self, lambdas: list[list[int]], comm) -> CheckResult:
-        if comm is not None:
-            # All T·iterations partial sums travel in a single all-reduction.
-            lambdas = comm.allreduce(
-                lambdas,
-                op=lambda a, b: [
-                    [x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)
-                ],
-            )
-        per_seed = [all(lam == 0 for lam in row) for row in lambdas]
-        return CheckResult(
-            accepted=all(per_seed),
-            checker="permutation-hashsum-multiseed",
-            details={
-                "iterations": self.iterations,
-                "log_h": self.log_h,
-                "hash_family": self.hash_family,
-                "num_seeds": self.num_seeds,
-                "per_seed_accepted": per_seed,
-            },
-        )
 
 
 # ---------------------------------------------------------------------------

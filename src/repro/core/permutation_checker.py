@@ -8,7 +8,8 @@ truncated) hash values in wide integers, so multiplicities enter the sum
 exactly.  For an element ``e`` occurring ``k`` times in E and ``k' < k``
 times in O, equality requires ``h(e) = (h(O∖e) − h(E∖e))/(k−k')``, a single
 value independent of ``h(e)`` — probability ≤ 1/H (the paper's margin
-argument).
+argument).  :class:`MultiSeedHashSumChecker` runs it under one root seed
+or ``T`` of them, each side read once.
 
 **Polynomial (Lemma 5, Lipton).**  ``q(z) = Π(z−e_i) − Π(z−o_i) mod r`` for
 a prime ``r > max(n/δ, U−1)``; q is the zero polynomial iff the multisets
@@ -28,13 +29,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import ops
 from repro.core.base import CheckResult
+from repro.core.multiseed import _DEFAULT_CHUNK_ELEMENTS, _coerce_seeds
 from repro.core.sum_checker import _coerce_keys
-from repro.hashing.families import get_family
+from repro.hashing.families import get_family, hash_lanes, seeds_per_block
 from repro.hashing.gf2 import gf64_mul, gf64_product
 from repro.hashing.primes import random_prime_in_range
-from repro.util.rng import derive_seed, uniform_below
+from repro.util.rng import (
+    derive_seed,
+    derive_seed_array,
+    splitmix64,
+    splitmix64_array,
+    uniform_below,
+)
 
 _CHUNK = 1 << 30  # sums of < 2^30 values below 2^32 stay within int64
 
@@ -96,20 +103,45 @@ def _as_sequences(side) -> list[np.ndarray]:
     return [_coerce_keys(seq) for seq in seqs]
 
 
-class HashSumPermutationChecker:
-    """Seeded hash-sum fingerprint (Lemma 4 with the wide-sum multiset fix).
+def condense_side(side) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Condense one side to (uniques, counts) pairs, one per sequence.
 
-    ``iterations`` independent hash functions from ``hash_family``, each
-    truncated to ``log_h`` bits, boost the detection probability to
-    ``1 − 2^(−log_h · iterations)`` per differing multiset (Theorem 6).
+    The hash-sum fingerprint over a multiset equals the count-weighted
+    fingerprint over its support, so this single pass over the raw
+    sequence(s) is all any number of seed lanes needs.
+    """
+    return [
+        np.unique(seq, return_counts=True)
+        for seq in _as_sequences(side)
+        if seq.size
+    ]
+
+
+class MultiSeedHashSumChecker:
+    """Seeded hash-sum fingerprints (Lemma 4 with the wide-sum multiset fix).
+
+    ``seeds`` is one root seed (``T = 1``) or an array of ``T`` distinct
+    roots.  Seed ``t``'s iteration ``j`` hashes with the family's instance
+    under ``derive_seed(seeds[t], "perm-checker", j)``, truncated to
+    ``log_h`` bits: ``iterations`` functions bound a wrong acceptance by
+    ``2^(−log_h · iterations)`` per differing multiset (Theorem 6), ``T``
+    seeds by its ``T``-th power.
+
+    At ``T = 1`` every raw sequence is hashed once per iteration, with no
+    sort.  At ``T > 1`` each side is condensed once (:func:`condense_side`)
+    and the family's :class:`~repro.hashing.families.LaneHasher` evaluates
+    all ``T × iterations`` lanes over the uniques, multiplicities folded in
+    exactly by :func:`wide_weighted_sum`.  Both paths give identical
+    fingerprints.
     """
 
     def __init__(
         self,
+        seeds,
         iterations: int = 2,
         hash_family: str = "Mix",
         log_h: int = 32,
-        seed: int = 0,
+        chunk_elements: int = _DEFAULT_CHUNK_ELEMENTS,
     ):
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -119,55 +151,110 @@ class HashSumPermutationChecker:
                 f"log_h={log_h} out of range for {family.name} "
                 f"({family.bits} output bits)"
             )
+        if chunk_elements < 1:
+            raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
+        self.seeds = _coerce_seeds(seeds)
+        self.num_seeds = self.seeds.size
         self.iterations = iterations
-        self.log_h = log_h
         self.hash_family = hash_family
-        self.seed = seed
-        self._functions = [
-            family.instance(derive_seed(seed, "perm-checker", j))
-            for j in range(iterations)
-        ]
+        self.log_h = log_h
+        self.chunk_elements = chunk_elements
+        self._family = family
         self._mask = np.uint64((1 << log_h) - 1)
+        # Fold the "perm-checker" label once per seed; iterations branch on
+        # their counter (identical to derive_seed(seed, "perm-checker", j)).
+        self._prefix = derive_seed_array(self.seeds, "perm-checker")
+        # One seed hashes raw sequences with its seeded instances.
+        self._functions = (
+            [
+                family.instance(splitmix64(int(self._prefix[0]) ^ j))
+                for j in range(iterations)
+            ]
+            if self.num_seeds == 1
+            else []
+        )
 
     @property
     def failure_bound(self) -> float:
-        """Per-check acceptance bound for an unequal multiset pair."""
-        return float(2.0 ** (-self.log_h * self.iterations))
+        """Acceptance bound for an unequal multiset pair, all seeds."""
+        return float(2.0 ** (-self.log_h * self.iterations * self.num_seeds))
 
-    def fingerprint(self, side) -> list[int]:
-        """Per-iteration wide hash sums over one side's sequence(s)."""
+    def fingerprints(self, side) -> list[list[int]]:
+        """Wide hash sums per seed and iteration: ``T`` rows of ``iterations``."""
+        if self.num_seeds > 1:
+            return self.fingerprints_condensed(condense_side(side))
         seqs = _as_sequences(side)
-        fps = []
-        for fn in self._functions:
-            total = 0
-            for seq in seqs:
-                hashed = fn.hash_array(seq) & self._mask
-                total += wide_sum(hashed)
-            fps.append(total)
-        return fps
+        return [
+            [
+                sum(wide_sum(fn.hash_array(seq) & self._mask) for seq in seqs)
+                for fn in self._functions
+            ]
+        ]
 
-    def lambda_values(self, e_side, o_side) -> list[int]:
-        """λ_j = Σ h_j(e) − Σ h_j(o) per iteration (zero ⇔ accept)."""
-        fe = self.fingerprint(e_side)
-        fo = self.fingerprint(o_side)
-        return [a - b for a, b in zip(fe, fo)]
+    def fingerprints_condensed(
+        self, condensed: list[tuple[np.ndarray, np.ndarray]]
+    ) -> list[list[int]]:
+        """:meth:`fingerprints` from (uniques, counts) pairs, over lanes.
+
+        The lane hasher is built once per uniques array: the fixed-keys
+        base pass (CRC's seed-0 table lookups, tabulation's byte
+        extraction) serves every ``T × iterations`` lane, and each lane
+        evaluation is a constant XOR (CRC), a stacked-table gather
+        (Tab/Tab64), or a broadcast mix (Mix) — never a tiled per-seed
+        hash pass.
+        """
+        totals = [[0] * self.iterations for _ in range(self.num_seeds)]
+        for uniques, counts in condensed:
+            k = uniques.size
+            if k == 0:
+                continue
+            hasher = self._family.multiseed_hasher(uniques)
+            per_block = seeds_per_block(self.chunk_elements, k)
+            for start in range(0, self.num_seeds, per_block):
+                count = min(per_block, self.num_seeds - start)
+                prefix = self._prefix[start : start + count]
+                for j in range(self.iterations):
+                    fn_seeds = splitmix64_array(prefix ^ np.uint64(j))
+                    hashed = (
+                        hash_lanes(self._family, fn_seeds, uniques, hasher)
+                        & self._mask
+                    )
+                    for c in range(count):
+                        totals[start + c][j] += wide_weighted_sum(
+                            hashed[c], counts
+                        )
+        return totals
+
+    def lambda_values(self, e_side, o_side) -> list[list[int]]:
+        """λ_{t,j} = Σ h_{t,j}(e) − Σ h_{t,j}(o); zero row ⇔ seed accepts."""
+        fe = self.fingerprints(e_side)
+        fo = self.fingerprints(o_side)
+        return [
+            [a - b for a, b in zip(row_e, row_o)]
+            for row_e, row_o in zip(fe, fo)
+        ]
 
     def check(self, e_side, o_side, comm=None) -> CheckResult:
-        """Accept iff every λ_j is zero; distributed when ``comm`` given."""
+        """Accept iff every seed's every λ is zero; one collective if SPMD."""
         lambdas = self.lambda_values(e_side, o_side)
         if comm is not None:
+            # All T·iterations partial sums travel in a single all-reduction.
             lambdas = comm.allreduce(
-                lambdas, op=lambda a, b: [x + y for x, y in zip(a, b)]
+                lambdas,
+                op=lambda a, b: [
+                    [x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)
+                ],
             )
-        detecting = [j for j, lam in enumerate(lambdas) if lam != 0]
+        per_seed = [all(lam == 0 for lam in row) for row in lambdas]
         return CheckResult(
-            accepted=not detecting,
+            accepted=all(per_seed),
             checker="permutation-hashsum",
             details={
                 "iterations": self.iterations,
                 "log_h": self.log_h,
                 "hash_family": self.hash_family,
-                "detecting_iterations": detecting,
+                "num_seeds": self.num_seeds,
+                "per_seed_accepted": per_seed,
             },
         )
 
@@ -178,11 +265,12 @@ def check_permutation_hashsum(
     iterations: int = 2,
     hash_family: str = "Mix",
     log_h: int = 32,
-    seed: int = 0,
+    seed=0,
     comm=None,
 ) -> CheckResult:
-    """Convenience wrapper over :class:`HashSumPermutationChecker`."""
-    checker = HashSumPermutationChecker(iterations, hash_family, log_h, seed)
+    """Lemma 4 check; ``seed`` is one root seed or an array of distinct
+    roots, and ``per_seed_accepted[t]`` equals the check under ``seeds[t]``."""
+    checker = MultiSeedHashSumChecker(seed, iterations, hash_family, log_h)
     return checker.check(e_side, o_side, comm)
 
 
@@ -213,6 +301,11 @@ def _mod_product(values: np.ndarray, z: int, r: int) -> int:
     return product
 
 
+def _max_element(seqs: list[np.ndarray]) -> int:
+    """Largest element over a side's sequences (−1 when all are empty)."""
+    return max((int(seq.max()) for seq in seqs if seq.size), default=-1)
+
+
 def check_permutation_polynomial(
     e_side,
     o_side,
@@ -225,16 +318,30 @@ def check_permutation_polynomial(
     """Lemma 5: compare ``Π(z−e_i)`` and ``Π(z−o_i)`` in F_r at random z.
 
     ``universe`` must exceed every element (so no two distinct elements
-    collide mod r); ``total_n`` is the global sequence length (computed via
-    an all-reduction when running distributed and left unset).
+    collide mod r): an input element ``>= universe`` raises ``ValueError``
+    and an output element ``>= universe`` rejects.  ``total_n`` is the
+    global sequence length (computed via an all-reduction when running
+    distributed and left unset); the same all-reduction carries both
+    sides' maxima, so every PE raises or rejects together.
     """
     e_seqs = _as_sequences(e_side)
     o_seqs = _as_sequences(o_side)
-    local_n = sum(s.size for s in e_seqs)
+    local = (
+        sum(s.size for s in e_seqs), _max_element(e_seqs), _max_element(o_seqs)
+    )
     if comm is not None:
-        n = comm.allreduce(local_n, op=ops.SUM)
+        n, e_max, o_max = comm.allreduce(
+            local,
+            op=lambda a, b: (a[0] + b[0], max(a[1], b[1]), max(a[2], b[2])),
+        )
     else:
-        n = total_n if total_n is not None else local_n
+        n = total_n if total_n is not None else local[0]
+        _, e_max, o_max = local
+    if e_max >= universe:
+        raise ValueError(
+            f"input element {e_max} is not below universe={universe}; "
+            "Lemma 5 needs every element < universe"
+        )
     n = max(n, 1)
     bound = max(int(n / delta) + 1, universe - 1, 3)
     # Bertrand: a prime exists in (bound, 2·bound]; seeded random choice.
@@ -251,10 +358,18 @@ def check_permutation_polynomial(
             (prod_e, prod_o),
             op=lambda a, b: ((a[0] * b[0]) % r, (a[1] * b[1]) % r),
         )
+    # An output element >= universe may equal an input element mod r.
+    in_universe = o_max < universe
     return CheckResult(
-        accepted=prod_e == prod_o,
+        accepted=in_universe and prod_e == prod_o,
         checker="permutation-polynomial",
-        details={"prime": r, "eval_point": z, "n": n, "delta": delta},
+        details={
+            "prime": r,
+            "eval_point": z,
+            "n": n,
+            "delta": delta,
+            "output_in_universe": in_universe,
+        },
     )
 
 
@@ -298,3 +413,33 @@ def check_permutation_gf64(
         checker="permutation-gf64",
         details={"iterations": iterations, "detecting_iterations": mismatched},
     )
+
+
+def check_permutation(
+    e_side,
+    o_side,
+    method: str = "hashsum",
+    iterations: int = 2,
+    hash_family: str = "Mix",
+    log_h: int = 32,
+    seed=0,
+    comm=None,
+    delta: float = 2.0**-30,
+    universe: int = 1 << 32,
+) -> CheckResult:
+    """The permutation check ``method`` selects: ``"hashsum"`` (Lemma 4),
+    ``"polynomial"`` (Lemma 5) or ``"gf64"``; the sort and union checks
+    dispatch through here."""
+    if method == "hashsum":
+        return check_permutation_hashsum(
+            e_side, o_side, iterations, hash_family, log_h, seed, comm
+        )
+    if method == "polynomial":
+        return check_permutation_polynomial(
+            e_side, o_side, delta=delta, universe=universe, seed=seed, comm=comm
+        )
+    if method == "gf64":
+        return check_permutation_gf64(
+            e_side, o_side, iterations=iterations, seed=seed, comm=comm
+        )
+    raise ValueError(f"unknown permutation method {method!r}")

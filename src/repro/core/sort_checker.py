@@ -17,11 +17,7 @@ import numpy as np
 
 from repro.comm import ops
 from repro.core.base import CheckResult
-from repro.core.permutation_checker import (
-    check_permutation_gf64,
-    check_permutation_hashsum,
-    check_permutation_polynomial,
-)
+from repro.core.permutation_checker import check_permutation
 
 _NEG_INF = None  # identity of the max-scan (no predecessor data)
 
@@ -32,6 +28,21 @@ def _max_op(a, b):
     if b is _NEG_INF:
         return a
     return max(a, b)
+
+
+def boundaries_ordered(comm, first, last, ok: bool = True) -> bool:
+    """Does every PE's ``first`` dominate every earlier PE's ``last``?
+
+    ``first`` and ``last`` are one PE's smallest and largest elements as
+    exact Python ints (None on a PE without data), so keys of any integer
+    dtype compare in their own order.  An exclusive max-scan of ``last``
+    replaces the paper's neighbour exchange (same O(α log p) cost, robust
+    to empty PEs); one AND-reduction folds in the local verdict ``ok``.
+    """
+    prev_max = comm.exscan(last, _max_op, identity=_NEG_INF)
+    if ok and first is not None and prev_max is not _NEG_INF:
+        ok = first >= prev_max
+    return bool(comm.allreduce(bool(ok), op=ops.LAND))
 
 
 def locally_sorted(values: np.ndarray) -> bool:
@@ -45,18 +56,23 @@ def locally_sorted(values: np.ndarray) -> bool:
 def check_globally_sorted(values, comm=None) -> CheckResult:
     """Is the (distributed) concatenation of local slices sorted?
 
-    Sequential when ``comm`` is None.  Distributed: local sortedness check,
-    an exclusive max-scan replacing the paper's neighbour exchange (same
-    O(α log p) cost, robust to empty PEs), and an AND-reduction of verdicts.
+    Sequential when ``comm`` is None.  Distributed: local sortedness, then
+    :func:`boundaries_ordered` over each PE's first and last element.
+    Elements must be integers: the dtype alone decides, before any
+    message, so every PE raises together.
     """
     values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise TypeError(
+            f"sortedness check requires integer elements, got dtype "
+            f"{values.dtype}"
+        )
     ok = locally_sorted(values)
     if comm is not None:
-        local_max = int(values[-1]) if values.size else _NEG_INF
-        prev_max = comm.exscan(local_max, _max_op, identity=_NEG_INF)
-        if ok and values.size and prev_max is not _NEG_INF:
-            ok = int(values[0]) >= prev_max
-        ok = comm.allreduce(bool(ok), op=ops.LAND)
+        first, last = (
+            (int(values[0]), int(values[-1])) if values.size else (None, None)
+        )
+        ok = boundaries_ordered(comm, first, last, ok)
     return CheckResult(
         accepted=bool(ok),
         checker="sortedness",
@@ -81,26 +97,10 @@ def check_sort(
     ``method`` selects the permutation fingerprint: ``"hashsum"`` (Lemma 4),
     ``"polynomial"`` (Lemma 5) or ``"gf64"``.
     """
-    if method == "hashsum":
-        perm = check_permutation_hashsum(
-            e_values,
-            o_values,
-            iterations=iterations,
-            hash_family=hash_family,
-            log_h=log_h,
-            seed=seed,
-            comm=comm,
-        )
-    elif method == "polynomial":
-        perm = check_permutation_polynomial(
-            e_values, o_values, delta=delta, universe=universe, seed=seed, comm=comm
-        )
-    elif method == "gf64":
-        perm = check_permutation_gf64(
-            e_values, o_values, iterations=iterations, seed=seed, comm=comm
-        )
-    else:
-        raise ValueError(f"unknown permutation method {method!r}")
+    perm = check_permutation(
+        e_values, o_values, method, iterations, hash_family, log_h, seed,
+        comm, delta, universe,
+    )
     sortedness = check_globally_sorted(o_values, comm=comm)
     return CheckResult(
         accepted=perm.accepted and sortedness.accepted,

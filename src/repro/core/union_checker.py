@@ -9,11 +9,7 @@ concatenation.
 from __future__ import annotations
 
 from repro.core.base import CheckResult
-from repro.core.permutation_checker import (
-    check_permutation_gf64,
-    check_permutation_hashsum,
-    check_permutation_polynomial,
-)
+from repro.core.permutation_checker import check_permutation
 
 
 def check_union(
@@ -33,27 +29,10 @@ def check_union(
 
     All arguments are the local slices when running distributed.
     """
-    e_side = [s1, s2]
-    if method == "hashsum":
-        result = check_permutation_hashsum(
-            e_side,
-            out,
-            iterations=iterations,
-            hash_family=hash_family,
-            log_h=log_h,
-            seed=seed,
-            comm=comm,
-        )
-    elif method == "polynomial":
-        result = check_permutation_polynomial(
-            e_side, out, delta=delta, universe=universe, seed=seed, comm=comm
-        )
-    elif method == "gf64":
-        result = check_permutation_gf64(
-            e_side, out, iterations=iterations, seed=seed, comm=comm
-        )
-    else:
-        raise ValueError(f"unknown permutation method {method!r}")
+    result = check_permutation(
+        [s1, s2], out, method, iterations, hash_family, log_h, seed, comm,
+        delta, universe,
+    )
     return CheckResult(
         accepted=result.accepted,
         checker="union",

@@ -11,7 +11,8 @@ suspicion" layer: every checked operation runs ONE seed inline and
 re-checks under ``T`` escalation seeds only when the primary verdict fails
 (or unconditionally, for a hardened δ^T run).  A sum-family primary
 folds its one-seed tables straight from the raw pairs (one hash per
-pair, no sort, as in the paper's Algorithm 1); only escalation condenses
+pair, no sort, as in the paper's Algorithm 1), and a permutation-family
+primary hashes the raw sequences the same way; only escalation condenses
 each side to its unique keys, once, and evaluates all ``T`` seed lanes
 against those aggregates.
 """
@@ -24,25 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm import ops
 from repro.core.base import CheckResult
 from repro.core.multiseed import (
     CondensedKV,
-    MultiSeedHashSumChecker,
     MultiSeedSumChecker,
     _coerce_seeds,
     _pairs_condensed,
     condense_kv,
-    condense_side,
 )
-from repro.core.groupby_checker import encode_records
+from repro.core.groupby_checker import encode_records, records_placed
 from repro.core.params import SumCheckConfig
+from repro.core.permutation_checker import check_permutation_hashsum
 from repro.core.sort_checker import check_globally_sorted, check_sort
 from repro.core.zip_checker import check_zip
 from repro.dataflow.exchange import global_offsets
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.sort import sample_sort
-from repro.util.rng import default_generator, derive_seed, derive_seed_array
+from repro.util.rng import default_generator, derive_seed_array
 
 
 @dataclass
@@ -403,21 +402,26 @@ def adaptive_permutation_check(
 ) -> CheckResult:
     """Hash-sum permutation check with policy-driven escalation.
 
-    Both sides are condensed to (uniques, counts) once; primary and
-    escalation lanes run over those condensations.  ``extra_ok`` folds in
-    a deterministic companion verdict (sortedness, placement) that is
-    seed-free and therefore computed once by the caller; ``seed_path``
-    maps root seeds to the underlying checker's fingerprint seeds (e.g.
-    ``("groupby-perm",)``), keeping per-seed verdicts identical to fresh
-    single-seed checks.
+    The one-seed primary hashes the raw sides as they are, without
+    sorting; escalation condenses each side once to (uniques, counts) and
+    evaluates its ``T`` seed lanes over those condensations.  ``extra_ok``
+    folds in a deterministic companion verdict (sortedness, placement)
+    that is seed-free and therefore computed once by the caller;
+    ``seed_path`` maps root seeds to the underlying checker's fingerprint
+    seeds (e.g. ``("groupby-perm",)``), keeping per-seed verdicts
+    identical to fresh single-seed checks.
     """
     policy = policy or AdaptiveCheckPolicy()
-    e_c = condense_side(e_side)
-    o_c = condense_side(o_side)
-    primary_seed = derive_seed(seed, *seed_path) if seed_path else seed
-    primary = MultiSeedHashSumChecker(
-        [primary_seed], iterations, hash_family, log_h
-    ).check_condensed(e_c, o_c, comm)
+    # Derive only from a validated root: a bool or out-of-range seed is
+    # refused here as it is without a seed path.
+    primary_seed = (
+        derive_seed_array(_coerce_seeds(seed), *seed_path)
+        if seed_path
+        else seed
+    )
+    primary = check_permutation_hashsum(
+        e_side, o_side, iterations, hash_family, log_h, primary_seed, comm
+    )
     primary_ok = primary.accepted and bool(extra_ok)
 
     # Escalation keys on the *seeded* fingerprint verdict alone: a failed
@@ -434,10 +438,9 @@ def adaptive_permutation_check(
         esc_seeds = (
             derive_seed_array(roots, *seed_path) if seed_path else roots
         )
-        esc = MultiSeedHashSumChecker(
-            esc_seeds, iterations, hash_family, log_h
-        ).check_condensed(e_c, o_c, comm)
-        per_seed = esc.details["per_seed_accepted"]
+        per_seed = check_permutation_hashsum(
+            e_side, o_side, iterations, hash_family, log_h, esc_seeds, comm
+        ).details["per_seed_accepted"]
         escalation_seconds = time.perf_counter() - t0
     accepted = primary_ok and (per_seed is None or all(per_seed))
     return CheckResult(
@@ -519,24 +522,20 @@ def adaptive_groupby_check(
     """Corollary 14 with adaptive escalation.
 
     Records are encoded once, the placement test (deterministic) runs
-    once, and the permutation fingerprint escalates over the shared
-    record condensation — the adaptive sibling of
-    :func:`~repro.core.groupby_checker.check_groupby_redistribution` and
-    its multi-seed variant, sharing their ``"groupby-perm"`` seed tree.
+    once, and the permutation fingerprint escalates per the policy — the
+    adaptive sibling of
+    :func:`~repro.core.groupby_checker.check_groupby_redistribution`,
+    sharing its placement test and ``"groupby-perm"`` seed tree.
     """
-    rank = comm.rank if comm is not None else 0
-    post_keys = np.asarray(post_kv[0])
-    placement_ok = bool(np.all(partitioner(post_keys) == rank))
-    if comm is not None:
-        placement_ok = comm.allreduce(placement_ok, op=ops.LAND)
+    placed = records_placed(post_kv[0], partitioner, comm)
     return adaptive_permutation_check(
         encode_records(*pre_kv),
         encode_records(*post_kv),
         seed=seed,
         policy=policy,
         comm=comm,
-        extra_ok=placement_ok,
-        extra_details={"placement_ok": placement_ok, "invasive": True},
+        extra_ok=placed,
+        extra_details={"placement_ok": placed, "invasive": True},
         checker="groupby-redistribution-adaptive",
         seed_path=("groupby-perm",),
         **hashsum_only_kwargs(kwargs),

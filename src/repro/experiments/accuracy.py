@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.multiseed import check_sum_aggregation
 from repro.core.params import PermCheckConfig, SumCheckConfig
-from repro.core.permutation_checker import HashSumPermutationChecker
+from repro.core.permutation_checker import MultiSeedHashSumChecker
 from repro.core.sum_checker import reference_tables
 from repro.faults.manipulators import get_kv_manipulator, get_seq_manipulator
 from repro.util.bits import ceil_log2
@@ -242,14 +242,13 @@ def perm_checker_accuracy(
         # Same checker (same seed derivation) as the full path, applied to
         # the removed/added elements only: the common elements cancel in
         # the wide hash sums, so the λ values are identical.
-        checker = HashSumPermutationChecker(
+        checker = MultiSeedHashSumChecker(
+            derive_seed(seed, "hash", trial),
             iterations=config.iterations,
             hash_family=family,
             log_h=config.log_h,
-            seed=derive_seed(seed, "hash", trial),
         )
-        lambdas = checker.lambda_values(change.removed, change.added)
-        if all(lam == 0 for lam in lambdas):
+        if checker.check(change.removed, change.added).accepted:
             failures += 1
     return AccuracyCell(
         checker="permutation-hashsum",
@@ -283,11 +282,11 @@ def perm_checker_accuracy_full(
         rng = SplitMixStream(derive_seed(seed, "trial", trial))
         manipulated = man.apply(rng, sequence)
         output = np.sort(manipulated.sequence)
-        checker = HashSumPermutationChecker(
+        checker = MultiSeedHashSumChecker(
+            derive_seed(seed, "hash", trial),
             iterations=config.iterations,
             hash_family=family,
             log_h=config.log_h,
-            seed=derive_seed(seed, "hash", trial),
         )
         if checker.check(sequence, output).accepted:
             failures += 1

@@ -114,13 +114,14 @@ def perm_change_verdicts(
     removed: np.ndarray,
     added: np.ndarray,
 ) -> np.ndarray:
-    """``HashSumPermutationChecker(...).lambda_values != 0`` for many trials.
+    """``MultiSeedHashSumChecker(...).lambda_values != 0`` for many trials.
 
     For single-element changes the wide hash sums differ by
     ``h(removed) − h(added)``, so trial ``t`` detects its fault iff some
-    iteration's truncated hashes differ.  ``hash_seeds[t]`` is the scalar
-    checker's ``seed`` argument; iteration functions derive from it exactly
-    as :class:`HashSumPermutationChecker` does.
+    iteration's truncated hashes differ.  ``hash_seeds[t]`` is the one-seed
+    checker's root seed; iteration functions derive from it exactly
+    as :class:`~repro.core.permutation_checker.MultiSeedHashSumChecker`
+    does.
     """
     hash_seeds = np.asarray(hash_seeds, dtype=np.uint64).ravel()
     trials = hash_seeds.size

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import PAPER_TABLE3_SCALING, SumCheckConfig
-from repro.core.permutation_checker import HashSumPermutationChecker
+from repro.core.permutation_checker import MultiSeedHashSumChecker
 from repro.core.sum_checker import reference_tables
 from repro.dataflow.ops.reduce_by_key import local_aggregate
 from repro.util.rng import derive_seed, derive_seed_array
@@ -126,11 +126,11 @@ class OverheadEngine:
 
     def _sort_kernel(self, hash_family: str) -> _Kernel:
         data, output = self.sort_workload
-        checker = HashSumPermutationChecker(
+        checker = MultiSeedHashSumChecker(
+            derive_seed(self.seed, "checker"),
             iterations=1,
             hash_family=hash_family,
             log_h=8,
-            seed=derive_seed(self.seed, "checker"),
         )
         # Input and output are both processed: report per processed element.
         return _Kernel(

@@ -313,7 +313,7 @@ def seeds_per_block(chunk_elements: int, num_keys: int) -> int:
     The single chunk-size rule every multi-seed consumer shares — the
     :func:`hash_lanes` tiled fallback,
     :func:`repro.hashing.bitgroups.iter_bucket_blocks`, and
-    :meth:`repro.core.multiseed.MultiSeedHashSumChecker.\
+    :meth:`repro.core.permutation_checker.MultiSeedHashSumChecker.\
 fingerprints_condensed` — so peak scratch is O(chunk) on every path.
     """
     if chunk_elements < 1:

@@ -204,16 +204,21 @@ class TestJoinChecker:
         verdicts = ctx.run(run, per_rank_args=pre)
         assert verdicts == [True] * 2
 
-    def test_range_mode_detects_boundary_violation(self):
+    @pytest.mark.parametrize(
+        "pe0, pe1",
+        [
+            # PE0 holds key 60 (belongs right of PE1's key 50).
+            ([10, 60], [50]),
+            # Cast to int64, PE0's key 2^63 would wrap below PE1's key 5.
+            ([2**63], [5]),
+        ],
+        ids=["small", "above-int64"],
+    )
+    def test_range_mode_detects_boundary_violation(self, pe0, pe1):
         ctx = Context(2)
 
         def run(comm):
-            # PE0 holds key 60 (belongs right of PE1's key 50) — violation.
-            post_k = (
-                np.array([10, 60], dtype=np.uint64)
-                if comm.rank == 0
-                else np.array([50], dtype=np.uint64)
-            )
+            post_k = np.array(pe0 if comm.rank == 0 else pe1, dtype=np.uint64)
             pre_k = post_k  # permutation holds; placement does not
             ones = np.ones_like(post_k, dtype=np.int64)
             return check_join_redistribution(

@@ -11,14 +11,13 @@ import pytest
 
 from repro.comm.context import Context
 from repro.core.multiseed import (
-    MultiSeedHashSumChecker,
     MultiSeedSumChecker,
     _pairs_condensed,
     condense_kv,
 )
 from repro.core.params import SumCheckConfig
 from repro.core.permutation_checker import (
-    HashSumPermutationChecker,
+    MultiSeedHashSumChecker,
     wide_weighted_sum,
 )
 from repro.core.sum_checker import reference_tables
@@ -399,16 +398,19 @@ class TestDistributed:
 
 
 class TestMultiSeedPermutation:
-    @pytest.mark.parametrize("family", ["Mix", "CRC", "Tab"])
+    @pytest.mark.parametrize(
+        "family", ["Mix", "CRC", "Tab", "CRC4", "Tab64", "MShift"]
+    )
     def test_fingerprints_match_instances(self, family, rng):
+        # T > 1 lanes over condensed sides vs the T = 1 per-iteration loop.
         elements = rng.integers(0, 500, 2_000).astype(np.uint64)  # duplicates
         multi = MultiSeedHashSumChecker(
             SEEDS, iterations=2, hash_family=family, log_h=8
         )
         fps = multi.fingerprints(elements)
         for t, seed in enumerate(SEEDS):
-            ref = HashSumPermutationChecker(2, family, 8, int(seed))
-            assert fps[t] == ref.fingerprint(elements)
+            ref = MultiSeedHashSumChecker(int(seed), 2, family, 8)
+            assert fps[t] == ref.fingerprints(elements)[0]
 
     def test_verdicts_match_instances(self, rng):
         elements = rng.integers(0, 10**6, 3_000).astype(np.uint64)
@@ -418,7 +420,7 @@ class TestMultiSeedPermutation:
         multi = MultiSeedHashSumChecker(SEEDS, iterations=1, log_h=2)
         result = multi.check(elements, bad)
         expected = [
-            HashSumPermutationChecker(1, "Mix", 2, int(s))
+            MultiSeedHashSumChecker(int(s), 1, "Mix", 2)
             .check(elements, bad)
             .accepted
             for s in SEEDS

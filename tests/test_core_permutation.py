@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.comm.context import Context
+from repro.core.sort_checker import check_sort
 from repro.core.permutation_checker import (
-    HashSumPermutationChecker,
+    MultiSeedHashSumChecker,
     check_permutation_gf64,
     check_permutation_hashsum,
     check_permutation_polynomial,
@@ -131,16 +132,16 @@ class TestHashSumSpecifics:
         assert check_permutation_hashsum(e, o, seed=1).accepted
 
     def test_failure_bound_attribute(self):
-        checker = HashSumPermutationChecker(iterations=2, log_h=16)
+        checker = MultiSeedHashSumChecker(0, iterations=2, log_h=16)
         assert checker.failure_bound == pytest.approx(2.0**-32)
 
     def test_log_h_exceeding_family_bits_rejected(self):
         with pytest.raises(ValueError):
-            HashSumPermutationChecker(hash_family="CRC", log_h=33)
+            MultiSeedHashSumChecker(0, hash_family="CRC", log_h=33)
 
     def test_iterations_validated(self):
         with pytest.raises(ValueError):
-            HashSumPermutationChecker(iterations=0)
+            MultiSeedHashSumChecker(0, iterations=0)
 
     def test_truncation_miss_rate(self):
         """At log_h=1, a single replaced element evades with P ≈ 1/2."""
@@ -174,6 +175,29 @@ class TestPolynomialSpecifics:
         assert not check_permutation_polynomial(
             e, bad, delta=0.01, universe=1 << 52, seed=0
         ).accepted
+
+    def test_elements_outside_universe(self):
+        """Lemma 5 needs every element below ``universe`` (default 2^32):
+        ``7 + r`` is ``7`` mod the drawn prime ``r``."""
+        e = np.array([5, 7], dtype=np.uint64)
+        r = check_permutation_polynomial(e, e, seed=3).details["prime"]
+        bad = np.array([5, 7 + r], dtype=np.uint64)
+        assert not check_permutation_polynomial(e, bad, seed=3).accepted
+        assert not check_sort(e, bad, method="polynomial", seed=3).accepted
+        with pytest.raises(ValueError, match="universe"):
+            check_permutation_polynomial(bad, e, seed=3)
+
+    def test_input_outside_universe_raises_on_every_pe(self):
+        def run(comm, e):
+            try:
+                check_permutation_polynomial(e, e, universe=64, comm=comm)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        parts = [np.array([5], dtype=np.uint64), np.array([64], dtype=np.uint64)]
+        msgs = Context(2).run(run, per_rank_args=parts)
+        assert all(msg is not None and "universe" in msg for msg in msgs)
 
     def test_miss_rate_below_delta(self):
         """Off-by-one faults must evade at a rate well below δ = 0.05."""

@@ -187,3 +187,18 @@ class TestFloatElementsRejected:
     def test_merge(self, method):
         with pytest.raises(TypeError, match="integer"):
             check_merge(self.E[:1], self.E[1:], self.O, method=method)
+
+    def test_sortedness_raises_on_every_pe(self):
+        # Through int(), the boundary of [0.5, 0.7] | [0.2, 0.9] would
+        # read 0 >= 0 and pass; the dtype decides first, on every PE.
+        def run(comm, part):
+            try:
+                check_globally_sorted(part, comm=comm)
+            except TypeError as exc:
+                return str(exc)
+            return None
+
+        msgs = Context(2).run(
+            run, per_rank_args=[np.array([0.5, 0.7]), np.array([0.2, 0.9])]
+        )
+        assert all(msg is not None and "float64" in msg for msg in msgs)

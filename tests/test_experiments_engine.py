@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import PermCheckConfig, SumCheckConfig
-from repro.core.permutation_checker import HashSumPermutationChecker
+from repro.core.permutation_checker import MultiSeedHashSumChecker
 from repro.core.sum_checker import draw_moduli, reference_tables
 from repro.experiments.accuracy import (
     _kv_manipulator,
@@ -73,13 +73,13 @@ def _reference_perm_verdicts(config, manipulator, trials, seed):
     for trial in range(trials):
         rng = SplitMixStream(derive_seed(seed, "trial", trial))
         change = man.sample_change(rng, sequence)
-        checker = HashSumPermutationChecker(
+        checker = MultiSeedHashSumChecker(
+            derive_seed(seed, "hash", trial),
             iterations=config.iterations,
             hash_family=family,
             log_h=config.log_h,
-            seed=derive_seed(seed, "hash", trial),
         )
-        lambdas = checker.lambda_values(change.removed, change.added)
+        (lambdas,) = checker.lambda_values(change.removed, change.added)
         out[trial] = any(lam != 0 for lam in lambdas)
     return out
 
@@ -234,13 +234,15 @@ class TestVerdictKernelsDirect:
         added = np.full(trials, 54321, dtype=np.uint64)
         got = perm_change_verdicts(config, "Tab", seeds, removed, added)
         for t in range(trials):
-            checker = HashSumPermutationChecker(
+            checker = MultiSeedHashSumChecker(
+                int(seeds[t]),
                 iterations=config.iterations,
                 hash_family="Tab",
                 log_h=config.log_h,
-                seed=int(seeds[t]),
             )
-            lambdas = checker.lambda_values(removed[t : t + 1], added[t : t + 1])
+            (lambdas,) = checker.lambda_values(
+                removed[t : t + 1], added[t : t + 1]
+            )
             assert got[t] == any(lam != 0 for lam in lambdas)
 
     def test_huge_modulus_stays_exact(self):

@@ -11,7 +11,8 @@ fallback (for custom, kernel-less families) get their own sections.
 import numpy as np
 import pytest
 
-from repro.core.multiseed import MultiSeedHashSumChecker, MultiSeedSumChecker
+from repro.core.multiseed import MultiSeedSumChecker
+from repro.core.permutation_checker import MultiSeedHashSumChecker
 from repro.core.params import SumCheckConfig
 from repro.hashing.families import (
     HashFamily,
