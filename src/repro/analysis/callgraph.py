@@ -123,9 +123,11 @@ class FunctionInfo:
     edges: list[tuple[str, str, str | None]] = field(default_factory=list)
     #: fixed point: every collective op reachable from this function.
     transitive: set[str] = field(default_factory=set)
-    #: return-replication assuming per-PE parameters.  ``TRUE`` here means
-    #: the return value is replicated *no matter what was passed* — it went
-    #: through an ``allreduce``/``bcast`` on the distributed path.
+    #: return-replication assuming per-PE parameters (a method's receiver
+    #: replicated by convention).  ``TRUE`` here means the return value is
+    #: replicated *no matter what was passed* — it went through an
+    #: ``allreduce``/``bcast`` on the distributed path; ``CONV`` that it is
+    #: as replicated as the receiver.
     returns_worst: int = NONUNIFORM
     #: return-replication assuming replicated parameters (bounds the
     #: parametric case at call sites).

@@ -28,6 +28,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.callgraph import (
+    CONV,
     NONUNIFORM,
     REPLICATED_COLLECTIVES,
     TRUE,
@@ -81,8 +82,10 @@ class FlowWalker:
         ):
             self.env[arg.arg] = param_level
         if info.class_name is not None:
+            # The receiver is judged at each call site (see ``_lvl_Call``),
+            # so a method's body sees it replicated at least by convention.
             for name in ("self", "cls"):
-                self.env.setdefault(name, param_level)
+                self.env[name] = max(self.env.get(name, param_level), CONV)
         self.return_levels: list[int] = []
 
     def _module_level_names(self) -> set[str]:
@@ -186,6 +189,11 @@ class FlowWalker:
                 # Return value forced replicated (e.g. ends in a verdict
                 # broadcast) regardless of the arguments.
                 return TRUE
+            if worst == CONV:
+                # Replicated whatever the arguments, given the receiver
+                # (e.g. a checker decoding the bytes of an allreduce with
+                # its own configuration): as replicated as the receiver.
+                return min(CONV, receiver_level)
             return min(best, floor)
         # Unanalyzed callee (numpy, stdlib): assume pure in its arguments.
         return floor
@@ -390,9 +398,11 @@ _BUILTIN_NAMES = frozenset(dir(_builtins))
 def compute_returns(graph: CallGraph, info: FunctionInfo) -> tuple[int, int]:
     """(worst, best) return-replication of ``info``.
 
-    ``worst`` assumes every parameter is per-PE data; ``worst == TRUE``
+    ``worst`` assumes every parameter but a method's receiver is per-PE
+    data, and the receiver replicated by convention; ``worst == TRUE``
     therefore proves the return value is replicated no matter what was
-    passed (it went through an ``allreduce``/``bcast``).  ``best`` assumes
+    passed (it went through an ``allreduce``/``bcast``), and ``worst ==
+    CONV`` that it is as replicated as the receiver.  ``best`` assumes
     replicated parameters and bounds the parametric case.
     """
     levels = []

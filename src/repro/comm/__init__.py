@@ -11,8 +11,8 @@ The paper analyses algorithms in the single-ported, full-duplex α–β model
   countable here,
 * *collectives* (broadcast, reduce, all-reduce, gather, all-gather, scan,
   all-to-all) built from real point-to-point messages with binomial-tree /
-  hypercube schedules, so message counts match the textbook algorithms the
-  paper cites [7, 8, 9].
+  recursive-doubling / hypercube schedules, so message counts match the
+  textbook algorithms the paper cites [7, 8, 9].
 """
 
 from repro.comm import ops

@@ -18,9 +18,10 @@ Three backends exist:
     fallback to ``threads`` when absent).
 
 Bit-identity is guaranteed by routing all collectives through the same
-tree schedules in :mod:`repro.comm.collectives` over backend
-point-to-point; native fast paths are taken only where exactness is
-provable (integer payloads, named ops — see :mod:`repro.comm.ops`).
+round schedules in :mod:`repro.comm.collectives` over backend
+point-to-point and ``exchange``; native fast paths are taken only where
+exactness is provable (integer payloads, named ops — see
+:mod:`repro.comm.ops`).
 
 Wire format (shared by the process and MPI backends)
 ----------------------------------------------------
@@ -112,16 +113,14 @@ class CommBackend(Protocol):
     """Per-rank transport endpoint a :class:`Comm` drives.
 
     Required surface: ``rank``, ``size``, :meth:`send`, :meth:`recv`,
-    :meth:`barrier` and a :attr:`meter`.  Optional capabilities are probed
-    with ``getattr`` by :class:`~repro.comm.communicator.Comm`:
+    :meth:`exchange`, :meth:`barrier` and a :attr:`meter`.  Optional
+    capabilities are probed with ``getattr`` by
+    :class:`~repro.comm.communicator.Comm`:
 
-    ``exchange(partner, payload)``
-        genuinely nonblocking pairwise swap (no infinite-buffering
-        assumption — see ``Comm.sendrecv``),
     ``native_allreduce(value, op)`` / ``native_exscan(value, op, identity)``
         / ``native_alltoall(payloads)``
         hardware collectives returning ``(handled, result)``; a ``False``
-        first element falls back to the shared tree schedules.
+        first element falls back to the shared round schedules.
     """
 
     rank: int
@@ -130,6 +129,12 @@ class CommBackend(Protocol):
     def send(self, dst: int, payload) -> None: ...
 
     def recv(self, src: int): ...
+
+    def exchange(self, dst: int, payload, src: int):
+        """Send ``payload`` to ``dst`` while receiving one message from
+        ``src``, without assuming the transport buffers either frame
+        (see ``Comm.sendrecv``)."""
+        ...
 
     def barrier(self) -> None: ...
 

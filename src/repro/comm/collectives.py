@@ -1,12 +1,21 @@
-"""Collective operations built from point-to-point messages.
+"""Collective operations built from point-to-point rounds.
 
 All schedules are the textbook binomial-tree / recursive-doubling algorithms
 the paper cites ([7] Bala et al., [8] Sanders–Speck–Träff, [9] Dietzfelbinger
-et al.): broadcast and reduction take ``⌈log2 p⌉`` communication rounds, so a
-collective on ``k`` bytes costs ``O(β·k + α·log p)`` — the ``T_coll`` of §2.
-All-to-all is provided both with direct delivery (``O(β·k + α·p)``) and
-hypercube indirect delivery (``O(β·k·log p + α·log p)``), matching
-``T_all-to-all`` of §2.
+et al.), so a collective on ``k`` bytes costs ``O(β·k + α·log p)`` — the
+``T_coll`` of §2.  All-to-all is provided both with direct delivery
+(``O(β·k + α·p)``) and hypercube indirect delivery
+(``O(β·k·log p + α·log p)``), matching ``T_all-to-all`` of §2.
+
+Every schedule is a sequence of rounds, and in each round a PE sends,
+receives, or does both through
+:meth:`~repro.comm.communicator.Comm.sendrecv`, whose endpoint
+``exchange`` moves both frames together: no round relies on the transport
+buffering a frame, so one larger than a shared-memory ring or MPI's eager
+limit cannot deadlock a schedule.  The trees (broadcast, reduce, gather)
+have one-sided rounds whose wait graph is acyclic.  ``allreduce`` is
+recursive doubling: ``⌊log2 p⌋ + 2`` rounds at most, against the
+``2⌈log2 p⌉`` of a reduce plus broadcast, at the same bottleneck volume.
 
 Functions take the per-rank :class:`~repro.comm.communicator.Comm` handle;
 every PE of the group must call the same collective in the same order.
@@ -68,9 +77,35 @@ def reduce(comm, value: T, op: Callable[[T, T], T], root: int = 0) -> T | None:
 
 
 def allreduce(comm, value: T, op: Callable[[T, T], T]) -> T:
-    """Reduction whose result is available at every PE (reduce + broadcast)."""
-    result = reduce(comm, value, op, root=0)
-    return broadcast(comm, result, root=0)
+    """Reduction whose result is available at every PE (recursive doubling).
+
+    Every PE returns identical bytes: the PEs of the power-of-two core
+    each apply ``op`` to the same operands in the same order, and an
+    excess rank receives its partner's result.  At a power-of-two ``p``
+    the result equals ``reduce(comm, value, op, root=0)`` even for a
+    non-commutative ``op``.  ``op`` must return a new value and leave its
+    arguments alone: on the thread backend both partners of a round
+    combine the very objects they sent each other.
+    """
+    p = comm.size
+    if p == 1:
+        return value
+    rank = comm.rank
+    core = 1 << (p.bit_length() - 1)  # largest power of two <= p
+    if rank >= core:
+        comm.send(rank - core, value)
+        return comm.recv(rank - core)
+    folds_excess = rank + core < p
+    if folds_excess:
+        value = op(value, comm.recv(rank + core))
+    bit = 1
+    while bit < core:
+        other = comm.sendrecv(rank ^ bit, value)
+        value = op(other, value) if rank & bit else op(value, other)
+        bit <<= 1
+    if folds_excess:
+        comm.send(rank + core, value)
+    return value
 
 
 def gather(comm, value: T, root: int = 0) -> list[T] | None:
@@ -98,19 +133,29 @@ def allgather(comm, value: T) -> list[T]:
     return broadcast(comm, gathered, root=0)
 
 
+def _shift(comm, distance: int, payload):
+    """One round sending ``payload`` ``distance`` ranks up and receiving
+    from ``distance`` ranks down; None where no PE sends to this one."""
+    dst = comm.rank + distance
+    src = comm.rank - distance
+    if dst < comm.size and src >= 0:
+        return comm.sendrecv(dst, payload, src)
+    if dst < comm.size:
+        comm.send(dst, payload)
+        return None
+    return comm.recv(src) if src >= 0 else None
+
+
 def scan(comm, value: T, op: Callable[[T, T], T]) -> T:
     """Inclusive prefix reduction (Hillis–Steele distributed scan).
 
     PE i returns ``op(value_0, ..., value_i)`` in ``⌈log2 p⌉`` rounds.
     """
-    p = comm.size
     partial = value
     distance = 1
-    while distance < p:
-        if comm.rank + distance < p:
-            comm.send(comm.rank + distance, partial)
-        if comm.rank - distance >= 0:
-            received = comm.recv(comm.rank - distance)
+    while distance < comm.size:
+        received = _shift(comm, distance, partial)
+        if comm.rank >= distance:
             partial = op(received, partial)
         distance <<= 1
     return partial
@@ -118,20 +163,16 @@ def scan(comm, value: T, op: Callable[[T, T], T]) -> T:
 
 def exscan(comm, value: T, op: Callable[[T, T], T], identity: T) -> T:
     """Exclusive prefix reduction: PE i gets ``op`` over ranks ``< i``."""
-    inclusive = scan(comm, value, op)
     # Shift the inclusive prefixes one PE to the right.
-    if comm.rank + 1 < comm.size:
-        comm.send(comm.rank + 1, inclusive)
-    if comm.rank == 0:
-        return identity
-    return comm.recv(comm.rank - 1)
+    shifted = _shift(comm, 1, scan(comm, value, op))
+    return identity if comm.rank == 0 else shifted
 
 
 def alltoall(comm, payloads: list) -> list:
     """Direct-delivery all-to-all: ``payloads[j]`` goes to PE ``j``.
 
     Returns the list of received payloads indexed by source PE.  Cost:
-    ``p - 1`` messages per PE (the ``α·p`` regime of §2).
+    ``p - 1`` sendrecv rounds per PE (the ``α·p`` regime of §2).
     """
     p = comm.size
     if len(payloads) != p:
@@ -143,10 +184,8 @@ def alltoall(comm, payloads: list) -> list:
     # Stagger the schedule so traffic spreads over partners round-robin.
     for offset in range(1, p):
         dst = (comm.rank + offset) % p
-        comm.send(dst, payloads[dst])
-    for offset in range(1, p):
         src = (comm.rank - offset) % p
-        received[src] = comm.recv(src)
+        received[src] = comm.sendrecv(dst, payloads[dst], src)
     return received
 
 
@@ -173,8 +212,7 @@ def alltoall_hypercube(comm, payloads: list) -> list:
         }
         for dst in outgoing:
             del held[dst]
-        comm.send(partner, outgoing)
-        incoming = comm.recv(partner)
+        incoming = comm.sendrecv(partner, outgoing)
         for dst, items in incoming.items():
             held.setdefault(dst, []).extend(items)
         bit <<= 1

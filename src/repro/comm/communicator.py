@@ -7,11 +7,12 @@ would take).
 A :class:`Comm` is written against the :class:`~repro.comm.backend.CommBackend`
 endpoint protocol, so the same SPMD program runs unchanged over the thread
 mailbox network (the oracle), shared-memory processes, or mpi4py.  All
-collectives route through the identical tree schedules in
-:mod:`repro.comm.collectives`; when an endpoint offers a native fast path
-(``native_allreduce`` etc.) it is consulted first and falls through to the
-trees whenever it declines, which keeps verdicts bit-identical across
-backends.
+collectives route through the identical round schedules in
+:mod:`repro.comm.collectives`, built from :meth:`Comm.send`,
+:meth:`Comm.recv` and :meth:`Comm.sendrecv`; when an endpoint offers a
+native fast path (``native_allreduce`` etc.) it is consulted first and
+falls through to the schedules whenever it declines, which keeps verdicts
+bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -51,31 +52,34 @@ class Comm:
 
     # -- point to point ----------------------------------------------------
     def send(self, dst: int, payload) -> None:
-        """Send ``payload`` to PE ``dst`` (asynchronous, always succeeds)."""
+        """Send ``payload`` to PE ``dst``.
+
+        The thread mailbox never blocks here; a bounded transport (a
+        shared-memory ring) waits until PE ``dst`` drains what does not
+        fit, so a round in which two PEs both send and receive must use
+        :meth:`sendrecv`.
+        """
         self._endpoint.send(dst, payload)
 
     def recv(self, src: int):
         """Blocking receive of the next message from PE ``src``."""
         return self._endpoint.recv(src)
 
-    def sendrecv(self, partner: int, payload):
-        """Exchange payloads with ``partner`` (deadlock-free).
+    def sendrecv(self, dst: int, payload, src: int | None = None):
+        """Send ``payload`` to PE ``dst`` while receiving from PE ``src``.
 
-        Contract: both PEs of the pair must call this at the same point of
-        the program.  On the thread backend this is literally send-then-recv,
-        which cannot deadlock *only because the mailbox network buffers
-        infinitely* — the send deposits into an unbounded queue and returns.
-        Real transports have finite buffering, so the process and MPI
-        endpoints provide ``exchange``: a genuinely nonblocking pairwise
-        swap in which the outgoing and incoming messages make interleaved
-        progress.  Do not add a backend whose ``send`` can block without
-        also implementing ``exchange``.
+        ``src`` defaults to ``dst`` (a pairwise swap); a ring shift
+        (``dst = rank + i``, ``src = rank − i``) is another round shape.
+        PEs ``dst`` and ``src`` must take part in the same round.  The
+        endpoint's ``exchange`` moves both frames together, so the round
+        completes without the transport buffering either one: the process
+        endpoint interleaves progress on its two rings, the MPI endpoint
+        posts an ``Isend`` before it receives, and the thread mailbox,
+        whose queues are unbounded, sends then receives.
         """
-        exchange = getattr(self._endpoint, "exchange", None)
-        if exchange is not None:
-            return exchange(partner, payload)
-        self.send(partner, payload)
-        return self.recv(partner)
+        return self._endpoint.exchange(
+            dst, payload, dst if src is None else src
+        )
 
     def barrier(self) -> None:
         """Synchronize all PEs."""

@@ -12,8 +12,9 @@ Point-to-point messages reuse the shared wire format of
 the other backends.  Native fast paths (``Allreduce``, ``Exscan``,
 ``Alltoallv``) are taken only for contiguous integer-typed arrays under a
 named :class:`~repro.comm.ops.ReduceOp` — exactly the payloads for which
-hardware reduction is bit-for-bit equal to the tree schedules; everything
-else falls back to :mod:`repro.comm.collectives` over frame p2p.
+hardware reduction is bit-for-bit equal to the round schedules; everything
+else falls back to :mod:`repro.comm.collectives` over frame p2p, whose
+send-and-receive rounds go through :meth:`MpiEndpoint.exchange`.
 
 Under ``Context.run(backend="mpi")`` the process must already be running
 inside ``mpiexec -n <num_pes>``; every rank executes its own slice and the
@@ -160,14 +161,19 @@ class MpiEndpoint:
     def recv(self, src: int):
         return self._decode(self._recv_frame(src))
 
-    def exchange(self, partner: int, payload):
-        """Nonblocking pairwise swap: ``Isend`` overlaps the receive."""
+    def exchange(self, dst: int, payload, src: int):
+        """``Isend`` to ``dst`` overlapping the receive from ``src``.
+
+        A blocking ``Send`` above the eager limit waits for its matching
+        receive; posting the send nonblocking first lets every PE of a
+        round reach its receive.
+        """
         frame = encode_frame(payload)
         self._meter.record_send(
             payload_nbytes(payload), self._cost, wire_nbytes=len(frame)
         )
-        req = self._comm.Isend([frame, self._MPI.BYTE], dest=partner, tag=self._TAG)
-        incoming = self._recv_frame(partner)
+        req = self._comm.Isend([frame, self._MPI.BYTE], dest=dst, tag=self._TAG)
+        incoming = self._recv_frame(src)
         req.Wait()
         return self._decode(incoming)
 

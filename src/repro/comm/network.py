@@ -71,9 +71,10 @@ class Network:
 class NetworkEndpoint:
     """Per-rank CommBackend view of a :class:`Network` (the thread oracle).
 
-    Sends deposit into unbounded queues and never block, so this endpoint
-    needs no ``exchange`` capability and offers no native collectives — it
-    is the reference the other backends must match bit for bit.
+    Sends deposit into unbounded queues and never block, so ``exchange``
+    is a send followed by a receive.  The endpoint offers no native
+    collectives — it is the reference the other backends must match bit
+    for bit.
     """
 
     __slots__ = ("rank", "size", "network")
@@ -87,6 +88,10 @@ class NetworkEndpoint:
         self.network.send(self.rank, dst, payload)
 
     def recv(self, src: int):
+        return self.network.recv(self.rank, src)
+
+    def exchange(self, dst: int, payload, src: int):
+        self.network.send(self.rank, dst, payload)
         return self.network.recv(self.rank, src)
 
     def barrier(self) -> None:

@@ -1,7 +1,7 @@
 """Named reduce operators for the collective surface.
 
 Every collective in this repository historically took an anonymous
-``lambda a, b: a + b``.  That is fine for the generic tree schedules
+``lambda a, b: a + b``.  That is fine for the generic round schedules
 (:mod:`repro.comm.collectives` folds any callable), but a *native*
 backend — mpi4py's ``Allreduce``/``Exscan`` on a contiguous buffer —
 can only map operators it can recognize.  A :class:`ReduceOp` is a plain

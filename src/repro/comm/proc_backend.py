@@ -257,32 +257,35 @@ class ShmEndpoint:
         )
         return payload
 
-    def exchange(self, partner: int, payload):
-        """Genuinely nonblocking pairwise swap.
+    def exchange(self, dst: int, payload, src: int):
+        """Send to ``dst`` while receiving from ``src``, nonblocking.
 
-        Outgoing and incoming frames make interleaved incremental progress,
-        so the exchange completes even when both frames exceed the ring
-        capacity — no infinite-buffering assumption (unlike the mailbox
-        network's send-then-recv, which relies on unbounded queues).
+        The outgoing frame on ring ``rank → dst`` and the incoming one on
+        ring ``src → rank`` make interleaved incremental progress, so the
+        round completes even when both frames exceed the ring capacity —
+        no infinite-buffering assumption (unlike the mailbox network's
+        send-then-recv, which relies on unbounded queues).
         """
         frame = encode_frame(payload)
         self._meter.record_send(
             payload_nbytes(payload), self._cost, wire_nbytes=len(frame)
         )
-        out_ring = self._fabric.data_ring(self.rank, partner)
-        in_ring = self._fabric.data_ring(partner, self.rank)
-        src = np.frombuffer(frame, dtype=np.uint8)
+        out_ring = self._fabric.data_ring(self.rank, dst)
+        in_ring = self._fabric.data_ring(src, self.rank)
+        out = np.frombuffer(frame, dtype=np.uint8)
         sent = 0
         hdr = np.empty(FRAME_HEADER.size, dtype=np.uint8)
         hdr_got = 0
         body: np.ndarray | None = None
         body_got = 0
         meta_len = payload_len = kind = 0
-        backoff = _Backoff(f"PE {self.rank} exchanging with PE {partner}")
+        backoff = _Backoff(
+            f"PE {self.rank} sending to PE {dst} and receiving from PE {src}"
+        )
         while True:
             progressed = False
-            if sent < len(src):
-                new = out_ring.try_write(src, sent)
+            if sent < len(out):
+                new = out_ring.try_write(out, sent)
                 progressed |= new > sent
                 sent = new
             if body is None:
@@ -296,7 +299,7 @@ class ShmEndpoint:
                 new = in_ring.try_read(body, body_got)
                 progressed |= new > body_got
                 body_got = new
-            if sent == len(src) and body is not None and body_got == len(body):
+            if sent == len(out) and body is not None and body_got == len(body):
                 break
             if not progressed:
                 backoff.wait()

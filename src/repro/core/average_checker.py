@@ -80,7 +80,7 @@ def check_average_aggregation(
     reconstruction and its structural test are seed-independent and run
     once; both coupled columns go through one
     :class:`~repro.core.multiseed.MultiSeedSumChecker` and, distributed,
-    settle in one reduction.  ``per_seed_accepted[t]`` equals the check
+    settle in one ``allreduce``.  ``per_seed_accepted[t]`` equals the check
     under ``seeds[t]`` alone.
     """
     cfg = config or _DEFAULT_CONFIG
@@ -135,14 +135,11 @@ def check_average_aggregation(
             checker.pack(diff_values),
             checker.pack(diff_counts),
         )
-        combined = comm.reduce(payload, wire_op, root=0)
-        per_seed = None
-        if comm.rank == 0:
-            ok, values_packed, counts_packed = combined
-            per_seed = verdicts(
-                ok, checker.unpack(values_packed), checker.unpack(counts_packed)
-            )
-        per_seed = comm.bcast(per_seed, root=0)
+        # Every PE reads its verdicts from the identical combined bytes.
+        ok, values_packed, counts_packed = comm.allreduce(payload, wire_op)
+        per_seed = verdicts(
+            ok, checker.unpack(values_packed), checker.unpack(counts_packed)
+        )
 
     return CheckResult(
         accepted=all(per_seed),

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 class CheckResult:
     """Outcome of one checker invocation.
 
-    ``accepted`` is the verdict (identical on every PE — checkers broadcast
-    it).  ``checker`` names the algorithm; ``details`` carries per-checker
+    ``accepted`` is the verdict (identical on every PE — checkers read it
+    from replicated bytes: an ``allreduce`` result or a broadcast).
+    ``checker`` names the algorithm; ``details`` carries per-checker
     diagnostics such as the iteration at which a mismatch was detected, the
     drawn moduli, or measured communication volume.
     """

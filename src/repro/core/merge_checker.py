@@ -8,7 +8,10 @@ output (Theorem 7's machinery).
 from __future__ import annotations
 
 from repro.core.base import CheckResult
-from repro.core.sort_checker import check_globally_sorted
+from repro.core.sort_checker import (
+    check_globally_sorted,
+    require_same_signedness,
+)
 from repro.core.union_checker import check_union
 
 
@@ -25,7 +28,12 @@ def check_merge(
     delta: float = 2.0**-30,
     universe: int = 1 << 32,
 ) -> CheckResult:
-    """Accept iff ``out`` is a sorted permutation of ``concat(s1, s2)``."""
+    """Accept iff ``out`` is a sorted permutation of ``concat(s1, s2)``.
+
+    Signed and unsigned integer sides raise ``TypeError``, as in
+    :func:`~repro.core.sort_checker.check_sort`.
+    """
+    require_same_signedness([s1, s2], out, "check_merge")
     union = check_union(
         s1,
         s2,

@@ -45,6 +45,26 @@ def boundaries_ordered(comm, first, last, ok: bool = True) -> bool:
     return bool(comm.allreduce(bool(ok), op=ops.LAND))
 
 
+def require_same_signedness(inputs, output, check: str) -> None:
+    """Refuse input and output integer dtypes of mixed signedness.
+
+    The permutation checks read elements as 64-bit words, while
+    sortedness compares them in the output's own order: int64 ``−1`` and
+    uint64 ``2^64 − 1`` are one word but sort apart, so a sorted uint64
+    output can be the word-for-word permutation of an int64 input it does
+    not sort.  The dtypes alone decide, before any message, so every PE
+    raises together.
+    """
+    out = np.asarray(output).dtype
+    for side in inputs:
+        dtype = np.asarray(side).dtype
+        if {dtype.kind, out.kind} == {"i", "u"}:
+            raise TypeError(
+                f"{check} needs input and output integers of one "
+                f"signedness, got input dtype {dtype} and output dtype {out}"
+            )
+
+
 def locally_sorted(values: np.ndarray) -> bool:
     """Non-decreasing order of one PE's local slice, O(n/p)."""
     values = np.asarray(values)
@@ -95,8 +115,10 @@ def check_sort(
     """Theorem 7: ``o_values`` is a sorted permutation of ``e_values``.
 
     ``method`` selects the permutation fingerprint: ``"hashsum"`` (Lemma 4),
-    ``"polynomial"`` (Lemma 5) or ``"gf64"``.
+    ``"polynomial"`` (Lemma 5) or ``"gf64"``.  Signed and unsigned integer
+    sides raise ``TypeError`` (:func:`require_same_signedness`).
     """
+    require_same_signedness([e_values], o_values, "check_sort")
     perm = check_permutation(
         e_values, o_values, method, iterations, hash_family, log_h, seed,
         comm, delta, universe,

@@ -36,7 +36,11 @@ from repro.core.multiseed import (
 from repro.core.groupby_checker import encode_records, records_placed
 from repro.core.params import SumCheckConfig
 from repro.core.permutation_checker import check_permutation_hashsum
-from repro.core.sort_checker import check_globally_sorted, check_sort
+from repro.core.sort_checker import (
+    check_globally_sorted,
+    check_sort,
+    require_same_signedness,
+)
 from repro.core.zip_checker import check_zip
 from repro.dataflow.exchange import global_offsets
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
@@ -294,27 +298,26 @@ def _primary_tables(primary: MultiSeedSumChecker, side) -> np.ndarray:
 
 def _settle_sum(
     primary: MultiSeedSumChecker,
-    t_in: np.ndarray,
+    diff: np.ndarray,
     sides: list,
     seed: int,
     policy: AdaptiveCheckPolicy | None,
     comm,
     **plain_details,
 ) -> CheckResult:
-    """Settle a sum check whose one-seed ``primary`` folded ``t_in``.
+    """Settle a sum check whose one-seed ``primary`` folded ``diff``.
 
-    ``sides`` is the ``[input, asserted]`` list; the asserted side folds
-    from its raw pairs.  Without a ``policy`` the result is the plain
-    ``"sum-aggregation"`` verdict, its details the config label plus
-    ``plain_details``.  With one, each raw side is condensed once, after
-    the primary verdict and only when the policy escalates, and the ``T``
-    escalation lanes fold from those condensations.  The condensations
-    replace the raw sides in ``sides``, so a localization of the rejected
-    check reuses them.
+    ``diff`` is the primary's local ⊕-difference table of the
+    ``[input, asserted]`` ``sides``.  Without a ``policy`` the result is
+    the plain ``"sum-aggregation"`` verdict, its details the config label
+    plus ``plain_details``.  With one, each raw side is condensed once,
+    after the primary verdict and only when the policy escalates, and the
+    ``T`` escalation lanes fold from those condensations.  The
+    condensations replace the raw sides in ``sides``, so a localization of
+    the rejected check reuses them.
     """
     operator = primary.operator
     config = primary.config
-    diff = primary.difference(t_in, _primary_tables(primary, sides[1]))
     primary_ok = primary.per_seed_verdicts(diff, comm)[0]
     if policy is None:
         return CheckResult(
@@ -378,7 +381,10 @@ def adaptive_sum_check(
     primary = MultiSeedSumChecker(config, [seed], operator)
     return _settle_sum(
         primary,
-        _primary_tables(primary, input_side),
+        primary.difference(
+            _primary_tables(primary, input_side),
+            _primary_tables(primary, asserted_side),
+        ),
         [input_side, asserted_side],
         seed,
         policy or AdaptiveCheckPolicy(),
@@ -495,7 +501,10 @@ def adaptive_sort_check(
     Global sortedness is deterministic and runs once; the permutation
     fingerprint escalates per the policy over the condensed element
     counts.  Shared by :func:`checked_sort` and ``DIA.sort_checked``.
+    Signed and unsigned integer sides raise ``TypeError``, as in
+    :func:`~repro.core.sort_checker.check_sort`.
     """
+    require_same_signedness([e_values], o_values, "adaptive_sort_check")
     sortedness = check_globally_sorted(o_values, comm=comm)
     return adaptive_permutation_check(
         e_values,
@@ -637,7 +646,9 @@ def checked_reduce_by_key(
 
     result = _settle_sum(
         primary,
-        t_in,
+        primary.difference(
+            t_in, _primary_tables(primary, (out_keys, out_values))
+        ),
         [(keys, values), (out_keys, out_values)],
         seed,
         policy,

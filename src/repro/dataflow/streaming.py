@@ -8,9 +8,10 @@ in **windows** of ``chunks_per_window`` chunks:
 
 * the operation itself runs once per window (local pre-aggregation
   happens chunk-at-a-time);
-* the checker folds its one-seed tables straight from the window's raw
-  pairs, without sorting, and the verdict **settles once per window** —
-  one data-bearing collective per window, not per chunk;
+* the checker folds the window's raw input pairs and the operation's
+  output as one signed multiset, in one pass and without sorting, and
+  the verdict **settles once per window** — one data-bearing
+  ``allreduce`` per window, not per chunk;
 * only a window that escalates (under an
   :class:`~repro.dataflow.pipeline.AdaptiveCheckPolicy`) or is localized
   condenses its two sides, once each, and both reuse that condensation.
@@ -48,7 +49,6 @@ from repro.dataflow.ops.zip_op import zip_arrays
 from repro.dataflow.pipeline import (
     AdaptiveCheckPolicy,
     CheckedRunStats,
-    _primary_tables,
     _run_stats,
     _settle_sum,
     adaptive_zip_check,
@@ -146,8 +146,9 @@ class _WindowCheckers:
     costs tens of µs of scalar SplitMix chains and numpy dispatch per
     window; here a block of windows' seeds comes from one
     :func:`~repro.util.rng.derive_seed_array` call and builds one
-    multi-seed :class:`~repro.core.multiseed.MultiSeedSumChecker`, and
-    each window settles with its
+    multi-seed :class:`~repro.core.multiseed.MultiSeedSumChecker`.  Each
+    window reads its seed from the block (:meth:`window_seed`) and
+    settles with its
     :meth:`~repro.core.multiseed.MultiSeedSumChecker.seed_view`.  The
     block opened at window ``w`` covers ``min(max(w, 1), 64)`` windows
     (blocks start at 0, 1, 2, 4, … 64, 128, 192, …): a short stream
@@ -163,8 +164,9 @@ class _WindowCheckers:
         self._block: MultiSeedSumChecker | None = None
         self._first = 0
 
-    def view(self, window: int) -> MultiSeedSumChecker:
-        """Window ``window``'s primary, deriving its block if none covers it."""
+    def _offset(self, window: int) -> int:
+        """Window ``window``'s index in the block, deriving the block if
+        none covers it."""
         offset = window - self._first
         if self._block is None or not 0 <= offset < self._block.num_seeds:
             size = min(max(window, 1), _SEED_BLOCK)
@@ -175,27 +177,40 @@ class _WindowCheckers:
             )
             self._block = MultiSeedSumChecker(self.config, seeds)
             self._first, offset = window, 0
+        return offset
+
+    def window_seed(self, window: int) -> int:
+        """``window_seed(seed, window)``, read from the block."""
+        offset = self._offset(window)
+        return int(self._block.seeds[offset])
+
+    def view(self, window: int) -> MultiSeedSumChecker:
+        """Window ``window``'s primary."""
+        offset = self._offset(window)
         return self._block.seed_view(offset)
 
 
 def _window_primary(
     config: SumCheckConfig,
-    seed_w: int,
+    seed_w: int | None,
     window: int,
     checkers: _WindowCheckers | None,
-) -> MultiSeedSumChecker:
-    """A settle's one-seed primary under ``seed_w``.
+) -> tuple[int, MultiSeedSumChecker]:
+    """A settle's seed and its one-seed primary.
 
-    The block view of ``checkers`` when it checks ``seed_w`` under
-    ``config`` (an attempt under the window seed), else a new
-    ``MultiSeedSumChecker(config, [seed_w])`` (a daemon retry's fresh
+    ``seed_w=None`` is the window seed, read from the block of
+    ``checkers``.  The primary is the block view when ``checkers`` checks
+    that seed under ``config`` (an attempt under the window seed), else a
+    new ``MultiSeedSumChecker(config, [seed_w])`` (a daemon retry's fresh
     seed, or a settle called without ``checkers``).
     """
+    if seed_w is None:
+        seed_w = checkers.window_seed(window)
     if checkers is not None and checkers.config == config:
         view = checkers.view(window)
         if int(view.seeds[0]) == seed_w:
-            return view
-    return MultiSeedSumChecker(config, [seed_w])
+            return seed_w, view
+    return seed_w, MultiSeedSumChecker(config, [seed_w])
 
 
 class _ChunkSource:
@@ -299,7 +314,6 @@ class StreamingDIA(_ChunkSource):
                 self.comm,
                 window,
                 config=config,
-                seed_w=_window_seed(seed, w),
                 window=w,
                 policy=policy,
                 reexecute=reexecute,
@@ -406,11 +420,12 @@ class StreamingKeyValueDIA(_ChunkSource):
     ) -> StreamingCheckedRun:
         """Windowed ReduceByKey + Theorem 1 checker, one settle per window.
 
-        Every chunk is locally pre-aggregated as it arrives; the checker
-        folds the window's raw pairs once, then the window runs one
-        key-partitioned exchange and settles one verdict.  With a
-        ``policy`` the settle is adaptive: 1 seed inline, escalation lanes
-        evaluated against the window's sides condensed once.
+        Every chunk is locally pre-aggregated as it arrives; the window
+        runs one key-partitioned exchange, then the checker folds the
+        window's raw pairs and its output in one pass and settles one
+        verdict.  With a ``policy`` the settle is adaptive: 1 seed inline,
+        escalation lanes evaluated against the window's sides condensed
+        once.
 
         With a ``reexecute(window_id, key_ranges)`` callback (see
         :mod:`repro.dataflow.repair` for the contract) a rejected window
@@ -436,7 +451,6 @@ class StreamingKeyValueDIA(_ChunkSource):
                     self.comm,
                     window,
                     config=config,
-                    seed_w=_window_seed(seed, w),
                     window=w,
                     partitioner=partitioner,
                     policy=policy,
@@ -546,7 +560,7 @@ def settle_reduce_window(
     chunks,
     *,
     config: SumCheckConfig,
-    seed_w: int,
+    seed_w: int | None = None,
     window: int,
     partitioner=None,
     policy: AdaptiveCheckPolicy | None = None,
@@ -562,12 +576,19 @@ def settle_reduce_window(
     exhausted its budget (else None).  Collective: every PE must call
     with the same window index and seed.
 
-    ``checkers`` is the window loop's :class:`_WindowCheckers`: a
+    ``checkers`` is the window loop's :class:`_WindowCheckers`.  Without
+    a ``seed_w`` the settle reads the window seed from its block, and a
     settle under the window seed takes that window's block view as its
     primary (deriving the block when this window opens one).  Without
     ``checkers``, or under another seed, the settle builds
-    ``MultiSeedSumChecker(config, [seed_w])``.  Either way the primary's
-    cost is checker time.
+    ``MultiSeedSumChecker(config, [seed_w])``.  Either way the seed and
+    the primary cost checker time.
+
+    The checker keeps the window's raw input pairs and, once the
+    operation has run, folds them together with its output as one signed
+    multiset
+    (:meth:`~repro.core.multiseed.MultiSeedSumChecker.local_difference`):
+    one hash pass per window instead of one per side.
     """
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
@@ -600,8 +621,7 @@ def settle_reduce_window(
 
     c0 = time.perf_counter()
     in_side = (_concat(raw_k, dtype=np.uint64), _concat(raw_v, dtype=np.int64))
-    primary = _window_primary(config, seed_w, window, checkers)
-    t_in = _primary_tables(primary, in_side)
+    seed_w, primary = _window_primary(config, seed_w, window, checkers)
     t0 = time.perf_counter()
     checker_s += t0 - c0
     merged_k, merged_v = local_aggregate(
@@ -613,7 +633,8 @@ def settle_reduce_window(
     op_s += t1 - t0
     sides = [in_side, (out_k, out_v)]
     verdict = _settle_sum(
-        primary, t_in, sides, seed_w, policy, comm, streaming=True
+        primary, primary.local_difference(*sides), sides, seed_w, policy,
+        comm, streaming=True,
     )
     t2 = time.perf_counter()
     checker_s += t2 - t1
@@ -666,7 +687,7 @@ def settle_sum_window(
     chunks,
     *,
     config: SumCheckConfig,
-    seed_w: int,
+    seed_w: int | None = None,
     window: int,
     policy: AdaptiveCheckPolicy | None = None,
     reexecute=None,
@@ -677,8 +698,9 @@ def settle_sum_window(
     """Settle one windowed-sum window over its local value chunks.
 
     The checker sees every element as a ``(0, value)`` pair and the
-    asserted global total as one output pair on PE 0.  Same return shape
-    and ``checkers`` contract as :func:`settle_reduce_window`.
+    asserted global total as one output pair on PE 0, both folded in one
+    pass.  Same return shape and ``seed_w`` / ``checkers`` contract as
+    :func:`settle_reduce_window`.
     """
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
@@ -688,8 +710,7 @@ def settle_sum_window(
     values = _concat(vals, dtype=np.int64)
     c0 = time.perf_counter()
     in_side = (np.zeros_like(values, dtype=np.uint64), values)
-    primary = _window_primary(config, seed_w, window, checkers)
-    t_in = _primary_tables(primary, in_side)
+    seed_w, primary = _window_primary(config, seed_w, window, checkers)
     checker_s = time.perf_counter() - c0
 
     def _operation(comm_, values):
@@ -710,9 +731,10 @@ def settle_sum_window(
             np.zeros(1, dtype=np.uint64),
             np.array([total], dtype=np.int64),
         )
+    sides = [in_side, out_side]
     verdict = _settle_sum(
-        primary, t_in, [in_side, out_side], seed_w, policy, comm,
-        streaming=True,
+        primary, primary.local_difference(*sides), sides, seed_w, policy,
+        comm, streaming=True,
     )
     t1 = time.perf_counter()
     stats = _run_stats(

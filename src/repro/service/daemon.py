@@ -54,7 +54,7 @@ from repro.comm import Comm, Network, ops, resolve_backend
 from repro.core.base import CheckResult
 from repro.dataflow.pipeline import CheckedRunStats, StatsAccumulator
 from repro.dataflow.repair import QuarantinedWindow
-from repro.dataflow.streaming import WindowRecord, window_seed
+from repro.dataflow.streaming import WindowRecord
 from repro.service.tenant import (
     BACKPRESSURE_SHED,
     PoisonRecord,
@@ -470,8 +470,11 @@ class CheckedStreamService:
 
     def _settle_window(self, tenant: _Tenant, comm, w: int, chunks) -> None:
         cfg = tenant.cfg
-        base_seed = window_seed(cfg.seed, w)
         start = time.perf_counter()
+        base_seed = tenant.engine.window_seed(w)
+        # Deriving the window seed (a sum-family engine derives a block
+        # of windows' seeds and primaries at once) is checker work.
+        seed_s = time.perf_counter() - start
         attempt = 0
         while True:
             # Attempt 0 settles under the window seed, on the primary the
@@ -554,6 +557,7 @@ class CheckedStreamService:
             time.sleep(cfg.retry_backoff * (2**attempt))
             attempt += 1
         latency = time.perf_counter() - start
+        stats_w.checker_seconds += seed_s
         with tenant.lock:
             if cfg.keep_outputs:
                 tenant.outputs.append(output)

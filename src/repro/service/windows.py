@@ -31,6 +31,7 @@ from repro.dataflow.streaming import (
     settle_reduce_window,
     settle_sum_window,
     settle_zip_window,
+    window_seed,
 )
 
 __all__ = [
@@ -96,6 +97,10 @@ class WindowEngine:
         """Element count of a *validated* chunk."""
         raise NotImplementedError
 
+    def window_seed(self, window: int) -> int:
+        """The checker seed of window ``window``'s first settle attempt."""
+        return window_seed(self.cfg.seed, window)
+
     def settle_window(self, comm, window: int, seed_w: int, chunks):
         """Run one window settlement; returns the settle_* 5-tuple."""
         raise NotImplementedError
@@ -104,15 +109,18 @@ class WindowEngine:
 class _SumFamilyEngine(WindowEngine):
     """Engines whose windows settle a one-seed sum primary.
 
-    A tenant's window primaries are derived in blocks (a
+    A tenant's window seeds and primaries are derived in blocks (a
     ``_WindowCheckers`` of :mod:`repro.dataflow.streaming`); attempt 0
-    of a window settles under the window seed on its block view, and a
-    retry's fresh seed builds its own primary.
+    of a window settles under the seed read from its block, on its block
+    view, and a retry's fresh seed builds its own primary.
     """
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self._checkers = _WindowCheckers(self.config, cfg.seed)
+
+    def window_seed(self, window: int) -> int:
+        return self._checkers.window_seed(window)
 
 
 class ReduceWindowEngine(_SumFamilyEngine):

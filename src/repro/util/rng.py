@@ -113,14 +113,20 @@ def derive_seed_array(roots, *path) -> np.ndarray:
     return state
 
 
+def _check_bound(bound: int) -> None:
+    if not 0 < bound <= 1 << 64:
+        raise ValueError(f"bound must be in [1, 2**64], got {bound}")
+
+
 def uniform_below(seed: int, bound: int) -> int:
     """Deterministic uniform integer in ``0..bound-1`` from a seed.
 
     Uses rejection sampling over SplitMix64 outputs so the result is exactly
-    uniform (no modulo bias) for any ``bound`` up to 2**64.
+    uniform (no modulo bias) for any ``bound`` up to 2**64.  A larger
+    ``bound`` raises ``ValueError``: 64-bit draws cannot cover it, and the
+    rejection limit would be 0, rejecting every draw forever.
     """
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
+    _check_bound(bound)
     if bound == 1:
         return 0
     # Largest multiple of `bound` that fits in 64 bits; reject above it.
@@ -136,8 +142,7 @@ def uniform_below_array(seeds: np.ndarray, bound: int) -> np.ndarray:
     """Vectorized :func:`uniform_below`: one draw per seed, elementwise equal
     to the scalar rejection-sampling chain."""
     bound = int(bound)
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
+    _check_bound(bound)
     seeds = np.asarray(seeds, dtype=np.uint64)
     if bound == 1:
         return np.zeros(seeds.shape, dtype=np.uint64)
@@ -152,6 +157,8 @@ def uniform_below_array(seeds: np.ndarray, bound: int) -> np.ndarray:
             if not reject.any():
                 break
             states[reject] = splitmix64_array(states[reject])
+    if bound == 1 << 64:
+        return states
     return states % np.uint64(bound)
 
 

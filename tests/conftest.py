@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,18 @@ def ctx(request):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def deadline():
+    """``deadline(seconds)`` arms SIGALRM: a call that runs longer raises
+    ``TimeoutError`` in the test instead of hanging the suite (there is
+    no pytest-timeout)."""
+
+    def _expired(signum, frame):
+        raise TimeoutError("test exceeded its deadline")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -163,6 +163,51 @@ def test_lockstep_branching_on_settled_verdict_is_replicated():
     assert unsuppressed(clean, "collective-lockstep") == []
 
 
+_RECEIVER_DECODES = (
+    "class Checker:\n"
+    "    def __init__(self, width):\n"
+    "        self.width = width\n"
+    "\n"
+    "    def decode(self, payload):\n"
+    "        return payload[: self.width]\n"
+    "\n"
+    "    def verdicts(self, diff, comm):\n"
+    "        return self.decode(comm.{collective}(diff))\n"
+    "\n"
+    "def repair(comm, width, values):\n"
+    "    checker = Checker(width)\n"
+    "    for attempt in range(3):\n"
+    "        diff = values if comm.rank == 0 else values[:0]\n"
+    "        if checker.verdicts(diff, comm):\n"
+    "            break\n"
+)
+
+
+def test_lockstep_branching_on_receiver_decoded_allreduce_is_replicated():
+    # The sum checker's verdict idiom: a method decodes the bytes every PE
+    # got from one allreduce with its own configuration, so a loop may
+    # exit on the verdict however per-PE the arguments were.
+    clean = {
+        "src/repro/dataflow/settle.py": _RECEIVER_DECODES.format(
+            collective="allreduce"
+        )
+    }
+    assert unsuppressed(clean, "collective-lockstep") == []
+
+
+def test_lockstep_mutation_receiver_decoding_a_reduce_flips_to_finding():
+    # Same loop, but the method decodes a reduce, whose combined bytes
+    # only the root holds: PEs can leave the loop in different rounds.
+    mutated = {
+        "src/repro/dataflow/settle.py": _RECEIVER_DECODES.format(
+            collective="reduce"
+        )
+    }
+    found = unsuppressed(mutated, "collective-lockstep")
+    assert len(found) == 1
+    assert "loop exit" in found[0].message
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.core.localize import localize_fault
 from repro.core.multiseed import MultiSeedSumChecker, condense_kv
 from repro.core.params import SumCheckConfig
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
+from repro.dataflow.pipeline import checked_reduce_by_key
 from repro.dataflow.repair import RepairPolicy
 from repro.dataflow.streaming import StreamingDIA, StreamingKeyValueDIA
 from repro.service.daemon import CheckedStreamService, TenantCommGrid
@@ -120,6 +121,32 @@ class TestDistributedCheckerParity:
         runs = {b: _run_on(b, p, job, args) for b in BACKENDS}
         assert runs["processes"] == runs["threads"]
         assert runs["threads"][0][0]  # localized
+
+
+class TestBatchExchangeAtScale:
+    """``checked_reduce_by_key`` exchanges frames of megabytes between
+    PEs, far above the 256 KiB ring; on processes it used to deadlock
+    until the transport timed out (at 10^5 pairs per PE)."""
+
+    @pytest.mark.parametrize(
+        "p, pairs", [(2, 500_000), (3, 200_000), (4, 200_000)]
+    )
+    def test_verdicts_match_threads(self, p, pairs):
+        rng = np.random.default_rng(p)
+        keys = rng.integers(0, 1 << 62, p * pairs).astype(np.uint64)
+        values = rng.integers(1, 1 << 20, p * pairs)
+        cfg = SumCheckConfig.parse("8x16 m15")
+
+        def job(comm, k, v):
+            out_k, out_v, verdict, _ = checked_reduce_by_key(
+                comm, k, v, cfg, seed=5
+            )
+            return verdict.accepted, verdict.details, int(out_k.size)
+
+        args = list(zip(np.array_split(keys, p), np.array_split(values, p)))
+        runs = {b: _run_on(b, p, job, args) for b in BACKENDS}
+        assert runs["processes"] == runs["threads"]
+        assert all(accepted for accepted, _, _ in runs["threads"])
 
 
 class TestStreamingParity:

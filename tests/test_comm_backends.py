@@ -5,6 +5,7 @@ process backend's runner (fork fan-out, meters, failure propagation).
 These are tier-1: they must pass regardless of ``REPRO_COMM_BACKEND``.
 """
 
+import hashlib
 import threading
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.comm.backend import (
     encode_frame,
 )
 from repro.comm.context import Context as _Context
-from repro.comm.proc_backend import ShmEndpoint, ShmFabric
+from repro.comm.proc_backend import _DEFAULT_DATA_CAP, ShmEndpoint, ShmFabric
 from repro.service.daemon import TenantCommGrid
 
 
@@ -139,7 +140,7 @@ class TestShmRings:
 
             def run(rank):
                 ep = ShmEndpoint(rank, fabric)
-                out[rank] = ep.exchange(1 - rank, big + rank)
+                out[rank] = ep.exchange(1 - rank, big + rank, 1 - rank)
 
             threads = [
                 threading.Thread(target=run, args=(r,), daemon=True)
@@ -247,6 +248,66 @@ class TestProcessContext:
     def test_single_pe_runs_inline(self):
         ctx = Context(1, backend="processes")
         assert ctx.run(lambda comm, x: x + comm.rank, per_rank_args=[5]) == [5]
+
+
+def _digest(payload) -> bytes:
+    return hashlib.sha256(encode_frame(payload)).digest()
+
+
+class TestFramesLargerThanTheRing:
+    """Every round that sends and receives goes through ``exchange``, so
+    frames four times the shared-memory ring cannot deadlock a collective
+    (they used to: every PE sent before any received)."""
+
+    #: int64 elements per array: one frame exceeds 4 rings.
+    N = 4 * _DEFAULT_DATA_CAP // 8 + 64
+
+    @classmethod
+    def _array(cls, rank: int, salt: int) -> np.ndarray:
+        return np.arange(cls.N, dtype=np.int64) * (rank + 1) + salt
+
+    @classmethod
+    def _run(cls, p, program):
+        runs = {}
+        for backend in ("threads", "processes"):
+            runs[backend] = Context(p, backend=backend).run(program)
+        assert runs["processes"] == runs["threads"]
+        return runs["processes"]
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_alltoall_tuple_payloads(self, p):
+        def program(comm):
+            payloads = [
+                (comm.rank, self._array(comm.rank, dst)) for dst in range(p)
+            ]
+            assert len(encode_frame(payloads[0])) >= 4 * _DEFAULT_DATA_CAP
+            return [_digest(x) for x in comm.alltoall(payloads)]
+
+        out = self._run(p, program)
+        for dst in range(p):
+            assert out[dst] == [
+                _digest((src, self._array(src, dst))) for src in range(p)
+            ]
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_alltoall_hypercube(self, p):
+        def program(comm):
+            payloads = [self._array(comm.rank, dst) for dst in range(p)]
+            return [_digest(x) for x in comm.alltoall_hypercube(payloads)]
+
+        out = self._run(p, program)
+        for dst in range(p):
+            assert out[dst] == [
+                _digest(self._array(src, dst)) for src in range(p)
+            ]
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_allreduce(self, p):
+        def program(comm):
+            return _digest(comm.allreduce(self._array(comm.rank, 1), ops.SUM))
+
+        expected = sum(self._array(r, 1) for r in range(p))
+        assert self._run(p, program) == [_digest(expected)] * p
 
 
 class TestTenantCommGridBackends:

@@ -1,8 +1,11 @@
-"""Tests for the collective operations over the thread-backed network."""
+"""Tests for the collective operations (thread-backed network unless a
+test names a backend)."""
 
 import numpy as np
 import pytest
 
+from repro.comm import ops
+from repro.comm.backend import encode_frame
 from repro.comm.context import Context
 
 _ADD = lambda a, b: a + b  # noqa: E731
@@ -165,3 +168,78 @@ class TestMessageComplexity:
         ctx.run(lambda comm: comm.allreduce(1, _ADD))
         for m in ctx.meters:
             assert m.volume <= 8 * 4  # a few words, never O(p) words
+
+
+def allreduce_frames(comm):
+    """The wire frame of every ``comm.ops`` allreduce on this PE.
+
+    Arrays meet the bitwise, arithmetic and extremum operators; Python
+    ints, whose ``and``/``or`` value semantics depend on operand order,
+    meet every operator.
+    """
+    r = comm.rank
+    array = np.array([r * 7 + 3, -r, 1 << r, r ^ 5], dtype=np.int64)
+    scalar = (r * 37) % 5  # zeros and distinct nonzero values
+    frames = {}
+    for name in ("SUM", "BOR", "BAND", "BXOR", "LAND", "LOR", "MAX", "MIN"):
+        op = getattr(ops, name)
+        if name not in ("LAND", "LOR"):
+            frames[name, "array"] = encode_frame(comm.allreduce(array, op))
+        frames[name, "int"] = encode_frame(comm.allreduce(scalar, op))
+    return frames
+
+
+@pytest.mark.parametrize(
+    "backend, p",
+    [("threads", p) for p in range(1, 9)]
+    + [("processes", p) for p in (2, 3, 4)],
+)
+def test_allreduce_bytes_identical_on_every_pe(backend, p):
+    frames = Context(p, backend=backend).run(allreduce_frames)
+    assert all(f == frames[0] for f in frames)
+    assert frames == Context(p, backend="threads").run(allreduce_frames)
+    # The integer operators settle the same value the old reduce did.
+    total = sum((r * 37) % 5 for r in range(p))
+    assert frames[0]["SUM", "int"] == encode_frame(total)
+
+
+def _nest(a, b):
+    # Neither commutative nor associative: the result spells the tree.
+    return (a, b)
+
+
+def _concat(a, b):
+    return a + b
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+@pytest.mark.parametrize("op", [_nest, _concat])
+def test_allreduce_equals_reduce_then_broadcast_at_power_of_two(p, op):
+    def program(comm):
+        mine = (comm.rank,) if op is _concat else comm.rank
+        old = comm.bcast(comm.reduce(mine, op, root=0), root=0)
+        return old, comm.allreduce(mine, op)
+
+    for old, new in Context(p).run(program):
+        assert new == old
+    if op is _concat:
+        assert new == tuple(range(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 6, 7])
+def test_allreduce_non_power_of_two_folds_excess_ranks(p):
+    """⌊log2 p⌋ + 2 rounds: every PE sends and receives one message per
+    round it takes part in, and the power-of-two core's PEs that fold an
+    excess rank in and out are the busiest."""
+    ctx = Context(p)
+    ctx.run(lambda comm: comm.allreduce(1, _ADD))
+    core = 1 << (p.bit_length() - 1)
+    rounds = core.bit_length() - 1
+    for rank, m in enumerate(ctx.meters):
+        if rank >= core:
+            expected = 1
+        elif rank + core < p:
+            expected = rounds + 1
+        else:
+            expected = rounds
+        assert (m.messages_sent, m.messages_received) == (expected, expected)

@@ -369,7 +369,7 @@ class TestDistributed:
             assert result.accepted == sequential.accepted
 
     def test_single_collective_per_check(self, workload):
-        """All T seeds settle in one reduce + one bcast (no per-seed trips)."""
+        """All T seeds settle in one allreduce (no per-seed trips)."""
         keys, values, out_k, out_v = workload[:4]
         cfg = SumCheckConfig.parse("4x8 m5")
         seeds = np.arange(16, dtype=np.uint64)
@@ -392,9 +392,9 @@ class TestDistributed:
             ),
         )
         assert verdicts == [True] * 4
-        # A binomial-tree reduce plus broadcast over p PEs costs 2(p−1)
+        # A recursive-doubling allreduce over p = 4 PEs sends p·log2 p
         # messages for the whole 16-seed check.
-        assert ctx.traffic_summary()["total_messages"] == 2 * (4 - 1)
+        assert ctx.traffic_summary()["total_messages"] == 4 * 2
 
 
 class TestMultiSeedPermutation:

@@ -611,24 +611,27 @@ class TestTraffic:
     """The merged checks add no collective.
 
     Per PE: (messages sent, bytes sent, messages received, bytes
-    received) on threads, as the separate single-seed functions sent them
-    (8x16 m15: a 256-byte packed table, one-byte flags, 8-byte digests).
+    received) on threads (8x16 m15: a 256-byte packed table, one-byte
+    flags, 8-byte digests).  A sum-family verdict is one recursive-doubling
+    allreduce, so every PE sends as many table bytes as it receives.
     """
 
     PER_PE = {
         2: {
-            "sum": [(1, 1, 1, 256), (1, 256, 1, 1)],
-            "count": [(1, 1, 1, 256), (1, 256, 1, 1)],
-            "average": [(1, 1, 1, 513), (1, 513, 1, 1)],
-            "median": [(2, 2, 2, 257), (2, 257, 2, 2)],
+            "sum": [(1, 256, 1, 256), (1, 256, 1, 256)],
+            "count": [(1, 256, 1, 256), (1, 256, 1, 256)],
+            "average": [(1, 513, 1, 513), (1, 513, 1, 513)],
+            "median": [(2, 257, 2, 257), (2, 257, 2, 257)],
             "min": [(2, 9, 1, 1), (1, 1, 2, 9)],
             "max": [(2, 9, 1, 1), (1, 1, 2, 9)],
         },
         3: {
-            "sum": [(2, 2, 2, 512), (1, 256, 1, 1), (1, 256, 1, 1)],
-            "count": [(2, 2, 2, 512), (1, 256, 1, 1), (1, 256, 1, 1)],
-            "average": [(2, 2, 2, 1026), (1, 513, 1, 1), (1, 513, 1, 1)],
-            "median": [(4, 4, 4, 514), (2, 257, 2, 2), (2, 257, 2, 2)],
+            "sum": [(2, 512, 2, 512), (1, 256, 1, 256), (1, 256, 1, 256)],
+            "count": [(2, 512, 2, 512), (1, 256, 1, 256), (1, 256, 1, 256)],
+            "average": [
+                (2, 1026, 2, 1026), (1, 513, 1, 513), (1, 513, 1, 513),
+            ],
+            "median": [(4, 514, 4, 514), (2, 257, 2, 257), (2, 257, 2, 257)],
             "min": [(4, 18, 2, 2), (1, 1, 2, 9), (1, 1, 2, 9)],
             "max": [(4, 18, 2, 2), (1, 1, 2, 9), (1, 1, 2, 9)],
         },

@@ -199,6 +199,24 @@ class TestPolynomialSpecifics:
         msgs = Context(2).run(run, per_rank_args=parts)
         assert all(msg is not None and "universe" in msg for msg in msgs)
 
+    def test_universe_beyond_64_bit_draws_raises_on_every_pe(self, deadline):
+        """A universe of 2^64 needs a prime r > 2^64, beyond the 64-bit
+        evaluation-point draw: every PE raises (r is replicated) instead of
+        rejecting draws forever.  On processes, the deadline tears the
+        workers down should they hang."""
+
+        def run(comm, e):
+            try:
+                check_permutation_polynomial(e, e, universe=1 << 64, comm=comm)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        deadline(20)
+        parts = [np.array([5], dtype=np.uint64), np.array([7], dtype=np.uint64)]
+        msgs = Context(2, backend="processes").run(run, per_rank_args=parts)
+        assert all(msg is not None and "2**64" in msg for msg in msgs)
+
     def test_miss_rate_below_delta(self):
         """Off-by-one faults must evade at a rate well below δ = 0.05."""
         e = np.arange(50, dtype=np.uint64)

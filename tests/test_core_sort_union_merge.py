@@ -202,3 +202,48 @@ class TestFloatElementsRejected:
             run, per_rank_args=[np.array([0.5, 0.7]), np.array([0.2, 0.9])]
         )
         assert all(msg is not None and "float64" in msg for msg in msgs)
+
+
+class TestMixedSignednessRejected:
+    """int64 [-1, 0] and uint64 [0, 2^64 - 1] are the same two 64-bit
+    words, so every permutation fingerprint matches; sorted as uint64 the
+    output reads [0, -1] as int64.  The dtypes refuse the pair first."""
+
+    E = np.array([-1, 0], dtype=np.int64)
+    O = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+
+    @pytest.mark.parametrize("method", ["hashsum", "polynomial", "gf64"])
+    def test_sort_raises_on_every_pe(self, method):
+        def run(comm, e, o):
+            try:
+                check_sort(e, o, method=method, comm=comm)
+            except TypeError as exc:
+                return str(exc)
+            return None
+
+        msgs = Context(2).run(
+            run,
+            per_rank_args=[(self.E[:1], self.O[:1]), (self.E[1:], self.O[1:])],
+        )
+        assert all(
+            msg is not None and "int64" in msg and "uint64" in msg
+            for msg in msgs
+        )
+
+    @pytest.mark.parametrize("method", ["hashsum", "polynomial", "gf64"])
+    def test_merge(self, method):
+        with pytest.raises(
+            TypeError, match="input dtype int64 and output dtype uint64"
+        ):
+            check_merge(self.E[:1], self.E[1:], self.O, method=method)
+
+    def test_adaptive_sort(self):
+        from repro.dataflow.pipeline import adaptive_sort_check
+
+        with pytest.raises(TypeError, match="signedness"):
+            adaptive_sort_check(self.E, self.O)
+
+    def test_one_signedness_still_checks(self):
+        wide = np.array([0, 1 << 63], dtype=np.uint64)
+        assert check_sort(wide[::-1].copy(), wide).accepted
+        assert check_sort(np.array([0, -1]), np.array([-1, 0])).accepted

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.comm.context import Context
+from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
 from repro.dataflow.exchange import Exchange, global_offsets
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
@@ -143,16 +144,14 @@ class TestStreamingReduceByKey:
         builds its own primary.  Every primary folds under the settle's
         seed and config, and records match a settle without
         ``checkers``."""
-        import repro.dataflow.streaming as streaming_mod
-
-        real = streaming_mod._primary_tables
+        real = MultiSeedSumChecker.local_difference
         folded = []
 
-        def recording(primary, side):
+        def recording(primary, input_kv, asserted_kv):
             folded.append((primary.seeds.tolist(), primary.config))
-            return real(primary, side)
+            return real(primary, input_kv, asserted_kv)
 
-        monkeypatch.setattr(streaming_mod, "_primary_tables", recording)
+        monkeypatch.setattr(MultiSeedSumChecker, "local_difference", recording)
         keys, values = sum_workload(200, num_keys=20, seed=23)
         retry_seed = window_seed(4, 0) + 1
         for seed_w, config in (

@@ -6,7 +6,7 @@ randomness.  Hypothesis hunts for counterexamples across the input space.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.median_checker import check_median_aggregation
@@ -103,6 +103,62 @@ class TestSumCheckerOneSided:
 _elements = st.lists(
     st.integers(min_value=0, max_value=2**32 - 1), min_size=0, max_size=50
 )
+
+
+_INT64_MIN = -(1 << 63)
+
+
+@st.composite
+def _sides_on_one_path(draw):
+    """Input and asserted pairs whose values stay below a bound that picks
+    an accumulation path: the float64 bincount (Σ|v| < 2^52), the int64
+    scatter-add (< 2^63) or the per-element fallback."""
+    bound = draw(st.sampled_from([1 << 20, 1 << 56, 1 << 63]))
+    pairs = st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=-bound, max_value=bound - 1),
+        ),
+        max_size=40,
+    )
+    return _to_arrays(draw(pairs)), _to_arrays(draw(pairs))
+
+
+class TestOneFoldDifference:
+    """``local_difference`` folds both sides as one signed multiset; its
+    table must equal the difference of the two sides' tables bit for bit
+    (an asserted −2^63, whose negation overflows, folds each side)."""
+
+    @given(
+        sides=_sides_on_one_path(),
+        operator=st.sampled_from(["+", "xor"]),
+        num_seeds=st.sampled_from([1, 4]),
+        config=_configs,
+        seed=_seeds,
+    )
+    @example(
+        sides=(_to_arrays([(1, 5), (2, -7)]), _to_arrays([(1, _INT64_MIN)])),
+        operator="+", num_seeds=1, config=SumCheckConfig.parse("4x8 m15"),
+        seed=3,
+    )
+    @example(
+        sides=(_to_arrays([]), _to_arrays([])),
+        operator="+", num_seeds=4, config=SumCheckConfig.parse("4x8 m15"),
+        seed=3,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_difference_of_separate_folds(
+        self, sides, operator, num_seeds, config, seed
+    ):
+        (in_k, in_v), (out_k, out_v) = sides
+        seeds = np.arange(num_seeds, dtype=np.uint64) + np.uint64(seed)
+        checker = MultiSeedSumChecker(config, seeds, operator)
+        expected = checker.difference(
+            checker.local_tables(in_k, in_v), checker.local_tables(out_k, out_v)
+        )
+        got = checker.local_difference((in_k, in_v), (out_k, out_v))
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 
 class TestPermutationOneSided:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
 from repro.dataflow.pipeline import CheckedRunStats, StatsAccumulator
 from repro.dataflow.repair import RepairPolicy
@@ -344,16 +345,16 @@ class TestSettleRetry:
                 retry_backoff=0.001,
             ),
         )
-        import repro.dataflow.streaming as streaming_mod
-
-        real_tables = streaming_mod._primary_tables
+        real_difference = MultiSeedSumChecker.local_difference
         primaries = []
 
-        def recording(primary, side):
+        def recording(primary, input_kv, asserted_kv):
             primaries.append(int(primary.seeds[0]))
-            return real_tables(primary, side)
+            return real_difference(primary, input_kv, asserted_kv)
 
-        monkeypatch.setattr(streaming_mod, "_primary_tables", recording)
+        monkeypatch.setattr(
+            MultiSeedSumChecker, "local_difference", recording
+        )
         tenant = svc._get("t")
         real_settle = tenant.engine.settle_window
         attempts = []

@@ -165,6 +165,14 @@ class TestUniformBelow:
         with pytest.raises(ValueError):
             uniform_below(1, -5)
 
+    def test_bound_above_two_to_the_64_raises(self, deadline):
+        # The rejection limit 2^64 - (2^64 mod bound) is 0 there: every
+        # draw would be rejected forever.
+        deadline(5)
+        assert 0 <= uniform_below(3, 1 << 64) < 1 << 64
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            uniform_below(3, (1 << 64) + 1)
+
     def test_roughly_uniform(self):
         counts = [0] * 4
         for s in range(4000):
@@ -246,6 +254,18 @@ class TestUniformBelowArray:
 
         with pytest.raises(ValueError):
             uniform_below_array(np.arange(3, dtype=np.uint64), 0)
+
+    def test_bound_range_matches_scalar(self, deadline):
+        from repro.util.rng import uniform_below_array
+
+        deadline(5)
+        seeds = np.arange(8, dtype=np.uint64)
+        got = uniform_below_array(seeds, 1 << 64)
+        assert [uniform_below(int(s), 1 << 64) for s in seeds] == [
+            int(g) for g in got
+        ]
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            uniform_below_array(seeds, (1 << 64) + 1)
 
 
 class TestSplitMixStreams:
