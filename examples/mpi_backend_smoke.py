@@ -12,10 +12,11 @@ where the payload qualifies, round schedules over ``Send``/``Recv`` and
 thread-mailbox oracle — and asserts the results are bit-identical.
 Exercises point-to-point, ``sendrecv`` (a pairwise swap and a ring shift
 whose destination and source differ), the integer-array fast paths, a
-pickled-payload collective, an all-to-all of tuple payloads of more than
-1 MiB per destination (far above MPI's eager limit, where a blocking
-``Send`` waits for its receive), the hypercube all-to-all (power-of-two
-world sizes), and a full multi-seed sum settle.
+pickled-payload collective, an all-to-all of tuples of arrays (raw tuple
+frames: an empty member, mixed dtypes, a 2-d member), an all-to-all of
+tuple payloads of more than 1 MiB per destination (far above MPI's eager
+limit, where a blocking ``Send`` waits for its receive), the hypercube
+all-to-all (power-of-two world sizes), and a full multi-seed sum settle.
 
 Exits non-zero on any divergence; prints one OK line per rank otherwise.
 """
@@ -48,6 +49,16 @@ def program(comm, chunk, keys, values, out_k, out_v, seeds):
     swapped = comm.sendrecv(rank ^ 1, chunk[:3])
     ring = comm.sendrecv((rank + 1) % p, ("ring", rank), (rank - 1) % p)
     shares = comm.alltoall([chunk[:2] + r for r in range(p)])
+    arrays = comm.alltoall(  # tuples of arrays travel as one raw frame
+        [
+            (
+                np.zeros(0, dtype=np.int32),
+                np.arange(rank + dst + 1, dtype=np.uint16),
+                np.full((2, rank + 1), dst - 0.5, dtype=np.float64),
+            )
+            for dst in range(p)
+        ]
+    )
     big = comm.alltoall(  # tuples: no native path, one exchange per round
         [(rank, dst, np.arange(BIG, dtype=np.int64) * (rank + 1) + dst)
          for dst in range(p)]
@@ -66,6 +77,7 @@ def program(comm, chunk, keys, values, out_k, out_v, seeds):
         swapped.tolist(),
         ring,
         [s.tolist() for s in shares],
+        [[(m.dtype.str, m.shape, m.tolist()) for m in t] for t in arrays],
         [digest(b) for b in big],
         hyper,
         tags,
@@ -104,7 +116,7 @@ def main() -> int:
     if over_mpi != oracle:
         print(f"rank {MPI.COMM_WORLD.Get_rank()}: MPI != thread oracle")
         return 1
-    if not over_mpi[0][8]:
+    if not over_mpi[0][9]:
         print(f"rank {MPI.COMM_WORLD.Get_rank()}: settle rejected clean data")
         return 1
     print(f"rank {MPI.COMM_WORLD.Get_rank()}/{p}: OK (bit-identical to oracle)")

@@ -29,11 +29,16 @@ Every message is one *frame*::
 
     [u32 kind][u32 meta_len][u64 payload_len][meta bytes][payload bytes]
 
-``KIND_RAW`` carries a contiguous, non-object ndarray: meta is the pickled
-``(dtype.str, shape)`` pair and the payload is the raw buffer (no pickle
-overhead — the size :func:`repro.comm.cost.payload_nbytes` models).
-``KIND_PICKLE`` is the fallback for everything else.  Frame length is what
-the backend's meter records as *wire* bytes, so the α–β model's predicted
+``KIND_RAW`` carries one C-contiguous ndarray of a plain (non-object,
+unstructured) dtype: meta is the pickled ``(dtype.str, shape)`` pair and
+the payload is the raw buffer (no pickle overhead — the size
+:func:`repro.comm.cost.payload_nbytes` models).  ``KIND_TUPLE`` carries a
+non-empty tuple of such arrays — the ``(keys, values)`` shares of every
+exchange: meta is the pickled ``[(dtype.str, shape), …]`` list and the
+payload is the member buffers back to back.  ``KIND_PICKLE`` is the
+fallback for everything else.  Decoding copies every array out of the
+frame, so no result aliases a transport buffer.  Frame length is what the
+backend's meter records as *wire* bytes, so the α–β model's predicted
 volume can be validated against actual serialized bytes
 (``benchmarks/bench_backends.py``).
 """
@@ -61,6 +66,7 @@ BACKEND_ENV = "REPRO_COMM_BACKEND"
 #: Frame kinds.
 KIND_RAW = 1
 KIND_PICKLE = 2
+KIND_TUPLE = 3
 
 #: ``[u32 kind][u32 meta_len][u64 payload_len]``
 FRAME_HEADER = struct.Struct("<IIQ")
@@ -79,17 +85,46 @@ def resolve_backend(backend: str | None = None) -> str:
 
 # -- wire format ------------------------------------------------------------
 
+def _raw(x) -> bool:
+    """Whether ``x`` travels as its raw buffer plus ``(dtype.str, shape)``.
+
+    ``dtype.str`` names a plain dtype exactly; a structured dtype would
+    come back as opaque ``|V`` records, and object pointers mean nothing
+    in another process, so both pickle.
+    """
+    return (
+        isinstance(x, np.ndarray)
+        and x.flags.c_contiguous
+        and x.dtype.names is None
+        and not x.dtype.hasobject
+    )
+
+
+def _array_from(raw: np.ndarray, offset: int, dtype_str: str, shape) -> np.ndarray:
+    """A fresh ``dtype_str`` array of ``shape`` copied from ``raw[offset:]``."""
+    arr = np.empty(shape, dtype=np.dtype(dtype_str))
+    if arr.nbytes:
+        arr.reshape(-1).view(np.uint8)[:] = raw[offset : offset + arr.nbytes]
+    return arr
+
+
 def encode_frame(payload) -> bytes:
     """Serialize ``payload`` into one wire frame (header + meta + body)."""
-    if (
-        isinstance(payload, np.ndarray)
-        and payload.dtype != object
-        and payload.flags.c_contiguous
-    ):
+    if _raw(payload):
         meta = pickle.dumps((payload.dtype.str, payload.shape), protocol=5)
         body = payload.data if payload.nbytes else b""
         return b"".join(
             (FRAME_HEADER.pack(KIND_RAW, len(meta), int(payload.nbytes)), meta, body)
+        )
+    if type(payload) is tuple and payload and all(map(_raw, payload)):
+        meta = pickle.dumps([(m.dtype.str, m.shape) for m in payload], protocol=5)
+        nbytes = sum(m.nbytes for m in payload)
+        return b"".join(
+            (
+                FRAME_HEADER.pack(KIND_TUPLE, len(meta), nbytes),
+                meta,
+                *(m.data for m in payload if m.nbytes),
+            )
         )
     body = pickle.dumps(payload, protocol=5)
     return FRAME_HEADER.pack(KIND_PICKLE, 0, len(body)) + body
@@ -98,11 +133,15 @@ def encode_frame(payload) -> bytes:
 def decode_frame(kind: int, meta: bytes, body) -> object:
     """Inverse of :func:`encode_frame`; ``body`` may be any buffer."""
     if kind == KIND_RAW:
-        dtype_str, shape = pickle.loads(meta)
-        arr = np.empty(shape, dtype=np.dtype(dtype_str))
-        if arr.nbytes:
-            arr.view(np.uint8).reshape(-1)[:] = np.frombuffer(body, dtype=np.uint8)
-        return arr
+        return _array_from(np.frombuffer(body, dtype=np.uint8), 0, *pickle.loads(meta))
+    if kind == KIND_TUPLE:
+        raw = np.frombuffer(body, dtype=np.uint8)
+        members = []
+        offset = 0
+        for dtype_str, shape in pickle.loads(meta):
+            members.append(_array_from(raw, offset, dtype_str, shape))
+            offset += members[-1].nbytes
+        return tuple(members)
     if kind == KIND_PICKLE:
         return pickle.loads(body)
     raise ValueError(f"corrupt frame: unknown kind {kind}")

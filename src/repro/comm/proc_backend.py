@@ -29,8 +29,12 @@ one is still inside barrier ``k`` simply queues its token.
 
 The runner forks (never spawns): SPMD programs in this repo routinely
 close over lambdas and test fixtures, which ``fork`` inherits for free.
-Results, exceptions and per-PE traffic meters travel back over an ordinary
-``multiprocessing`` queue.
+Each worker returns its result (or exception) and its traffic meter over
+its own one-way ``multiprocessing`` pipe.  The parent sleeps in
+:func:`multiprocessing.connection.wait` on those pipes and the workers'
+sentinels, so it costs the workers no CPU while they run, a result is
+read the moment it is written, and a worker that exits without writing
+one is reported as soon as it is gone.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import time
 import weakref
 from math import ceil, log2
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -341,7 +346,7 @@ def _picklable_exc(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _child_main(rank, fabric, fn, args, common_args, cost_model, queue) -> None:
+def _child_main(rank, fabric, fn, args, common_args, cost_model, conn) -> None:
     endpoint = ShmEndpoint(rank, fabric, cost_model)
     from repro.comm.communicator import Comm
 
@@ -349,12 +354,53 @@ def _child_main(rank, fabric, fn, args, common_args, cost_model, queue) -> None:
     try:
         result = fn(comm, *args, *common_args)
     except BaseException as exc:  # noqa: BLE001 - reported to parent
-        queue.put((rank, False, _picklable_exc(exc), endpoint.meter))
+        conn.send((False, _picklable_exc(exc), endpoint.meter))
     else:
         try:
-            queue.put((rank, True, result, endpoint.meter))
+            conn.send((True, result, endpoint.meter))
         except Exception as exc:  # result not picklable
-            queue.put((rank, False, _picklable_exc(exc), endpoint.meter))
+            conn.send((False, _picklable_exc(exc), endpoint.meter))
+    conn.close()
+
+
+def _collect(procs: list, pipes: list):
+    """Block until every worker has reported or died; read each report once.
+
+    A worker's pipe turns readable when its report starts to arrive, and
+    at end-of-file once the worker is gone, since the worker holds the
+    only write end; its sentinel fires when it exits.  So a wake-up on
+    either with nothing to read means the worker died without reporting.
+    """
+    num_pes = len(procs)
+    results: list = [None] * num_pes
+    meters: list = [TrafficMeter(rank) for rank in range(num_pes)]
+    failures: dict[int, BaseException] = {}
+    pending = {}
+    for rank, (proc, pipe) in enumerate(zip(procs, pipes)):
+        pending[pipe] = pending[proc.sentinel] = rank
+    while pending:
+        for ready in wait(list(pending)):
+            rank = pending.get(ready)
+            if rank is None:  # both handles of one worker woke together
+                continue
+            del pending[pipes[rank]], pending[procs[rank].sentinel]
+            try:
+                if not pipes[rank].poll():
+                    raise EOFError
+                ok, value, meter = pipes[rank].recv()
+            except EOFError:
+                procs[rank].join(timeout=5.0)
+                failures[rank] = RuntimeError(
+                    f"worker process for PE {rank} exited with code "
+                    f"{procs[rank].exitcode} without reporting a result"
+                )
+                continue
+            meters[rank] = meter
+            if ok:
+                results[rank] = value
+            else:
+                failures[rank] = value
+    return results, meters, failures
 
 
 def run_spmd(
@@ -372,56 +418,30 @@ def run_spmd(
     """
     mp = multiprocessing.get_context("fork")
     fabric = ShmFabric.create(num_pes)
-    queue = mp.SimpleQueue()
-    procs = []
+    procs: list = []
+    pipes: list = []
     try:
         for rank in range(num_pes):
             args: tuple = ()
             if per_rank_args is not None:
                 arg = per_rank_args[rank]
                 args = tuple(arg) if isinstance(arg, tuple) else (arg,)
-            p = mp.Process(
-                target=_child_main,
-                args=(rank, fabric, fn, args, common_args, cost_model, queue),
-                daemon=True,
-            )
-            procs.append(p)
-        for p in procs:
-            p.start()
-
-        results: list = [None] * num_pes
-        meters: list = [TrafficMeter(rank) for rank in range(num_pes)]
-        failures: dict[int, BaseException] = {}
-        reported: set[int] = set()
-        while len(reported) < num_pes:
-            if not queue.empty():
-                rank, ok, value, meter = queue.get()
-                reported.add(rank)
-                if meter is not None:
-                    meters[rank] = meter
-                if ok:
-                    results[rank] = value
-                else:
-                    failures[rank] = value
-                continue
-            dead = [
-                rank
-                for rank, p in enumerate(procs)
-                if rank not in reported and p.exitcode is not None
-            ]
-            if dead and queue.empty():
-                # Give a just-exited child's final queue write a moment to
-                # land before declaring it crashed.
-                time.sleep(0.05)
-                if queue.empty():
-                    for rank in dead:
-                        reported.add(rank)
-                        failures[rank] = RuntimeError(
-                            f"worker process for PE {rank} exited with code "
-                            f"{procs[rank].exitcode} without reporting a result"
-                        )
-                continue
-            time.sleep(0.001)
+            pipe, child_end = mp.Pipe(duplex=False)
+            pipes.append(pipe)
+            try:
+                p = mp.Process(
+                    target=_child_main,
+                    args=(rank, fabric, fn, args, common_args, cost_model, child_end),
+                    daemon=True,
+                )
+                procs.append(p)
+                p.start()
+            finally:
+                # The worker now holds the only write end (later forks
+                # never see it), so its pipe reads end-of-file once it is
+                # gone; a failed fork must not leak it either.
+                child_end.close()
+        results, meters, failures = _collect(procs, pipes)
         for p in procs:
             p.join(timeout=10.0)
         return results, meters, failures
@@ -430,4 +450,6 @@ def run_spmd(
             if p.is_alive():  # pragma: no cover - crash cleanup
                 p.terminate()
                 p.join(timeout=5.0)
+        for pipe in pipes:
+            pipe.close()
         fabric.destroy()

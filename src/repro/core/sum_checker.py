@@ -139,15 +139,29 @@ def _scatter_add_mod(
         table %= r
 
 
+#: ``_BIT_REVERSE[b]`` is byte ``b`` with its bit order reversed.
+_BIT_REVERSE = np.array(
+    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
+)
+
+
 def pack_residues(flat: np.ndarray, bits: int) -> bytes:
     """Bit-pack residues into ``flat.size · bits`` bits (LSB first, + padding).
 
-    The sum checker's wire codec: the scratch is bounded by expanding
-    residues into bits a chunk at a time; chunks hold a multiple of 8
-    residues, so each chunk's bitstream is byte-aligned and the
-    concatenation is identical to packing the whole stream at once.
+    The sum checker's wire codec: residue ``i``'s bit ``k`` is stream bit
+    ``i · bits + k``, and stream bit ``q`` is bit ``7 − q % 8`` of byte
+    ``q // 8`` (``np.packbits`` order).  At a byte-aligned width (8, 16,
+    32 or 64 bits) that is each residue's little-endian bytes with their
+    bit order reversed — one table lookup per byte.  Other widths expand
+    residues into bits a chunk at a time, which bounds the scratch; chunks
+    hold a multiple of 8 residues, so each chunk's bitstream is
+    byte-aligned and the concatenation is identical to packing the whole
+    stream at once.
     """
     flat = np.asarray(flat).ravel().astype(np.uint64)
+    if bits in (8, 16, 32, 64):
+        lanes = flat.astype(f"<u{bits // 8}").view(np.uint8)
+        return _BIT_REVERSE.take(lanes).tobytes()
     shifts = np.arange(bits, dtype=np.uint64)
     parts = []
     for start in range(0, flat.size, _PACK_CHUNK_RESIDUES):
@@ -160,6 +174,10 @@ def pack_residues(flat: np.ndarray, bits: int) -> bytes:
 def unpack_residues(payload: bytes, total: int, bits: int) -> np.ndarray:
     """Inverse of :func:`pack_residues`: ``total`` residues of ``bits`` bits."""
     payload_bytes = np.frombuffer(payload, dtype=np.uint8)
+    if bits in (8, 16, 32, 64):
+        width = bits // 8
+        lanes = _BIT_REVERSE.take(payload_bytes[: total * width])
+        return lanes.view(f"<u{width}").astype(np.int64)
     weights = (np.uint64(1) << np.arange(bits, dtype=np.uint64)).astype(
         np.int64
     )

@@ -92,6 +92,10 @@ def _run_reduction(
                     seed, "scaling", np.arange(num_seeds, dtype=np.uint64)
                 )
             checker = MultiSeedSumChecker(checker_cfg, seeds)
+        # Start every PE's clock together: on processes the workers are
+        # forked one after another, and a clock started before its peers
+        # exist would time their start-up, not the pipeline.
+        comm.barrier()
         t0 = time.perf_counter()
         if checker is not None:
             t_in = checker.local_tables(keys, values)

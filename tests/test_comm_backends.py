@@ -5,8 +5,14 @@ process backend's runner (fork fan-out, meters, failure propagation).
 These are tier-1: they must pass regardless of ``REPRO_COMM_BACKEND``.
 """
 
+import errno
 import hashlib
+import multiprocessing
+import os
+import pickle
 import threading
+import time
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -16,12 +22,21 @@ from repro.comm.backend import (
     FRAME_HEADER,
     KIND_PICKLE,
     KIND_RAW,
+    KIND_TUPLE,
     decode_frame,
     encode_frame,
 )
 from repro.comm.context import Context as _Context
-from repro.comm.proc_backend import _DEFAULT_DATA_CAP, ShmEndpoint, ShmFabric
+from repro.comm.proc_backend import (
+    _DEFAULT_DATA_CAP,
+    ShmEndpoint,
+    ShmFabric,
+    run_spmd,
+)
 from repro.service.daemon import TenantCommGrid
+
+
+_Pair = namedtuple("_Pair", "keys values")
 
 
 def _decode(frame: bytes):
@@ -63,6 +78,74 @@ class TestWireFormat:
             np.testing.assert_array_equal(back[1], obj[1])
         else:
             assert back == obj
+
+    def test_zero_dim_array_goes_raw(self):
+        kind, back = _decode(encode_frame(np.array(-7, dtype=np.int16)))
+        assert kind == KIND_RAW
+        assert back.shape == () and back.dtype == np.int16 and back == -7
+
+    @pytest.mark.parametrize(
+        "dtype", [[("a", "<i8"), ("b", "<f4")], [("a", object)]]
+    )
+    def test_structured_arrays_pickle(self, dtype):
+        # dtype.str would name only opaque |V records; object fields are
+        # pointers into the sender's heap.
+        arr = np.zeros(3, dtype=dtype)
+        kind, back = _decode(encode_frame(arr))
+        assert kind == KIND_PICKLE
+        assert back.dtype == arr.dtype
+        np.testing.assert_array_equal(back, arr)
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            (np.arange(5, dtype=np.uint64), np.arange(5, dtype=np.int64) - 2),
+            (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)),
+            (
+                np.zeros(0, dtype=np.int32),
+                np.array([1.5, -2.0], dtype=np.float32),
+                np.array([True, False, True]),
+                np.arange(6, dtype=">u2").reshape(2, 3),
+                np.array(9, dtype=np.int8),
+            ),
+            (np.arange(12, dtype=np.complex128).reshape(3, 4),),
+        ],
+    )
+    def test_tuples_of_arrays_go_raw(self, members):
+        frame = encode_frame(members)
+        kind, meta_len, payload_len = FRAME_HEADER.unpack(frame[: FRAME_HEADER.size])
+        assert kind == KIND_TUPLE
+        assert payload_len == sum(m.nbytes for m in members)
+        assert len(frame) == FRAME_HEADER.size + meta_len + payload_len
+        meta = frame[FRAME_HEADER.size : FRAME_HEADER.size + meta_len]
+        assert pickle.loads(meta) == [(m.dtype.str, m.shape) for m in members]
+        _, back = _decode(frame)
+        assert type(back) is tuple and len(back) == len(members)
+        for got, sent in zip(back, members):
+            assert got.dtype == sent.dtype and got.shape == sent.shape
+            np.testing.assert_array_equal(got, sent)
+            assert got.flags.writeable and got.flags.owndata
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            (),
+            (np.arange(6, dtype=np.int64), np.arange(20, dtype=np.int64)[::2]),
+            (np.arange(3), np.array([None, 1], dtype=object)),
+            (np.arange(3), 4),
+        ],
+        ids=["empty", "non-contiguous", "object", "non-array"],
+    )
+    def test_other_tuples_pickle(self, payload):
+        kind, back = _decode(encode_frame(payload))
+        assert kind == KIND_PICKLE
+        assert type(back) is tuple and len(back) == len(payload)
+        for got, sent in zip(back, payload):
+            np.testing.assert_array_equal(np.asarray(got), np.asarray(sent))
+
+    def test_tuple_subclass_keeps_its_type(self):
+        kind, back = _decode(encode_frame(_Pair(np.arange(3), np.arange(3))))
+        assert kind == KIND_PICKLE and isinstance(back, _Pair)
 
     def test_corrupt_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kind"):
@@ -248,6 +331,53 @@ class TestProcessContext:
     def test_single_pe_runs_inline(self):
         ctx = Context(1, backend="processes")
         assert ctx.run(lambda comm, x: x + comm.rank, per_rank_args=[5]) == [5]
+
+    def test_worker_exit_without_result_is_reported_at_once(self, deadline):
+        def program(comm):
+            if comm.rank == 1:
+                os._exit(3)
+            return comm.rank
+
+        deadline(10)
+        start = time.monotonic()
+        with pytest.raises(SPMDError) as info:
+            Context(2, backend="processes").run(program)
+        assert time.monotonic() - start < 1.0
+        assert set(info.value.failures) == {1}
+        assert "PE 1" in str(info.value)
+        assert "exited with code 3" in str(info.value.failures[1])
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_result_larger_than_a_pipe_buffer(self, p, deadline):
+        # 1 MiB per worker: each report blocks its worker until the parent
+        # reads it, so the parent must read while the workers still run.
+        def program(comm):
+            return np.arange(1 << 17, dtype=np.int64) * (comm.rank + 1)
+
+        deadline(30)
+        ctx = Context(p, backend="processes")
+        out = ctx.run(program)
+        for rank, arr in enumerate(out):
+            assert arr.nbytes == 1 << 20
+            np.testing.assert_array_equal(
+                arr, np.arange(1 << 17, dtype=np.int64) * (rank + 1)
+            )
+        assert len(ctx.meters) == p
+
+    def test_failed_fork_leaks_no_pipe_end(self, monkeypatch):
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("needs /proc/self/fd to count open descriptors")
+
+        def refuse(process):
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        fork_process = multiprocessing.get_context("fork").Process
+        monkeypatch.setattr(fork_process, "start", refuse)
+        before = len(os.listdir(fd_dir))
+        with pytest.raises(OSError, match="fork refused"):
+            run_spmd(2, lambda comm: None, None, ())
+        assert len(os.listdir(fd_dir)) == before
 
 
 def _digest(payload) -> bytes:

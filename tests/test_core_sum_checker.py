@@ -10,9 +10,12 @@ from repro.core.multiseed import (
 )
 from repro.core.params import SumCheckConfig
 from repro.core.sum_checker import (
+    _PACK_CHUNK_RESIDUES,
     _scatter_add_mod,
     draw_moduli,
+    pack_residues,
     reference_tables,
+    unpack_residues,
 )
 from repro.workloads.kv import aggregate_reference, sum_workload
 
@@ -174,6 +177,34 @@ class TestWireFormat:
         table = np.zeros((1, cfg.iterations, cfg.d), dtype=np.int64)
         packed = checker.pack(table)
         assert len(packed) == (cfg.table_bits + 7) // 8
+
+
+def _reference_pack(values: np.ndarray, bits: int) -> bytes:
+    """Residue i's bit k is stream bit i·bits + k (LSB first); stream bit q
+    is bit 7 − q % 8 of byte q // 8, zero-padded to a whole byte."""
+    little_endian = values.astype(np.uint64).astype("<u8").view(np.uint8)
+    stream = np.unpackbits(
+        little_endian.reshape(-1, 8), axis=1, bitorder="little"
+    )[:, :bits]
+    return np.packbits(stream.ravel()).tobytes()
+
+
+class TestResidueCodec:
+    """``pack_residues`` against the wire format written out bit by bit."""
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_matches_reference_bitstream(self, bits):
+        rng = np.random.default_rng(bits)
+        for size in (0, 1, 7, 8, 128, _PACK_CHUNK_RESIDUES + 3):
+            # Full 64-bit words: bits above the width must be dropped.
+            values = rng.integers(-(2**63), 2**63, size, dtype=np.int64)
+            packed = pack_residues(values, bits)
+            assert packed == _reference_pack(values, bits)
+            assert len(packed) == (size * bits + 7) // 8
+            low = values.view(np.uint64) & np.uint64((1 << bits) - 1)
+            assert np.array_equal(
+                unpack_residues(packed, size, bits), low.view(np.int64)
+            )
 
 
 class TestModuli:

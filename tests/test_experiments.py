@@ -177,7 +177,7 @@ class TestScaling:
             SumCheckConfig.parse("4x8 m5"),
             items_per_pe=2_000,
             pes=(1, 2),
-            repeats=1,
+            repeats=5,
             num_keys=1_000,
             num_seeds=4,
         )
