@@ -28,6 +28,9 @@ from repro.experiments.overhead import sort_checker_overhead_ns
 from repro.experiments.report import format_table
 from repro.workloads.uniform import uniform_integers
 
+#: Interleaved timing rounds per truncation width (smoke runs included).
+_LOGH_ROUNDS = 5
+
 
 def _pipeline_fraction(n_total: int, p: int = 4) -> tuple[float, float]:
     """(pipeline seconds, checker-local seconds) of a distributed sort.
@@ -66,20 +69,29 @@ def test_sort_checker_overhead(benchmark, overhead_elements):
             sort_checker_overhead_ns(fam, n_elements=overhead_elements)
             for fam in ("CRC4", "Tab", "Mix")
         ]
-        # logH independence: one iteration at several truncations.
+        # logH independence: one iteration at several truncations.  Each
+        # width's time is its minimum over interleaved rounds, so one
+        # scheduler pause during a ~1 ms call cannot fail the shape check.
         data = uniform_integers(overhead_elements, seed=1)
         out = np.sort(data)
-        per_logh = []
-        for log_h in (1, 8, 32):
-            checker = MultiSeedHashSumChecker(
+        checkers = {
+            log_h: MultiSeedHashSumChecker(
                 2, iterations=1, hash_family="CRC4", log_h=log_h
             )
+            for log_h in (1, 8, 32)
+        }
+        best = dict.fromkeys(checkers, float("inf"))
+        for checker in checkers.values():
             checker.lambda_values(data, out)  # warm-up
-            t0 = time.perf_counter()
-            checker.lambda_values(data, out)
-            per_logh.append(
-                (log_h, (time.perf_counter() - t0) / (2 * overhead_elements) * 1e9)
-            )
+        for _ in range(_LOGH_ROUNDS):
+            for log_h, checker in checkers.items():
+                t0 = time.perf_counter()
+                checker.lambda_values(data, out)
+                best[log_h] = min(best[log_h], time.perf_counter() - t0)
+        per_logh = [
+            (log_h, seconds / (2 * overhead_elements) * 1e9)
+            for log_h, seconds in best.items()
+        ]
         total_s, chk_s = _pipeline_fraction(max(overhead_elements, 200_000))
         return rows, per_logh, total_s, chk_s
 

@@ -17,6 +17,13 @@ across checker *instances*, and a single seed is just ``T = 1``:
   hash kernels (:func:`repro.hashing.bitgroups.iter_bucket_blocks` over
   :func:`~repro.hashing.bitgroups.assign_buckets_batch`), evaluated in
   bounded seed blocks;
+* the float64 fast path counts several iterations per bincount through
+  the super-groups of :func:`~repro.hashing.bitgroups.superbucket_plan`.
+  At ``T > 1`` the families' lane hashers feed it; at ``T = 1`` (every
+  window settle and batch primary) the fold skips the lane machinery:
+  it hashes each 2^16-key block once into a reused buffer straight from
+  the seeded function (Mix mixes in place), writes every super-group
+  field into one intp row, and gives each row one bincount;
 * moduli for all seeds come from the vectorized
   :func:`~repro.core.sum_checker.draw_moduli` path;
 * tables accumulate as a ``(T, iterations, d)`` tensor with the
@@ -53,9 +60,10 @@ from repro.hashing.bitgroups import (
     evaluation_seeds,
     iter_bucket_blocks,
     iter_superbucket_blocks,
+    superbucket_plan,
 )
 from repro.hashing.families import get_family
-from repro.util.bits import ceil_log2, is_power_of_two
+from repro.util.bits import is_power_of_two
 from repro.util.rng import derive_seed_array
 
 #: Lane-matrix elements (seed lanes × unique keys) per batched hash pass;
@@ -66,6 +74,11 @@ from repro.util.rng import derive_seed_array
 #: byte extraction) is hoisted out of the block loop by the family's
 #: :class:`~repro.hashing.families.LaneHasher` either way.
 _DEFAULT_CHUNK_ELEMENTS = 1 << 18
+
+#: Keys per hash block of the one-seed fold: the block's hash buffer and
+#: its scratch (1 MB together) stay cache-resident while every
+#: super-group field is sliced out of them.
+_FOLD_BLOCK_KEYS = 1 << 16
 
 _INT64_MIN = -(1 << 63)
 
@@ -85,11 +98,17 @@ def _coerce_seeds(seeds) -> np.ndarray:
         raise TypeError(
             f"multi-seed checkers require integer seeds, got dtype {seeds.dtype}"
         )
-    if seeds.size > 1 and np.unique(seeds).size != seeds.size:
-        # A duplicated seed re-runs the *same* checker: the observed lanes
-        # agree by construction and the claimed δ^T bound silently degrades
-        # to δ^(distinct seeds).  Refuse rather than over-promise.
-        raise ValueError("multi-seed checkers require distinct seeds")
+    if seeds.size > 1:
+        # Sorted neighbours, not np.unique: numpy's hash-based unique pays
+        # a one-off cost of ~15 ms on its first call in a process, which a
+        # freshly forked PE would spend on its first window block.
+        ordered = np.sort(seeds)
+        if np.any(ordered[1:] == ordered[:-1]):
+            # A duplicated seed re-runs the *same* checker: the observed
+            # lanes agree by construction and the claimed δ^T bound
+            # silently degrades to δ^(distinct seeds).  Refuse rather
+            # than over-promise.
+            raise ValueError("multi-seed checkers require distinct seeds")
     return seeds
 
 
@@ -228,6 +247,23 @@ def _signed_union(input_kv, asserted_kv, operator: str):
             return None
         out_v = -out_v
     return np.concatenate((in_k, out_k)), np.concatenate((in_v, out_v))
+
+
+def _peel_marginals(lead: np.ndarray, d: int, out: np.ndarray) -> None:
+    """The ``m = len(out)`` per-iteration marginals of a super-group count.
+
+    ``lead`` is a ``d**m``-bin bincount; as a C-order ``(d,)*m`` cube,
+    axis ``a`` holds the bits of iteration ``m - 1 - a`` of the group.
+    Peel the leading axis off one at a time: its row sums are that
+    iteration's marginal, its column sums carry the other axes on
+    (~2·d**m adds in all, not m·d**m).  Every partial sum is a subset
+    sum of the values, exact in float64 under the Σ|v| < 2^52 guard.
+    """
+    for q in range(out.shape[0] - 1, 0, -1):
+        grid = lead.reshape(d, -1)
+        grid.sum(axis=1, dtype=np.float64, out=out[q])
+        lead = grid.sum(axis=0, dtype=np.float64)
+    out[0] = lead
 
 
 class MultiSeedSumChecker:
@@ -459,7 +495,7 @@ class MultiSeedSumChecker:
         """Accumulate the ``agg_float`` path via super-group bincounts.
 
         Up to ``m`` adjacent bit-groups of one hash evaluation are packed
-        into a single index (:func:`iter_superbucket_blocks`), so *one*
+        into a single index (:func:`superbucket_plan`), so *one*
         ``d**m``-bin weighted bincount per (lane, super-group) replaces
         ``m`` ``d``-bin passes over the keys.  Iteration ``j0 + q``'s
         bucket sums are the cube marginal over every other packed axis —
@@ -470,9 +506,11 @@ class MultiSeedSumChecker:
         block lands in one float64 ``(count, iterations, d)`` block,
         reduced by one cast and one broadcast ``% moduli``.
         """
+        if self.num_seeds == 1:
+            self._fold_one_seed(condensed, tables)
+            return
         cfg = self.config
         agg_float = condensed.agg_float
-        group_bits = ceil_log2(cfg.d)
         for start, count, supers in iter_superbucket_blocks(
             self._family, cfg.d, cfg.iterations, self._bucket_seeds,
             condensed.unique_keys, self.chunk_elements,
@@ -480,26 +518,63 @@ class MultiSeedSumChecker:
         ):
             sums = np.empty((count, cfg.iterations, cfg.d), dtype=np.float64)
             for j0, m, idx in supers:
-                bins = 1 << (m * group_bits)
                 for c in range(count):
                     lead = np.bincount(
-                        idx[c], weights=agg_float, minlength=bins
+                        idx[c], weights=agg_float, minlength=cfg.d**m
                     )
-                    # As a C-order (d,)*m cube, axis a holds the bits of
-                    # group j0 + (m-1-a).  Peel the leading axis off one
-                    # at a time: its row sums are that iteration's
-                    # marginal, its column sums carry the other axes on
-                    # (~2·d**m adds in all, not m·d**m).  Every partial
-                    # sum is a subset sum, exact in float64.
-                    for q in range(m - 1, 0, -1):
-                        grid = lead.reshape(cfg.d, -1)
-                        sums[c, j0 + q] = grid.sum(axis=1, dtype=np.float64)
-                        lead = grid.sum(axis=0, dtype=np.float64)
-                    sums[c, j0] = lead
+                    _peel_marginals(lead, cfg.d, sums[c, j0 : j0 + m])
             tables[start : start + count] = (
                 sums.astype(np.int64)
                 % self.moduli[start : start + count, :, None]
             )
+
+    def _fold_one_seed(
+        self, condensed: CondensedKV, tables: np.ndarray
+    ) -> None:
+        """:meth:`_accumulate_supergroups` at ``T = 1``, without lanes.
+
+        One seed needs no lane hasher and no seed blocks.  Each hash
+        evaluation runs once per block of :data:`_FOLD_BLOCK_KEYS` keys,
+        straight from the seeded function into a reused buffer
+        (:meth:`~repro.hashing.families.HashFunction.hash_into`; Mix
+        mixes in place), and every super-group field of the
+        :func:`superbucket_plan` is written from it into its own intp
+        row.  Each row then takes one weighted bincount, its marginals
+        are peeled in float64, and the table gets one cast and one
+        modulo.  Bit-identical to the lane path.
+        """
+        cfg = self.config
+        keys = condensed.unique_keys
+        weights = condensed.agg_float
+        k = keys.size
+        plan = superbucket_plan(self._family.bits, cfg.d, cfg.iterations, k)
+        fns = [self._family.build(s) for s in self._eval_seeds[:, 0].tolist()]
+        width = min(k, _FOLD_BLOCK_KEYS)
+        h = np.empty(width, dtype=np.uint64)
+        scratch = np.empty(width, dtype=np.uint64)
+        rows = np.empty((sum(len(ev.groups) for ev in plan), k), dtype=np.intp)
+        # Every field is below 2**width, so its uint64 word is its intp
+        # index: one broadcast shift and mask write all of an
+        # evaluation's fields straight into its rows.
+        words = rows.view(np.uint64)
+        for start in range(0, k, _FOLD_BLOCK_KEYS):
+            end = min(start + _FOLD_BLOCK_KEYS, k)
+            n = end - start
+            first = 0
+            for fn, ev in zip(fns, plan):
+                fn.hash_into(keys[start:end], h[:n], scratch[:n])
+                dst = words[first : first + len(ev.groups), start:end]
+                np.right_shift(h[:n], ev.shifts, out=dst)
+                np.bitwise_and(dst, ev.masks, out=dst)
+                first += len(ev.groups)
+        sums = np.empty((cfg.iterations, cfg.d), dtype=np.float64)
+        groups = [group for ev in plan for group in ev.groups]
+        for row, (j0, m, _, bits) in zip(rows, groups):
+            lead = np.bincount(row, weights=weights, minlength=1 << bits)
+            _peel_marginals(lead, cfg.d, sums[j0 : j0 + m])
+        np.remainder(
+            sums.astype(np.int64), self.moduli[0, :, None], out=tables[0]
+        )
 
     # -- table algebra -------------------------------------------------------
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

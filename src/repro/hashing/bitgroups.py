@@ -13,9 +13,20 @@ seeded instances only when more iterations are requested than fit — exactly
 the paper's scheme.  For general ``d`` (the Table 2 optimizer frequently
 yields non-powers of two, e.g. d = 37) it falls back to one evaluation per
 iteration reduced ``mod d``.
+
+For the condensed-table fold, :func:`superbucket_plan` packs adjacent
+bit-groups of one evaluation into *super-groups*, so one bincount counts
+several iterations at once.  The plan is cached and shared by both fold
+paths: :func:`iter_superbucket_blocks` serves ``T > 1`` seed lanes through
+the families' lane hashers, and
+:class:`~repro.core.multiseed.MultiSeedSumChecker` folds a single seed
+(``T = 1``) straight from the seeded hash function.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -304,6 +315,78 @@ def iter_bucket_blocks(
 _MAX_SUPER_BITS = 16
 
 
+class EvaluationPlan(NamedTuple):
+    """The super-groups one hash evaluation carries.
+
+    ``groups[i] = (j0, m, shift, width)``: iterations ``j0..j0+m-1`` are
+    the ``width``-bit field at bit ``shift`` of the hash value.
+    ``shifts`` and ``masks`` are the same fields as read-only ``(len(groups),
+    1)`` uint64 columns, so one broadcast shift and one broadcast mask
+    extract them all.
+    """
+
+    groups: tuple[tuple[int, int, int, int], ...]
+    shifts: np.ndarray
+    masks: np.ndarray
+
+
+def superbucket_plan(
+    hash_bits: int, d: int, iterations: int, num_keys: int
+) -> tuple[EvaluationPlan, ...]:
+    """Which iterations each hash evaluation packs into which super-group.
+
+    Power-of-two ``d`` only.  Up to ``m = 16 // log2(d)`` **adjacent**
+    bit-groups of one hash evaluation form a super-group, a single index
+    in ``0..d**m - 1`` (group ``j0 + q`` is bits ``q*log2(d)..`` of it).
+    A consumer then bucket-counts *m* iterations with **one** pass over
+    the keys and reads each iteration's counts off as a marginal of the
+    ``(d,)*m`` cube — the §7.1 bit-parallel idea applied to the
+    accumulation itself, not just the hashing.
+
+    The width is also capped at the key count: ``m`` is the largest with
+    ``d**m <= num_keys`` (at least 1).  A consumer's bincount and cube
+    marginals cost O(d**m) on top of the O(num_keys) pass, so once the
+    bins outnumber the keys the empty bins cost more than the merged
+    passes save — a 2 000-key window would otherwise count into 65 536
+    bins per super-group.  Inputs of ``2**16`` keys or more keep the full
+    width.
+
+    Returns one :class:`EvaluationPlan` per hash evaluation, in
+    :func:`evaluation_seeds` order; a super-group of ``m`` iterations is a
+    ``width = m·log2(d)``-bit field.  ``hash_bits`` is the family's output
+    width.  Cached per width cap, so a window loop plans once.
+    """
+    if not is_power_of_two(d):
+        raise ValueError(f"super-group plans need power-of-two d, got {d}")
+    # floor(log2 k) bits index at most k bins; k = 0 or 1 gives 0 → m = 1.
+    key_bits = max(num_keys, 1).bit_length() - 1
+    return _superbucket_plan(
+        hash_bits, d, iterations, min(_MAX_SUPER_BITS, key_bits)
+    )
+
+
+@lru_cache(maxsize=256)
+def _superbucket_plan(hash_bits, d, iterations, super_bits):
+    group_bits = ceil_log2(d)
+    groups_per_eval = max(1, hash_bits // group_bits)
+    m_max = max(1, super_bits // group_bits)
+    plan = []
+    it = 0
+    while it < iterations:
+        g = 0
+        groups = []
+        while g < groups_per_eval and it < iterations:
+            m = min(m_max, groups_per_eval - g, iterations - it)
+            groups.append((it, m, g * group_bits, m * group_bits))
+            g += m
+            it += m
+        shifts = np.array([[shift] for _, _, shift, _ in groups], np.uint64)
+        masks = np.array([[(1 << w) - 1] for *_, w in groups], np.uint64)
+        shifts.flags.writeable = masks.flags.writeable = False
+        plan.append(EvaluationPlan(tuple(groups), shifts, masks))
+    return tuple(plan)
+
+
 def iter_superbucket_blocks(
     family: HashFamily,
     d: int,
@@ -311,29 +394,17 @@ def iter_superbucket_blocks(
     seeds: np.ndarray,
     keys: np.ndarray,
     chunk_elements: int = 1 << 20,
-    max_super_bits: int = _MAX_SUPER_BITS,
     *,
     eval_seeds: np.ndarray | None = None,
 ):
-    """Bucket indices combined into *super-groups* of adjacent bit-groups.
+    """Bucket indices combined into the super-groups of
+    :func:`superbucket_plan`, for many seeds at once.
 
     Power-of-two ``d`` only.  Where :func:`iter_bucket_blocks` yields one
-    ``0..d-1`` row per iteration, this packs up to
-    ``m = max_super_bits // log2(d)`` **adjacent** bit-groups of each hash
-    evaluation into a single index in ``0..d**m - 1`` (group ``j0 + q``
-    is bits ``q*log2(d)..`` of the packed index).  A consumer can then
-    bucket-count *m* iterations with **one** pass over the keys and read
-    each iteration's counts off as a marginal of the ``(d,)*m`` cube —
-    the §7.1 bit-parallel idea applied to the accumulation itself, not
-    just the hashing.
-
-    The width is also capped at the key count: ``m`` is the largest with
-    ``d**m <= len(keys)`` (at least 1).  A consumer's bincount and cube
-    marginals cost O(d**m) on top of the O(len(keys)) pass, so once the
-    bins outnumber the keys the empty bins cost more than the merged
-    passes save — a 2 000-key window would otherwise count into 65 536
-    bins per super-group.  Inputs of ``2**max_super_bits`` keys or more
-    keep the full width.
+    ``0..d-1`` row per iteration, this yields one packed index per
+    super-group and seed lane.  This is the ``T > 1`` access pattern; a
+    one-seed fold reads the plan directly
+    (:meth:`repro.core.multiseed.MultiSeedSumChecker.local_tables`).
 
     Each hash evaluation makes **one** base pass over the keys, whatever
     the widths of its super-groups (the CRC base hash, one tabulation
@@ -353,27 +424,9 @@ def iter_superbucket_blocks(
         raise ValueError(f"super-group blocks need power-of-two d, got {d}")
     eval_seeds = _checked_eval_seeds(family, d, iterations, seeds, eval_seeds)
     k = keys.size
-    group_bits = ceil_log2(d)
-    groups_per_eval = max(1, family.bits // group_bits)
-    # floor(log2 k) bits index at most k bins; k = 0 or 1 gives 0 → m = 1.
-    key_bits = max(k, 1).bit_length() - 1
-    m_max = max(1, min(max_super_bits, key_bits) // group_bits)
-    # Static plan: per evaluation, the (j0, g0, m) super-groups it carries
-    # and their (bit offset, width) fields.
-    evals: list[list[tuple[int, int, int]]] = []
-    it = 0
-    for _ in range(eval_seeds.shape[0]):
-        g = 0
-        supers = []
-        while g < groups_per_eval and it < iterations:
-            m = min(m_max, groups_per_eval - g, iterations - it)
-            supers.append((it, g, m))
-            g += m
-            it += m
-        evals.append(supers)
+    plan = superbucket_plan(family.bits, d, iterations, k)
     fields = [
-        [(g0 * group_bits, m * group_bits) for _, g0, m in supers]
-        for supers in evals
+        [(shift, width) for _, _, shift, width in ev.groups] for ev in plan
     ]
     hasher = family.multiseed_hasher(keys)
     affine = isinstance(hasher, AffineLaneHasher)
@@ -394,9 +447,9 @@ def iter_superbucket_blocks(
     for start in range(0, seeds.size, per_block):
         count = min(per_block, seeds.size - start)
         out: list[tuple[int, int, np.ndarray]] = []
-        for e, supers in enumerate(evals):
+        for e, ev in enumerate(plan):
             fn_seeds = eval_seeds[e, start : start + count]
-            idxs = np.empty((len(supers), count, k), dtype=np.intp)
+            idxs = np.empty((len(ev.groups), count, k), dtype=np.intp)
             if affine:
                 consts = hasher.constants(fn_seeds)
                 for (shift, width), idx in zip(fields[e], idxs):
@@ -420,7 +473,7 @@ def iter_superbucket_blocks(
                 for (shift, width), idx in zip(fields[e], idxs):
                     smask = np.uint64((1 << width) - 1)
                     idx[:] = ((h >> np.uint64(shift)) & smask).astype(np.intp)
-            for (j0, _, m), idx in zip(supers, idxs):
+            for (j0, m, _, _), idx in zip(ev.groups, idxs):
                 out.append((j0, m, idx))
         yield start, count, out
 

@@ -12,6 +12,14 @@ Seeding: the hardware instruction folds data into a running CRC state, so a
 ``crc32c_u64(x, seed)`` is the raw (no pre/post inversion) CRC of the 8
 little-endian bytes of ``x`` starting from state ``seed``; this mirrors
 ``_mm_crc32_u64(seed, x)``.
+
+The vector kernel :func:`crc32c_u64_array` slices by bytes: it reads each
+key through a little-endian byte view and XORs one lookup per byte from
+eight 256-entry tables (table ``j`` holds byte ``b`` followed by ``j`` zero
+bytes), so a key costs ``nbytes`` gathers instead of six array passes per
+byte.  The seed enters afterwards through CRC's affinity in its initial
+state, ``crc(x, s) = crc(x, 0) ⊕ crc(0^nbytes, s)``; the seed term is read
+from four 256-entry tables of that linear map.
 """
 
 from __future__ import annotations
@@ -38,6 +46,67 @@ def _build_table() -> np.ndarray:
 #: The 256-entry byte-at-a-time lookup table (module-level, built once).
 _TABLE = _build_table()
 _TABLE_LIST = [int(x) for x in _TABLE]
+
+
+def _zero_byte_step(states: np.ndarray) -> np.ndarray:
+    """Fold one zero byte into every CRC state."""
+    return (states >> np.uint32(8)) ^ _TABLE[states & np.uint32(0xFF)]
+
+
+def _slicing_tables() -> np.ndarray:
+    """``(8, 256)`` uint32: ``[j, b]`` is the CRC, from state 0, of byte
+    ``b`` followed by ``j`` zero bytes."""
+    tables = np.empty((8, 256), dtype=np.uint32)
+    tables[0] = _TABLE
+    for j in range(1, 8):
+        tables[j] = _zero_byte_step(tables[j - 1])
+    return tables
+
+
+#: Slicing-by-8 tables: from state 0, the CRC of ``nbytes`` bytes
+#: ``b_0 .. b_{n-1}`` is ``⊕_i _SLICES[n - 1 - i, b_i]`` (CRC is linear,
+#: and a zero byte leaves state 0 at 0).
+_SLICES = _slicing_tables()
+
+#: Longest zero run whose state map :data:`_ZERO_ADVANCE` tabulates.
+_TABLED_ZEROS = 8
+
+
+def _zero_advance_tables() -> np.ndarray:
+    """``(9, 4, 256)`` uint32: ``[n, k, b]`` is state ``b << 8k`` after
+    ``n`` zero bytes.  The map is GF(2)-linear, so a 32-bit state's image
+    is the XOR of its four bytes' entries."""
+    shifts = np.uint32(8) * np.arange(4, dtype=np.uint32)[:, None]
+    tables = np.empty((_TABLED_ZEROS + 1, 4, 256), dtype=np.uint32)
+    tables[0] = np.arange(256, dtype=np.uint32)[None, :] << shifts
+    for n in range(1, _TABLED_ZEROS + 1):
+        tables[n] = _zero_byte_step(tables[n - 1])
+    return tables
+
+
+_ZERO_ADVANCE = _zero_advance_tables()
+_ZERO_ADVANCE_LISTS = _ZERO_ADVANCE.tolist()
+
+
+def _advance_tabled(states: np.ndarray, length: int) -> np.ndarray:
+    """``states`` (uint32) after ``length <= 8`` zero bytes, by table."""
+    z = _ZERO_ADVANCE[length]
+    out = z[0].take(states & np.uint32(0xFF))
+    out ^= z[1].take((states >> np.uint32(8)) & np.uint32(0xFF))
+    out ^= z[2].take((states >> np.uint32(16)) & np.uint32(0xFF))
+    out ^= z[3].take(states >> np.uint32(24))
+    return out
+
+
+def _advance_scalar(state: int, length: int) -> int:
+    """One 32-bit ``state`` after ``length <= 8`` zero bytes (Python ints)."""
+    z = _ZERO_ADVANCE_LISTS[length]
+    return (
+        z[0][state & 0xFF]
+        ^ z[1][(state >> 8) & 0xFF]
+        ^ z[2][(state >> 16) & 0xFF]
+        ^ z[3][state >> 24]
+    )
 
 
 def crc32c_bytes(data: bytes, init: int = 0) -> int:
@@ -74,8 +143,7 @@ def _zero_step_images() -> np.ndarray:
     GF(2)-linear map (the table itself is linear: ``T[a^b] = T[a]^T[b]``),
     so it is fully described by where it sends the 32 one-bit states.
     """
-    basis = np.uint32(1) << np.arange(32, dtype=np.uint32)
-    return (basis >> np.uint32(8)) ^ _TABLE[basis & np.uint32(0xFF)]
+    return _zero_byte_step(np.uint32(1) << np.arange(32, dtype=np.uint32))
 
 
 _ZERO_STEP_IMAGES = _zero_step_images()
@@ -96,7 +164,8 @@ def crc32c_zero_advance(states, length: int) -> np.ndarray:
 
     This is the seed-dependent term of the affinity identity
     ``crc(m, s) = crc(m, 0) ⊕ crc(0^|m|, s)``: the state map of a zero-byte
-    block is GF(2)-linear, so short blocks step byte-at-a-time and long
+    block is GF(2)-linear, so short blocks advance up to eight bytes at a
+    time through the tabulated map (four lookups per state) and long
     blocks raise the one-byte step matrix to the ``length``-th power by
     squaring — O(log length) instead of O(length).
     """
@@ -106,9 +175,11 @@ def crc32c_zero_advance(states, length: int) -> np.ndarray:
     if length == 0:
         return states.copy()
     if length <= 64:
-        crc = states.copy()
-        for _ in range(length):
-            crc = (crc >> np.uint32(8)) ^ _TABLE[crc & np.uint32(0xFF)]
+        crc = states
+        while length:
+            step = min(length, _TABLED_ZEROS)
+            crc = _advance_tabled(crc, step)
+            length -= step
         return crc
     step = _ZERO_STEP_IMAGES
     result = None  # identity map; powers of one matrix commute freely
@@ -137,36 +208,57 @@ def crc32c_seed_constants(seeds, nbytes: int = 8) -> np.ndarray:
     return crc32c_zero_advance(seeds, nbytes).astype(np.uint64)
 
 
+#: Keys per slicing pass of :func:`crc32c_u64_array`: the block's byte
+#: view, state and scratch (~1 MB) stay cache-resident through its
+#: ``nbytes`` gathers.
+_SLICE_BLOCK = 1 << 16
+
+
 def crc32c_u64_array(
     keys: np.ndarray, seed=0, nbytes: int = 8
 ) -> np.ndarray:
     """Vectorized CRC-32C over the low ``nbytes`` bytes of a uint64 array.
 
-    Processes the bytes of every key in lock-step with fancy indexing into
-    the lookup table; ``nbytes`` numpy passes regardless of array length.
-    ``nbytes`` matters for detection behaviour: CRC of a 32-bit value is a
-    different function than CRC of the same value stored in 64 bits, and
-    the paper's workloads store 32-bit elements.
+    Every key's bytes are read through a little-endian byte view and
+    combined by slicing (one gather per byte from :data:`_SLICES`, XORed),
+    in cache-sized blocks of keys; the seed is XORed in afterwards as its
+    zero-advance over ``nbytes`` bytes.  Bit-identical to folding the
+    bytes one at a time from state ``seed``.  ``nbytes`` matters for
+    detection behaviour: CRC of a 32-bit value is a different function
+    than CRC of the same value stored in 64 bits, and the paper's
+    workloads store 32-bit elements.
 
     ``seed`` may be a scalar (one hash function) or an integer array
     broadcastable to ``keys.shape`` (a per-element initial state — the
     batched accuracy engine hashes each trial's keys under that trial's
-    seed in one call).
+    seed in one call).  Only the low 32 bits of a seed matter.  The
+    result is uint32 with the shape of ``keys``.
     """
     if not 1 <= nbytes <= 8:
         raise ValueError(f"nbytes must be in 1..8, got {nbytes}")
     keys = np.asarray(keys, dtype=np.uint64)
+    data = np.ascontiguousarray(keys.ravel(), dtype="<u8").view(np.uint8)
+    data = data.reshape(-1, 8)
+    n = data.shape[0]
+    crc = np.empty(n, dtype=np.uint32)
+    scratch = np.empty(min(n, _SLICE_BLOCK), dtype=np.uint32)
+    for start in range(0, n, _SLICE_BLOCK):
+        end = min(start + _SLICE_BLOCK, n)
+        block = data[start:end]
+        part = crc[start:end]
+        tmp = scratch[: end - start]
+        # mode="clip" skips the bounds check (and the buffered copy it
+        # forces with ``out``); byte indices are always in range.
+        _SLICES[nbytes - 1].take(block[:, 0], out=part, mode="clip")
+        for i in range(1, nbytes):
+            _SLICES[nbytes - 1 - i].take(block[:, i], out=tmp, mode="clip")
+            part ^= tmp
+    crc = crc.reshape(keys.shape)
     if np.ndim(seed) == 0:
-        crc = np.full(keys.shape, np.uint32(int(seed) & 0xFFFFFFFF), dtype=np.uint32)
+        state = int(seed) & 0xFFFFFFFF
+        if state:
+            crc ^= np.uint32(_advance_scalar(state, nbytes))
     else:
-        seed = np.asarray(seed)
-        crc = np.broadcast_to(
-            (seed.astype(np.uint64) & np.uint64(0xFFFFFFFF)).astype(np.uint32),
-            keys.shape,
-        )
-    for byte_index in range(nbytes):
-        byte = ((keys >> np.uint64(8 * byte_index)) & np.uint64(0xFF)).astype(
-            np.uint32
-        )
-        crc = (crc >> np.uint32(8)) ^ _TABLE[(crc ^ byte) & np.uint32(0xFF)]
+        states = np.asarray(seed).astype(np.uint64) & np.uint64(0xFFFFFFFF)
+        crc ^= _advance_tabled(states.astype(np.uint32), nbytes)
     return crc

@@ -48,6 +48,15 @@ class HashFunction(Protocol):
         """Vectorized evaluation (uint64 in, unsigned out)."""
         ...
 
+    def hash_into(
+        self, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        """:meth:`hash_array` of uint64 ``keys`` written into the uint64
+        array ``out`` (same shape); ``scratch`` is a same-shape buffer the
+        evaluation may clobber.  A one-seed fold hashes each key block
+        into reused buffers this way."""
+        ...
+
     def hash_one(self, key: int) -> int:
         """Scalar evaluation."""
         ...
@@ -68,6 +77,11 @@ class _CRCHash:
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         return crc32c_u64_array(keys, self.seed, self.nbytes).astype(np.uint64)
+
+    def hash_into(
+        self, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        out[...] = crc32c_u64_array(keys, self.seed, self.nbytes)
 
     def hash_one(self, key: int) -> int:
         data = int(key).to_bytes(8, "little", signed=False)[: self.nbytes]
@@ -119,12 +133,22 @@ class HashFamily:
             if fn is not None:
                 self._cache.move_to_end(key)
                 return fn
-        fn = self._factory(key)
+        fn = self.build(key)
         with self._cache_lock:
             self._cache[key] = fn
             if len(self._cache) > _INSTANCE_CACHE_SIZE:
                 self._cache.popitem(last=False)
         return fn
+
+    def build(self, seed: int) -> HashFunction:
+        """The hash function determined by ``seed``, built afresh.
+
+        :meth:`instance` without its cache, for a caller that meets each
+        seed once: a one-seed fold draws a fresh seed per window, so the
+        cache would only churn, and concurrent PE threads would queue on
+        its lock.
+        """
+        return self._factory(int(seed))
 
     def hash_array_batch(
         self, seeds: np.ndarray, owner: np.ndarray, keys: np.ndarray

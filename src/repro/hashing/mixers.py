@@ -14,7 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.rng import derive_seed, derive_seed_array, splitmix64, splitmix64_array
+from repro.util.rng import (
+    derive_seed,
+    derive_seed_array,
+    splitmix64,
+    splitmix64_array,
+    splitmix64_inplace,
+)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -65,6 +71,16 @@ class SplitMixHash:
             mixed &= np.uint64(self._mask)
         return mixed
 
+    def hash_into(
+        self, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        """:meth:`hash_array` of uint64 ``keys`` into ``out``: the keyed
+        mix runs in place, with ``scratch`` as its one temporary."""
+        np.bitwise_xor(keys, np.uint64(self.seed), out=out)
+        splitmix64_inplace(out, scratch)
+        if self.bits < 64:
+            out &= np.uint64(self._mask)
+
     def hash_one(self, key: int) -> int:
         return splitmix64((int(key) ^ self.seed) & _MASK64) & self._mask
 
@@ -93,6 +109,14 @@ class MultiplyShiftHash:
         with np.errstate(over="ignore"):
             product = keys * np.uint64(self.multiplier)
         return product >> np.uint64(self._shift)
+
+    def hash_into(
+        self, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        """:meth:`hash_array` of uint64 ``keys`` into ``out``, in place
+        (array products wrap modulo 2^64 without a warning)."""
+        np.multiply(keys, np.uint64(self.multiplier), out=out)
+        np.right_shift(out, np.uint64(self._shift), out=out)
 
     def hash_one(self, key: int) -> int:
         return ((int(key) * self.multiplier) & _MASK64) >> self._shift

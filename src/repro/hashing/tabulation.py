@@ -379,6 +379,12 @@ class TabulationHash:
             out ^= self.tables[i][byte]
         return out
 
+    def hash_into(
+        self, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        """:meth:`hash_array` of uint64 ``keys`` written into ``out``."""
+        out[...] = self.hash_array(keys)
+
     def hash_one(self, key: int) -> int:
         """Scalar evaluation."""
         key = int(key)

@@ -24,6 +24,10 @@ SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# The constants as numpy scalars, built once for the in-place mix.
+_GAMMA_U64 = np.uint64(SPLITMIX64_GAMMA)
+_M1_U64, _M2_U64 = np.uint64(_M1), np.uint64(_M2)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def splitmix64(x: int) -> int:
@@ -48,6 +52,23 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
         x *= np.uint64(_M2)
         x ^= x >> np.uint64(31)
     return x
+
+
+def splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`splitmix64_array` in place: ``x`` (a uint64 array) is mixed
+    where it lies, with one same-shape ``scratch`` array for the shifts
+    instead of a fresh temporary per step.  Array arithmetic wraps
+    modulo 2^64 without a warning (numpy checks overflow on scalars
+    only), so no ``errstate`` is entered."""
+    x += _GAMMA_U64
+    np.right_shift(x, _S30, out=scratch)
+    x ^= scratch
+    x *= _M1_U64
+    np.right_shift(x, _S27, out=scratch)
+    x ^= scratch
+    x *= _M2_U64
+    np.right_shift(x, _S31, out=scratch)
+    x ^= scratch
 
 
 def derive_seed(root: int, *path: int | str) -> int:

@@ -21,6 +21,7 @@ from repro.core.permutation_checker import (
     wide_weighted_sum,
 )
 from repro.core.sum_checker import reference_tables
+from repro.hashing.families import list_families
 from repro.workloads.kv import aggregate_reference, sum_workload
 
 SEEDS = np.arange(6, dtype=np.uint64) * np.uint64(1337) + np.uint64(5)
@@ -123,6 +124,32 @@ class TestPerSeedIdentity:
             # The seed's one-seed view folds the same table.
             view = multi.seed_view(t).local_tables_condensed(raw_pairs)
             assert np.array_equal(view[0], ref_tables)
+
+    @pytest.mark.parametrize("family", list_families())
+    @pytest.mark.parametrize("d", [16, 256])
+    @pytest.mark.parametrize(
+        "n",
+        # The super-group width caps (d**m <= n), the 2^16-key hash block
+        # edge of the one-seed fold, and several blocks.
+        [0, 1, 255, 256, 4095, 4096, 65535, 65536, 65537, 131077],
+    )
+    def test_one_seed_fold_matches_reference_and_lanes(self, family, d, n):
+        """The lane-free ``T = 1`` fold equals the paper's fold and the
+        same seed's row of a ``T = 3`` checker (the lane path)."""
+        rng = np.random.default_rng(n + d)
+        # About a third of the pairs repeat a key: raw pairs, not keys.
+        keys = rng.integers(0, 2**64, n, dtype=np.uint64)
+        keys[: n // 3] = keys[n - n // 3 :]
+        values = rng.integers(-(2**20), 2**20, n, dtype=np.int64)
+        cfg = SumCheckConfig(iterations=8, d=d, rhat=1 << 15).with_hash(family)
+        seed = 41 + d
+        one = MultiSeedSumChecker(cfg, seed).local_tables(keys, values)
+        lanes = MultiSeedSumChecker(cfg, [seed, 7, 9]).local_tables_condensed(
+            _pairs_condensed(keys, values)
+        )
+        ref = reference_tables(cfg, seed, keys, values)
+        assert np.array_equal(one[0], ref)
+        assert np.array_equal(lanes[0], ref)
 
     @pytest.mark.parametrize("operator", ["+", "xor"])
     def test_seed_view_derives_nothing(self, operator, workload, monkeypatch):
@@ -228,6 +255,38 @@ class TestMagnitudePaths:
             ref_tables = reference_tables(self.CFG, int(seed), keys, values)
             assert np.array_equal(tables[t], ref_tables)
             assert np.array_equal(raw[t], ref_tables)
+            # The one-seed fold takes its own (lane-free) float path.
+            one = MultiSeedSumChecker(self.CFG, seed).local_tables(keys, values)
+            assert np.array_equal(one[0], ref_tables)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # n·max|v| = 2^52 − 4: the one-seed float fold, negatives too.
+            pytest.param([2**50 - 1, 1 - 2**50] * 2, id="below-2^52"),
+            # n·max|v| and Σ|v| past 2^52: the exact int64 path.
+            pytest.param([2**51, -(2**51), 1, 2], id="above-2^52"),
+        ],
+    )
+    @pytest.mark.parametrize("asserted", [7, -(2**63)])
+    def test_local_difference_is_the_table_difference(
+        self, values, asserted
+    ):
+        """One signed fold of both sides equals the difference of the
+        sides' reference tables at ``T = 1``; an asserted ``−2^63``, whose
+        negation overflows, makes each side fold on its own."""
+        keys = np.array([1, 2, 1, 2], dtype=np.uint64)
+        values = np.array(values, dtype=np.int64)
+        out_k = np.array([2, 9], dtype=np.uint64)
+        out_v = np.array([5, asserted], dtype=np.int64)
+        for seed in SEEDS:
+            checker = MultiSeedSumChecker(self.CFG, seed)
+            diff = checker.local_difference((keys, values), (out_k, out_v))
+            want = checker.difference(
+                reference_tables(self.CFG, int(seed), keys, values)[None],
+                reference_tables(self.CFG, int(seed), out_k, out_v)[None],
+            )
+            assert np.array_equal(diff, want)
 
     def test_small_values_use_float_bincount(self):
         # Σ|v| < 2^52: the float64 bincount path with deferred modulo.

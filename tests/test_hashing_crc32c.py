@@ -76,6 +76,78 @@ class TestVectorized:
         assert crc32c_u64_array(np.array([], dtype=np.uint64)).size == 0
 
 
+class TestSlicingKernel:
+    """The slicing-table kernel against the pure-Python byte loop."""
+
+    @staticmethod
+    def _bytewise(keys, seeds, nbytes):
+        keys = np.asarray(keys, dtype=np.uint64)
+        seeds = np.broadcast_to(np.asarray(seeds, dtype=np.uint64), keys.shape)
+        return np.array(
+            [
+                crc32c_bytes(
+                    int(k).to_bytes(8, "little")[:nbytes], int(s) & 0xFFFFFFFF
+                )
+                for k, s in zip(keys.ravel(), seeds.ravel())
+            ],
+            dtype=np.uint32,
+        ).reshape(keys.shape)
+
+    @pytest.mark.parametrize("nbytes", range(1, 9))
+    @pytest.mark.parametrize(
+        "seed",
+        # Seeds >= 2^32 hash like their low 32 bits.
+        [0, 1, 0xFFFFFFFF, 2**32, 2**32 + 7, 2**64 - 1],
+    )
+    def test_scalar_seed_matches_bytewise(self, nbytes, seed, rng):
+        keys = rng.integers(0, 2**64, 64, dtype=np.uint64)
+        keys[:4] = [0, 1, 2**64 - 1, 2**63]
+        got = crc32c_u64_array(keys, np.uint64(seed), nbytes)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, self._bytewise(keys, seed, nbytes))
+        assert np.array_equal(crc32c_u64_array(keys, seed, nbytes), got)
+
+    @pytest.mark.parametrize("nbytes", range(1, 9))
+    def test_array_seeds_match_bytewise(self, nbytes, rng):
+        keys = rng.integers(0, 2**64, 64, dtype=np.uint64)
+        seeds = rng.integers(0, 2**64, 64, dtype=np.uint64)
+        seeds[:2] = [2**32 + 3, 2**64 - 1]
+        got = crc32c_u64_array(keys, seeds, nbytes)
+        assert np.array_equal(got, self._bytewise(keys, seeds, nbytes))
+        signed = crc32c_u64_array(keys, seeds.view(np.int64), nbytes)
+        assert np.array_equal(signed, got)
+
+    @pytest.mark.parametrize("seed", [5, np.array([5, 2**40 + 5])])
+    def test_key_shapes(self, seed, rng):
+        grid = rng.integers(0, 2**64, (3, 4), dtype=np.uint64)
+        seeds = seed if np.ndim(seed) == 0 else np.resize(seed, 4)
+        two_d = crc32c_u64_array(grid, seeds, 8)
+        assert two_d.shape == (3, 4)
+        assert np.array_equal(two_d, self._bytewise(grid, seeds, 8))
+        strided = grid.T[::2]  # non-contiguous view, shape (2, 3)
+        assert not strided.flags.c_contiguous
+        seeds_t = seed if np.ndim(seed) == 0 else np.resize(seed, 3)
+        assert np.array_equal(
+            crc32c_u64_array(strided, seeds_t, 8),
+            self._bytewise(strided, seeds_t, 8),
+        )
+        scalar = crc32c_u64_array(np.uint64(2**63 + 9), 5, 4)
+        assert scalar.shape == ()
+        assert int(scalar) == crc32c_bytes(
+            (2**63 + 9).to_bytes(8, "little")[:4], 5
+        )
+        empty = crc32c_u64_array(np.zeros((0, 3), dtype=np.uint64), 5)
+        assert empty.shape == (0, 3) and empty.dtype == np.uint32
+
+    def test_several_slicing_blocks(self, rng):
+        from repro.hashing.crc32c import _SLICE_BLOCK
+
+        keys = rng.integers(0, 2**64, 2 * _SLICE_BLOCK + 3, dtype=np.uint64)
+        got = crc32c_u64_array(keys, 9, 8)
+        pick = np.r_[0:3, _SLICE_BLOCK - 1 : _SLICE_BLOCK + 2, -3:0]
+        assert np.array_equal(got[pick], self._bytewise(keys[pick], 9, 8))
+
+
 class TestLinearity:
     """CRC is affine over GF(2) — the structural root of the paper's
     observed Increment anomaly (crc(x) ^ crc(x+1) is input-independent for
