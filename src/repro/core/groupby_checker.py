@@ -12,6 +12,8 @@ needs a separate local checker, outside the paper's (and this repo's) scope.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.comm import ops
@@ -37,12 +39,37 @@ def encode_records(keys, values) -> np.ndarray:
 
 
 def default_partitioner(num_pes: int, seed: int = 0):
-    """The framework's key→PE assignment: a fixed hash mod p."""
+    """The framework's key→PE assignment: a fixed hash mod p.
+
+    Returns ``part(keys) -> int64 ranks``, built once per
+    ``(num_pes, seed)`` and shared by every later call, so a window loop
+    reuses one function instead of building one per window.  ``part``
+    hashes into a fresh buffer and reduces it in place: a mask when
+    ``num_pes`` is a power of two, else a modulo, with the same result
+    as ``hash % num_pes``.  ``num_pes < 1`` raises ``ValueError``.
+    """
+    num_pes = int(num_pes)
+    if num_pes < 1:
+        raise ValueError(f"num_pes must be >= 1, got {num_pes}")
+    return _partitioner(num_pes, int(seed))
+
+
+@lru_cache(maxsize=64)
+def _partitioner(num_pes: int, seed: int):
     fn = get_family("Mix").instance(derive_seed(seed, "partitioner"))
+    p = np.uint64(num_pes)
+    mask = np.uint64(num_pes - 1) if num_pes & (num_pes - 1) == 0 else None
 
     def part(keys) -> np.ndarray:
         keys = _coerce_keys(keys)
-        return (fn.hash_array(keys) % np.uint64(num_pes)).astype(np.int64)
+        ranks = np.empty(keys.shape, dtype=np.uint64)
+        fn.hash_into(keys, ranks, np.empty_like(ranks))
+        if mask is not None:
+            np.bitwise_and(ranks, mask, out=ranks)
+        else:
+            np.remainder(ranks, p, out=ranks)
+        # Every rank is below num_pes, so the int64 view reads the same.
+        return ranks.view(np.int64)
 
     return part
 

@@ -164,10 +164,11 @@ class MultiSeedHashSumChecker:
         # Fold the "perm-checker" label once per seed; iterations branch on
         # their counter (identical to derive_seed(seed, "perm-checker", j)).
         self._prefix = derive_seed_array(self.seeds, "perm-checker")
-        # One seed hashes raw sequences with its seeded instances.
+        # One seed hashes raw sequences with its seeded functions, built
+        # afresh: a seed used once would only churn the family's cache.
         self._functions = (
             [
-                family.instance(splitmix64(int(self._prefix[0]) ^ j))
+                family.build(splitmix64(int(self._prefix[0]) ^ j))
                 for j in range(iterations)
             ]
             if self.num_seeds == 1

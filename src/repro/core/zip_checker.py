@@ -53,11 +53,15 @@ def _mod_p31(x: np.ndarray) -> np.ndarray:
 
 
 def _lane(seed: int, iteration: int) -> tuple:
-    """The (positional weight ``h'``, value hash ``g``) pair of one lane."""
+    """The (positional weight ``h'``, value hash ``g``) pair of one lane.
+
+    Built afresh: each window draws fresh seeds, which a cached instance
+    would only evict from the family's cache.
+    """
     mix = get_family("Mix")
     return (
-        mix.instance(derive_seed(seed, "zip-pos", iteration)),
-        mix.instance(derive_seed(seed, "zip-val", iteration)),
+        mix.build(derive_seed(seed, "zip-pos", iteration)),
+        mix.build(derive_seed(seed, "zip-val", iteration)),
     )
 
 

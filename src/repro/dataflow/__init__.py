@@ -26,7 +26,6 @@ operations see their data.
 """
 
 from repro.dataflow.exchange import (
-    Exchange,
     exchange_by_destination,
     global_offset,
     global_offsets,
@@ -81,7 +80,6 @@ from repro.dataflow.pipeline import (
 )
 
 __all__ = [
-    "Exchange",
     "exchange_by_destination",
     "global_offset",
     "global_offsets",

@@ -2,9 +2,17 @@
 
 Local phase: aggregate local pairs per key (we use a sort-based reduction
 in place of Thrill's hash table — same semantics, cache-friendlier in
-numpy).  Exchange phase: keys are partitioned over PEs by a fixed hash and
-partial sums are combined at their home PE.  The result is *distributed*:
-each key lives at exactly one PE.
+numpy).  Input whose keys already strictly increase is aggregated as it
+stands, after one comparison pass: a window's settle merges its chunks
+before the operation runs, so the operation's first local phase would
+otherwise re-sort what is already sorted and unique.  Exchange phase:
+keys are partitioned over PEs by a fixed hash (the cached
+:func:`~repro.core.groupby_checker.default_partitioner`), routed by the
+linear-time split of
+:func:`~repro.dataflow.exchange.exchange_by_destination`, and the
+partial sums are combined at their home PE, where the p sorted runs
+received are merged by the same stable sort.  The result is
+*distributed*: each key lives at exactly one PE.
 """
 
 from __future__ import annotations
@@ -18,14 +26,18 @@ from repro.dataflow.exchange import exchange_by_destination
 def local_aggregate(
     keys: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-key sums of one PE's pairs, keys ascending."""
+    """Exact per-key sums of one PE's pairs, keys ascending.
+
+    The result never shares memory with the input.
+    """
     keys = np.asarray(keys, dtype=np.uint64).ravel()
     values = np.asarray(values, dtype=np.int64).ravel()
     if keys.size != values.size:
         raise ValueError(
             f"keys and values differ in length: {keys.size} vs {values.size}"
         )
-    if keys.size == 0:
+    # Strictly increasing keys, empty input included, are aggregated.
+    if (keys[1:] > keys[:-1]).all():
         return keys.copy(), values.copy()
     order = np.argsort(keys, kind="stable")
     sk = keys[order]

@@ -13,7 +13,62 @@ from repro.dataflow.ops.reduce_by_key import local_aggregate, reduce_by_key
 from repro.dataflow.ops.sort import sample_sort
 from repro.dataflow.ops.union import union_arrays
 from repro.dataflow.ops.zip_op import zip_arrays
+from repro.hashing.families import get_family
+from repro.util.rng import derive_seed
 from repro.workloads.kv import aggregate_reference, sum_workload
+
+
+def _exchange_inputs(p: int, layout: str):
+    """Per-PE ``(destinations, (uint64, int32, float64 columns))``.
+
+    ``spread`` sends rows everywhere; ``one_target`` sends every row to
+    the last PE; ``empty_pes`` gives odd PEs no rows and routes only to
+    even PEs, so odd PEs receive nothing either.
+    """
+    rng = np.random.default_rng(1000 * p + len(layout))
+    inputs = []
+    for r in range(p):
+        n = 0 if layout == "empty_pes" and r % 2 else 40 + 13 * r
+        if layout == "spread":
+            dests = rng.integers(0, p, n, dtype=np.int64)
+        elif layout == "one_target":
+            dests = np.full(n, p - 1, dtype=np.uint64)
+        else:
+            dests = (2 * rng.integers(0, (p + 1) // 2, n)).astype(np.int32)
+        columns = (
+            rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+            rng.integers(-(2**31), 2**31, n, dtype=np.int32),
+            rng.standard_normal(n),
+        )
+        inputs.append((dests, columns))
+    return inputs
+
+
+def _route_reference(inputs, rank: int):
+    """What ``rank`` receives, per column: each source's rows bound for it
+    in a stable argsort of the source's destinations, sources in rank
+    order."""
+    parts = []
+    for dests, columns in inputs:
+        order = np.argsort(dests, kind="stable")
+        mine = order[dests[order] == rank]
+        parts.append([c[mine] for c in columns])
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def _assert_routes_like_reference(ctx, inputs):
+    outs = ctx.run(
+        lambda comm, dests, columns: exchange_by_destination(
+            comm, dests, *columns
+        ),
+        per_rank_args=inputs,
+    )
+    for rank, got in enumerate(outs):
+        want = _route_reference(inputs, rank)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 class TestExchange:
@@ -43,6 +98,36 @@ class TestExchange:
             return bool(np.all(v == k.astype(np.int64) * 7))
 
         assert ctx.run(run) == [True, True]
+
+    @pytest.mark.parametrize("layout", ["spread", "one_target", "empty_pes"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
+    def test_matches_stable_argsort_reference(self, p, layout):
+        _assert_routes_like_reference(Context(p), _exchange_inputs(p, layout))
+
+    @pytest.mark.backends
+    @pytest.mark.parametrize("layout", ["spread", "one_target", "empty_pes"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_stable_argsort_reference_on_processes(self, p, layout):
+        _assert_routes_like_reference(
+            Context(p, backend="processes"), _exchange_inputs(p, layout)
+        )
+
+    def test_non_integer_destinations_refused(self):
+        """Float ranks used to be truncated: 1.7 went to PE 1 and 0.9 to
+        PE 0, and sequentially 0.4 passed as PE 0."""
+        with pytest.raises(TypeError, match="float64"):
+            exchange_by_destination(None, [0.4, 0.2], np.arange(2))
+        with pytest.raises(TypeError, match="bool"):
+            exchange_by_destination(None, np.zeros(2, dtype=bool))
+        ctx = Context(2)
+        with pytest.raises(SPMDError, match="TypeError: .*float64"):
+            ctx.run(
+                lambda comm: exchange_by_destination(
+                    comm, np.array([0.0, 1.7, 1.2, 0.9]), np.arange(4)
+                )
+            )
+        # An empty destination list carries no rank to misread.
+        assert exchange_by_destination(None, [], np.zeros(0))[0].size == 0
 
     def test_out_of_range_destination_rejected(self):
         ctx = Context(2)
@@ -154,12 +239,67 @@ class TestExchange:
             )
 
 
+class TestDefaultPartitioner:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    def test_places_keys_as_hash_mod_p(self, p):
+        keys = np.random.default_rng(p).integers(
+            0, 2**64 - 1, 5000, dtype=np.uint64, endpoint=True
+        )
+        before = keys.copy()
+        fn = get_family("Mix").instance(derive_seed(0, "partitioner"))
+        part = default_partitioner(p)
+        ranks = part(keys)
+        assert ranks.dtype == np.int64
+        want = (fn.hash_array(keys) % np.uint64(p)).astype(np.int64)
+        assert np.array_equal(ranks, want)
+        assert np.array_equal(keys, before)
+        # Signed keys place as their two's-complement words.
+        assert np.array_equal(part(keys.view(np.int64)), ranks)
+        assert default_partitioner(p) is part
+        assert default_partitioner(p, seed=0) is part
+        assert default_partitioner(p, seed=1) is not part
+
+    @pytest.mark.parametrize("num_pes", [0, -3])
+    def test_no_pes_refused(self, num_pes):
+        """``default_partitioner(0)`` used to warn about a division by
+        zero and send every key to PE 0."""
+        with pytest.raises(ValueError, match="num_pes must be >= 1"):
+            default_partitioner(num_pes)
+
+
 class TestLocalAggregate:
     def test_matches_reference(self, kv_small):
         keys, values = kv_small
         lk, lv = local_aggregate(keys, values)
         rk, rv = aggregate_reference(keys, values)
         assert np.array_equal(lk, rk) and np.array_equal(lv, rv)
+
+    @pytest.mark.parametrize(
+        "layout", ["increasing", "duplicates", "reversed", "signed", "empty"]
+    )
+    def test_layouts_match_reference_and_own_their_output(self, layout):
+        rng = np.random.default_rng(11)
+        base = np.unique(
+            rng.integers(0, 2**64 - 1, 400, dtype=np.uint64, endpoint=True)
+        )
+        keys = {
+            "increasing": base,
+            "duplicates": np.sort(np.repeat(base, 3)),
+            "reversed": base[::-1],
+            # Increasing as int64, not as the uint64 words aggregated.
+            "signed": np.array([-5, -1, 0, 3], dtype=np.int64),
+            "empty": base[:0],
+        }[layout]
+        values = rng.integers(-(2**40), 2**40, keys.size)
+        keys_before, values_before = keys.copy(), values.copy()
+        lk, lv = local_aggregate(keys, values)
+        rk, rv = aggregate_reference(keys, values)
+        assert lk.dtype == np.uint64 and lv.dtype == np.int64
+        assert np.array_equal(lk, rk) and np.array_equal(lv, rv)
+        lk[...] = 7
+        lv[...] = 7
+        assert np.array_equal(keys, keys_before)
+        assert np.array_equal(values, values_before)
 
     def test_empty(self):
         k, v = local_aggregate(

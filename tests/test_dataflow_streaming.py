@@ -14,7 +14,7 @@ import pytest
 from repro.comm.context import Context
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.dataflow.exchange import Exchange, global_offsets
+from repro.dataflow.exchange import exchange_by_destination, global_offsets
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
 from repro.dataflow.pipeline import AdaptiveCheckPolicy, CheckedRunStats
@@ -558,14 +558,15 @@ class TestExchangeOffsets:
     def test_sequential_offsets_zero(self):
         assert global_offsets(None, 5, 9) == (0, 0)
 
-    def test_exchange_handle(self):
+    def test_offsets_then_route(self):
         ctx = Context(2)
 
         def job(comm):
-            ex = Exchange(comm)
-            off = ex.offsets(comm.rank + 1)
+            off = global_offsets(comm, comm.rank + 1)
             dests = np.zeros(comm.rank + 1, dtype=np.int64)
-            (got,) = ex.route(dests, np.full(comm.rank + 1, comm.rank))
+            (got,) = exchange_by_destination(
+                comm, dests, np.full(comm.rank + 1, comm.rank)
+            )
             return off, got if comm.rank == 0 else None
 
         outs = ctx.run(job)
