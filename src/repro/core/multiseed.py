@@ -227,26 +227,22 @@ def _pairs_condensed(keys, values, operator: str = "+") -> CondensedKV:
     return CondensedKV(keys, inverse, values, agg, agg_float, agg_xor)
 
 
-def _signed_union(input_kv, asserted_kv, operator: str):
-    """Both sides as one ``(keys, values)`` multiset whose tables are the
-    ⊕-difference of the sides' tables, or None when ``-values`` would
-    overflow (see :meth:`MultiSeedSumChecker.local_difference`)."""
-    sides = []
-    for keys, values in (input_kv, asserted_kv):
-        keys = _coerce_keys(keys)
-        values = _coerce_values(values)
-        if keys.size != values.size:
-            raise ValueError(
-                f"keys and values differ in length: {keys.size} vs "
-                f"{values.size}"
-            )
-        sides.append((keys, values))
-    (in_k, in_v), (out_k, out_v) = sides
-    if operator == "+":
-        if out_v.size and int(out_v.min()) == _INT64_MIN:
-            return None
-        out_v = -out_v
-    return np.concatenate((in_k, out_k)), np.concatenate((in_v, out_v))
+def _coerced_chunks(chunks, coerce) -> list[np.ndarray]:
+    """Each chunk of a side through ``coerce``; one array is one chunk."""
+    if not isinstance(chunks, (list, tuple)):
+        chunks = [chunks]
+    return [coerce(c) for c in chunks]
+
+
+def _side_size(keys: list, values: list) -> int:
+    """The pair count of a side given as coerced chunk lists."""
+    n_keys = sum(c.size for c in keys)
+    n_values = sum(c.size for c in values)
+    if n_keys != n_values:
+        raise ValueError(
+            f"keys and values differ in length: {n_keys} vs {n_values}"
+        )
+    return n_keys
 
 
 def _peel_marginals(lead: np.ndarray, d: int, out: np.ndarray) -> None:
@@ -355,26 +351,55 @@ class MultiSeedSumChecker:
         """
         return self.local_tables_condensed(self._condense(keys, values))
 
-    def local_difference(self, input_kv, asserted_kv) -> np.ndarray:
-        """``difference(local_tables(*input_kv), local_tables(*asserted_kv))``
-        from one fold.
+    def local_difference(self, input_chunks, asserted_kv):
+        """``difference(local_tables(*input), local_tables(*asserted_kv))``
+        from one fold, and the input side as one pair of arrays.
+
+        ``input_chunks`` is ``(key_chunks, value_chunks)``: the input
+        side as lists of arrays (a window's raw chunks; each is coerced
+        on its own, so int64 and uint64 chunks may mix; one array is a
+        list of one), both lists holding the same number of pairs in
+        all.
+        ``asserted_kv`` is a ``(keys, values)`` pair.
 
         The tables are linear in the (key, value) multiset, so the two
-        sides fold as one signed multiset: the asserted values negated
-        under ``"+"`` (the residues then come out as ``(S_in − S_out) mod
-        r``), the sides simply concatenated under ``"xor"``.  That is one
-        hash pass and one set of bincounts instead of two, bit-identical
-        to the difference of the separate tables because every
-        accumulation path is exact for the signed union as well.  An
-        asserted value of ``−2^63``, whose negation overflows int64, makes
-        each side fold on its own.
+        sides fold as one signed multiset.  The keys of every chunk and
+        of the asserted side are concatenated once into one buffer, and
+        the values once into another, whose asserted part is negated in
+        place under ``"+"`` (the residues then come out as ``(S_in −
+        S_out) mod r``) and left as it is under ``"xor"``.  One hash
+        pass and one set of bincounts over that buffer replace one per
+        side, bit-identical to the difference of the separate tables
+        because every accumulation path is exact for the signed union as
+        well.  An asserted value of ``−2^63``, whose negation overflows
+        int64, makes each side fold on its own.
+
+        Returns ``(diff, input_side)``: the ``(T, iterations, d)``
+        ⊕-difference tensor and the input side as one coerced ``(keys,
+        values)`` pair, views of the fold's buffers, which a caller
+        keeps to escalate or localize the check.
         """
-        union = _signed_union(input_kv, asserted_kv, self.operator)
-        if union is None:
-            return self.difference(
-                self.local_tables(*input_kv), self.local_tables(*asserted_kv)
-            )
-        return self.local_tables(*union)
+        key_chunks, value_chunks = input_chunks
+        in_k = _coerced_chunks(key_chunks, _coerce_keys)
+        in_v = _coerced_chunks(value_chunks, _coerce_values)
+        out_k = _coerce_keys(asserted_kv[0])
+        out_v = _coerce_values(asserted_kv[1])
+        # With the input side's lengths equal, the buffers differ in
+        # length iff the output's columns do, which the fold refuses.
+        n = _side_size(in_k, in_v)
+        keys = np.concatenate([*in_k, out_k])
+        values = np.concatenate([*in_v, out_v])
+        input_side = (keys[:n], values[:n])
+        if self.operator == "+":
+            asserted = values[n:]
+            if asserted.size and int(asserted.min()) == _INT64_MIN:
+                diff = self.difference(
+                    self.local_tables(*input_side),
+                    self.local_tables(out_k, out_v),
+                )
+                return diff, input_side
+            np.negative(asserted, out=asserted)
+        return self.local_tables(keys, values), input_side
 
     def local_tables_condensed(self, condensed: CondensedKV) -> np.ndarray:
         """:meth:`local_tables` from an existing :class:`CondensedKV`.

@@ -57,7 +57,7 @@ def _coerce_keys(keys) -> np.ndarray:
         # both become key 1), merging distinct keys and letting the checker
         # accept outputs it must reject — mirror _coerce_values and refuse.
         raise TypeError(
-            f"checkers require integer keys, got dtype {keys.dtype} "
+            f"integer keys required, got dtype {keys.dtype} "
             "(float keys would be truncated and could collide)"
         )
     return keys.ravel()
@@ -67,7 +67,7 @@ def _coerce_values(values) -> np.ndarray:
     values = np.asarray(values)
     if values.dtype.kind not in ("i", "u"):
         raise TypeError(
-            f"checkers require integer values, got dtype {values.dtype} "
+            f"integer values required, got dtype {values.dtype} "
             "(the paper leaves floating-point aggregation as future work)"
         )
     # int64 input comes back uncopied: no consumer writes into it.

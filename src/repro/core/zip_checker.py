@@ -25,9 +25,20 @@ other sequence keeps its distribution (``zip_arrays`` keeps S1's).  An
 output column that sits at its input's global offset with the same
 words would add the same fingerprint to both sides of the comparison,
 so such a pair contributes nothing and is not hashed.
+
+A sequential check (``comm is None``) whose two pairs both sit in place
+has nothing to fingerprint and nothing to sum: every fingerprint word
+would be 0, so the verdict follows from the two comparisons and the
+four lengths alone (:func:`_in_place_verdict`), with the words path's
+``details``, per-seed flags and refusals.  That is every clean window
+of a one-PE zip stream, where ``zip_arrays`` leaves both columns in
+place.  Distributed checks keep the words tensor: its allreduce is the
+collective every PE issues, whatever its own pairs hold.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -134,31 +145,46 @@ def _global_offsets(comm, *local_counts: int) -> tuple[int, ...]:
     )
 
 
-def _local_words(columns, offsets, roots: np.ndarray, iterations: int):
-    """This PE's ``(T, iterations + 1, 4)`` int64 words of the check.
+def _column_pairs(columns, offsets) -> list:
+    """The check's two (input, output) column pairs, compared in place.
 
-    ``columns`` are ``(s1, zipped_first, s2, zipped_second)``.  Row ``j <
-    iterations`` of seed ``t`` holds iteration ``j``'s fingerprints of
-    the four columns; the last row holds the four column lengths.  A seed
-    accepts iff in every row column 0 equals column 1 and column 2
-    equals column 3.
-
-    An input and its output column at the same global offset with equal
-    words (:func:`_words`; equal words imply equal lengths) would get the
-    same fingerprint ``F`` under every lane.  Their words stay 0 and
-    their lanes are never derived: dropping ``F`` from both sides of a
-    comparison of sums changes no verdict.  Every other pair is
-    fingerprinted in full.
+    ``columns`` are ``(s1, zipped_first, s2, zipped_second)``.  Each
+    pair is ``(label, sides, in_place)``: ``sides`` holds ``(words,
+    offset, column)`` for the input and for its output column, and
+    ``in_place`` whether the two sit at the same global offset with
+    equal words (:func:`_words`; equal words imply equal lengths).  An
+    in-place pair would get the same fingerprint ``F`` on both sides
+    under every lane, and dropping ``F`` from both sides of a comparison
+    of sums changes no verdict, so such a pair is never hashed.  Every
+    column's words are read here, so a non-integer column raises
+    before any verdict is read.
     """
     s1, first, s2, second = columns
     off1, off2, offz = (int(o) for o in offsets)
-    words = np.zeros((roots.size, iterations + 1, 4), dtype=np.int64)
+    pairs = []
     for label, sides in (
         ("lane1", ((_words(s1), off1, 0), (_words(first), offz, 1))),
         ("lane2", ((_words(s2), off2, 2), (_words(second), offz, 3))),
     ):
         (a, off_a, _), (b, off_b, _) = sides
-        if off_a == off_b and np.array_equal(a, b):
+        pairs.append((label, sides, off_a == off_b and np.array_equal(a, b)))
+    return pairs
+
+
+def _local_words(columns, pairs, roots: np.ndarray, iterations: int):
+    """This PE's ``(T, iterations + 1, 4)`` int64 words of the check.
+
+    ``columns`` are ``(s1, zipped_first, s2, zipped_second)`` and
+    ``pairs`` their :func:`_column_pairs`.  Row ``j < iterations`` of
+    seed ``t`` holds iteration ``j``'s fingerprints of the four columns;
+    the last row holds the four column lengths.  A seed accepts iff in
+    every row column 0 equals column 1 and column 2 equals column 3.  An
+    in-place pair's words stay 0 and its lanes are never derived; every
+    other pair is fingerprinted in full.
+    """
+    words = np.zeros((roots.size, iterations + 1, 4), dtype=np.int64)
+    for label, sides, in_place in pairs:
+        if in_place:
             continue
         lanes = [
             _lane(derive_seed(int(root), label), j)
@@ -200,17 +226,46 @@ def _verdict(words: np.ndarray) -> CheckResult:
     mismatch = (rows[..., 0] != rows[..., 1]) | (rows[..., 2] != rows[..., 3])
     # A ragged output (columns of different global lengths) is no zip.
     mismatch[:, -1] |= rows[:, -1, 1] != rows[:, -1, 3]
-    per_seed = (~mismatch.any(axis=1)).tolist()
-    n1, nz, n2, _ = (int(n) for n in rows[0, -1])
+    return _result(
+        per_seed=(~mismatch.any(axis=1)).tolist(),
+        iterations=rows.shape[1] - 1,
+        detecting=np.flatnonzero(mismatch[0, :-1]).tolist(),
+        lengths=rows[0, -1].tolist(),
+        length_ok=not mismatch[0, -1],
+    )
+
+
+def _in_place_verdict(lengths, iterations: int, num_seeds: int) -> CheckResult:
+    """:func:`_verdict` of a sequential check whose pairs are in place.
+
+    Every fingerprint word is 0, so no iteration detects anything and
+    each seed accepts iff the lengths row does: equal columns have equal
+    lengths, so only a ragged output (``zipped_first`` and
+    ``zipped_second`` of different lengths) rejects.
+    """
+    length_ok = lengths[1] == lengths[3]
+    return _result(
+        per_seed=[length_ok] * num_seeds,
+        # The words path sizes its tensor by ``iterations``, which
+        # refuses a non-integer count; so does this one.
+        iterations=operator.index(iterations),
+        detecting=[],
+        lengths=lengths,
+        length_ok=length_ok,
+    )
+
+
+def _result(per_seed, iterations, detecting, lengths, length_ok) -> CheckResult:
+    n1, nz, n2, _ = (int(n) for n in lengths)
     return CheckResult(
         accepted=all(per_seed),
         checker="zip",
         details={
-            "iterations": rows.shape[1] - 1,
-            "detecting_iterations": np.flatnonzero(mismatch[0, :-1]).tolist(),
+            "iterations": iterations,
+            "detecting_iterations": detecting,
             "lengths": (n1, n2, nz),
-            "length_ok": not mismatch[0, -1],
-            "num_seeds": rows.shape[0],
+            "length_ok": length_ok,
+            "num_seeds": len(per_seed),
             "per_seed_accepted": per_seed,
         },
     )
@@ -235,8 +290,10 @@ def check_zip(
     that of the first components and S2 matches the second components,
     and the global lengths agree.  Only moved or differing columns are
     hashed (see :func:`_local_words`); a column pair left in place costs
-    one comparison.  The asserted output is untrusted, so a ragged one
-    (columns of different lengths) is rejected, never raised on.
+    one comparison, and a sequential check whose pairs are both in place
+    builds no words at all (:func:`_in_place_verdict`).  The asserted
+    output is untrusted, so a ragged one (columns of different lengths)
+    is rejected, never raised on.
 
     ``seed`` is a root seed or an array of ``T`` distinct root seeds (a
     scalar is ``T = 1``); ``per_seed_accepted[t]`` equals the verdict of
@@ -256,5 +313,11 @@ def check_zip(
         offsets = _global_offsets(
             comm, columns[0].size, columns[2].size, columns[1].size
         )
-    local = _local_words(columns, offsets, roots, iterations)
+    pairs = _column_pairs(columns, offsets)
+    if comm is None:
+        if all(in_place for _, _, in_place in pairs):
+            return _in_place_verdict(
+                [c.size for c in columns], iterations, roots.size
+            )
+    local = _local_words(columns, pairs, roots, iterations)
     return _verdict(_sum_over_pes(local, comm))

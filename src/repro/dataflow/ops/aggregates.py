@@ -1,7 +1,8 @@
 """Per-key aggregates on top of the exchange layer (§6 substrates).
 
 These produce, besides the aggregate itself, exactly the certificates the
-§6 checkers consume:
+§6 checkers consume (keys and values must be integers, as for
+:func:`~repro.dataflow.ops.reduce_by_key.reduce_by_key`):
 
 * :func:`average_by_key` — exact rational averages plus the per-key count
   certificate (Corollary 8, "this certificate naturally arises during
@@ -21,8 +22,9 @@ import numpy as np
 
 from repro.core.groupby_checker import default_partitioner
 from repro.core.median_checker import MedianCertificate
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.exchange import exchange_by_destination, global_offset
-from repro.dataflow.ops.reduce_by_key import local_aggregate, reduce_by_key
+from repro.dataflow.ops.reduce_by_key import reduce_by_key
 
 
 @dataclass
@@ -56,8 +58,8 @@ class MedianResult:
 
 def average_by_key(comm, keys, values, partitioner=None) -> AverageResult:
     """Per-key averages via the (value, count)-pair trick of §6.1."""
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    values = np.asarray(values, dtype=np.int64).ravel()
+    keys = _coerce_keys(keys)
+    values = _coerce_values(values)
     sk, sums = reduce_by_key(comm, keys, values, partitioner)
     ck, counts = reduce_by_key(
         comm, keys, np.ones(keys.size, dtype=np.int64), partitioner
@@ -69,8 +71,8 @@ def average_by_key(comm, keys, values, partitioner=None) -> AverageResult:
 
 
 def _extremum_by_key(comm, keys, values, sign: int, partitioner=None) -> MinMaxResult:
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    values = sign * np.asarray(values, dtype=np.int64).ravel()
+    keys = _coerce_keys(keys)
+    values = sign * _coerce_values(values)
     rank = comm.rank if comm is not None else 0
 
     # Local extremum per key, tagged with this PE as candidate owner.
@@ -123,8 +125,8 @@ def median_by_key(comm, keys, values, uids=None, partitioner=None) -> MedianResu
     uids default to global element indices — a total order on occurrences,
     which is all the tie-breaking scheme of §6.3 needs.
     """
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    values = np.asarray(values, dtype=np.int64).ravel()
+    keys = _coerce_keys(keys)
+    values = _coerce_values(values)
     if uids is None:
         offset = global_offset(comm, int(keys.size))
         uids = offset + np.arange(keys.size, dtype=np.int64)

@@ -12,7 +12,12 @@ linear-time split of
 :func:`~repro.dataflow.exchange.exchange_by_destination`, and the
 partial sums are combined at their home PE, where the p sorted runs
 received are merged by the same stable sort.  The result is
-*distributed*: each key lives at exactly one PE.
+*distributed*: each key lives at exactly one PE.  Keys and values must
+be integers, as the checkers require: they are read through the
+checkers' coercion (``repro.core.sum_checker``), so a column of any
+other kind raises ``TypeError`` naming its dtype where a cast would
+truncate float keys into one another and read bools as 0/1.  The dtype
+alone decides, an empty column's too, so every PE raises together.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.groupby_checker import default_partitioner
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.exchange import exchange_by_destination
 
 
@@ -30,8 +36,8 @@ def local_aggregate(
 
     The result never shares memory with the input.
     """
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    values = np.asarray(values, dtype=np.int64).ravel()
+    keys = _coerce_keys(keys)
+    values = _coerce_values(values)
     if keys.size != values.size:
         raise ValueError(
             f"keys and values differ in length: {keys.size} vs {values.size}"

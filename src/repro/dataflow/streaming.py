@@ -11,10 +11,20 @@ in **windows** of ``chunks_per_window`` chunks:
 * the checker folds the window's raw input pairs and the operation's
   output as one signed multiset, in one pass and without sorting, and
   the verdict **settles once per window** — one data-bearing
-  ``allreduce`` per window, not per chunk;
+  ``allreduce`` per window, not per chunk.  The settle hands its coerced
+  chunks to the fold, which concatenates them with the output into one
+  buffer of keys and one of values; the input side it keeps is a view
+  of that buffer;
 * only a window that escalates (under an
   :class:`~repro.dataflow.pipeline.AdaptiveCheckPolicy`) or is localized
-  condenses its two sides, once each, and both reuse that condensation.
+  condenses its two sides, once each, and both reuse that condensation;
+* every windowed loop reads window ``w``'s seed, ``window_seed(seed,
+  w)``, from a block of up to 64 windows' seeds derived in one call
+  (:class:`_WindowSeeds`), and the sum-family loops derive each block's
+  one-seed primaries with it (:class:`_WindowCheckers`).  A clean
+  one-PE zip window leaves both columns in place, so its check compares
+  them and builds no fingerprint words
+  (:func:`~repro.core.zip_checker.check_zip`).
 
 Per-window :class:`~repro.dataflow.pipeline.CheckedRunStats` accumulate
 into a run-level record (``windows``, ``elements_fed``, merged overhead
@@ -32,6 +42,7 @@ settling.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -128,61 +139,89 @@ class StreamingCheckedRun:
             self.window_history.append(record)
 
 
-def _window_seed(seed: int, window: int) -> int:
-    """Fresh checker randomness per window from one root seed."""
+def window_seed(seed: int, window: int) -> int:
+    """Fresh checker randomness per window from one root seed.
+
+    The scalar derivation of the seed a window settles under; window
+    loops and service tenants read the same values from blocks
+    (:class:`_WindowSeeds`).
+    """
     return derive_seed(seed, "stream-window", window)
 
 
-#: Most consecutive windows whose seeds and one-seed primaries a window
-#: loop derives in one vectorized call (see :class:`_WindowCheckers`).
+#: Most consecutive windows whose seeds (and, for the sum family, one-seed
+#: primaries) a window loop derives in one vectorized call (see
+#: :class:`_WindowSeeds`).
 _SEED_BLOCK = 64
 
 
-class _WindowCheckers:
-    """One-seed window primaries, derived in blocks of up to 64 windows.
+class _WindowSeeds:
+    """Window seeds, derived in blocks of up to 64 windows.
 
-    Window ``w`` checks under ``window_seed(seed, w)``.  Deriving that
-    seed and the moduli and hash seeds under it one window at a time
-    costs tens of µs of scalar SplitMix chains and numpy dispatch per
-    window; here a block of windows' seeds comes from one
-    :func:`~repro.util.rng.derive_seed_array` call and builds one
-    multi-seed :class:`~repro.core.multiseed.MultiSeedSumChecker`.  Each
-    window reads its seed from the block (:meth:`window_seed`) and
-    settles with its
-    :meth:`~repro.core.multiseed.MultiSeedSumChecker.seed_view`.  The
-    block opened at window ``w`` covers ``min(max(w, 1), 64)`` windows
-    (blocks start at 0, 1, 2, 4, … 64, 128, 192, …): a short stream
-    never derives more than twice the windows it settles, and a long
-    stream derives 64 windows per call.  Every value equals its per-window derivation, so tables, verdicts
-    and window records are unchanged.  (The seeds of one block are
-    distinct: the last SplitMix step is a bijection of ``state ^ w``.)
+    Window ``w`` checks under ``window_seed(seed, w)``, about fifteen
+    scalar SplitMix steps (~10 µs) when derived on its own.  Here one
+    :func:`~repro.util.rng.derive_seed_array` call derives a block of
+    windows' seeds and each window reads its own
+    (:meth:`window_seed`).  The block opened at window ``w`` covers
+    ``min(max(w, 1), 64)`` windows (blocks start at 0, 1, 2, 4, … 64,
+    128, 192, …): a short stream never derives more than twice the
+    windows it settles, and a long stream derives 64 windows per call.
+    Every seed equals its per-window derivation.  (The seeds of one
+    block are distinct: the last SplitMix step is a bijection of
+    ``state ^ w``.)  Zip windows read their seeds here.  ``seed`` must
+    be an integer, as :func:`window_seed` requires: a float root would
+    reach the block derivation truncated (0.4 and 0.6 alike as 0).
     """
 
-    def __init__(self, config: SumCheckConfig, seed: int):
-        self.config = config
-        self.seed = seed
-        self._block: MultiSeedSumChecker | None = None
+    def __init__(self, seed: int):
+        self.seed = operator.index(seed)
+        self._seeds = np.zeros(0, dtype=np.uint64)
         self._first = 0
 
     def _offset(self, window: int) -> int:
         """Window ``window``'s index in the block, deriving the block if
         none covers it."""
         offset = window - self._first
-        if self._block is None or not 0 <= offset < self._block.num_seeds:
+        if not 0 <= offset < self._seeds.size:
             size = min(max(window, 1), _SEED_BLOCK)
-            seeds = derive_seed_array(
+            self._seeds = derive_seed_array(
                 self.seed,
                 "stream-window",
                 np.arange(window, window + size, dtype=np.uint64),
             )
-            self._block = MultiSeedSumChecker(self.config, seeds)
             self._first, offset = window, 0
+            self._opened()
         return offset
+
+    def _opened(self) -> None:
+        """Hook: a new block of seeds was derived into ``_seeds``."""
 
     def window_seed(self, window: int) -> int:
         """``window_seed(seed, window)``, read from the block."""
         offset = self._offset(window)
-        return int(self._block.seeds[offset])
+        return int(self._seeds[offset])
+
+
+class _WindowCheckers(_WindowSeeds):
+    """One-seed window primaries, derived with their seed blocks.
+
+    Deriving a window's moduli and hash seeds one window at a time costs
+    tens of µs of scalar SplitMix chains and numpy dispatch per window;
+    here each block of window seeds (:class:`_WindowSeeds`) builds one
+    multi-seed :class:`~repro.core.multiseed.MultiSeedSumChecker`, and a
+    window settles with its
+    :meth:`~repro.core.multiseed.MultiSeedSumChecker.seed_view`.  Every
+    value equals its per-window derivation, so tables, verdicts and
+    window records are unchanged.
+    """
+
+    def __init__(self, config: SumCheckConfig, seed: int):
+        super().__init__(seed)
+        self.config = config
+        self._block: MultiSeedSumChecker | None = None
+
+    def _opened(self) -> None:
+        self._block = MultiSeedSumChecker(self.config, self._seeds)
 
     def view(self, window: int) -> MultiSeedSumChecker:
         """Window ``window``'s primary."""
@@ -346,7 +385,9 @@ class StreamingDIA(_ChunkSource):
         checker reuses them, fingerprinting the whole window in one
         allreduce — the positional fingerprint admits no condensation, so
         the window's arrays are retained exactly until its settle (and,
-        with a ``policy``, its escalation) completes.
+        with a ``policy``, its escalation) completes.  Window ``w``
+        settles under ``window_seed(seed, w)``, read from a block of
+        window seeds (:class:`_WindowSeeds`).
 
         A ``reexecute(window_id, key_ranges)`` callback must return
         ``(chunks1, chunks2)`` — this PE's complete chunks for both
@@ -355,6 +396,7 @@ class StreamingDIA(_ChunkSource):
         carries no key ranges to bisect, so every attempt re-runs the zip
         exchange outright and re-settles under escalating seeds.
         """
+        seeds = _WindowSeeds(seed)
         run = StreamingCheckedRun()
         w = 0
         while True:
@@ -367,7 +409,7 @@ class StreamingDIA(_ChunkSource):
                 self.comm,
                 window1,
                 window2,
-                seed_w=_window_seed(seed, w),
+                seed_w=seeds.window_seed(w),
                 window=w,
                 iterations=iterations,
                 policy=policy,
@@ -584,11 +626,13 @@ def settle_reduce_window(
     ``MultiSeedSumChecker(config, [seed_w])``.  Either way the seed and
     the primary cost checker time.
 
-    The checker keeps the window's raw input pairs and, once the
+    The checker keeps the window's coerced raw chunks and, once the
     operation has run, folds them together with its output as one signed
     multiset
     (:meth:`~repro.core.multiseed.MultiSeedSumChecker.local_difference`):
-    one hash pass per window instead of one per side.
+    one concatenation and one hash pass per window instead of one per
+    side.  The fold hands back the concatenated input side, which an
+    escalation or a localization reads.
     """
     if reexecute is not None and repair is None:
         repair = RepairPolicy()
@@ -620,7 +664,6 @@ def settle_reduce_window(
         return reduce_by_key(comm_, keys, values, part)
 
     c0 = time.perf_counter()
-    in_side = (_concat(raw_k, dtype=np.uint64), _concat(raw_v, dtype=np.int64))
     seed_w, primary = _window_primary(config, seed_w, window, checkers)
     t0 = time.perf_counter()
     checker_s += t0 - c0
@@ -631,10 +674,10 @@ def settle_reduce_window(
     out_k, out_v = _operation(comm, merged_k, merged_v, partitioner)
     t1 = time.perf_counter()
     op_s += t1 - t0
+    diff, in_side = primary.local_difference((raw_k, raw_v), (out_k, out_v))
     sides = [in_side, (out_k, out_v)]
     verdict = _settle_sum(
-        primary, primary.local_difference(*sides), sides, seed_w, policy,
-        comm, streaming=True,
+        primary, diff, sides, seed_w, policy, comm, streaming=True
     )
     t2 = time.perf_counter()
     checker_s += t2 - t1
@@ -707,9 +750,10 @@ def settle_sum_window(
     rank = comm.rank if comm is not None else 0
     t0 = time.perf_counter()
     vals = [_coerce_values(chunk) for chunk in chunks]
+    # The operation's own copy: the black box never touches the chunks
+    # the checker reads.
     values = _concat(vals, dtype=np.int64)
     c0 = time.perf_counter()
-    in_side = (np.zeros_like(values, dtype=np.uint64), values)
     seed_w, primary = _window_primary(config, seed_w, window, checkers)
     checker_s = time.perf_counter() - c0
 
@@ -721,9 +765,7 @@ def settle_sum_window(
             return local
         return comm_.allreduce(local, op=ops.SUM)
 
-    # The operation works on its own copy: the black box never touches
-    # the input the checker reads.
-    total = _operation(comm, values.copy())
+    total = _operation(comm, values)
     t_op_done = time.perf_counter()
     out_side = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
     if rank == 0:
@@ -731,10 +773,12 @@ def settle_sum_window(
             np.zeros(1, dtype=np.uint64),
             np.array([total], dtype=np.int64),
         )
+    diff, in_side = primary.local_difference(
+        ([np.zeros_like(values, dtype=np.uint64)], vals), out_side
+    )
     sides = [in_side, out_side]
     verdict = _settle_sum(
-        primary, primary.local_difference(*sides), sides, seed_w, policy,
-        comm, streaming=True,
+        primary, diff, sides, seed_w, policy, comm, streaming=True
     )
     t1 = time.perf_counter()
     stats = _run_stats(
@@ -883,8 +927,3 @@ __all__ = [
     "settle_zip_window",
     "window_seed",
 ]
-
-
-#: Public alias: the per-window checker seed derivation shared by the
-#: streaming DIAs and the ``repro.service`` daemon.
-window_seed = _window_seed

@@ -472,8 +472,9 @@ class CheckedStreamService:
         cfg = tenant.cfg
         start = time.perf_counter()
         base_seed = tenant.engine.window_seed(w)
-        # Deriving the window seed (a sum-family engine derives a block
-        # of windows' seeds and primaries at once) is checker work.
+        # Deriving the window seed (every engine derives a block of
+        # windows' seeds at once, a sum-family engine their primaries
+        # too) is checker work.
         seed_s = time.perf_counter() - start
         attempt = 0
         while True:

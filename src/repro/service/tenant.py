@@ -215,7 +215,9 @@ class TenantStats:
     The tenant's worker thread is the only writer of window-level fields,
     but producers (``submit``) write the ingest counters and any thread
     may :meth:`snapshot`, so every access takes the tenant-local lock —
-    never a cross-tenant one.
+    never a cross-tenant one.  Snapshots share one tuple of settle
+    latencies until the next settled window, so a poll between two
+    settles does not copy every latency again.
     """
 
     def __init__(self):
@@ -236,6 +238,7 @@ class TenantStats:
         self.degraded = False
         self.settle_latencies: list[float] = []
         self.run = CheckedRunStats(operation_seconds=0.0, checker_seconds=0.0)
+        self._latencies: tuple[float, ...] | None = ()
 
     def record_submitted(self) -> None:
         with self._lock:
@@ -282,10 +285,13 @@ class TenantStats:
             if record.quarantined:
                 self.windows_quarantined += 1
             self.settle_latencies.append(float(latency))
+            self._latencies = None
             self.run = self.run.merge(stats)
 
     def snapshot(self) -> TenantStatsView:
         with self._lock:
+            if self._latencies is None:
+                self._latencies = tuple(self.settle_latencies)
             return TenantStatsView(
                 chunks_submitted=self.chunks_submitted,
                 chunks_ingested=self.chunks_ingested,
@@ -302,5 +308,5 @@ class TenantStats:
                 settle_failures=self.settle_failures,
                 degraded=self.degraded,
                 run=self.run,
-                settle_latencies=tuple(self.settle_latencies),
+                settle_latencies=self._latencies,
             )

@@ -28,10 +28,10 @@ import numpy as np
 from repro.core.params import SumCheckConfig
 from repro.dataflow.streaming import (
     _WindowCheckers,
+    _WindowSeeds,
     settle_reduce_window,
     settle_sum_window,
     settle_zip_window,
-    window_seed,
 )
 
 __all__ = [
@@ -88,6 +88,13 @@ class WindowEngine:
     def __init__(self, cfg):
         self.cfg = cfg
         self.config = cfg.config or default_config()
+        self._seeds = self._seed_source()
+
+    def _seed_source(self) -> _WindowSeeds:
+        """Where attempt 0's window seeds come from: a block source
+        (``_WindowSeeds`` of :mod:`repro.dataflow.streaming`) that derives
+        up to 64 windows' seeds in one call."""
+        return _WindowSeeds(self.cfg.seed)
 
     def validate(self, chunk):
         """Return the normalized chunk or raise :class:`PoisonChunkError`."""
@@ -98,8 +105,9 @@ class WindowEngine:
         raise NotImplementedError
 
     def window_seed(self, window: int) -> int:
-        """The checker seed of window ``window``'s first settle attempt."""
-        return window_seed(self.cfg.seed, window)
+        """The checker seed of window ``window``'s first settle attempt,
+        ``window_seed(seed, window)`` read from the tenant's block."""
+        return self._seeds.window_seed(window)
 
     def settle_window(self, comm, window: int, seed_w: int, chunks):
         """Run one window settlement; returns the settle_* 5-tuple."""
@@ -109,18 +117,14 @@ class WindowEngine:
 class _SumFamilyEngine(WindowEngine):
     """Engines whose windows settle a one-seed sum primary.
 
-    A tenant's window seeds and primaries are derived in blocks (a
+    A tenant's window primaries are derived with its seed blocks (a
     ``_WindowCheckers`` of :mod:`repro.dataflow.streaming`); attempt 0
     of a window settles under the seed read from its block, on its block
     view, and a retry's fresh seed builds its own primary.
     """
 
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self._checkers = _WindowCheckers(self.config, cfg.seed)
-
-    def window_seed(self, window: int) -> int:
-        return self._checkers.window_seed(window)
+    def _seed_source(self) -> _WindowCheckers:
+        return _WindowCheckers(self.config, self.cfg.seed)
 
 
 class ReduceWindowEngine(_SumFamilyEngine):
@@ -154,7 +158,7 @@ class ReduceWindowEngine(_SumFamilyEngine):
             reexecute=self.cfg.reexecute,
             repair=self.cfg.repair,
             fault=self.cfg.fault,
-            checkers=self._checkers,
+            checkers=self._seeds,
         )
 
 
@@ -190,7 +194,7 @@ class SumWindowEngine(_SumFamilyEngine):
             reexecute=self.cfg.reexecute,
             repair=self.cfg.repair,
             fault=self.cfg.fault,
-            checkers=self._checkers,
+            checkers=self._seeds,
         )
 
 

@@ -313,14 +313,16 @@ class TestZipChecker:
         word, and ``second`` has S2's words at another offset.
         """
         from repro.core.multiseed import _coerce_seeds
-        from repro.core.zip_checker import _local_words
+        from repro.core.zip_checker import _column_pairs, _local_words
         from repro.util.rng import derive_seed
 
         s1, s2 = self._data()
         first = s1.copy()
         first[0] += 1
         columns = [s1, first, s2, s2]
-        words = _local_words(columns, (3, 5, 3), _coerce_seeds(seeds), 2)
+        words = _local_words(
+            columns, _column_pairs(columns, (3, 5, 3)), _coerce_seeds(seeds), 2
+        )
         for t, root in enumerate(np.atleast_1d(seeds)):
             lane1 = derive_seed(int(root), "lane1")
             lane2 = derive_seed(int(root), "lane2")
@@ -351,12 +353,14 @@ class TestZipChecker:
         monkeypatch.setattr(zip_checker, "_fingerprints", counting)
         columns = [s1, s1.copy(), signed, signed.view(np.uint64)]
         roots = _coerce_seeds(ZIP_SEEDS)
-        words = zip_checker._local_words(columns, (3, 3, 3), roots, 2)
+        pairs = zip_checker._column_pairs(columns, (3, 3, 3))
+        words = zip_checker._local_words(columns, pairs, roots, 2)
         assert hashed == []
         assert not words[:, :-1].any()
         assert list(words[0, -1]) == [s1.size] * 2 + [s2.size] * 2
         # The same pairs one position apart are both hashed.
-        zip_checker._local_words(columns, (3, 3, 4), roots, 2)
+        pairs = zip_checker._column_pairs(columns, (3, 3, 4))
+        zip_checker._local_words(columns, pairs, roots, 2)
         assert hashed == [3, 4, 3, 4]
 
     def test_offsets_match_the_exscan(self):
@@ -467,6 +471,93 @@ class TestZipChecker:
         )
         # The swap is detected unless the swapped elements were equal.
         assert verdicts == [False] * p or s1[0] == s1[1]
+
+
+class TestSequentialInPlace:
+    """A sequential check whose two column pairs compare equal in place
+    settles from those comparisons and the four lengths: no words
+    tensor, no verdict pass, and every refusal of the words path."""
+
+    def _data(self):
+        rng = np.random.default_rng(6)
+        s1 = rng.integers(0, 2**32, 300).astype(np.uint64)
+        s2 = rng.integers(0, 2**32, 300).astype(np.uint64)
+        return s1, s2
+
+    def _columns(self, shape):
+        s1, s2 = self._data()
+        signed = s2.astype(np.int64) - (1 << 31)
+        empty = np.zeros(0, dtype=np.int64)
+        return {
+            "clean": (s1, s2, s1.copy(), s2.copy()),
+            "int64-vs-uint64": (s1, signed, s1, signed.view(np.uint64)),
+            "inputs-differ": (s1, s2[:-1], s1, s2[:-1]),
+            "first-short": (s1, s2, s1[:-1], s2),
+            "corrupted": (s1, s2, s1, s2 + np.uint64(1)),
+            "empty": (empty, empty, empty, empty),
+        }[shape]
+
+    @pytest.mark.parametrize("shape", ["clean", "inputs-differ"])
+    def test_in_place_pairs_skip_the_words(self, shape, monkeypatch):
+        from repro.core import zip_checker
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the words path ran")
+
+        monkeypatch.setattr(zip_checker, "_local_words", forbidden)
+        monkeypatch.setattr(zip_checker, "_verdict", forbidden)
+        result = check_zip(*self._columns(shape), seed=ZIP_SEEDS)
+        assert result.accepted == (shape == "clean")
+        assert result.details["per_seed_accepted"] == (
+            [shape == "clean"] * ZIP_SEEDS.size
+        )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "clean",
+            "int64-vs-uint64",
+            "inputs-differ",
+            "first-short",
+            "corrupted",
+            "empty",
+        ],
+    )
+    @pytest.mark.parametrize("num_seeds", [1, 2, 3])
+    def test_details_match_the_words_path_on_one_pe(self, shape, num_seeds):
+        """The verdict equals the same check's on a one-PE communicator,
+        which fingerprints and sums words, for a scalar seed and for
+        ``T`` = 1–3 seeds."""
+        columns = self._columns(shape)
+        for seed in (ZIP_SEEDS[:num_seeds], int(ZIP_SEEDS[num_seeds])):
+            seq = check_zip(*columns, iterations=3, seed=seed)
+            (one,) = Context(1).run(
+                lambda comm: check_zip(
+                    *columns, iterations=3, seed=seed, comm=comm
+                )
+            )
+            assert seq.accepted == one.accepted
+            assert seq.checker == one.checker
+            assert seq.details == one.details
+            assert [type(v) for v in seq.details.values()] == [
+                type(v) for v in one.details.values()
+            ]
+
+    def test_refusals_are_kept(self):
+        s = np.arange(5, dtype=np.uint64)
+        f = s.astype(np.float64)
+        with pytest.raises(TypeError, match="integer columns"):
+            check_zip(f, s, f, s)
+        with pytest.raises(TypeError, match="integer columns"):
+            check_zip(s, f, s, f)
+        with pytest.raises(TypeError, match="integer seeds"):
+            check_zip(s, s, s, s, seed=np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="distinct"):
+            check_zip(s, s, s, s, seed=np.array([3, 3], dtype=np.uint64))
+        with pytest.raises(ValueError, match="iterations"):
+            check_zip(s, s, s, s, iterations=0)
+        with pytest.raises(TypeError):
+            check_zip(s, s, s, s, iterations=2.0)
 
 
 P31 = (1 << 31) - 1

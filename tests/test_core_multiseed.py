@@ -281,12 +281,78 @@ class TestMagnitudePaths:
         out_v = np.array([5, asserted], dtype=np.int64)
         for seed in SEEDS:
             checker = MultiSeedSumChecker(self.CFG, seed)
-            diff = checker.local_difference((keys, values), (out_k, out_v))
+            diff, _ = checker.local_difference((keys, values), (out_k, out_v))
             want = checker.difference(
                 reference_tables(self.CFG, int(seed), keys, values)[None],
                 reference_tables(self.CFG, int(seed), out_k, out_v)[None],
             )
             assert np.array_equal(diff, want)
+
+    @pytest.mark.parametrize("asserted", [7, -(2**63)])
+    @pytest.mark.parametrize("operator", ["+", "xor"])
+    @pytest.mark.parametrize("num_seeds", [1, 3])
+    # Σ|v| below 2^52 (float bincounts) and above (exact int64 path).
+    @pytest.mark.parametrize("big", [2**20, 2**62])
+    def test_local_difference_over_chunk_lists(
+        self, asserted, operator, num_seeds, big
+    ):
+        """A window's chunks fold as they come: int64 and uint64 key
+        chunks mix, empty chunks add nothing, key and value chunks may
+        split the pairs differently, an asserted ``−2^63`` folds each
+        side, and the input side comes back concatenated."""
+        key_chunks = [
+            np.array([1, 2], dtype=np.uint64),
+            np.zeros(0, dtype=np.int64),
+            np.array([-3, 1, 9], dtype=np.int64),
+            np.array([1 << 63], dtype=np.uint64),
+        ]
+        value_chunks = [
+            np.array([5, -7, 2**40], dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            np.array([3, big, 11], dtype=np.uint64),
+        ]
+        in_k = np.array([1, 2, (1 << 64) - 3, 1, 9, 1 << 63], dtype=np.uint64)
+        in_v = np.array([5, -7, 2**40, 3, big, 11], dtype=np.int64)
+        out_k = np.array([2, 9, 4], dtype=np.int64)
+        out_v = np.array([5, asserted, 0], dtype=np.int64)
+        seeds = SEEDS[:num_seeds]
+        checker = MultiSeedSumChecker(self.CFG, seeds, operator)
+        diff, (side_k, side_v) = checker.local_difference(
+            (key_chunks, value_chunks), (out_k, out_v)
+        )
+        want = checker.difference(
+            np.stack([
+                reference_tables(self.CFG, int(s), in_k, in_v, operator)
+                for s in seeds
+            ]),
+            np.stack([
+                reference_tables(
+                    self.CFG, int(s), out_k.view(np.uint64), out_v, operator
+                )
+                for s in seeds
+            ]),
+        )
+        assert np.array_equal(diff, want)
+        assert side_k.dtype == np.uint64 and np.array_equal(side_k, in_k)
+        assert side_v.dtype == np.int64 and np.array_equal(side_v, in_v)
+        # The caller's arrays are read, never written.
+        assert out_v[1] == asserted and value_chunks[0][1] == -7
+
+    def test_local_difference_refuses_ragged_sides(self):
+        checker = MultiSeedSumChecker(self.CFG, 5)
+        keys = [np.arange(3, dtype=np.uint64)]
+        values = [np.ones(2, dtype=np.int64), np.ones(2, dtype=np.int64)]
+        with pytest.raises(ValueError, match="differ in length"):
+            checker.local_difference((keys, values), (keys[0], values[0]))
+        with pytest.raises(ValueError, match="differ in length"):
+            checker.local_difference(
+                (keys, [np.ones(3, dtype=np.int64)]), (keys[0], values[0])
+            )
+        with pytest.raises(TypeError, match="integer keys"):
+            checker.local_difference(
+                ([np.ones(1)], [np.ones(1, dtype=np.int64)]),
+                (keys[0][:0], values[0][:0]),
+            )
 
     def test_small_values_use_float_bincount(self):
         # Σ|v| < 2^52: the float64 bincount path with deferred modulo.

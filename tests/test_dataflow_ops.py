@@ -339,6 +339,86 @@ class TestReduceByKey:
         assert len(np.unique(all_keys)) == all_keys.size
 
 
+class TestIntegerColumns:
+    """Reductions and aggregates refuse non-integer keys and values with
+    a ``TypeError`` naming the dtype, sequentially and on every PE.
+    Cast, ``reduce_by_key(None, [1.5, 1.7, 2.2], [1, 2, 4])`` returned
+    keys ``[1, 2]`` with sums ``[3, 4]``, ``min_by_key`` read 3.9 as 3,
+    and bool keys passed as 0/1."""
+
+    @staticmethod
+    def _ops():
+        from repro.dataflow.ops.aggregates import (
+            average_by_key,
+            max_by_key,
+            median_by_key,
+            min_by_key,
+        )
+
+        return {
+            "local_aggregate": lambda comm, k, v: local_aggregate(k, v),
+            "reduce_by_key": reduce_by_key,
+            "average_by_key": average_by_key,
+            "min_by_key": min_by_key,
+            "max_by_key": max_by_key,
+            "median_by_key": median_by_key,
+        }
+
+    INTS = np.array([1, 2, 1, 4], dtype=np.int64)
+
+    @pytest.mark.parametrize(
+        "column, bad, dtype",
+        [
+            ("keys", np.array([1.5, 1.7, 2.2, 1.5]), "float64"),
+            ("keys", np.array([True, False, True, True]), "bool"),
+            ("values", np.array([3.9, 1.0, 2.5, 0.5]), "float64"),
+            ("values", np.array([True, False, True, True]), "bool"),
+            ("values", np.array([1, 2, 3, 4], dtype=np.float32), "float32"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "op",
+        [
+            "local_aggregate",
+            "reduce_by_key",
+            "average_by_key",
+            "min_by_key",
+            "max_by_key",
+            "median_by_key",
+        ],
+    )
+    def test_non_integer_columns_refused(self, op, column, bad, dtype):
+        fn = self._ops()[op]
+        keys, values = (bad, self.INTS) if column == "keys" else (self.INTS, bad)
+        with pytest.raises(TypeError, match=f"integer {column} .*{dtype}"):
+            fn(None, keys, values)
+        ctx = Context(2)
+        with pytest.raises(
+            SPMDError, match=f"TypeError: integer {column} .*{dtype}"
+        ):
+            ctx.run(
+                lambda comm, k, v: fn(comm, k, v),
+                per_rank_args=list(zip(ctx.split(keys), ctx.split(values))),
+            )
+
+    def test_signed_and_empty_columns_still_reduce(self):
+        keys, values = reduce_by_key(None, np.array([-1, 2, -1]), [5, 6, 7])
+        assert keys.tolist() == [2, (1 << 64) - 1] and values.tolist() == [6, 12]
+        empty = np.zeros(0, dtype=np.int32)
+        keys, values = reduce_by_key(None, empty, empty)
+        assert keys.dtype == np.uint64 and values.dtype == np.int64
+        assert keys.size == values.size == 0
+
+    def test_dtype_alone_decides(self):
+        """An empty float column is refused like a full one (``[]`` is
+        float64 to numpy), so a PE holding no pairs raises with the
+        others."""
+        with pytest.raises(TypeError, match="integer keys .*float64"):
+            reduce_by_key(None, [], np.zeros(0, dtype=np.int64))
+        with pytest.raises(TypeError, match="integer values .*float64"):
+            local_aggregate(np.zeros(0, dtype=np.uint64), [])
+
+
 class TestGroupByKey:
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_groups_complete(self, p, kv_small):

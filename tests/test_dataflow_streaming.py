@@ -211,6 +211,17 @@ class TestStreamingReduceByKey:
         assert run.stats.checker_seconds >= 2 * delay
         assert run.stats.operation_seconds < delay
 
+    def test_sum_family_loops_refuse_a_float_root_seed(self):
+        keys, values = sum_workload(8, num_keys=4, seed=25)
+        with pytest.raises(TypeError):
+            StreamingKeyValueDIA.from_chunks(
+                None, kv_chunks(keys, values, 4)
+            ).reduce_by_key_checked(CONFIG, seed=0.5)
+        with pytest.raises(TypeError):
+            StreamingDIA.from_chunks(None, [values]).sum_checked(
+                CONFIG, seed=0.5
+            )
+
     def test_from_generator_is_lazy(self):
         pulled = []
 
@@ -447,6 +458,42 @@ class TestStreamingZip:
         # Window-by-window zip preserves index alignment overall.
         assert np.array_equal(np.sort(got_first), a)
         assert np.array_equal(got_second, got_first * np.uint64(3))
+
+    def test_zip_window_seeds_come_from_blocks(self, monkeypatch):
+        """Zip windows read ``window_seed(seed, w)`` from the same seed
+        blocks as the sum-family loops: one derivation per block."""
+        import repro.dataflow.streaming as streaming_mod
+
+        real = streaming_mod.derive_seed_array
+        blocks = []
+
+        def recording(*args):
+            blocks.append(int(args[2][0]))
+            return real(*args)
+
+        monkeypatch.setattr(streaming_mod, "derive_seed_array", recording)
+        a = np.arange(70, dtype=np.uint64)
+        run = StreamingDIA.from_chunks(
+            None, [a[i : i + 1] for i in range(a.size)]
+        ).zip_checked(
+            StreamingDIA.from_chunks(None, [a[i : i + 1] for i in range(a.size)]),
+            seed=43,
+            chunks_per_window=1,
+        )
+        assert run.accepted and blocks == [0, 1, 2, 4, 8, 16, 32, 64]
+        assert [r.seed for r in run.window_history] == [
+            window_seed(43, w) for w in range(a.size)
+        ]
+
+    def test_zip_refuses_a_float_root_seed(self):
+        """``window_seed`` refuses a float root; so does the block
+        derivation, which would otherwise truncate 0.4 and 0.6 alike."""
+        a = np.arange(8, dtype=np.uint64)
+        for seed in (0.5, 0.4):
+            with pytest.raises(TypeError):
+                StreamingDIA.from_chunks(None, [a]).zip_checked(
+                    StreamingDIA.from_chunks(None, [a]), seed=seed
+                )
 
     def test_zip_detects_misaligned_output(self):
         a = np.arange(200, dtype=np.uint64)

@@ -156,7 +156,7 @@ class TestOneFoldDifference:
         expected = checker.difference(
             checker.local_tables(in_k, in_v), checker.local_tables(out_k, out_v)
         )
-        got = checker.local_difference((in_k, in_v), (out_k, out_v))
+        got, _ = checker.local_difference((in_k, in_v), (out_k, out_v))
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 

@@ -25,6 +25,8 @@ from repro.service import (
     TenantCommGrid,
     TenantConfig,
 )
+from repro.service.tenant import TenantStats
+from repro.service.windows import ENGINES
 from repro.util.rng import derive_seed
 
 CONFIG = SumCheckConfig.parse("8x16 m15")
@@ -447,6 +449,109 @@ class TestSettleRetry:
         assert res.stats.degraded
         assert other.result().accepted  # daemon survives
         svc.shutdown(timeout=10)
+
+
+class TestWindowSeeds:
+    @pytest.mark.parametrize("op", sorted(ENGINES))
+    def test_engines_read_window_seeds_from_blocks(self, op, monkeypatch):
+        """Every engine, zip's included, reads attempt 0's seed from a
+        seed block, and the seed is the window's scalar derivation."""
+        import repro.dataflow.streaming as streaming_mod
+
+        real = streaming_mod.derive_seed_array
+        blocks = []
+
+        def recording(*args):
+            blocks.append(int(args[2][0]))
+            return real(*args)
+
+        monkeypatch.setattr(streaming_mod, "derive_seed_array", recording)
+        engine = ENGINES[op](TenantConfig(op=op, seed=11))
+        for w in (0, 1, 2, 63, 64, 65, 200, 3):
+            assert engine.window_seed(w) == window_seed(11, w)
+        # Windows 64 and 65 fall in the block opened at 63.
+        assert blocks == [0, 1, 2, 63, 200, 3]
+
+    @pytest.mark.parametrize("op", sorted(ENGINES))
+    def test_non_integer_root_seed_refused(self, op):
+        """A float root would reach the block derivation truncated (0.4
+        and 0.6 both as 0); every engine refuses it, as ``window_seed``
+        does, and so does registering such a tenant."""
+        with pytest.raises(TypeError):
+            ENGINES[op](TenantConfig(op=op, seed=0.5))
+        with CheckedStreamService() as svc:
+            with pytest.raises(TypeError):
+                svc.register("t", TenantConfig(op=op, seed=0.5))
+            assert svc.register("t", TenantConfig(op=op, seed=np.uint64(5)))
+        assert ENGINES[op](TenantConfig(op=op, seed=np.int64(7))).window_seed(
+            2
+        ) == window_seed(7, 2)
+
+
+class TestStatsSnapshot:
+    class _Record:
+        accepted = True
+        repaired = False
+        quarantined = False
+
+    def _settle(self, stats, latency):
+        stats.record_window(
+            self._Record(), CheckedRunStats(0.001, 0.002, windows=1), latency
+        )
+
+    def test_polls_share_the_latencies_until_a_settle(self):
+        stats = TenantStats()
+        self._settle(stats, 0.25)
+        first = stats.snapshot()
+        for write in (
+            stats.mark_degraded,
+            stats.record_submitted,
+            lambda: stats.record_shed(3),
+            lambda: stats.record_ingested(1, 64),
+            stats.record_poison,
+            stats.record_settle_retry,
+            stats.record_settle_failure,
+        ):
+            before = stats.snapshot()
+            write()
+            after = stats.snapshot()
+            # Every write shows in the next snapshot, and with no settle
+            # in between the latencies are shared, not copied.
+            assert after != before
+            assert after.settle_latencies is first.settle_latencies
+        self._settle(stats, 0.5)
+        settled = stats.snapshot()
+        assert settled.settle_latencies == (0.25, 0.5)
+        assert first.settle_latencies == (0.25,)
+        assert stats.snapshot().settle_latencies is settled.settle_latencies
+
+    def test_earlier_snapshot_unchanged_by_later_windows(self):
+        stats = TenantStats()
+        self._settle(stats, 0.5)
+        stats.record_ingested(2, 128)
+        early = stats.snapshot()
+        fields = early.as_dict()
+        self._settle(stats, 0.75)
+        stats.record_poison()
+        assert early.as_dict() == fields
+        assert early.settle_latencies == (0.5,)
+        assert early.windows_settled == 1 and early.run.windows == 1
+        late = stats.snapshot()
+        assert late.settle_latencies == (0.5, 0.75)
+        assert late.windows_settled == 2 and late.run.windows == 2
+        assert late.poison_chunks == 1 and late.degraded
+
+    def test_service_stats_polls_share_the_latencies(self):
+        with CheckedStreamService() as svc:
+            h = svc.register(
+                "t", TenantConfig(op="sum", config=CONFIG, chunks_per_window=1)
+            )
+            h.submit(sum_chunk(0))
+            h.close()
+            assert svc.drain(timeout=60)
+            first, second = h.stats(), h.stats()
+            assert first == second and first.windows_settled == 1
+            assert first.settle_latencies is second.settle_latencies
 
 
 class TestStatsAccumulator:
