@@ -3,12 +3,13 @@
 Three sections, all written to ``BENCH_crc_affinity.json``:
 
 1. **Lane level** (the ≥3× gate): generate all ``T = 32 × iterations``
-   CRC bucket lanes over 10^6 unique keys through
-   :func:`~repro.hashing.bitgroups.iter_bucket_blocks`, once with the
-   affinity kernel (``crc_s(x) = crc_0(x) ⊕ c(s)`` — ONE table-lookup
-   pass total) and once through a CRC family clone without it (one pass
-   per seed block, today's per-seed kernel path).  Outputs are asserted
-   bit-identical.
+   CRC bucket rows over a 10^6-element workload's unique keys through
+   :func:`~repro.core.multiseed.seed_bucket_rows`, one seed at a time —
+   what the sum checker folds — once over the affinity form
+   (``crc_s(x) = crc_0(x) ⊕ c(s)`` — ONE table-lookup pass total) and
+   once through a CRC family clone without a lane kernel (one CRC pass
+   per seed and key block, through ``hash_lanes``' batch-kernel
+   fallback).  Outputs are asserted bit-identical.
 2. **Checker level**: ``MultiSeedSumChecker`` end-to-end on the CRC
    config against a loop of ``T`` reference folds
    (:func:`~repro.core.sum_checker.reference_tables`), for continuity
@@ -28,14 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import best_of, run_once, smoke_mode, write_artifact
+from conftest import best_of, run_once, seed_rows, smoke_mode, write_artifact
 
 from repro.core.average_checker import check_average_aggregation
 from repro.core.median_checker import check_median_aggregation
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
 from repro.core.sum_checker import reference_tables
-from repro.hashing.bitgroups import iter_bucket_blocks
 from repro.hashing.families import HashFamily, _CRCHash, _crc_batch_kernel, get_family
 from repro.util.rng import derive_seed, derive_seed_array
 from repro.workloads.kv import aggregate_reference, sum_workload
@@ -46,7 +46,7 @@ _MIN_LANE_SPEEDUP = 3.0
 _CONFIG = "8x16 CRC m15"
 
 #: The pre-affinity execution path: same CRC batch kernel, no multiseed
-#: kernel, so ``iter_bucket_blocks`` hashes every seed block separately.
+#: kernel, so every seed hashes every key block with a CRC pass of its own.
 _CRC_PLAIN = HashFamily(
     "CRCplain",
     _CRCHash,
@@ -56,38 +56,34 @@ _CRC_PLAIN = HashFamily(
 )
 
 
-def _consume_lanes(family, d, iterations, seeds, keys):
+def _consume_rows(family, cfg, seeds, keys):
     checksum = 0
-    for _, _, buckets in iter_bucket_blocks(
-        family, d, iterations, seeds, keys, 1 << 18
-    ):
-        checksum ^= int(buckets[0, 0])
+    for rows in seed_rows(family, cfg, seeds, keys):
+        checksum ^= int(rows[0, 0])
     return checksum
 
 
 def _lane_cell(cfg: SumCheckConfig, seeds, keys, benchmark) -> dict:
     crc = get_family("CRC")
-    args = (cfg.d, cfg.iterations, seeds, keys)
+    args = (cfg, seeds, keys)
 
-    # Equivalence gate: the affinity lanes are bit-identical to the
-    # per-seed kernel lanes, block for block (doubles as warm-up).
-    for (s_a, c_a, b_a), (s_p, c_p, b_p) in zip(
-        iter_bucket_blocks(crc, *args, 1 << 18),
-        iter_bucket_blocks(_CRC_PLAIN, *args, 1 << 18),
+    # Equivalence gate: the affinity rows are bit-identical to the
+    # per-seed kernel rows, seed for seed (doubles as warm-up).
+    for t, (rows_a, rows_p) in enumerate(
+        zip(seed_rows(crc, *args), seed_rows(_CRC_PLAIN, *args))
     ):
-        assert (s_a, c_a) == (s_p, c_p)
-        assert np.array_equal(b_a, b_p), "affinity lanes diverged"
+        assert np.array_equal(rows_a, rows_p), f"affinity rows diverged ({t})"
 
-    plain_s = best_of(lambda: _consume_lanes(_CRC_PLAIN, *args), 2)
+    plain_s = best_of(lambda: _consume_rows(_CRC_PLAIN, *args), 2)
     if benchmark is not None:
         t0 = time.perf_counter()
-        run_once(benchmark, lambda: _consume_lanes(crc, *args))
+        run_once(benchmark, lambda: _consume_rows(crc, *args))
         affinity_s = min(
             time.perf_counter() - t0,
-            best_of(lambda: _consume_lanes(crc, *args), 2),
+            best_of(lambda: _consume_rows(crc, *args), 2),
         )
     else:
-        affinity_s = best_of(lambda: _consume_lanes(crc, *args), 3)
+        affinity_s = best_of(lambda: _consume_rows(crc, *args), 3)
     lanes = seeds.size * cfg.iterations
     return {
         "section": "lanes",

@@ -4,18 +4,22 @@ The Tab/Tab64 analog of ``bench_crc_affinity.py``.  Three sections, all
 written to ``BENCH_tab_lanes.json``:
 
 1. **Lane level** (the ≥3× gate, for Tab AND Tab64): the full
-   ``T = 32 × 10^6`` lane matrix through :func:`hash_lanes`, once with
-   the stacked kernel (byte indices extracted once, ``num_tables``
-   cache-blocked gathers per seed block) and once through a family clone
-   without a multiseed kernel (the chunked tiled fallback — one
-   byte-extraction + gather pass *per seed*, today's per-seed kernel
-   path).  Outputs are asserted bit-identical.
-2. **Bucket-block level**: the same comparison end-to-end through
-   :func:`~repro.hashing.bitgroups.iter_bucket_blocks` on the Tab64
-   checker configuration, i.e. including bit-group extraction — what
-   ``MultiSeedSumChecker.local_tables`` actually consumes.
-3. **Mix row** (reported, not gated): the broadcast lane kernel against
-   the tiled fallback.
+   ``T = 32`` lane matrix over a 10^6-element workload's unique keys
+   through :func:`hash_lanes`, once with the stacked lane hasher (byte
+   indices extracted once as uint8 rows, ``num_tables`` gathers per
+   seed) and once through a family clone without a multiseed kernel (the
+   chunked tiled fallback — one byte-extraction + gather pass *per
+   seed*, the per-seed kernel path).  Outputs are asserted bit-identical.
+2. **Bucket-row level**: the same comparison through
+   :func:`~repro.core.multiseed.seed_bucket_rows` on the Tab64 checker
+   configuration, i.e. including bit-group extraction — the rows
+   ``MultiSeedSumChecker.local_tables`` folds, one seed at a time.
+3. **Fused rows** (the ≥1.3× gate for Tab64, Tab reported): those rows,
+   hashed and sliced into bucket fields in 2^16-key blocks, against
+   lanes-then-extract — a seed's whole lane through :func:`hash_lanes`,
+   then one extraction pass per bit group over it.
+4. **Mix row** (reported, not gated): the Mix lane hasher against the
+   tiled fallback.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks everything and skips the artifact/gate.
 """
@@ -27,11 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import best_of, run_once, smoke_mode, write_artifact
+from conftest import best_of, run_once, seed_rows, smoke_mode, write_artifact
 
 from repro.core.params import SumCheckConfig
-from repro.hashing.bitgroups import iter_bucket_blocks
+from repro.hashing.bitgroups import evaluation_seeds
 from repro.hashing.families import HashFamily, get_family, hash_lanes
+from repro.util.bits import ceil_log2
 from repro.util.rng import derive_seed, derive_seed_array
 from repro.workloads.kv import sum_workload
 
@@ -54,30 +59,6 @@ def _plain_clone(name: str) -> HashFamily:
         f"{name} without the lane kernel (per-seed baseline)",
         batch_kernel=src._batch_kernel,
     )
-
-
-class _LanesOnlyHasher:
-    """A StackedLaneHasher stripped of ``bucket_lanes``: consumers fall
-    back to materializing the full lane matrix and re-extracting groups
-    from it — the pre-fusion execution path."""
-
-    def __init__(self, hasher):
-        self._hasher = hasher
-
-    def lanes(self, seeds):
-        return self._hasher.lanes(seeds)
-
-
-class _UnfusedClone:
-    """Family facade whose lane hasher hides the fused bucket kernel."""
-
-    def __init__(self, name: str):
-        src = get_family(name)
-        self.bits = src.bits
-        self._src = src
-
-    def multiseed_hasher(self, keys):
-        return _LanesOnlyHasher(self._src.multiseed_hasher(keys))
 
 
 def _lane_cell(name: str, seeds, keys, benchmark=None) -> dict:
@@ -113,29 +94,47 @@ def _lane_cell(name: str, seeds, keys, benchmark=None) -> dict:
     }
 
 
-def _consume_blocks(family, d, iterations, seeds, keys):
+def _lanes_then_extract(family, cfg: SumCheckConfig, seeds, keys):
+    """The unfused reference for :func:`~conftest.seed_rows`
+    (power-of-two ``d``): per seed and evaluation, the whole lane through
+    :func:`hash_lanes`, then one shift-mask-cast pass over it per bit
+    group, into the same kind of reused buffer."""
+    hasher = family.multiseed_hasher(keys)
+    eval_seeds = evaluation_seeds(family, cfg.d, cfg.iterations, seeds)
+    group_bits = ceil_log2(cfg.d)
+    groups_per_eval = max(1, family.bits // group_bits)
+    mask = np.uint64(cfg.d - 1)
+    rows = np.empty((cfg.iterations, keys.size), dtype=np.intp)
+    for t in range(seeds.size):
+        for e, fn_seed in enumerate(eval_seeds[:, t : t + 1]):
+            h = hash_lanes(family, fn_seed, keys, hasher)[0]
+            first = e * groups_per_eval
+            for g in range(min(groups_per_eval, cfg.iterations - first)):
+                rows[first + g] = (
+                    (h >> np.uint64(g * group_bits)) & mask
+                ).astype(np.intp)
+        yield rows
+
+
+def _consume(rows_of, family, cfg, seeds, keys):
     checksum = 0
-    for _, _, buckets in iter_bucket_blocks(
-        family, d, iterations, seeds, keys, 1 << 18
-    ):
-        checksum ^= int(buckets[0, 0])
+    for rows in rows_of(family, cfg, seeds, keys):
+        checksum ^= int(rows[0, 0])
     return checksum
 
 
 def _bucket_cell(cfg: SumCheckConfig, seeds, keys) -> dict:
     fam = get_family(cfg.hash_family)
     plain = _plain_clone(cfg.hash_family)
-    args = (cfg.d, cfg.iterations, seeds, keys)
+    args = (cfg, seeds, keys)
 
-    for (s_a, c_a, b_a), (s_p, c_p, b_p) in zip(
-        iter_bucket_blocks(fam, *args, 1 << 18),
-        iter_bucket_blocks(plain, *args, 1 << 18),
+    for t, (rows_a, rows_p) in enumerate(
+        zip(seed_rows(fam, *args), seed_rows(plain, *args))
     ):
-        assert (s_a, c_a) == (s_p, c_p)
-        assert np.array_equal(b_a, b_p), "stacked bucket lanes diverged"
+        assert np.array_equal(rows_a, rows_p), f"stacked rows diverged ({t})"
 
-    plain_s = best_of(lambda: _consume_blocks(plain, *args), 2)
-    stacked_s = best_of(lambda: _consume_blocks(fam, *args), 3)
+    plain_s = best_of(lambda: _consume(seed_rows, plain, *args), 2)
+    stacked_s = best_of(lambda: _consume(seed_rows, fam, *args), 3)
     lanes = seeds.size * cfg.iterations
     return {
         "section": "bucket-blocks",
@@ -150,26 +149,23 @@ def _bucket_cell(cfg: SumCheckConfig, seeds, keys) -> dict:
 
 
 def _fused_cell(name: str, cfg: SumCheckConfig, seeds, keys) -> dict:
-    """Fused gather+extraction vs lanes-then-extract, same stacked tables.
+    """Block-fused rows vs lanes-then-extract, same prepared form.
 
-    Isolates the PR's fusion win from the stacked-vs-per-seed win: both
-    paths share the byte-extraction and stacked gathers; only the bucket
-    bit-group step differs (in-cache during the gather loop vs a second
-    pass over the materialized lane matrix).
+    Isolates the fusion win from the stacked-vs-per-seed win: both paths
+    share the byte extraction and the per-seed gathers; only the bucket
+    bit-group step differs (sliced from each cache-resident 2^16-key
+    block vs a second pass per group over the materialized lane).
     """
     fam = get_family(name)
-    unfused = _UnfusedClone(name)
-    args = (cfg.d, cfg.iterations, seeds, keys)
+    args = (cfg, seeds, keys)
 
-    for (s_a, c_a, b_a), (s_p, c_p, b_p) in zip(
-        iter_bucket_blocks(fam, *args, 1 << 18),
-        iter_bucket_blocks(unfused, *args, 1 << 18),
+    for t, (rows_a, rows_p) in enumerate(
+        zip(seed_rows(fam, *args), _lanes_then_extract(fam, *args))
     ):
-        assert (s_a, c_a) == (s_p, c_p)
-        assert np.array_equal(b_a, b_p), "fused bucket lanes diverged"
+        assert np.array_equal(rows_a, rows_p), f"fused rows diverged ({t})"
 
-    unfused_s = best_of(lambda: _consume_blocks(unfused, *args), 2)
-    fused_s = best_of(lambda: _consume_blocks(fam, *args), 3)
+    unfused_s = best_of(lambda: _consume(_lanes_then_extract, fam, *args), 2)
+    fused_s = best_of(lambda: _consume(seed_rows, fam, *args), 3)
     return {
         "section": "bucket-fused",
         "family": name,

@@ -85,6 +85,30 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
+def seed_rows(family, cfg, seeds, keys):
+    """Each seed's ``(iterations, k)`` bucket rows in turn, over one
+    prepared form of ``keys`` (None without a lane kernel), in one
+    reused buffer as the sum checker's fold keeps them.
+
+    The rows the CRC and Tab lane benches time.  ``repro`` is imported
+    here, not at module level: this conftest also loads for
+    ``e2e/bench_e2e_smoke.py``, which runs without ``src`` on the path.
+    """
+    import numpy as np
+
+    from repro.core.multiseed import seed_bucket_rows
+    from repro.hashing.bitgroups import evaluation_seeds
+
+    hasher = family.multiseed_hasher(keys)
+    eval_seeds = evaluation_seeds(family, cfg.d, cfg.iterations, seeds)
+    rows = np.empty((cfg.iterations, keys.size), dtype=np.intp)
+    for t in range(seeds.size):
+        yield seed_bucket_rows(
+            family, hasher, keys, eval_seeds[:, t], cfg.d, cfg.iterations,
+            out=rows,
+        )
+
+
 def best_of(fn, repeats):
     """Minimum wall time of ``fn`` over ``repeats`` runs (noise-robust).
 

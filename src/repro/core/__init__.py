@@ -29,8 +29,9 @@ paper's per-iteration fold kept as oracle and timing baseline.
 
 Every hash-sum permutation check (sort, union, merge, group-by, join)
 runs on :class:`~repro.core.permutation_checker.MultiSeedHashSumChecker`
-the same way: one seed hashes each raw sequence once per iteration,
-``T`` seeds condense each side once and evaluate all lanes over it.
+the same way: every (seed, iteration) hashes each sequence over one
+prepared form of it — the raw sequence for one seed, the side's uniques,
+condensed once, for ``T`` seeds.
 """
 
 from repro.core.base import CheckResult

@@ -13,17 +13,15 @@ across checker *instances*, and a single seed is just ``T = 1``:
   multiset of pairs, so aggregating by key first is verdict-neutral — and
   Zipf-keyed workloads shrink 4–5×); at ``T = 1`` the raw pairs are folded
   without sorting (:func:`_pairs_condensed`);
-* bucket indices for all ``T × iterations`` lanes come from the batched
-  hash kernels (:func:`repro.hashing.bitgroups.iter_bucket_blocks` over
-  :func:`~repro.hashing.bitgroups.assign_buckets_batch`), evaluated in
-  bounded seed blocks;
+* each side's keys are prepared **once**, whatever ``T`` is
+  (:meth:`~repro.hashing.families.HashFamily.multiseed_hasher`: CRC's
+  seed-0 base, Tab's key bytes, Mix's keys), and every seed then runs the
+  same fold over that form, one seed at a time: :func:`seed_bucket_rows`
+  hashes each 2^16-key block once per evaluation into a reused buffer
+  and writes every bucket field of it into an intp row with one
+  broadcast shift and mask;
 * the float64 fast path counts several iterations per bincount through
-  the super-groups of :func:`~repro.hashing.bitgroups.superbucket_plan`.
-  At ``T > 1`` the families' lane hashers feed it; at ``T = 1`` (every
-  window settle and batch primary) the fold skips the lane machinery:
-  it hashes each 2^16-key block once into a reused buffer straight from
-  the seeded function (Mix mixes in place), writes every super-group
-  field into one intp row, and gives each row one bincount;
+  the super-groups of :func:`~repro.hashing.bitgroups.superbucket_plan`;
 * moduli for all seeds come from the vectorized
   :func:`~repro.core.sum_checker.draw_moduli` path;
 * tables accumulate as a ``(T, iterations, d)`` tensor with the
@@ -41,6 +39,7 @@ average (§6.1) and median (§6.3) checks run on the same checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -56,29 +55,10 @@ from repro.core.sum_checker import (
     pack_residues,
     unpack_residues,
 )
-from repro.hashing.bitgroups import (
-    evaluation_seeds,
-    iter_bucket_blocks,
-    iter_superbucket_blocks,
-    superbucket_plan,
-)
-from repro.hashing.families import get_family
+from repro.hashing.bitgroups import evaluation_seeds, superbucket_plan
+from repro.hashing.families import HashFamily, get_family, iter_hash_blocks
 from repro.util.bits import is_power_of_two
 from repro.util.rng import derive_seed_array
-
-#: Lane-matrix elements (seed lanes × unique keys) per batched hash pass;
-#: bounds the bucket-index scratch to ``iterations · chunk · 8`` bytes and
-#: keeps one block's working set cache-friendly.  Small key sets still
-#: batch thousands of seeds per lane pass; paper-scale key sets get one
-#: seed per pass — the shared base work (CRC's seed-0 sweep, tabulation's
-#: byte extraction) is hoisted out of the block loop by the family's
-#: :class:`~repro.hashing.families.LaneHasher` either way.
-_DEFAULT_CHUNK_ELEMENTS = 1 << 18
-
-#: Keys per hash block of the one-seed fold: the block's hash buffer and
-#: its scratch (1 MB together) stay cache-resident while every
-#: super-group field is sliced out of them.
-_FOLD_BLOCK_KEYS = 1 << 16
 
 _INT64_MIN = -(1 << 63)
 
@@ -245,6 +225,58 @@ def _side_size(keys: list, values: list) -> int:
     return n_keys
 
 
+def seed_bucket_rows(
+    family: HashFamily,
+    hasher,
+    keys: np.ndarray,
+    eval_seeds: np.ndarray,
+    d: int,
+    iterations: int,
+    plan=None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """One seed's bucket rows of ``keys``, hashed over their prepared form.
+
+    ``hasher`` is ``family.multiseed_hasher(keys)``, built once per key
+    array however many seeds read it; ``eval_seeds`` is one seed's column
+    of :func:`~repro.hashing.bitgroups.evaluation_seeds`.  Returns
+    ``(iterations, len(keys))`` intp rows, row ``j`` equal to row ``j`` of
+    ``BucketAssigner(family, d, iterations, root).assign(keys)``.  Given a
+    :func:`~repro.hashing.bitgroups.superbucket_plan` (power-of-two
+    ``d``), the rows are its super-group fields instead, in plan order.
+    ``out``, when given, is the intp array of that shape the rows are
+    written into: a caller reading seeds one after another reuses one
+    buffer, where a fresh one per seed would be allocated while the last
+    is still held, and faulted in anew.
+
+    Each evaluation hashes a 2^16-key block into a reused buffer
+    (:func:`~repro.hashing.families.iter_hash_blocks`), and all of that
+    evaluation's fields are written from it by one broadcast shift and
+    one broadcast mask; for other ``d`` the one row of an evaluation is
+    its hash mod ``d``.
+    """
+    pow2 = is_power_of_two(d)
+    if pow2:
+        if plan is None:
+            # A plan for at most one key caps every super-group at one
+            # iteration: one field per bucket row.
+            plan = superbucket_plan(family.bits, d, iterations, 1)
+        firsts = list(accumulate((len(ev.groups) for ev in plan), initial=0))
+    shape = (firsts[-1] if pow2 else iterations, keys.size)
+    rows = np.empty(shape, np.intp) if out is None else out
+    # Every field is below 2**width (or d), so its uint64 word is its
+    # intp index: write through a uint64 view and skip a casting pass.
+    words = rows.view(np.uint64)
+    for e, start, end, h in iter_hash_blocks(family, hasher, keys, eval_seeds):
+        if not pow2:
+            np.remainder(h, np.uint64(d), out=words[e, start:end])
+            continue
+        dst = words[firsts[e] : firsts[e + 1], start:end]
+        np.right_shift(h, plan[e].shifts, out=dst)
+        np.bitwise_and(dst, plan[e].masks, out=dst)
+    return rows
+
+
 def _peel_marginals(lead: np.ndarray, d: int, out: np.ndarray) -> None:
     """The ``m = len(out)`` per-iteration marginals of a super-group count.
 
@@ -274,38 +306,24 @@ class MultiSeedSumChecker:
         ``t``'s tables equal ``reference_tables(config, seeds[t], ...)``.
     operator:
         ``"+"`` (sum, count, average, median) or ``"xor"``.
-    chunk_elements:
-        Budget for one batched hash pass (seed-tiled unique keys).
     """
 
-    def __init__(
-        self,
-        config: SumCheckConfig,
-        seeds,
-        operator: str = "+",
-        chunk_elements: int = _DEFAULT_CHUNK_ELEMENTS,
-    ):
+    def __init__(self, config: SumCheckConfig, seeds, operator: str = "+"):
         if operator not in ("+", "xor"):
             raise ValueError(f"unsupported reduce operator {operator!r}")
-        if chunk_elements < 1:
-            raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
         self.config = config
         self.operator = operator
         self.seeds = _coerce_seeds(seeds)
         self.num_seeds = self.seeds.size
-        self.chunk_elements = chunk_elements
         self._family = get_family(config.hash_family)
         # (T, iterations) moduli — row t equals the scalar checker's draw.
         self.moduli = draw_moduli(config, self.seeds)
-        # Root of each seed's bucket-hash tree, matching BucketAssigner's
-        # derive_seed(seed, "sum-checker", "buckets") construction, and the
-        # (evaluations, T) hash seeds under it — derived here once, not
-        # once per fold.
-        self._bucket_seeds = derive_seed_array(
-            self.seeds, "sum-checker", "buckets"
-        )
+        # The (evaluations, T) hash seeds under each seed's bucket-hash
+        # root, matching BucketAssigner's derive_seed(seed, "sum-checker",
+        # "buckets") construction — derived here once, not once per fold.
         self._eval_seeds = evaluation_seeds(
-            self._family, config.d, config.iterations, self._bucket_seeds
+            self._family, config.d, config.iterations,
+            derive_seed_array(self.seeds, "sum-checker", "buckets"),
         )
 
     def seed_view(self, t: int) -> "MultiSeedSumChecker":
@@ -326,7 +344,6 @@ class MultiSeedSumChecker:
         view.seeds = self.seeds[pick]
         view.num_seeds = 1
         view.moduli = self.moduli[pick]
-        view._bucket_seeds = self._bucket_seeds[pick]
         view._eval_seeds = self._eval_seeds[:, pick]
         return view
 
@@ -427,70 +444,60 @@ class MultiSeedSumChecker:
             raise ValueError(
                 "condensed input was built for operator 'xor', not '+'"
             )
-        k = condensed.unique_keys.size
+        keys = condensed.unique_keys
         values = condensed.values
         inverse = condensed.inverse
-
+        # The prepared form of the keys, built once whatever T is.
+        hasher = self._family.multiseed_hasher(keys)
+        plan = None
         if agg_float is not None and is_power_of_two(cfg.d):
             # Super-group fast path: one weighted bincount covers up to
             # m adjacent iterations at once (16 super-bits, capped at
-            # d**m <= k), each lane's per-iteration counts falling out as
-            # cube marginals.
-            self._accumulate_supergroups(condensed, tables)
-            return tables
-
-        for start, count, buckets in iter_bucket_blocks(
-            self._family, cfg.d, cfg.iterations, self._bucket_seeds,
-            condensed.unique_keys, self.chunk_elements,
-            eval_seeds=self._eval_seeds,
-        ):
-            for c in range(count):
-                t = start + c
-                block = buckets[:, c * k : (c + 1) * k]
-                for j in range(cfg.iterations):
-                    if agg_float is not None:
-                        # Fast path: raw weighted bincount per lane, one
-                        # deferred mod at the end (exact under `bound`).
-                        sums = np.bincount(
-                            block[j], weights=agg_float, minlength=cfg.d
-                        )
-                        tables[t, j] = sums.astype(np.int64) % int(
-                            self.moduli[t, j]
-                        )
-                    elif self.operator == "xor":
-                        np.bitwise_xor.at(utables[t, j], block[j], agg_xor)
-                    elif agg is not None:
-                        r = int(self.moduli[t, j])
-                        _scatter_add_mod(tables[t, j], block[j], agg % r, r)
-                    else:
-                        r = int(self.moduli[t, j])
-                        _scatter_add_mod(
-                            tables[t, j], block[j][inverse], values % r, r
-                        )
+            # d**m <= k), each iteration's counts falling out as cube
+            # marginals.
+            plan = superbucket_plan(
+                self._family.bits, cfg.d, cfg.iterations, keys.size
+            )
+        rows = None
+        for t in range(self.num_seeds):
+            rows = seed_bucket_rows(
+                self._family, hasher, keys, self._eval_seeds[:, t],
+                cfg.d, cfg.iterations, plan, out=rows,
+            )
+            if plan is not None:
+                self._fold_supergroups(rows, plan, agg_float, t, tables)
+                continue
+            for j, row in enumerate(rows):
+                r = int(self.moduli[t, j])
+                if agg_float is not None:
+                    # Raw weighted bincount per lane, one deferred mod at
+                    # the end (exact under `bound`).
+                    sums = np.bincount(row, weights=agg_float, minlength=cfg.d)
+                    tables[t, j] = sums.astype(np.int64) % r
+                elif self.operator == "xor":
+                    np.bitwise_xor.at(utables[t, j], row, agg_xor)
+                elif agg is not None:
+                    _scatter_add_mod(tables[t, j], row, agg % r, r)
+                else:
+                    _scatter_add_mod(tables[t, j], row[inverse], values % r, r)
         return tables
 
     def iter_lane_buckets(self, keys):
         """Yield ``(seed_index, iteration, bucket_row)`` for every lane.
 
         ``bucket_row`` is the ``d``-bucket assignment of ``keys`` under
-        seed ``seeds[seed_index]``'s iteration — the same batched
-        :func:`iter_bucket_blocks` pass the table evaluation runs,
-        exposed raw for consumers that intersect bucket memberships
-        (fault localization's guilty-bucket filter).
+        seed ``seeds[seed_index]``'s iteration — the rows the table fold
+        reads (:func:`seed_bucket_rows`), one seed at a time over one
+        prepared form of ``keys``, exposed for consumers that intersect
+        bucket memberships (fault localization's guilty-bucket filter).
         """
         keys = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
-        k = keys.size
-        if k == 0:
+        if keys.size == 0:
             return
-        cfg = self.config
-        for start, count, buckets in iter_bucket_blocks(
-            self._family, cfg.d, cfg.iterations, self._bucket_seeds,
-            keys, self.chunk_elements, eval_seeds=self._eval_seeds,
-        ):
-            for c in range(count):
-                block = buckets[:, c * k : (c + 1) * k]
-                for j in range(cfg.iterations):
-                    yield start + c, j, block[j]
+        hasher = self._family.multiseed_hasher(keys)
+        for t in range(self.num_seeds):
+            for j, row in enumerate(self._bucket_rows(hasher, keys, t)):
+                yield t, j, row
 
     def seed_lane_buckets(self, t: int, keys) -> np.ndarray:
         """Bucket assignments of ``keys`` under seed ``t`` alone.
@@ -502,103 +509,42 @@ class MultiSeedSumChecker:
         seed up front.
         """
         keys = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
-        cfg = self.config
-        rows = np.empty((cfg.iterations, keys.size), dtype=np.int64)
-        if keys.size == 0:
-            return rows
-        for start, count, buckets in iter_bucket_blocks(
-            self._family, cfg.d, cfg.iterations,
-            self._bucket_seeds[t : t + 1], keys, self.chunk_elements,
-            eval_seeds=self._eval_seeds[:, t : t + 1],
-        ):
-            rows[:, :] = buckets
-        return rows
+        return self._bucket_rows(
+            self._family.multiseed_hasher(keys), keys, t
+        )
 
-    def _accumulate_supergroups(
-        self, condensed: CondensedKV, tables: np.ndarray
+    def _bucket_rows(self, hasher, keys: np.ndarray, t: int) -> np.ndarray:
+        cfg = self.config
+        return seed_bucket_rows(
+            self._family, hasher, keys, self._eval_seeds[:, t],
+            cfg.d, cfg.iterations,
+        )
+
+    def _fold_supergroups(
+        self, rows: np.ndarray, plan, weights: np.ndarray, t: int,
+        tables: np.ndarray,
     ) -> None:
-        """Accumulate the ``agg_float`` path via super-group bincounts.
+        """Seed ``t``'s tables from its super-group rows (float64 path).
 
         Up to ``m`` adjacent bit-groups of one hash evaluation are packed
         into a single index (:func:`superbucket_plan`), so *one*
-        ``d**m``-bin weighted bincount per (lane, super-group) replaces
-        ``m`` ``d``-bin passes over the keys.  Iteration ``j0 + q``'s
-        bucket sums are the cube marginal over every other packed axis —
-        exact, because every marginal partial sum is a subset sum of the
-        values and therefore bounded by the same Σ|v| < 2^52 guard that
-        selected ``agg_float``; the per-iteration residues are
-        bit-identical to the per-group path.  Every marginal of a seed
-        block lands in one float64 ``(count, iterations, d)`` block,
-        reduced by one cast and one broadcast ``% moduli``.
-        """
-        if self.num_seeds == 1:
-            self._fold_one_seed(condensed, tables)
-            return
-        cfg = self.config
-        agg_float = condensed.agg_float
-        for start, count, supers in iter_superbucket_blocks(
-            self._family, cfg.d, cfg.iterations, self._bucket_seeds,
-            condensed.unique_keys, self.chunk_elements,
-            eval_seeds=self._eval_seeds,
-        ):
-            sums = np.empty((count, cfg.iterations, cfg.d), dtype=np.float64)
-            for j0, m, idx in supers:
-                for c in range(count):
-                    lead = np.bincount(
-                        idx[c], weights=agg_float, minlength=cfg.d**m
-                    )
-                    _peel_marginals(lead, cfg.d, sums[c, j0 : j0 + m])
-            tables[start : start + count] = (
-                sums.astype(np.int64)
-                % self.moduli[start : start + count, :, None]
-            )
-
-    def _fold_one_seed(
-        self, condensed: CondensedKV, tables: np.ndarray
-    ) -> None:
-        """:meth:`_accumulate_supergroups` at ``T = 1``, without lanes.
-
-        One seed needs no lane hasher and no seed blocks.  Each hash
-        evaluation runs once per block of :data:`_FOLD_BLOCK_KEYS` keys,
-        straight from the seeded function into a reused buffer
-        (:meth:`~repro.hashing.families.HashFunction.hash_into`; Mix
-        mixes in place), and every super-group field of the
-        :func:`superbucket_plan` is written from it into its own intp
-        row.  Each row then takes one weighted bincount, its marginals
-        are peeled in float64, and the table gets one cast and one
-        modulo.  Bit-identical to the lane path.
+        ``d**m``-bin weighted bincount per super-group replaces ``m``
+        ``d``-bin passes over the keys.  Iteration ``j0 + q``'s bucket
+        sums are the cube marginal over every other packed axis — exact,
+        because every marginal partial sum is a subset sum of the values
+        and therefore bounded by the same Σ|v| < 2^52 guard that selected
+        ``agg_float``; the per-iteration residues are bit-identical to
+        the per-group path.  The seed's table then gets one cast and one
+        modulo.
         """
         cfg = self.config
-        keys = condensed.unique_keys
-        weights = condensed.agg_float
-        k = keys.size
-        plan = superbucket_plan(self._family.bits, cfg.d, cfg.iterations, k)
-        fns = [self._family.build(s) for s in self._eval_seeds[:, 0].tolist()]
-        width = min(k, _FOLD_BLOCK_KEYS)
-        h = np.empty(width, dtype=np.uint64)
-        scratch = np.empty(width, dtype=np.uint64)
-        rows = np.empty((sum(len(ev.groups) for ev in plan), k), dtype=np.intp)
-        # Every field is below 2**width, so its uint64 word is its intp
-        # index: one broadcast shift and mask write all of an
-        # evaluation's fields straight into its rows.
-        words = rows.view(np.uint64)
-        for start in range(0, k, _FOLD_BLOCK_KEYS):
-            end = min(start + _FOLD_BLOCK_KEYS, k)
-            n = end - start
-            first = 0
-            for fn, ev in zip(fns, plan):
-                fn.hash_into(keys[start:end], h[:n], scratch[:n])
-                dst = words[first : first + len(ev.groups), start:end]
-                np.right_shift(h[:n], ev.shifts, out=dst)
-                np.bitwise_and(dst, ev.masks, out=dst)
-                first += len(ev.groups)
         sums = np.empty((cfg.iterations, cfg.d), dtype=np.float64)
         groups = [group for ev in plan for group in ev.groups]
         for row, (j0, m, _, bits) in zip(rows, groups):
             lead = np.bincount(row, weights=weights, minlength=1 << bits)
             _peel_marginals(lead, cfg.d, sums[j0 : j0 + m])
         np.remainder(
-            sums.astype(np.int64), self.moduli[0, :, None], out=tables[0]
+            sums.astype(np.int64), self.moduli[t, :, None], out=tables[t]
         )
 
     # -- table algebra -------------------------------------------------------

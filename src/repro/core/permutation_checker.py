@@ -9,7 +9,10 @@ exactly.  For an element ``e`` occurring ``k`` times in E and ``k' < k``
 times in O, equality requires ``h(e) = (h(O∖e) − h(E∖e))/(k−k')``, a single
 value independent of ``h(e)`` — probability ≤ 1/H (the paper's margin
 argument).  :class:`MultiSeedHashSumChecker` runs it under one root seed
-or ``T`` of them, each side read once.
+or ``T`` of them: each sequence is prepared once for its family (CRC's
+seed-0 base, Tab's key bytes, Mix's keys) and every (seed, iteration)
+hashes it block by block over that form — raw at ``T = 1``, condensed to
+its uniques at ``T > 1``.
 
 **Polynomial (Lemma 5, Lipton).**  ``q(z) = Π(z−e_i) − Π(z−o_i) mod r`` for
 a prime ``r > max(n/δ, U−1)``; q is the zero polynomial iff the multisets
@@ -30,15 +33,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CheckResult
-from repro.core.multiseed import _DEFAULT_CHUNK_ELEMENTS, _coerce_seeds
+from repro.core.multiseed import _coerce_seeds
 from repro.core.sum_checker import _coerce_keys
-from repro.hashing.families import get_family, hash_lanes, seeds_per_block
+from repro.hashing.families import get_family, iter_hash_blocks
 from repro.hashing.gf2 import gf64_mul, gf64_product
 from repro.hashing.primes import random_prime_in_range
 from repro.util.rng import (
     derive_seed,
     derive_seed_array,
-    splitmix64,
     splitmix64_array,
     uniform_below,
 )
@@ -127,11 +129,13 @@ class MultiSeedHashSumChecker:
     ``2^(−log_h · iterations)`` per differing multiset (Theorem 6), ``T``
     seeds by its ``T``-th power.
 
-    At ``T = 1`` every raw sequence is hashed once per iteration, with no
-    sort.  At ``T > 1`` each side is condensed once (:func:`condense_side`)
-    and the family's :class:`~repro.hashing.families.LaneHasher` evaluates
-    all ``T × iterations`` lanes over the uniques, multiplicities folded in
-    exactly by :func:`wide_weighted_sum`.  Both paths give identical
+    Each sequence is prepared once
+    (:meth:`~repro.hashing.families.HashFamily.multiseed_hasher`), and
+    every (seed, iteration) hashes it over that form block by block and
+    masks in place.  At ``T = 1`` the raw sequences are read, with no
+    sort, and summed by :func:`wide_sum`; at ``T > 1`` each side is
+    condensed once (:func:`condense_side`) and its uniques are summed by
+    :func:`wide_weighted_sum` over their counts.  Both give identical
     fingerprints.
     """
 
@@ -141,7 +145,6 @@ class MultiSeedHashSumChecker:
         iterations: int = 2,
         hash_family: str = "Mix",
         log_h: int = 32,
-        chunk_elements: int = _DEFAULT_CHUNK_ELEMENTS,
     ):
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -151,29 +154,20 @@ class MultiSeedHashSumChecker:
                 f"log_h={log_h} out of range for {family.name} "
                 f"({family.bits} output bits)"
             )
-        if chunk_elements < 1:
-            raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
         self.seeds = _coerce_seeds(seeds)
         self.num_seeds = self.seeds.size
         self.iterations = iterations
         self.hash_family = hash_family
         self.log_h = log_h
-        self.chunk_elements = chunk_elements
         self._family = family
         self._mask = np.uint64((1 << log_h) - 1)
-        # Fold the "perm-checker" label once per seed; iterations branch on
-        # their counter (identical to derive_seed(seed, "perm-checker", j)).
-        self._prefix = derive_seed_array(self.seeds, "perm-checker")
-        # One seed hashes raw sequences with its seeded functions, built
-        # afresh: a seed used once would only churn the family's cache.
-        self._functions = (
-            [
-                family.build(splitmix64(int(self._prefix[0]) ^ j))
-                for j in range(iterations)
-            ]
-            if self.num_seeds == 1
-            else []
-        )
+        # Iteration j of seed t hashes under derive_seed(seeds[t],
+        # "perm-checker", j): the label folds once per seed, iterations
+        # branch on their counter.  Flattened (t, j) row-major.
+        prefix = derive_seed_array(self.seeds, "perm-checker")
+        self._fn_seeds = splitmix64_array(
+            prefix[:, None] ^ np.arange(iterations, dtype=np.uint64)
+        ).ravel()
 
     @property
     def failure_bound(self) -> float:
@@ -184,46 +178,28 @@ class MultiSeedHashSumChecker:
         """Wide hash sums per seed and iteration: ``T`` rows of ``iterations``."""
         if self.num_seeds > 1:
             return self.fingerprints_condensed(condense_side(side))
-        seqs = _as_sequences(side)
-        return [
-            [
-                sum(wide_sum(fn.hash_array(seq) & self._mask) for seq in seqs)
-                for fn in self._functions
-            ]
-        ]
+        return self.fingerprints_condensed(
+            [(seq, None) for seq in _as_sequences(side)]
+        )
 
     def fingerprints_condensed(
-        self, condensed: list[tuple[np.ndarray, np.ndarray]]
+        self, condensed: list[tuple[np.ndarray, np.ndarray | None]]
     ) -> list[list[int]]:
-        """:meth:`fingerprints` from (uniques, counts) pairs, over lanes.
-
-        The lane hasher is built once per uniques array: the fixed-keys
-        base pass (CRC's seed-0 table lookups, tabulation's byte
-        extraction) serves every ``T × iterations`` lane, and each lane
-        evaluation is a constant XOR (CRC), a stacked-table gather
-        (Tab/Tab64), or a broadcast mix (Mix) — never a tiled per-seed
-        hash pass.
-        """
+        """:meth:`fingerprints` from (uniques, counts) pairs; a raw
+        sequence is a pair with counts None (every element once)."""
         totals = [[0] * self.iterations for _ in range(self.num_seeds)]
-        for uniques, counts in condensed:
-            k = uniques.size
-            if k == 0:
-                continue
-            hasher = self._family.multiseed_hasher(uniques)
-            per_block = seeds_per_block(self.chunk_elements, k)
-            for start in range(0, self.num_seeds, per_block):
-                count = min(per_block, self.num_seeds - start)
-                prefix = self._prefix[start : start + count]
-                for j in range(self.iterations):
-                    fn_seeds = splitmix64_array(prefix ^ np.uint64(j))
-                    hashed = (
-                        hash_lanes(self._family, fn_seeds, uniques, hasher)
-                        & self._mask
-                    )
-                    for c in range(count):
-                        totals[start + c][j] += wide_weighted_sum(
-                            hashed[c], counts
-                        )
+        for keys, counts in condensed:
+            hasher = self._family.multiseed_hasher(keys)
+            for i, start, end, h in iter_hash_blocks(
+                self._family, hasher, keys, self._fn_seeds
+            ):
+                np.bitwise_and(h, self._mask, out=h)
+                t, j = divmod(i, self.iterations)
+                totals[t][j] += (
+                    wide_sum(h)
+                    if counts is None
+                    else wide_weighted_sum(h, counts[start:end])
+                )
         return totals
 
     def lambda_values(self, e_side, o_side) -> list[list[int]]:

@@ -37,7 +37,6 @@ from repro.hashing.tabulation import (
 from repro.hashing.mixers import MultiplyShiftHash, SplitMixHash
 from repro.hashing.families import (
     AffineLaneHasher,
-    BroadcastLaneHasher,
     HashFamily,
     HashFunction,
     LaneHasher,
@@ -75,7 +74,6 @@ __all__ = [
     "MultiplyShiftHash",
     "SplitMixHash",
     "AffineLaneHasher",
-    "BroadcastLaneHasher",
     "HashFamily",
     "HashFunction",
     "LaneHasher",

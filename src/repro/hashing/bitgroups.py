@@ -16,11 +16,10 @@ iteration reduced ``mod d``.
 
 For the condensed-table fold, :func:`superbucket_plan` packs adjacent
 bit-groups of one evaluation into *super-groups*, so one bincount counts
-several iterations at once.  The plan is cached and shared by both fold
-paths: :func:`iter_superbucket_blocks` serves ``T > 1`` seed lanes through
-the families' lane hashers, and
-:class:`~repro.core.multiseed.MultiSeedSumChecker` folds a single seed
-(``T = 1``) straight from the seeded hash function.
+several iterations at once.  :func:`~repro.core.multiseed.seed_bucket_rows`
+reads one seed's rows (or super-group fields) of a key array over the
+family's prepared form of it, and
+:class:`~repro.core.multiseed.MultiSeedSumChecker` runs it once per seed.
 """
 
 from __future__ import annotations
@@ -30,12 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.hashing.families import (
-    AffineLaneHasher,
-    HashFamily,
-    hash_lanes,
-    seeds_per_block,
-)
+from repro.hashing.families import HashFamily
 from repro.util.bits import ceil_log2, is_power_of_two
 from repro.util.rng import derive_seed, derive_seed_array, splitmix64_array
 
@@ -162,9 +156,7 @@ def evaluation_seeds(
     Shape ``(num_evaluations, len(seeds))``: entry ``[e, t]`` is
     ``derive_seed(seeds[t], "bucket", e)``, the seed of evaluation ``e``
     of the :class:`BucketAssigner` rooted at ``seeds[t]``.  A checker
-    derives these once and hands them to :func:`iter_bucket_blocks` /
-    :func:`iter_superbucket_blocks` as ``eval_seeds``, so no fold
-    re-derives them.
+    derives these once, so no fold re-derives them.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     counters = np.arange(
@@ -174,138 +166,6 @@ def evaluation_seeds(
     # counter (identical to derive_seed(seed, "bucket", e)).
     prefix = derive_seed_array(seeds, "bucket")
     return splitmix64_array(counters[:, None] ^ prefix[None, :])
-
-
-def _checked_eval_seeds(family, d, iterations, seeds, eval_seeds):
-    if eval_seeds is None:
-        return evaluation_seeds(family, d, iterations, seeds)
-    shape = (_num_evaluations(family, d, iterations), seeds.size)
-    if eval_seeds.shape != shape:
-        raise ValueError(
-            f"eval_seeds must have shape {shape}, got {eval_seeds.shape}"
-        )
-    return eval_seeds
-
-
-def iter_bucket_blocks(
-    family: HashFamily,
-    d: int,
-    iterations: int,
-    seeds: np.ndarray,
-    keys: np.ndarray,
-    chunk_elements: int = 1 << 20,
-    *,
-    eval_seeds: np.ndarray | None = None,
-):
-    """Bucket every key under every seed, yielded in bounded seed blocks.
-
-    Unlike :func:`assign_buckets_batch` (one seed per key via ``owner``),
-    this is the *multi-seed* access pattern: all ``len(seeds) × iterations``
-    lanes over the same key array.  The full result would be a
-    ``(len(seeds), iterations, len(keys))`` tensor — far too large to
-    materialise for paper-scale inputs — so blocks of
-    ``max(1, chunk_elements // len(keys))`` seeds are evaluated per batched
-    hash pass and yielded as ``(start, count, buckets)`` with ``buckets``
-    of shape ``(iterations, count · len(keys))``; column ``c·len(keys)+i``
-    is seed ``seeds[start+c]`` over ``keys[i]``.
-
-    ``eval_seeds`` are the seeds' :func:`evaluation_seeds`, when the
-    caller already derived them; otherwise they are derived here.
-
-    Every registered family takes a shared-base fast path through its
-    :class:`~repro.hashing.families.LaneHasher` (built once per call, via
-    :meth:`~repro.hashing.families.HashFamily.multiseed_hasher`) — the
-    fixed-keys base pass (CRC's seed-0 hash, tabulation's byte extraction)
-    never repeats per seed — bit-identical to the per-seed kernels.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    eval_seeds = _checked_eval_seeds(family, d, iterations, seeds, eval_seeds)
-    k = keys.size
-    per_block = seeds_per_block(chunk_elements, k)
-    # The base pass over the keys (CRC's seed-0 table-lookup sweep,
-    # tabulation's byte-index extraction) happens exactly once, here; each
-    # seed block below only evaluates lanes against it.  Affine (CRC)
-    # hashers go further for power-of-two d: bit-group extraction commutes
-    # with the seed XOR — ((h⊕c) >> g) & m == ((h >> g) & m) ⊕ ((c >> g) & m)
-    # — so each lane is ONE vectorized XOR of a per-lane constant into the
-    # base groups, never touching the hashes again.  Families without a
-    # lane hasher (custom registrations) hash tiled key blocks per seed.
-    hasher = family.multiseed_hasher(keys)
-    affine = isinstance(hasher, AffineLaneHasher)
-    # Stacked (tabulation) and broadcast (Mix/MShift) hashers expose a
-    # fused evaluation+extraction kernel: bit groups (or the mod-d
-    # residue) come straight out of the cache-resident lane block, so the
-    # full uint64 lane matrix is never materialized and never re-streamed
-    # once per group.
-    fused = getattr(hasher, "bucket_lanes", None)
-    if is_power_of_two(d):
-        group_bits = ceil_log2(d)
-        groups_per_eval = max(1, family.bits // group_bits)
-        mask = np.uint64(d - 1)
-        base_groups = None
-        if affine:
-            base_groups = [
-                ((hasher.base >> np.uint64(g * group_bits)) & mask).astype(
-                    np.intp
-                )
-                for g in range(min(groups_per_eval, iterations))
-            ]
-    else:
-        group_bits = 0
-        groups_per_eval = 1
-    for start in range(0, seeds.size, per_block):
-        count = min(per_block, seeds.size - start)
-        buckets = np.empty((iterations, count * k), dtype=np.intp)
-        it = 0
-        for e in range(eval_seeds.shape[0]):
-            fn_seeds = eval_seeds[e, start : start + count]
-            if affine and group_bits:
-                consts = hasher.constants(fn_seeds)  # (count,) uint64
-                for g in range(groups_per_eval):
-                    if it >= iterations:
-                        break
-                    lane_consts = (
-                        (consts >> np.uint64(g * group_bits)) & mask
-                    ).astype(np.intp)
-                    np.bitwise_xor(
-                        base_groups[g][None, :],
-                        lane_consts[:, None],
-                        out=buckets[it].reshape(count, k),
-                    )
-                    it += 1
-                continue
-            if fused is not None:
-                groups = (
-                    min(groups_per_eval, iterations - it) if group_bits else 1
-                )
-                rows = buckets[it : it + groups].reshape(groups, count, k)
-                if group_bits:
-                    fused(
-                        fn_seeds,
-                        [(g * group_bits, group_bits) for g in range(groups)],
-                        rows,
-                    )
-                else:
-                    fused(fn_seeds, [], rows, modulus=d)
-                it += groups
-                continue
-            if hasher is not None:
-                h = hasher.lanes(fn_seeds).reshape(count * k)
-            else:
-                h = hash_lanes(family, fn_seeds, keys).reshape(count * k)
-            if group_bits:
-                for g in range(groups_per_eval):
-                    if it >= iterations:
-                        break
-                    buckets[it] = (
-                        (h >> np.uint64(g * group_bits)) & mask
-                    ).astype(np.intp)
-                    it += 1
-            else:
-                buckets[it] = (h % np.uint64(d)).astype(np.intp)
-                it += 1
-        yield start, count, buckets
 
 
 #: Widest super-group (in bits) the condensed-table fast path combines
@@ -385,97 +245,6 @@ def _superbucket_plan(hash_bits, d, iterations, super_bits):
         shifts.flags.writeable = masks.flags.writeable = False
         plan.append(EvaluationPlan(tuple(groups), shifts, masks))
     return tuple(plan)
-
-
-def iter_superbucket_blocks(
-    family: HashFamily,
-    d: int,
-    iterations: int,
-    seeds: np.ndarray,
-    keys: np.ndarray,
-    chunk_elements: int = 1 << 20,
-    *,
-    eval_seeds: np.ndarray | None = None,
-):
-    """Bucket indices combined into the super-groups of
-    :func:`superbucket_plan`, for many seeds at once.
-
-    Power-of-two ``d`` only.  Where :func:`iter_bucket_blocks` yields one
-    ``0..d-1`` row per iteration, this yields one packed index per
-    super-group and seed lane.  This is the ``T > 1`` access pattern; a
-    one-seed fold reads the plan directly
-    (:meth:`repro.core.multiseed.MultiSeedSumChecker.local_tables`).
-
-    Each hash evaluation makes **one** base pass over the keys, whatever
-    the widths of its super-groups (the CRC base hash, one tabulation
-    gather, one broadcast mix): all of its super-groups are extracted as
-    ``(bit offset, width)`` fields of that pass.  ``eval_seeds`` are the
-    seeds' :func:`evaluation_seeds`, when the caller already derived
-    them; otherwise they are derived here.
-
-    Yields ``(start, count, supers)`` per seed block, where ``supers``
-    is a list of ``(j0, m, idx)``: iterations ``j0..j0+m-1`` packed into
-    ``idx`` of shape ``(count, len(keys))``, dtype intp.  Bit-identical
-    to packing the corresponding :func:`iter_bucket_blocks` rows.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    if not is_power_of_two(d):
-        raise ValueError(f"super-group blocks need power-of-two d, got {d}")
-    eval_seeds = _checked_eval_seeds(family, d, iterations, seeds, eval_seeds)
-    k = keys.size
-    plan = superbucket_plan(family.bits, d, iterations, k)
-    fields = [
-        [(shift, width) for _, _, shift, width in ev.groups] for ev in plan
-    ]
-    hasher = family.multiseed_hasher(keys)
-    affine = isinstance(hasher, AffineLaneHasher)
-    fused = None if affine else getattr(hasher, "bucket_lanes", None)
-    per_block = seeds_per_block(chunk_elements, k)
-    base_cache: dict[tuple[int, int], np.ndarray] = {}
-    if affine:
-        # Affine structure survives the packing: the packed index of lane s
-        # is base_super XOR (packed constant bits of c(s)) — extract the
-        # base's super fields once, outside the seed-block loop.
-        for eval_fields in fields:
-            for shift, width in eval_fields:
-                if (shift, width) not in base_cache:
-                    smask = np.uint64((1 << width) - 1)
-                    base_cache[(shift, width)] = (
-                        (hasher.base >> np.uint64(shift)) & smask
-                    ).astype(np.intp)
-    for start in range(0, seeds.size, per_block):
-        count = min(per_block, seeds.size - start)
-        out: list[tuple[int, int, np.ndarray]] = []
-        for e, ev in enumerate(plan):
-            fn_seeds = eval_seeds[e, start : start + count]
-            idxs = np.empty((len(ev.groups), count, k), dtype=np.intp)
-            if affine:
-                consts = hasher.constants(fn_seeds)
-                for (shift, width), idx in zip(fields[e], idxs):
-                    smask = np.uint64((1 << width) - 1)
-                    lane_c = ((consts >> np.uint64(shift)) & smask).astype(
-                        np.intp
-                    )
-                    np.bitwise_xor(
-                        base_cache[(shift, width)][None, :],
-                        lane_c[:, None],
-                        out=idx,
-                    )
-            elif fused is not None:
-                fused(fn_seeds, fields[e], idxs)
-            else:
-                h = (
-                    hasher.lanes(fn_seeds)
-                    if hasher is not None
-                    else hash_lanes(family, fn_seeds, keys)
-                )
-                for (shift, width), idx in zip(fields[e], idxs):
-                    smask = np.uint64((1 << width) - 1)
-                    idx[:] = ((h >> np.uint64(shift)) & smask).astype(np.intp)
-            for (j0, m, _, _), idx in zip(ev.groups, idxs):
-                out.append((j0, m, idx))
-        yield start, count, out
 
 
 def assign_buckets_batch(

@@ -8,6 +8,12 @@ keyed by the paper's abbreviations (§7 "Implementation Details"):
 * ``"Tab64"`` — tabulation hashing, 8 tables (64-bit keys);
 * ``"Mix"``   — keyed SplitMix64 (the ideal-model stand-in);
 * ``"MShift"``— 2-universal multiply-shift (ablation only).
+
+A checker that hashes one key array under many seeds (``T`` checker seeds
+times their iterations) prepares the keys once
+(:meth:`HashFamily.multiseed_hasher`) and then runs one seed at a time
+over that prepared form (:meth:`LaneHasher.hash_into`, block by block
+through :func:`iter_hash_blocks`): a single seed is just ``T = 1``.
 """
 
 from __future__ import annotations
@@ -32,10 +38,9 @@ from repro.hashing.mixers import (
 from repro.hashing.tabulation import (
     StackedLaneHasher,
     TabulationHash,
-    fused_lane_fields,
+    seed_loop_lanes,
     tabulation_hash_batch,
 )
-from repro.util.rng import derive_seed_array, splitmix64_array
 
 
 @runtime_checkable
@@ -171,23 +176,25 @@ class HashFamily:
         return out
 
     def multiseed_hasher(self, keys: np.ndarray) -> "LaneHasher | None":
-        """Shared-pass lane evaluator over fixed ``keys``, or None.
+        """The prepared form of fixed ``keys``, or None.
 
-        The base pass over the keys (whatever the family can hoist out of
-        per-seed work) runs once, here; the returned :class:`LaneHasher`
-        then evaluates any number of seed lanes against it:
+        The pass over the keys that the family can hoist out of per-seed
+        work runs once, here; the returned :class:`LaneHasher` then hashes
+        any number of seeds against it, one seed at a time:
 
         * CRC/CRC4 — :class:`AffineLaneHasher`: the seed-0 hash of every
-          key, each lane one XOR constant away (``h_s = h_0 ⊕ c(s)``);
+          key, each seed one XOR constant away (``h_s = h_0 ⊕ c(s)``);
         * Tab/Tab64 — :class:`~repro.hashing.tabulation.StackedLaneHasher`:
-          byte indices extracted once, each lane block ``num_tables``
-          gathers from the seed-stacked tables;
-        * Mix/MShift — :class:`BroadcastLaneHasher`: one broadcast mix
-          over ``seeds × keys``.
+          each key's table bytes extracted once (uint8), each seed
+          ``num_tables`` gathers from its own tables;
+        * Mix/MShift — :class:`InstanceLaneHasher`: the keys themselves,
+          each seed's built function hashing a block in place.
 
+        A prepared form holds at most one uint64 per key (CRC's base).
         Every registered family returns a hasher; only custom families
         registered without a ``multiseed_kernel`` return None, sending
-        :func:`hash_lanes` down its (chunked) tiled fallback.
+        :func:`hash_lanes` and :func:`iter_hash_blocks` down the
+        batch-kernel fallback.
         """
         if self._multiseed_kernel is None:
             return None
@@ -199,12 +206,21 @@ class HashFamily:
 
 @runtime_checkable
 class LaneHasher(Protocol):
-    """Multi-seed lane evaluator over a fixed key array.
+    """The prepared form of a fixed key array, hashed one seed at a time.
 
     Built by :meth:`HashFamily.multiseed_hasher`, which runs the fixed-keys
-    base pass once; :meth:`lanes` evaluates seed lanes against it.  Every
-    lane is bit-identical to the seeded instance's ``hash_array``.
+    pass once.  Every seed's hashes are bit-identical to the seeded
+    instance's ``hash_array``.
     """
+
+    def hash_into(
+        self, seed: int, start: int, end: int, out: np.ndarray,
+        scratch: np.ndarray,
+    ) -> None:
+        """Seed ``seed``'s hashes of keys ``start:end`` into the uint64
+        array ``out`` (length ``end - start``); ``scratch`` is a
+        same-shape buffer the evaluation may clobber."""
+        ...
 
     def lanes(self, seeds: np.ndarray) -> np.ndarray:
         """Lane matrix ``out[t] = instance(seeds[t]).hash_array(keys)``."""
@@ -215,10 +231,8 @@ class AffineLaneHasher:
     """Seed-affine hash over a fixed key array: ``h_s(x) = base(x) ⊕ c(s)``.
 
     ``base`` is the (already computed) seed-0 hash of every key; ``c`` is
-    the per-seed constant.  Consumers may exploit the affine structure
-    beyond :meth:`lanes` — the bit-group bucket assigner extracts groups
-    from ``base`` once and XORs each lane's constant group in, so a seed
-    lane never touches the key array again.
+    the per-seed constant, so a seed's hashes are one XOR over the base
+    and never touch the keys again.
     """
 
     def __init__(self, base: np.ndarray, constants_fn):
@@ -229,116 +243,44 @@ class AffineLaneHasher:
         """Per-seed XOR constants ``c(seeds)`` (same shape as ``seeds``)."""
         return self._constants_fn(seeds)
 
+    def hash_into(self, seed, start, end, out, scratch) -> None:
+        """:meth:`LaneHasher.hash_into`: the base block XOR ``c(seed)``."""
+        np.bitwise_xor(
+            self.base[start:end], self.constants(np.uint64(seed)), out=out
+        )
+
     def lanes(self, seeds: np.ndarray) -> np.ndarray:
         """Full lane tensor, shape ``seeds.shape + base.shape``."""
         return self.constants(seeds)[..., None] ^ self.base
 
 
-#: Lane-matrix elements per broadcast block; bounds each block's
-#: temporaries to ~2 MB so the mixing passes run cache-resident instead
-#: of streaming full (T, n) intermediates through DRAM (measured ~1.7×
-#: on Mix lanes at T=32, n=2·10^5 vs the unblocked broadcast).
-_BROADCAST_BLOCK_ELEMENTS = 1 << 18
+class InstanceLaneHasher:
+    """Lane evaluator of a family with nothing to hoist out of a seed.
 
-
-class BroadcastLaneHasher:
-    """Lane evaluator from a closed-form broadcast formula.
-
-    For families whose seeded evaluation is an elementwise formula of
-    (seed, key) — Mix's keyed SplitMix (``kind="mix"``), MShift's
-    multiply-shift (``kind="mshift"``) — all ``T`` lanes of a key block
-    come out of **one** cache-blocked kernel pass over the fixed keys:
-    no per-seed instance loop, no key tiling.  The per-seed constants
-    the formula needs (MShift's odd multipliers; Mix uses the seeds
-    directly) are derived once per seed block, outside the key loop.
-
-    :meth:`bucket_lanes` additionally fuses the §4 bit-group extraction
-    with the mixing pass — bucket indices are sliced out of each lane
-    block while it is still cache-resident, so Mix/MShift checker rows
-    never materialize (or re-stream) the full ``(T, n)`` lane matrix.
+    Mix's keyed SplitMix and MShift's multiply-shift are one elementwise
+    formula of (seed, key), so the prepared form is the keys themselves:
+    a seed's block runs the freshly built function's
+    :meth:`HashFunction.hash_into` (Mix mixes in place).
     """
 
-    def __init__(self, keys: np.ndarray, kind: str, out_bits: int):
-        if kind not in ("mix", "mshift"):
-            raise ValueError(f"kind must be 'mix' or 'mshift', got {kind!r}")
-        self._keys = np.asarray(keys, dtype=np.uint64).ravel()
-        self._kind = kind
-        self.out_bits = out_bits
-        self._mask = (
-            np.uint64((1 << out_bits) - 1)
-            if out_bits < 64
-            else np.uint64(0xFFFFFFFFFFFFFFFF)
-        )
-        self._shift = np.uint64(64 - out_bits)
+    def __init__(self, keys: np.ndarray, build):
+        self._keys = keys
+        self._build = build
 
-    def _constants(self, seeds: np.ndarray) -> np.ndarray:
-        """Per-seed broadcast constants (hoisted out of the key loop)."""
-        if self._kind == "mix":
-            return seeds
-        return derive_seed_array(seeds, "multiply-shift") | np.uint64(1)
-
-    def _eval_block(
-        self, consts: np.ndarray, start: int, end: int, out: np.ndarray
-    ) -> None:
-        """All lanes of keys ``start:end`` into ``out`` in one broadcast pass.
-
-        Mix: ``out[t, i] = splitmix(keys[i] ^ seeds[t]) & mask``; MShift:
-        ``out[t, i] = (keys[i] · a_t mod 2^64) >> shift``.
-        """
-        block = self._keys[start:end]
-        if self._kind == "mix":
-            mixed = splitmix64_array(block[None, :] ^ consts[:, None])
-            np.bitwise_and(mixed, self._mask, out=out)
-        else:
-            with np.errstate(over="ignore"):
-                product = block[None, :] * consts[:, None]
-            np.right_shift(product, self._shift, out=out)
+    def hash_into(self, seed, start, end, out, scratch) -> None:
+        """:meth:`LaneHasher.hash_into` through ``build(seed)``."""
+        self._build(seed).hash_into(self._keys[start:end], out, scratch)
 
     def lanes(self, seeds: np.ndarray) -> np.ndarray:
-        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-        consts = self._constants(seeds)
-        lanes, n = seeds.size, self._keys.size
-        out = np.empty((lanes, n), dtype=np.uint64)
-        if n == 0:
-            return out
-        block = max(1, _BROADCAST_BLOCK_ELEMENTS // max(lanes, 1))
-        for start in range(0, n, block):
-            end = min(start + block, n)
-            self._eval_block(consts, start, end, out[:, start:end])
-        return out
-
-    def bucket_lanes(
-        self, seeds: np.ndarray, fields: list, out: np.ndarray,
-        modulus: int = 0,
-    ) -> None:
-        """Fused mix + bucket extraction (same contract as
-        :meth:`repro.hashing.tabulation.StackedLaneHasher.bucket_lanes`).
-
-        ``out[i]`` (``out`` intp, shape ``(len(fields), len(seeds),
-        len(keys))``) receives the ``(bit_offset, width)`` field
-        ``fields[i]`` of every lane value, all fields from one mixing
-        pass; ``modulus > 0`` means the general ``mod d`` path with one
-        output row.  Bit-identical to extracting from :meth:`lanes`.
-        """
-        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-        consts = self._constants(seeds)
-
-        def mix(start, end, acc, scratch):
-            self._eval_block(consts, start, end, acc)
-
-        fused_lane_fields(
-            mix, seeds.size, self._keys.size, fields, out, modulus
-        )
+        """:meth:`LaneHasher.lanes`, one seed at a time."""
+        return seed_loop_lanes(self, seeds, self._keys.size)
 
 
 def seeds_per_block(chunk_elements: int, num_keys: int) -> int:
     """Seed-lanes per batched pass so one pass tiles ≤ ``chunk_elements``.
 
-    The single chunk-size rule every multi-seed consumer shares — the
-    :func:`hash_lanes` tiled fallback,
-    :func:`repro.hashing.bitgroups.iter_bucket_blocks`, and
-    :meth:`repro.core.permutation_checker.MultiSeedHashSumChecker.\
-fingerprints_condensed` — so peak scratch is O(chunk) on every path.
+    The chunk-size rule of the :func:`hash_lanes` tiled fallback, so its
+    peak scratch is O(chunk).
     """
     if chunk_elements < 1:
         raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
@@ -362,11 +304,11 @@ def hash_lanes(
 
     The multi-seed access pattern (every seed over the same key array).
     Evaluation goes through the family's :class:`LaneHasher` — passed in
-    by callers that amortize the base pass across calls, or built here —
-    so no registered family pays a per-seed pass.  Only families without
-    a multiseed kernel fall back to tiling the keys through the batched
-    kernel, in bounded seed blocks of ``chunk_elements`` tiled keys
-    (peak scratch O(chunk), not O(len(seeds) · len(keys))).
+    by callers that amortize the fixed-keys pass across calls, or built
+    here.  Only families without a multiseed kernel fall back to tiling
+    the keys through the batched kernel, in bounded seed blocks of
+    ``chunk_elements`` tiled keys (peak scratch O(chunk), not
+    O(len(seeds) · len(keys))).
     """
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     keys = np.asarray(keys, dtype=np.uint64).ravel()
@@ -375,9 +317,7 @@ def hash_lanes(
     if hasher is not None:
         return hasher.lanes(seeds)
     out = np.empty((seeds.size, keys.size), dtype=np.uint64)
-    # Shared chunking policy with every other seed-blocked path (raises
-    # ValueError on chunk_elements < 1, preserving this fallback's
-    # historical validation).
+    # Raises ValueError on chunk_elements < 1.
     per_block = seeds_per_block(chunk_elements, keys.size)
     for start in range(0, seeds.size, per_block):
         count = min(per_block, seeds.size - start)
@@ -386,6 +326,44 @@ def hash_lanes(
             seeds[start : start + count], owner, np.tile(keys, count)
         ).reshape(count, keys.size)
     return out
+
+
+#: Keys per block of :func:`iter_hash_blocks`: the block's hash buffer
+#: and its scratch (1 MB together) stay cache-resident while a fold
+#: slices every bucket field, or a fingerprint its sum, out of them.
+_HASH_BLOCK_KEYS = 1 << 16
+
+
+def iter_hash_blocks(
+    family: HashFamily,
+    hasher: "LaneHasher | None",
+    keys: np.ndarray,
+    seeds: np.ndarray,
+):
+    """Every seed's hashes of ``keys``, block by block.
+
+    Yields ``(i, start, end, h)`` with ``h`` equal to
+    ``family.build(seeds[i]).hash_array(keys[start:end])``, for blocks of
+    :data:`_HASH_BLOCK_KEYS` keys, every seed over a block before the
+    next block.  ``h`` is a view of one reused buffer, which the next
+    step overwrites.  ``hasher`` is ``family.multiseed_hasher(keys)``,
+    built once by the caller however many seeds read it; a family
+    without a lane kernel (``hasher`` None) hashes each block through
+    :func:`hash_lanes`' batch-kernel fallback, one seed at a time.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    n = keys.size
+    buf = np.empty(min(n, _HASH_BLOCK_KEYS), dtype=np.uint64)
+    scratch = np.empty_like(buf)
+    for start in range(0, n, _HASH_BLOCK_KEYS):
+        end = min(start + _HASH_BLOCK_KEYS, n)
+        h = buf[: end - start]
+        for i, seed in enumerate(seeds.tolist()):
+            if hasher is None:
+                h[:] = hash_lanes(family, seeds[i : i + 1], keys[start:end])[0]
+            else:
+                hasher.hash_into(seed, start, end, h, scratch[: end - start])
+            yield i, start, end, h
 
 
 _REGISTRY: dict[str, HashFamily] = {}
@@ -427,11 +405,19 @@ def _tab_multiseed_kernel(key_bits: int, out_bits: int):
     return kernel
 
 
-def _broadcast_multiseed_kernel(kind: str, out_bits: int):
+def _instance_multiseed_kernel(build):
     def kernel(keys):
-        return BroadcastLaneHasher(keys, kind, out_bits)
+        return InstanceLaneHasher(keys, build)
 
     return kernel
+
+
+def _mix_function(seed: int) -> SplitMixHash:
+    return SplitMixHash(seed, out_bits=64)
+
+
+def _mshift_function(seed: int) -> MultiplyShiftHash:
+    return MultiplyShiftHash(seed, out_bits=32)
 
 
 CRC_FAMILY = _register(
@@ -477,25 +463,25 @@ TAB64_FAMILY = _register(
 MIX_FAMILY = _register(
     HashFamily(
         "Mix",
-        lambda seed: SplitMixHash(seed, out_bits=64),
+        _mix_function,
         64,
         "keyed SplitMix64 finalizer (ideal-model stand-in)",
         batch_kernel=lambda seeds, owner, keys: splitmix_hash_batch(
             seeds, owner, keys, 64
         ),
-        multiseed_kernel=_broadcast_multiseed_kernel("mix", 64),
+        multiseed_kernel=_instance_multiseed_kernel(_mix_function),
     )
 )
 MSHIFT_FAMILY = _register(
     HashFamily(
         "MShift",
-        lambda seed: MultiplyShiftHash(seed, out_bits=32),
+        _mshift_function,
         32,
         "2-universal multiply-shift (ablation)",
         batch_kernel=lambda seeds, owner, keys: multiply_shift_hash_batch(
             seeds, owner, keys, 32
         ),
-        multiseed_kernel=_broadcast_multiseed_kernel("mshift", 32),
+        multiseed_kernel=_instance_multiseed_kernel(_mshift_function),
     )
 )
 

@@ -10,6 +10,10 @@ The paper uses 256 entries per table and four tables for 32-bit keys ("Tab")
 or eight tables for 64-bit keys ("Tab64").  Table entries here are 64-bit;
 callers truncate the output to the width they need (the checkers only ever
 consume ``bits`` of it).
+
+A checker hashing one key array under many seeds reads it through
+:class:`StackedLaneHasher`: the keys' table bytes are extracted once, as
+uint8 rows, and every seed gathers its own tables at them.
 """
 
 from __future__ import annotations
@@ -82,9 +86,8 @@ def tabulation_tables_batch(
 #: S=256: ~1 024) and is shallow (≲10 % either side of it).  2 048 lands
 #: inside that band for every measured seed count; batches below it now
 #: take the formerly-undervalued sparse path.  The *multi-seed lane*
-#: pattern (every seed over the same keys) does not go through here at
-#: all any more — ``StackedLaneHasher`` gathers those without an owner
-#: indirection.
+#: pattern (every seed over the same keys) does not go through here —
+#: ``StackedLaneHasher`` gathers those without an owner indirection.
 _DENSE_KEYS_PER_SEED = 2048
 
 
@@ -98,10 +101,8 @@ def stacked_tabulation_tables(
     ``tabulation_tables(seeds[t], num_tables, out_bits)``, and
     ``stacked[i, b]`` is the vector of every seed's entry for byte value
     ``b`` of table ``i`` — one fancy-indexed gather per table serves all
-    ``T`` seed lanes at once.  :class:`StackedLaneHasher` gathers from
-    the seed-major transpose of the same stack (lane ``t`` then reads a
-    contiguous 2 KB table slice, which measures faster); this byte-major
-    form is the interop/reference layout.
+    ``T`` seed lanes at once.  This byte-major form is the
+    interop/reference layout.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     return np.ascontiguousarray(
@@ -109,48 +110,31 @@ def stacked_tabulation_tables(
     )
 
 
-#: Lane-matrix elements (seed lanes × block keys) per cache-blocked gather;
-#: bounds the gather accumulator to ~2 MB so every block's working set
-#: (tables + accumulator) stays cache-resident instead of streaming
-#: ``num_tables`` full (T, n) temporaries through DRAM.
-_LANE_BLOCK_ELEMENTS = 1 << 18
+def _key_bytes(keys: np.ndarray, num_tables: int) -> np.ndarray:
+    """Table ``i``'s byte of every key, shape ``(num_tables, n)`` uint8.
 
-#: Block size of the fused gather+bucket-extraction kernel.  Smaller than
-#: :data:`_LANE_BLOCK_ELEMENTS` because the fused loop re-reads the gather
-#: accumulator once per bit group: at 2^16 lane-elements the accumulator
-#: and scratch (~1.5 MB) stay L2-resident through all extractions, which
-#: measures ~25% faster than the 2^18 gather-only block (this machine,
-#: T=32, Tab64 8x16).
-_FUSED_BLOCK_ELEMENTS = 1 << 16
-
-
-def _key_byte_indices(keys: np.ndarray, num_tables: int) -> np.ndarray:
-    """Per-table byte indices of every key, shape ``(num_tables, n)`` intp.
-
-    One 2-D array (the gather addresses), so each cache block takes a
-    contiguous-row slice without per-table list plumbing.
+    Read through a little-endian byte view of the keys, one row per
+    table, so a block's gather addresses are a contiguous row slice and
+    the whole form costs at most one byte per table and key (8 for
+    Tab64: the size of the key itself).
     """
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    out = np.empty((num_tables, keys.size), dtype=np.intp)
-    for i in range(num_tables):
-        out[i] = ((keys >> np.uint64(8 * i)) & np.uint64(0xFF)).astype(np.intp)
-    return out
+    words = np.ascontiguousarray(
+        np.asarray(keys, dtype=np.uint64).ravel(), dtype="<u8"
+    )
+    return np.ascontiguousarray(
+        words.view(np.uint8).reshape(-1, 8)[:, :num_tables].T
+    )
 
 
 class StackedLaneHasher:
     """Tabulation lane evaluator over a fixed key array.
 
     The :class:`~repro.hashing.families.LaneHasher` for Tab/Tab64: each
-    key's byte indices are extracted **once**, at construction; every
-    :meth:`lanes` call then XOR-accumulates ``num_tables`` fancy-indexed
-    gathers from the seed-stacked tables — independent of how many seed
-    lanes are evaluated, versus ``T × num_tables`` byte extractions and
-    gathers on the per-seed kernel path.
-
-    Gathers run seed-major (each lane reads its own 2 KB table slice) and
-    cache-blocked over keys (:data:`_LANE_BLOCK_ELEMENTS`): ~4× over the
-    per-seed kernel path at T=32 over a 10^6-element workload's unique
-    keys (``BENCH_tab_lanes.json``).
+    key's table bytes are extracted **once**, at construction, as uint8
+    rows; a seed's block is then ``num_tables`` gathers from that seed's
+    tables at those bytes, XOR-accumulated — no per-seed byte
+    extraction, versus ``num_tables`` shifts, masks and casts per key on
+    the per-seed kernel path.
     """
 
     def __init__(self, keys, key_bits: int = 64, out_bits: int = 64):
@@ -161,131 +145,47 @@ class StackedLaneHasher:
         self.key_bits = key_bits
         self.out_bits = out_bits
         self.num_tables = key_bits // 8
-        self._bytes = _key_byte_indices(keys, self.num_tables)
+        self._bytes = _key_bytes(keys, self.num_tables)
         self.num_keys = self._bytes.shape[1]
 
-    def _seed_major_tables(self, seeds: np.ndarray) -> np.ndarray:
-        """Seed-major table tensor: lane ``t`` reads a contiguous 2 KB slice."""
-        return np.ascontiguousarray(
-            tabulation_tables_batch(
-                seeds, self.num_tables, self.out_bits
-            ).transpose(1, 0, 2)
-        )
-
-    def _gather_block(
-        self, tables: np.ndarray, start: int, end: int,
-        acc: np.ndarray, tmp: np.ndarray,
+    def hash_into(
+        self, seed: int, start: int, end: int, out: np.ndarray,
+        scratch: np.ndarray,
     ) -> None:
-        """XOR-accumulate all tables' gathers for keys ``start:end``.
+        """``TabulationHash(seed, ...).hash_array`` of keys ``start:end``
+        into ``out``, with ``scratch`` as the gather buffer.
 
-        ``acc[t, i] = ⊕_j tables[j, t, byte_j(key_i)]``; ``tmp`` is a
-        same-shape scratch.  ``mode="clip"`` skips numpy's per-element
-        bounds check without changing results (indices are bytes by
-        construction).
+        Entries are pre-masked to ``out_bits`` and XOR preserves the
+        mask.  ``mode="clip"`` skips numpy's per-element bounds check
+        without changing results (indices are bytes by construction).
         """
-        byte_idx = self._bytes[:, start:end]
-        np.take(tables[0], byte_idx[0], axis=1, out=tmp, mode="clip")
-        acc[:] = tmp
-        for j in range(1, tables.shape[0]):
-            np.take(tables[j], byte_idx[j], axis=1, out=tmp, mode="clip")
-            acc ^= tmp
+        tables = tabulation_tables(seed, self.num_tables, self.out_bits)
+        rows = self._bytes[:, start:end]
+        np.take(tables[0], rows[0], out=out, mode="clip")
+        for table, row in zip(tables[1:], rows[1:]):
+            np.take(table, row, out=scratch, mode="clip")
+            out ^= scratch
 
     def lanes(self, seeds: np.ndarray) -> np.ndarray:
-        """Lane matrix ``out[t] = TabulationHash(seeds[t], ...).hash_array``.
-
-        Shape ``(len(seeds), num_keys)``, C-contiguous, bit-identical per
-        row to the seeded instance (entries are pre-masked to
-        ``out_bits``, and XOR preserves the mask).
-        """
-        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-        tables = self._seed_major_tables(seeds)
-        lanes, n = seeds.size, self.num_keys
-        out = np.empty((lanes, n), dtype=np.uint64)
-        if n == 0:
-            return out
-        block = max(1, _LANE_BLOCK_ELEMENTS // max(lanes, 1))
-        scratch = np.empty((lanes, min(block, n)), dtype=np.uint64)
-        for start in range(0, n, block):
-            end = min(start + block, n)
-            self._gather_block(
-                tables, start, end,
-                out[:, start:end], scratch[:, : end - start],
-            )
-        return out
-
-    def bucket_lanes(
-        self, seeds: np.ndarray, fields: list, out: np.ndarray,
-        modulus: int = 0,
-    ) -> None:
-        """Fused gather + bucket extraction for the §4 bit-group scheme.
-
-        Writes field ``fields[i] = (bit_offset, width)`` of every seed
-        lane into ``out[i]`` — ``out`` is intp of shape ``(len(fields),
-        len(seeds), num_keys)`` — extracting each field from the gather
-        accumulator **while it is still cache-resident**, instead of
-        materializing the full uint64 lane matrix and re-streaming it
-        once per field (that second DRAM pass is what dominated Tab64
-        lane consumption).  Fields may differ in width, so one gather
-        serves every super-group of a hash evaluation.  ``modulus > 0``
-        (with no fields) is the general ``mod d`` path with a single
-        output row.  Results are bit-identical to extracting from
-        :meth:`lanes`.
-        """
-        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-        tables = self._seed_major_tables(seeds)
-
-        def gather(start, end, acc, scratch):
-            self._gather_block(tables, start, end, acc, scratch)
-
-        fused_lane_fields(
-            gather, seeds.size, self.num_keys, fields, out, modulus
-        )
+        """Lane matrix ``out[t] = TabulationHash(seeds[t], ...).hash_array``,
+        shape ``(len(seeds), num_keys)``, one seed at a time."""
+        return seed_loop_lanes(self, seeds, self.num_keys)
 
 
-def fused_lane_fields(
-    eval_block, lanes: int, n: int, fields: list, out: np.ndarray,
-    modulus: int = 0,
-) -> None:
-    """Cache-blocked lane evaluation fused with field extraction.
+def seed_loop_lanes(hasher, seeds: np.ndarray, num_keys: int) -> np.ndarray:
+    """Lane matrix of a prepared form built from its one-seed path.
 
-    The shared loop of every lane hasher's ``bucket_lanes`` (stacked
-    tabulation here, the broadcast Mix/MShift hasher in
-    :mod:`repro.hashing.families`).  ``eval_block(start, end, acc,
-    scratch)`` writes the ``(lanes, end - start)`` lane values of keys
-    ``start:end`` into ``acc`` (``scratch`` is a same-shape buffer it may
-    clobber); each block is then sliced into ``out`` — intp, shape
-    ``(len(fields), lanes, n)`` — while it is still cache-resident:
-    ``out[i]`` receives the ``width``-bit field at ``bit_offset`` of
-    ``fields[i] = (bit_offset, width)``, all fields in one broadcast
-    shift and one broadcast mask, whatever their widths.  With
-    ``modulus > 0`` (and ``out`` of shape ``(1, lanes, n)``), ``out[0]``
-    receives every lane value mod ``modulus`` instead.
+    Row ``t`` is ``hasher.hash_into(seeds[t], 0, num_keys, ...)``; the
+    ``lanes`` of every prepared form whose seeds share nothing cheaper
+    than that (this module's :class:`StackedLaneHasher` and
+    :class:`~repro.hashing.families.InstanceLaneHasher`).
     """
-    if n == 0:
-        return
-    block = max(1, _FUSED_BLOCK_ELEMENTS // max(lanes, 1))
-    width = min(block, n)
-    acc = np.empty((lanes, width), dtype=np.uint64)
-    scratch = np.empty((lanes, width), dtype=np.uint64)
-    # Every extracted value is below 2**width (or the modulus), so its
-    # uint64 word is its intp bucket index: write through a uint64 view
-    # of ``out`` and skip a casting pass.
-    words = out.view(np.uint64)
-    shifts = np.array([s for s, _ in fields], dtype=np.uint64)[:, None, None]
-    masks = np.array(
-        [(1 << bits) - 1 for _, bits in fields], dtype=np.uint64
-    )[:, None, None]
-    for start in range(0, n, block):
-        end = min(start + block, n)
-        w = end - start
-        a = acc[:, :w]
-        eval_block(start, end, a, scratch[:, :w])
-        dst = words[:, :, start:end]
-        if modulus:
-            np.mod(a, np.uint64(modulus), out=dst[0])
-        else:
-            np.right_shift(a[None], shifts, out=dst)
-            np.bitwise_and(dst, masks, out=dst)
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    out = np.empty((seeds.size, num_keys), dtype=np.uint64)
+    scratch = np.empty(num_keys, dtype=np.uint64)
+    for row, seed in zip(out, seeds.tolist()):
+        hasher.hash_into(seed, 0, num_keys, row, scratch)
+    return out
 
 
 def tabulation_lanes(
@@ -298,10 +198,9 @@ def tabulation_lanes(
 
     ``out[t]`` is bit-identical to
     ``TabulationHash(seeds[t], key_bits, out_bits).hash_array(keys)``;
-    the key bytes are extracted once and each table costs one gather
-    regardless of ``len(seeds)``.  Callers that evaluate several seed
-    blocks over the same keys should hold a :class:`StackedLaneHasher`
-    instead (it caches the byte extraction).
+    the key bytes are extracted once for all seeds.  Callers that hash
+    the same keys in several calls should hold a
+    :class:`StackedLaneHasher` instead (it keeps the byte extraction).
     """
     return StackedLaneHasher(keys, key_bits, out_bits).lanes(seeds)
 

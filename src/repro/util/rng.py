@@ -134,36 +134,43 @@ def derive_seed_array(roots, *path) -> np.ndarray:
     return state
 
 
-def _check_bound(bound: int) -> None:
-    if not 0 < bound <= 1 << 64:
-        raise ValueError(f"bound must be in [1, 2**64], got {bound}")
+def _check_bound(bound: int, bits: int) -> None:
+    if not 0 < bound <= 1 << bits:
+        raise ValueError(f"bound must be in [1, 2**{bits}], got {bound}")
 
 
 def uniform_below(seed: int, bound: int) -> int:
     """Deterministic uniform integer in ``0..bound-1`` from a seed.
 
     Uses rejection sampling over SplitMix64 outputs so the result is exactly
-    uniform (no modulo bias) for any ``bound`` up to 2**64.  A larger
-    ``bound`` raises ``ValueError``: 64-bit draws cannot cover it, and the
-    rejection limit would be 0, rejecting every draw forever.
+    uniform (no modulo bias).  A ``bound`` up to 2**64 draws one word per
+    attempt; a ``bound`` in (2**64, 2**128] draws two chained words per
+    attempt, the first as the high half (Lemma 5 over full 64-bit words
+    needs a point below a prime above 2**64).  A larger ``bound`` raises
+    ``ValueError``.
     """
-    _check_bound(bound)
+    _check_bound(bound, 128)
     if bound == 1:
         return 0
-    # Largest multiple of `bound` that fits in 64 bits; reject above it.
-    limit = (1 << 64) - ((1 << 64) % bound)
+    wide = bound > 1 << 64
+    span = 1 << (128 if wide else 64)
+    # Largest multiple of `bound` that fits in the drawn bits; reject above.
+    limit = span - (span % bound)
     state = seed
     while True:
-        state = splitmix64(state)
-        if state < limit:
-            return state % bound
+        state = value = splitmix64(state)
+        if wide:
+            state = splitmix64(state)
+            value = (value << 64) | state
+        if value < limit:
+            return value % bound
 
 
 def uniform_below_array(seeds: np.ndarray, bound: int) -> np.ndarray:
     """Vectorized :func:`uniform_below`: one draw per seed, elementwise equal
     to the scalar rejection-sampling chain."""
     bound = int(bound)
-    _check_bound(bound)
+    _check_bound(bound, 64)
     seeds = np.asarray(seeds, dtype=np.uint64)
     if bound == 1:
         return np.zeros(seeds.shape, dtype=np.uint64)

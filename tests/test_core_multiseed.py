@@ -18,10 +18,12 @@ from repro.core.multiseed import (
 from repro.core.params import SumCheckConfig
 from repro.core.permutation_checker import (
     MultiSeedHashSumChecker,
+    wide_sum,
     wide_weighted_sum,
 )
 from repro.core.sum_checker import reference_tables
-from repro.hashing.families import list_families
+from repro.hashing.families import get_family, list_families
+from repro.util.rng import derive_seed
 from repro.workloads.kv import aggregate_reference, sum_workload
 
 SEEDS = np.arange(6, dtype=np.uint64) * np.uint64(1337) + np.uint64(5)
@@ -230,16 +232,6 @@ class TestPerSeedIdentity:
         tables = checker.local_tables(keys, values)
         assert np.array_equal(tables[0], reference_tables(cfg, 9, keys, values))
 
-    def test_seed_chunking_is_invisible(self, workload):
-        """Block boundaries in the batched hash pass must not matter."""
-        keys, values = workload[:2]
-        cfg = SumCheckConfig.parse("4x8 m5")
-        whole = MultiSeedSumChecker(cfg, SEEDS).local_tables(keys, values)
-        tiny = MultiSeedSumChecker(
-            cfg, SEEDS, chunk_elements=1
-        ).local_tables(keys, values)
-        assert np.array_equal(whole, tiny)
-
 
 class TestMagnitudePaths:
     """All accumulation paths (float-fast, agg-mod, per-element) are exact,
@@ -418,6 +410,76 @@ class TestMagnitudePaths:
         assert not tables.any()
 
 
+class TestSeedLoopPaths:
+    """``T = 3`` seeds over one prepared form per side, on every
+    accumulation path, at two hash blocks (2^16 + 1 keys)."""
+
+    N = (1 << 16) + 1
+
+    @pytest.mark.parametrize("family", ["CRC", "Tab64", "Mix"])
+    @pytest.mark.parametrize("label", ["8x16 m15", "3x37 m15"])
+    @pytest.mark.parametrize(
+        "path, operator, bound",
+        [
+            ("float", "+", 2**20),  # Σ|v| < 2^52
+            ("agg", "+", 2**44),  # 2^52 <= Σ|v| < 2^63
+            ("element", "+", 2**62),  # Σ|v| >= 2^63
+            ("xor", "xor", 2**62),
+        ],
+    )
+    def test_tables_equal_reference_per_seed(
+        self, family, label, path, operator, bound
+    ):
+        rng = np.random.default_rng(bound % 1000)
+        keys = rng.integers(0, 2**64, self.N, dtype=np.uint64)
+        keys[: self.N // 3] = keys[self.N - self.N // 3 :]  # repeats
+        values = rng.integers(-bound, bound, self.N, dtype=np.int64)
+        cfg = SumCheckConfig.parse(label).with_hash(family)
+        seeds = SEEDS[:3]
+        side = condense_kv(keys, values, operator)
+        taken = (
+            "xor" if side.agg_xor is not None
+            else "float" if side.agg_float is not None
+            else "agg" if side.agg is not None
+            else "element"
+        )
+        assert taken == path
+        tables = MultiSeedSumChecker(
+            cfg, seeds, operator
+        ).local_tables_condensed(side)
+        for t, seed in enumerate(seeds):
+            want = reference_tables(cfg, int(seed), keys, values, operator)
+            assert np.array_equal(tables[t], want), (path, t)
+
+
+class TestFingerprintsOverPreparedForm:
+    """Hash-sum fingerprints at ``T = 1`` (raw sequences) and ``T = 3``
+    (condensed uniques) equal each seed's wide sums of
+    ``build(...).hash_array``, over two hash blocks."""
+
+    @pytest.mark.parametrize("family", list_families())
+    @pytest.mark.parametrize("num_seeds", [1, 3])
+    def test_equal_per_seed_wide_sums(self, family, num_seeds):
+        rng = np.random.default_rng(num_seeds)
+        elements = rng.integers(0, 40_000, (1 << 16) + 1).astype(np.uint64)
+        seeds = SEEDS[:num_seeds]
+        checker = MultiSeedHashSumChecker(
+            seeds, iterations=2, hash_family=family, log_h=13
+        )
+        fps = checker.fingerprints([elements[:1000], elements[1000:]])
+        fam = get_family(family)
+        mask = np.uint64((1 << 13) - 1)
+        for t, seed in enumerate(seeds.tolist()):
+            want = [
+                wide_sum(
+                    fam.build(derive_seed(seed, "perm-checker", j))
+                    .hash_array(elements) & mask
+                )
+                for j in range(2)
+            ]
+            assert fps[t] == want, t
+
+
 class TestWireFormat:
     @pytest.mark.parametrize("label", ["4x8 m5", "3x37 m7", "8x16 m15"])
     def test_pack_unpack_round_trip(self, label):
@@ -559,12 +621,6 @@ class TestMultiSeedPermutation:
         split = [elements[:400], elements[400:]]
         assert multi.fingerprints(split) == multi.fingerprints(elements)
 
-    def test_chunking_is_invisible(self, rng):
-        elements = rng.integers(0, 300, 1_000).astype(np.uint64)
-        a = MultiSeedHashSumChecker(SEEDS, log_h=16)
-        b = MultiSeedHashSumChecker(SEEDS, log_h=16, chunk_elements=1)
-        assert a.fingerprints(elements) == b.fingerprints(elements)
-
     @pytest.mark.parametrize("p", [2, 4])
     def test_distributed_single_allreduce(self, p, rng):
         elements = np.arange(2_000, dtype=np.uint64)
@@ -632,12 +688,6 @@ class TestValidation:
         with pytest.raises(TypeError, match="integer"):
             MultiSeedHashSumChecker([1, 2]).check(
                 np.array([0.5, 1.5, 2.5]), np.array([0.0, 1.0, 2.0])
-            )
-
-    def test_rejects_bad_chunk_budget(self):
-        with pytest.raises(ValueError):
-            MultiSeedSumChecker(
-                SumCheckConfig.parse("4x8 m5"), SEEDS, chunk_elements=0
             )
 
     def test_rejects_length_mismatch(self, workload):

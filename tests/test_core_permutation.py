@@ -199,23 +199,50 @@ class TestPolynomialSpecifics:
         msgs = Context(2).run(run, per_rank_args=parts)
         assert all(msg is not None and "universe" in msg for msg in msgs)
 
-    def test_universe_beyond_64_bit_draws_raises_on_every_pe(self, deadline):
-        """A universe of 2^64 needs a prime r > 2^64, beyond the 64-bit
-        evaluation-point draw: every PE raises (r is replicated) instead of
-        rejecting draws forever.  On processes, the deadline tears the
+    def test_universe_beyond_64_bit_draws_on_every_pe(self, deadline):
+        """A universe of 2^64 needs a prime r > 2^64, whose evaluation
+        point takes a two-word draw: every PE returns the same verdict
+        (r and z are replicated).  On processes, the deadline tears the
         workers down should they hang."""
 
-        def run(comm, e):
-            try:
-                check_permutation_polynomial(e, e, universe=1 << 64, comm=comm)
-            except ValueError as exc:
-                return str(exc)
-            return None
+        def run(comm, e, o):
+            result = check_permutation_polynomial(
+                e, o, universe=1 << 64, comm=comm
+            )
+            return result.accepted, result.details["prime"]
 
         deadline(20)
         parts = [np.array([5], dtype=np.uint64), np.array([7], dtype=np.uint64)]
-        msgs = Context(2, backend="processes").run(run, per_rank_args=parts)
-        assert all(msg is not None and "2**64" in msg for msg in msgs)
+        verdicts = Context(2, backend="processes").run(
+            run, per_rank_args=list(zip(parts, parts[::-1]))
+        )
+        assert verdicts[0] == verdicts[1]
+        accepted, prime = verdicts[0]
+        assert accepted and prime > 1 << 64
+
+    @pytest.mark.parametrize(
+        "output, accepted", [([3, -1], True), ([3, -2], False)]
+    )
+    def test_negative_int64_elements(self, output, accepted, deadline):
+        """A negative int64 is the word 2^64 + v, so Lemma 5 over signed
+        elements runs at ``universe=1 << 64`` with a prime above 2^64 —
+        sequentially and on processes, every PE with the same verdict."""
+        e = np.array([-1, 3], dtype=np.int64)
+        o = np.array(output, dtype=np.int64)
+        result = check_permutation_polynomial(e, o, universe=1 << 64)
+        assert result.accepted == accepted
+        assert result.details["prime"] > 1 << 64
+
+        def run(comm, e_part, o_part):
+            return check_permutation_polynomial(
+                e_part, o_part, universe=1 << 64, comm=comm
+            ).accepted
+
+        deadline(20)
+        verdicts = Context(2, backend="processes").run(
+            run, per_rank_args=list(zip(e.reshape(2, 1), o.reshape(2, 1)))
+        )
+        assert verdicts == [accepted, accepted]
 
     def test_miss_rate_below_delta(self):
         """Off-by-one faults must evade at a rate well below δ = 0.05."""

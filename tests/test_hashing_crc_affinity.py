@@ -10,7 +10,6 @@ kernels that predate the affinity path.
 import numpy as np
 import pytest
 
-from repro.hashing.bitgroups import assign_buckets_batch, iter_bucket_blocks
 from repro.hashing.crc32c import (
     _TABLE,
     crc32c_seed_constants,
@@ -134,62 +133,3 @@ class TestAffinityIdentity:
             assert np.array_equal(
                 lanes[t], src.instance(int(seed)).hash_array(keys)
             )
-
-
-class TestBucketBlocksAffinity:
-    """The affinity path of iter_bucket_blocks is invisible to consumers."""
-
-    def _reference_blocks(self, family, d, iterations, seeds, keys, chunk):
-        # The pre-affinity implementation: tile the keys per seed block and
-        # hash every lane through the batched per-seed kernel.
-        k = keys.size
-        per_block = max(1, chunk // max(k, 1))
-        for start in range(0, seeds.size, per_block):
-            count = min(per_block, seeds.size - start)
-            owner = np.repeat(np.arange(count, dtype=np.intp), k)
-            yield start, count, assign_buckets_batch(
-                family,
-                d,
-                iterations,
-                seeds[start : start + count],
-                np.tile(keys, count),
-                owner,
-            )
-
-    @pytest.mark.parametrize("family", ["CRC", "CRC4", "Mix", "Tab64"])
-    @pytest.mark.parametrize("d", [2, 16, 37, 64])
-    @pytest.mark.parametrize("iterations", [1, 3, 8, 9])
-    def test_blocks_match_per_seed_kernels(self, family, d, iterations, rng):
-        fam = get_family(family)
-        keys = rng.integers(0, 2**64, 400, dtype=np.uint64)
-        seeds = rng.integers(0, 2**64, 13, dtype=np.uint64)
-        got = list(iter_bucket_blocks(fam, d, iterations, seeds, keys, 1500))
-        ref = list(
-            self._reference_blocks(fam, d, iterations, seeds, keys, 1500)
-        )
-        assert len(got) == len(ref) > 1  # chunking actually exercised
-        for (s1, c1, b1), (s2, c2, b2) in zip(got, ref):
-            assert (s1, c1) == (s2, c2)
-            assert np.array_equal(b1, b2)
-
-    def test_empty_keys(self):
-        fam = get_family("CRC")
-        seeds = np.arange(3, dtype=np.uint64)
-        blocks = list(
-            iter_bucket_blocks(
-                fam, 16, 4, seeds, np.zeros(0, dtype=np.uint64)
-            )
-        )
-        for _, count, buckets in blocks:
-            assert buckets.shape == (4, 0)
-
-    def test_iterations_below_groups_per_eval(self, rng):
-        # iterations=2 < groups_per_eval=8 for d=16/32-bit CRC: only the
-        # first two base groups may be touched.
-        fam = get_family("CRC")
-        keys = rng.integers(0, 2**64, 100, dtype=np.uint64)
-        seeds = rng.integers(0, 2**64, 4, dtype=np.uint64)
-        got = list(iter_bucket_blocks(fam, 16, 2, seeds, keys))
-        ref = list(self._reference_blocks(fam, 16, 2, seeds, keys, 1 << 20))
-        for (_, _, b1), (_, _, b2) in zip(got, ref):
-            assert np.array_equal(b1, b2)

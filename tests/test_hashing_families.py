@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.hashing.families import (
-    BroadcastLaneHasher,
     get_family,
     list_families,
     seeds_per_block,
 )
-from repro.hashing.mixers import MultiplyShiftHash, SplitMixHash
 
 
 class TestRegistry:
@@ -111,28 +109,3 @@ class TestSeedsPerBlock:
     def test_rejects_non_positive_chunks(self, chunk):
         with pytest.raises(ValueError, match="chunk_elements"):
             seeds_per_block(chunk, 10)
-
-
-class TestBroadcastEvalBlock:
-    """The Mix/MShift broadcast loop against per-seed instances."""
-
-    def test_mix_matches_splitmix_instances(self, rng):
-        seeds = rng.integers(0, 2**64, 5, dtype=np.uint64)
-        keys = rng.integers(0, 2**64, 97, dtype=np.uint64)
-        for bits in (64, 32, 15):
-            hasher = BroadcastLaneHasher(keys, "mix", bits)
-            out = np.empty((5, 97), dtype=np.uint64)
-            hasher._eval_block(hasher._constants(seeds), 0, 97, out)
-            for t, seed in enumerate(seeds):
-                expected = SplitMixHash(int(seed), bits).hash_array(keys)
-                assert np.array_equal(out[t], expected), bits
-
-    def test_mshift_matches_multiply_shift_instances(self, rng):
-        seeds = rng.integers(0, 2**64, 5, dtype=np.uint64)
-        keys = rng.integers(0, 2**64, 97, dtype=np.uint64)
-        hasher = BroadcastLaneHasher(keys, "mshift", 32)
-        out = np.empty((5, 97), dtype=np.uint64)
-        hasher._eval_block(hasher._constants(seeds), 0, 97, out)
-        for t, seed in enumerate(seeds):
-            expected = MultiplyShiftHash(int(seed), 32).hash_array(keys)
-            assert np.array_equal(out[t], expected)

@@ -11,14 +11,21 @@ fallback (for custom, kernel-less families) get their own sections.
 import numpy as np
 import pytest
 
-from repro.core.multiseed import MultiSeedSumChecker
+from repro.core.multiseed import MultiSeedSumChecker, seed_bucket_rows
 from repro.core.permutation_checker import MultiSeedHashSumChecker
 from repro.core.params import SumCheckConfig
+from repro.hashing.bitgroups import (
+    BucketAssigner,
+    evaluation_seeds,
+    superbucket_plan,
+)
 from repro.hashing.families import (
+    _HASH_BLOCK_KEYS,
     HashFamily,
     LaneHasher,
     get_family,
     hash_lanes,
+    iter_hash_blocks,
     list_families,
 )
 from repro.hashing.tabulation import (
@@ -31,6 +38,19 @@ from repro.hashing.tabulation import (
 
 ALL_FAMILIES = list_families()
 LANE_COUNTS = (1, 2, 32)
+#: A CRC clone registered without a lane kernel: it reaches the
+#: batch-kernel fallback of ``hash_lanes``.
+BARE_CRC = "CRC without lane kernel"
+
+
+def _family(name):
+    if name != BARE_CRC:
+        return get_family(name)
+    src = get_family("CRC")
+    return HashFamily(
+        "CRCbare", src._factory, src.bits, "no lane kernel",
+        batch_kernel=src._batch_kernel,
+    )
 
 
 def _key_variants(rng):
@@ -69,7 +89,7 @@ class TestLaneEquivalence:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_no_registered_family_falls_through_to_tiling(self, family, rng):
         # The contract the multi-seed checkers rely on: every registered
-        # family hands hash_lanes/iter_bucket_blocks a LaneHasher, so the
+        # family hands hash_lanes/iter_hash_blocks a LaneHasher, so the
         # O(T·n) tiled path is reserved for custom registrations.
         fam = get_family(family)
         keys = rng.integers(0, 2**64, 64, dtype=np.uint64)
@@ -79,8 +99,8 @@ class TestLaneEquivalence:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_hasher_reuse_across_seed_blocks(self, family, rng):
-        # One hasher, many lanes() calls — the access pattern of
-        # iter_bucket_blocks and fingerprints_condensed.
+        # One hasher, many lanes() calls: a prepared form serves any
+        # number of seeds.
         fam = get_family(family)
         keys = rng.integers(0, 2**64, 100, dtype=np.uint64)
         hasher = fam.multiseed_hasher(keys)
@@ -95,6 +115,69 @@ class TestLaneEquivalence:
             fam = get_family(family)
             lanes = hash_lanes(fam, seeds, keys)
             assert int(lanes.max(initial=0)) < (1 << fam.bits), family
+
+
+class TestOneSeedPath:
+    """One seed at a time over one prepared form: the bucket rows every
+    sum-family path reads, and the hash blocks beneath them."""
+
+    # d = 2 and 64 give 1- and 6-bit fields (6 does not divide a 32- or
+    # 64-bit hash: CRC fits 5 fields an evaluation); 9 iterations take
+    # two evaluations of a 32-bit family at d = 16.
+    @pytest.mark.parametrize("family", [*ALL_FAMILIES, BARE_CRC])
+    @pytest.mark.parametrize("d", [2, 16, 37, 64])
+    @pytest.mark.parametrize("iterations", [1, 3, 9])
+    @pytest.mark.parametrize(
+        "num_keys", [0, 1, (1 << 16) - 1, (1 << 16) + 1]
+    )
+    def test_rows_and_blocks_match_instances(
+        self, family, d, iterations, num_keys
+    ):
+        fam = _family(family)
+        rng = np.random.default_rng(num_keys + d)
+        keys = rng.integers(0, 2**64, num_keys, dtype=np.uint64)
+        roots = np.array([11, 2**63 + 5], dtype=np.uint64)
+        ev = evaluation_seeds(fam, d, iterations, roots)
+        hasher = fam.multiseed_hasher(keys)
+        for t, root in enumerate(roots.tolist()):
+            rows = seed_bucket_rows(fam, hasher, keys, ev[:, t], d, iterations)
+            want = BucketAssigner(fam, d, iterations, root).assign(keys)
+            assert rows.dtype == np.intp and np.array_equal(rows, want)
+        seeds = ev[:, 0]
+        blocks = 0
+        for i, start, end, h in iter_hash_blocks(fam, hasher, keys, seeds):
+            want = fam.build(int(seeds[i])).hash_array(keys[start:end])
+            assert np.array_equal(h, want), (i, start)
+            blocks += 1
+        assert blocks == seeds.size * -(-num_keys // _HASH_BLOCK_KEYS)
+        if hasher is not None and num_keys > 4:
+            # An unaligned block straight through hash_into.
+            out = np.empty(num_keys - 4, dtype=np.uint64)
+            hasher.hash_into(int(seeds[0]), 3, num_keys - 1, out, out.copy())
+            want = fam.build(int(seeds[0])).hash_array(keys[3:-1])
+            assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("family", ["CRC", "Tab64", "Mix"])
+    def test_one_hash_pass_per_evaluation_and_block(self, family):
+        # 4096 keys at 8x16 pack super-group widths [12, 12, 8]: one hash
+        # of each key block serves all three fields.
+        fam = get_family(family)
+        keys = np.arange(4096, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        hasher = fam.multiseed_hasher(keys)
+        calls = []
+        real = hasher.hash_into
+
+        def counting(seed, start, end, out, scratch):
+            calls.append((seed, start, end))
+            real(seed, start, end, out, scratch)
+
+        hasher.hash_into = counting
+        plan = superbucket_plan(fam.bits, 16, 8, keys.size)
+        ev = evaluation_seeds(fam, 16, 8, np.array([5], dtype=np.uint64))
+        rows = seed_bucket_rows(fam, hasher, keys, ev[:, 0], 16, 8, plan)
+        assert [width for *_, width in plan[0].groups] == [12, 12, 8]
+        assert rows.shape == (3, keys.size)
+        assert calls == [(int(ev[0, 0]), 0, keys.size)]
 
 
 class TestStackedTabulation:
@@ -118,24 +201,6 @@ class TestStackedTabulation:
         for t, seed in enumerate(seeds):
             fn = TabulationHash(int(seed), key_bits=key_bits, out_bits=out_bits)
             assert np.array_equal(lanes[t], fn.hash_array(keys))
-
-    def test_lanes_cross_block_boundaries(self, rng):
-        # More lane-matrix elements than one cache block: the chunked
-        # gather must tile the key axis without seams.
-        from repro.hashing.tabulation import _LANE_BLOCK_ELEMENTS
-
-        num_seeds = 16
-        n = 2 * (_LANE_BLOCK_ELEMENTS // num_seeds) + 17
-        seeds = rng.integers(0, 2**64, num_seeds, dtype=np.uint64)
-        keys = rng.integers(0, 2**64, n, dtype=np.uint64)
-        lanes = tabulation_lanes(seeds, keys, 64, 64)
-        hasher = StackedLaneHasher(keys, 64, 64)
-        assert np.array_equal(lanes, hasher.lanes(seeds))
-        spot = [0, n // 2, n - 1]
-        for t in (0, num_seeds - 1):
-            fn = TabulationHash(int(seeds[t]), key_bits=64, out_bits=64)
-            for i in spot:
-                assert int(lanes[t, i]) == fn.hash_one(int(keys[i]))
 
     def test_empty_keys(self, rng):
         seeds = rng.integers(0, 2**64, 3, dtype=np.uint64)

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hashing.tabulation import (
-    StackedLaneHasher,
-    TabulationHash,
-    tabulation_tables,
-)
+from repro.hashing.tabulation import TabulationHash, tabulation_tables
 
 
 class TestTables:
@@ -141,19 +137,3 @@ class TestBatchedHash:
                 np.arange(1, dtype=np.uint64),
                 key_bits=16,
             )
-
-
-class TestStackedGather:
-    def test_gather_block_matches_scalar_xor(self, rng):
-        T, n = 3, 57
-        keys = rng.integers(0, 2**32, n, dtype=np.uint64)
-        hasher = StackedLaneHasher(keys, key_bits=32)
-        tables = rng.integers(0, 2**64, (4, T, 256), dtype=np.uint64)
-        out = np.empty((T, n), dtype=np.uint64)
-        hasher._gather_block(tables, 0, n, out, np.empty_like(out))
-        for t in range(T):
-            for i in range(n):
-                acc = 0
-                for j in range(4):
-                    acc ^= int(tables[j, t, (int(keys[i]) >> (8 * j)) & 0xFF])
-                assert int(out[t, i]) == acc

@@ -165,13 +165,18 @@ class TestUniformBelow:
         with pytest.raises(ValueError):
             uniform_below(1, -5)
 
-    def test_bound_above_two_to_the_64_raises(self, deadline):
-        # The rejection limit 2^64 - (2^64 mod bound) is 0 there: every
-        # draw would be rejected forever.
+    def test_bound_above_two_to_the_64_draws_two_words(self, deadline):
+        # A bound just above 2^64 draws two chained words per attempt (the
+        # one-word rejection limit 2^64 - (2^64 mod bound) would be 0 and
+        # reject forever); only a bound above 2^128 raises.
         deadline(5)
         assert 0 <= uniform_below(3, 1 << 64) < 1 << 64
-        with pytest.raises(ValueError, match=r"2\*\*64"):
-            uniform_below(3, (1 << 64) + 1)
+        wide = [uniform_below(s, (1 << 64) + 1) for s in range(64)]
+        assert all(0 <= v <= 1 << 64 for v in wide)
+        assert max(wide) >= 1 << 63  # not stuck in the low word
+        assert 0 <= uniform_below(3, 1 << 128) < 1 << 128
+        with pytest.raises(ValueError, match=r"2\*\*128"):
+            uniform_below(3, (1 << 128) + 1)
 
     def test_roughly_uniform(self):
         counts = [0] * 4
