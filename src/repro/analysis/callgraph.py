@@ -215,8 +215,12 @@ class CallGraph:
         return info
 
     def _scan_body(self, info: FunctionInfo) -> None:
-        """Collect direct collective calls + unresolved edges (own body only,
-        nested defs excluded — they are indexed separately)."""
+        """Collect direct collective calls + unresolved edges (own body only).
+
+        Nested defs are excluded and indexed nowhere, so a collective
+        issued inside a closure counts toward no summary: a function that
+        hands such a closure to shared code reads as issuing none of it.
+        """
         for call in self._own_calls(info.node):
             op = self.collective_op(call)
             if op is not None:

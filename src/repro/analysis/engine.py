@@ -11,7 +11,7 @@ Suppressions
 Every finding can be silenced *at its line* with a justified pragma::
 
     risky_call()  # repro-lint: disable=collective-lockstep -- window loop is
-                  # globally agreed via the _window_live allreduce
+                  # globally agreed by the window loop's allreduce
 
 or on a comment line immediately above the flagged line.  A whole file can
 opt out of one rule with::

@@ -131,7 +131,7 @@ def median_by_key(comm, keys, values, uids=None, partitioner=None) -> MedianResu
         offset = global_offset(comm, int(keys.size))
         uids = offset + np.arange(keys.size, dtype=np.int64)
     else:
-        uids = np.asarray(uids, dtype=np.int64).ravel()
+        uids = _coerce_values(uids)
 
     if comm is not None and comm.size > 1:
         if partitioner is None:

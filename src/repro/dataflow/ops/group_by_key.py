@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.groupby_checker import default_partitioner
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.exchange import exchange_by_destination
 
 
@@ -29,8 +30,8 @@ def group_by_key(
     ``(keys, values)`` — the data the invasive checker (Corollary 14)
     verifies.
     """
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    values = np.asarray(values, dtype=np.int64).ravel()
+    keys = _coerce_keys(keys)
+    values = _coerce_values(values)
     if comm is None or comm.size == 1:
         rk, rv = keys.copy(), values.copy()
     else:

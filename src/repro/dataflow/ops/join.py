@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.groupby_checker import default_partitioner
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.exchange import exchange_by_destination
 
 
@@ -62,10 +63,10 @@ def hash_join(
     partitioner=None,
 ) -> JoinExchange:
     """Equi-join R ⋈ S on keys; returns this PE's joined rows + exchanges."""
-    rk = np.asarray(r_kv[0], dtype=np.uint64).ravel()
-    rv = np.asarray(r_kv[1], dtype=np.int64).ravel()
-    sk = np.asarray(s_kv[0], dtype=np.uint64).ravel()
-    sv = np.asarray(s_kv[1], dtype=np.int64).ravel()
+    rk = _coerce_keys(r_kv[0])
+    rv = _coerce_values(r_kv[1])
+    sk = _coerce_keys(s_kv[0])
+    sv = _coerce_values(s_kv[1])
     if comm is None or comm.size == 1:
         jk, jr, js = _local_join(rk, rv, sk, sv)
         return JoinExchange(jk, jr, js, (rk, rv), (sk, sv))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.exchange import exchange_by_destination
 from repro.dataflow.ops.join import JoinExchange, _local_join
 
@@ -39,10 +40,10 @@ def sort_merge_join(
     s_kv: tuple[np.ndarray, np.ndarray],
 ) -> JoinExchange:
     """Equi-join via range partitioning + local sorted-run join."""
-    rk = np.asarray(r_kv[0], dtype=np.uint64).ravel()
-    rv = np.asarray(r_kv[1], dtype=np.int64).ravel()
-    sk = np.asarray(s_kv[0], dtype=np.uint64).ravel()
-    sv = np.asarray(s_kv[1], dtype=np.int64).ravel()
+    rk = _coerce_keys(r_kv[0])
+    rv = _coerce_values(r_kv[1])
+    sk = _coerce_keys(s_kv[0])
+    sv = _coerce_values(s_kv[1])
     if comm is None or comm.size == 1:
         jk, jr, js = _local_join(rk, rv, sk, sv)
         return JoinExchange(jk, jr, js, (rk, rv), (sk, sv))

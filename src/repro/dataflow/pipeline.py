@@ -14,7 +14,9 @@ folds its one-seed tables straight from the raw pairs (one hash per
 pair, no sort, as in the paper's Algorithm 1), and a permutation-family
 primary hashes the raw sequences the same way; only escalation condenses
 each side to its unique keys, once, and evaluates all ``T`` seed lanes
-against those aggregates.
+against those aggregates.  Each family (sum, permutation, zip) makes its
+own ``T``-seed re-check call; one function builds every adaptive verdict,
+which accepts iff the primary and every escalation seed accept.
 """
 
 from __future__ import annotations
@@ -241,23 +243,42 @@ class AdaptiveCheckPolicy:
         return self.escalate_on == "reject" and not primary_accepted
 
 
-def _adaptive_details(
+def _adaptive_result(
     policy: AdaptiveCheckPolicy,
-    primary_accepted: bool,
-    escalated: bool,
+    checker: str,
+    primary_ok: bool,
     per_seed: list[bool] | None,
-    escalation_seconds: float,
-) -> dict:
-    return {
-        "primary_accepted": bool(primary_accepted),
-        "adaptive": {
-            "escalated": escalated,
-            "escalate_on": policy.escalate_on,
-            "num_escalation_seeds": policy.num_escalation_seeds,
-            "per_seed_accepted": per_seed,
-            "escalation_seconds": escalation_seconds,
+    escalation_start: float,
+    details: dict,
+) -> CheckResult:
+    """An adaptive check's verdict, built the same way for every family.
+
+    ``per_seed`` holds the escalation seeds' flags, or None when the
+    check did not escalate; ``escalation_start`` is the
+    ``time.perf_counter()`` reading taken before the escalation decision.
+    The check accepts iff the primary and every escalation seed accept.
+    ``details`` (the family's own keys) come first.
+    """
+    escalated = per_seed is not None
+    return CheckResult(
+        accepted=bool(primary_ok) and (not escalated or all(per_seed)),
+        checker=checker,
+        details={
+            **details,
+            "primary_accepted": bool(primary_ok),
+            "adaptive": {
+                "escalated": escalated,
+                "escalate_on": policy.escalate_on,
+                "num_escalation_seeds": policy.num_escalation_seeds,
+                "per_seed_accepted": per_seed,
+                "escalation_seconds": (
+                    time.perf_counter() - escalation_start
+                    if escalated
+                    else 0.0
+                ),
+            },
         },
-    }
+    )
 
 
 def _run_stats(
@@ -326,35 +347,27 @@ def _settle_sum(
             details={"config": config.label(), **plain_details},
         )
 
-    escalated = policy.should_escalate(primary_ok)
     per_seed = None
-    escalation_seconds = 0.0
-    if escalated:
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
+    if policy.should_escalate(primary_ok):
         sides[:] = [
             side
             if isinstance(side, CondensedKV)
             else condense_kv(*side, operator)
             for side in sides
         ]
-        esc = MultiSeedSumChecker(config, policy.resolve_seeds(seed), operator)
-        esc_diff = esc.difference(
-            esc.local_tables_condensed(sides[0]),
-            esc.local_tables_condensed(sides[1]),
-        )
-        per_seed = esc.per_seed_verdicts(esc_diff, comm)
-        escalation_seconds = time.perf_counter() - t0
-    accepted = primary_ok and (per_seed is None or all(per_seed))
-    return CheckResult(
-        accepted=bool(accepted),
-        checker="sum-aggregation-adaptive",
-        details={
-            "config": config.label(),
-            "operator": operator,
-            **_adaptive_details(
-                policy, primary_ok, escalated, per_seed, escalation_seconds
-            ),
-        },
+        per_seed = MultiSeedSumChecker(
+            config, policy.resolve_seeds(seed), operator
+        ).check_distributed_condensed(comm, *sides).details[
+            "per_seed_accepted"
+        ]
+    return _adaptive_result(
+        policy,
+        "sum-aggregation-adaptive",
+        primary_ok,
+        per_seed,
+        t0,
+        {"config": config.label(), "operator": operator},
     )
 
 
@@ -428,18 +441,14 @@ def adaptive_permutation_check(
     primary = check_permutation_hashsum(
         e_side, o_side, iterations, hash_family, log_h, primary_seed, comm
     )
-    primary_ok = primary.accepted and bool(extra_ok)
-
     # Escalation keys on the *seeded* fingerprint verdict alone: a failed
     # deterministic companion (sortedness, placement) is exact and needs
     # no multi-seed confirmation, so re-hashing T lanes for it would be
     # pure waste.  per_seed likewise reports the fingerprint lanes only —
     # the deterministic verdict lives in extra_details / primary_accepted.
-    escalated = policy.should_escalate(primary.accepted)
     per_seed = None
-    escalation_seconds = 0.0
-    if escalated:
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
+    if policy.should_escalate(primary.accepted):
         roots = policy.resolve_seeds(seed)
         esc_seeds = (
             derive_seed_array(roots, *seed_path) if seed_path else roots
@@ -447,19 +456,17 @@ def adaptive_permutation_check(
         per_seed = check_permutation_hashsum(
             e_side, o_side, iterations, hash_family, log_h, esc_seeds, comm
         ).details["per_seed_accepted"]
-        escalation_seconds = time.perf_counter() - t0
-    accepted = primary_ok and (per_seed is None or all(per_seed))
-    return CheckResult(
-        accepted=bool(accepted),
-        checker=checker,
-        details={
+    return _adaptive_result(
+        policy,
+        checker,
+        primary.accepted and bool(extra_ok),
+        per_seed,
+        t0,
+        {
             **(extra_details or {}),
             "iterations": iterations,
             "hash_family": hash_family,
             "log_h": log_h,
-            **_adaptive_details(
-                policy, primary_ok, escalated, per_seed, escalation_seconds
-            ),
         },
     )
 
@@ -582,29 +589,21 @@ def adaptive_zip_check(
         s1, s2, zipped_first, zipped_second,
         iterations=iterations, seed=seed, comm=comm, offsets=offsets,
     )
-    primary_ok = primary.accepted
-
-    escalated = policy.should_escalate(primary_ok)
     per_seed = None
-    escalation_seconds = 0.0
-    if escalated:
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
+    if policy.should_escalate(primary.accepted):
         per_seed = check_zip(
             s1, s2, zipped_first, zipped_second,
             iterations=iterations, seed=policy.resolve_seeds(seed),
             comm=comm, offsets=offsets,
         ).details["per_seed_accepted"]
-        escalation_seconds = time.perf_counter() - t0
-    accepted = primary_ok and (per_seed is None or all(per_seed))
-    return CheckResult(
-        accepted=bool(accepted),
-        checker="zip-adaptive",
-        details={
-            "iterations": iterations,
-            **_adaptive_details(
-                policy, primary_ok, escalated, per_seed, escalation_seconds
-            ),
-        },
+    return _adaptive_result(
+        policy,
+        "zip-adaptive",
+        primary.accepted,
+        per_seed,
+        t0,
+        {"iterations": iterations},
     )
 
 
@@ -656,11 +655,7 @@ def checked_reduce_by_key(
         pipelined=True,
     )
     t3 = time.perf_counter()
-    stats = _run_stats(
-        result,
-        operation_seconds=t2 - t1,
-        checker_seconds=(t1 - t0) + (t3 - t2),
-    )
+    stats = _run_stats(result, t2 - t1, (t1 - t0) + (t3 - t2))
     return out_keys, out_values, result, stats
 
 
@@ -688,46 +683,19 @@ def checked_sort(
         op_input = manipulator.apply(rng, values).sequence
     out = sample_sort(comm, op_input)
     t1 = time.perf_counter()
+    check = dict(
+        iterations=iterations,
+        hash_family=hash_family,
+        log_h=log_h,
+        seed=seed,
+        comm=comm,
+    )
     if policy is not None:
-        result = adaptive_sort_check(
-            values,
-            out,
-            seed=seed,
-            policy=policy,
-            comm=comm,
-            iterations=iterations,
-            hash_family=hash_family,
-            log_h=log_h,
-        )
+        result = adaptive_sort_check(values, out, policy=policy, **check)
     else:
-        result = check_sort(
-            values,
-            out,
-            iterations=iterations,
-            hash_family=hash_family,
-            log_h=log_h,
-            seed=seed,
-            comm=comm,
-        )
+        result = check_sort(values, out, **check)
     t2 = time.perf_counter()
-    escalation = (
-        result.details["adaptive"]
-        if policy is not None
-        else {"escalated": False, "escalation_seconds": 0.0,
-              "num_escalation_seeds": 0}
-    )
-    stats = CheckedRunStats(
-        operation_seconds=t1 - t0,
-        checker_seconds=(t2 - t1) - escalation["escalation_seconds"],
-        escalated=escalation["escalated"],
-        escalation_seconds=escalation["escalation_seconds"],
-        escalation_seeds=(
-            escalation["num_escalation_seeds"]
-            if escalation["escalated"]
-            else 0
-        ),
-    )
-    return out, result, stats
+    return out, result, _run_stats(result, t1 - t0, t2 - t1)
 
 
 def checked_join(
@@ -772,7 +740,4 @@ def checked_join(
         seed=seed,
     )
     t2 = time.perf_counter()
-    stats = CheckedRunStats(
-        operation_seconds=t1 - t0, checker_seconds=t2 - t1
-    )
-    return jx, result, stats
+    return jx, result, _run_stats(result, t1 - t0, t2 - t1)

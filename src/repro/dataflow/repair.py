@@ -25,6 +25,13 @@ Every attempt re-verifies the *full* window (complete re-executed input
 against the patched or recomputed output) under fresh derived seeds, so a
 wrong localization cannot smuggle a partially-patched window through: the
 re-settle rejects and the next attempt recomputes from scratch.
+
+Each family keeps its own attempt loop and makes its own re-execution,
+recompute and re-settle calls, so the lockstep analysis sees every
+collective a repair issues.  The loops share the rest: one gatherer reads
+every re-execution and refuses what a window settle refuses (float keys
+or values raise ``TypeError``), and one function builds each attempt's
+verdict, one the :class:`RepairOutcome`.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from repro.core.base import CheckResult
 from repro.core.localize import FaultReport
 from repro.core.multiseed import MultiSeedSumChecker, condense_kv
 from repro.core.params import SumCheckConfig
+from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.core.zip_checker import check_zip
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
@@ -143,24 +151,80 @@ def _range_mask(keys: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
     return mask
 
 
-def _coerce_kv(keys, values) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.asarray(keys, dtype=np.uint64).ravel(),
-        np.asarray(values, dtype=np.int64).ravel(),
+def _gather_chunks(chunks, coerce) -> np.ndarray:
+    """Concatenate ``chunks``, each read through ``coerce``.
+
+    ``coerce`` is :func:`~repro.core.sum_checker._coerce_keys` or
+    :func:`~repro.core.sum_checker._coerce_values`, so a chunk the settle
+    refuses (float keys or values, say) raises the same ``TypeError``
+    here, and an empty iterable gives an empty column of ``coerce``'s
+    dtype.
+    """
+    parts = [coerce(c) for c in chunks]
+    return np.concatenate(parts) if parts else coerce(np.zeros(0, np.int64))
+
+
+def _global_sum(comm, values: np.ndarray) -> int:
+    """The windowed-sum operation: the total of every PE's ``values``."""
+    local = int(np.sum(values, dtype=np.int64))
+    if comm is None:
+        return local
+    return comm.allreduce(local, op=ops.SUM)
+
+
+def _total_side(comm, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """A windowed sum's asserted side: the total as one ``(0, total)``
+    pair on PE 0, and no pair on any other PE."""
+    if comm is not None and comm.rank != 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    return np.zeros(1, dtype=np.uint64), np.array([total], dtype=np.int64)
+
+
+def _attempt_result(
+    checker: str,
+    window: int,
+    attempt: int,
+    roots: np.ndarray,
+    per_seed: list[bool],
+    **details,
+) -> CheckResult:
+    """One repair attempt's re-settle verdict under the ``roots`` seeds.
+
+    Accepted iff every seed accepts; ``details`` are the family's own
+    keys.
+    """
+    return CheckResult(
+        accepted=all(per_seed),
+        checker=checker,
+        details={
+            "window": window,
+            "attempt": attempt,
+            **details,
+            "num_seeds": int(roots.size),
+            "per_seed_accepted": [bool(x) for x in per_seed],
+        },
     )
 
 
-def _gather_chunks(chunks) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate a reexecute callback's (keys, values) chunk iterable."""
-    ks: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    for keys, values in chunks:
-        k, v = _coerce_kv(keys, values)
-        ks.append(k)
-        vs.append(v)
-    if not ks:
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(ks), np.concatenate(vs)
+def _outcome(
+    window: int,
+    verdicts: list[CheckResult],
+    output,
+    started: float,
+    report: FaultReport | None = None,
+) -> RepairOutcome:
+    """The outcome of a repair loop that ran ``verdicts``' attempts,
+    ``output`` being the last attempt's (kept only when it healed)."""
+    healed = verdicts[-1].accepted
+    return RepairOutcome(
+        window=window,
+        healed=healed,
+        attempts=len(verdicts),
+        report=report,
+        verdicts=verdicts,
+        output=output if healed else None,
+        repair_seconds=time.perf_counter() - started,
+    )
 
 
 def _patched_output(
@@ -177,7 +241,8 @@ def _patched_output(
     """
     sel = _range_mask(keys, ranges)
     new_k, new_v = recompute(comm, keys[sel], values[sel], partitioner)
-    old_k, old_v = _coerce_kv(*old_output)
+    old_k = _coerce_keys(old_output[0])
+    old_v = _coerce_values(old_output[1])
     keep = ~_range_mask(old_k, ranges)
     pk = np.concatenate([old_k[keep], new_k])
     pv = np.concatenate([old_v[keep], new_v])
@@ -224,12 +289,10 @@ def repair_reduce_window(
         else []
     )
     verdicts: list[CheckResult] = []
-    attempts = 0
-    healed = False
-    output = None
     for attempt in range(policy.max_attempts):
-        attempts = attempt + 1
-        keys, values = _gather_chunks(reexecute(window, ranges))
+        pairs = list(reexecute(window, ranges))
+        keys = _gather_chunks([k for k, _ in pairs], _coerce_keys)
+        values = _gather_chunks([v for _, v in pairs], _coerce_values)
         use_partial = (
             policy.partial
             and bool(ranges)
@@ -242,52 +305,26 @@ def repair_reduce_window(
         else:
             output = recompute(comm, keys, values, partitioner)
         roots = policy.attempt_seed_roots(window_seed, attempt)
-        checker = MultiSeedSumChecker(config, roots, operator)
-        diff = checker.difference(
-            checker.local_tables_condensed(
-                condense_kv(keys, values, operator)
-            ),
-            checker.local_tables_condensed(
-                condense_kv(output[0], output[1], operator)
-            ),
-        )
-        per_seed = checker.per_seed_verdicts(diff, comm)
-        healed = all(per_seed)
-        verdicts.append(
-            CheckResult(
-                accepted=bool(healed),
-                checker="repair-resettle",
-                details={
-                    "config": config.label(),
-                    "operator": operator,
-                    "window": window,
-                    "attempt": attempt,
-                    "partial": use_partial,
-                    "num_seeds": int(roots.size),
-                    "per_seed_accepted": [bool(x) for x in per_seed],
-                },
+        verdict = _attempt_result(
+            "repair-resettle",
+            window,
+            attempt,
+            roots,
+            MultiSeedSumChecker(config, roots, operator)
+            .check_distributed_condensed(
+                comm,
+                condense_kv(keys, values, operator),
+                condense_kv(output[0], output[1], operator),
             )
+            .details["per_seed_accepted"],
+            config=config.label(),
+            operator=operator,
+            partial=use_partial,
         )
-        if healed:
+        verdicts.append(verdict)
+        if verdict.accepted:
             break
-    return RepairOutcome(
-        window=window,
-        healed=bool(healed),
-        attempts=attempts,
-        report=report,
-        verdicts=verdicts,
-        output=output if healed else None,
-        repair_seconds=time.perf_counter() - t0,
-    )
-
-
-def _gather_value_chunks(chunks) -> np.ndarray:
-    """Concatenate a sum reexecute callback's value-chunk iterable."""
-    parts = [np.asarray(c, dtype=np.int64).ravel() for c in chunks]
-    parts = [p for p in parts if p.size]
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
+    return _outcome(window, verdicts, output, t0, report)
 
 
 def repair_sum_window(
@@ -312,64 +349,32 @@ def repair_sum_window(
     window with the re-executed total.
     """
     t0 = time.perf_counter()
-    rank = comm.rank if comm is not None else 0
     verdicts: list[CheckResult] = []
-    attempts = 0
-    healed = False
-    total = None
     for attempt in range(policy.max_attempts):
-        attempts = attempt + 1
-        values = _gather_value_chunks(reexecute(window, []))
+        values = _gather_chunks(reexecute(window, []), _coerce_values)
         if recompute is not None:
             total = int(recompute(comm, values))
         else:
-            local = int(np.sum(values, dtype=np.int64))
-            if comm is None:
-                total = local
-            else:
-                total = comm.allreduce(local, op=ops.SUM)
+            total = _global_sum(comm, values)
         roots = policy.attempt_seed_roots(window_seed, attempt)
-        checker = MultiSeedSumChecker(config, roots)
-        if rank == 0:
-            asserted = condense_kv(
-                np.zeros(1, dtype=np.uint64), np.array([total], dtype=np.int64)
+        verdict = _attempt_result(
+            "repair-resettle-sum",
+            window,
+            attempt,
+            roots,
+            MultiSeedSumChecker(config, roots)
+            .check_distributed_condensed(
+                comm,
+                condense_kv(np.zeros(values.shape, dtype=np.uint64), values),
+                condense_kv(*_total_side(comm, total)),
             )
-        else:
-            asserted = condense_kv(
-                np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-            )
-        diff = checker.difference(
-            checker.local_tables_condensed(
-                condense_kv(np.zeros(values.shape, dtype=np.uint64), values)
-            ),
-            checker.local_tables_condensed(asserted),
+            .details["per_seed_accepted"],
+            config=config.label(),
         )
-        per_seed = checker.per_seed_verdicts(diff, comm)
-        healed = all(per_seed)
-        verdicts.append(
-            CheckResult(
-                accepted=bool(healed),
-                checker="repair-resettle-sum",
-                details={
-                    "config": config.label(),
-                    "window": window,
-                    "attempt": attempt,
-                    "num_seeds": int(roots.size),
-                    "per_seed_accepted": [bool(x) for x in per_seed],
-                },
-            )
-        )
-        if healed:
+        verdicts.append(verdict)
+        if verdict.accepted:
             break
-    return RepairOutcome(
-        window=window,
-        healed=bool(healed),
-        attempts=attempts,
-        report=None,
-        verdicts=verdicts,
-        output=total if healed else None,
-        repair_seconds=time.perf_counter() - t0,
-    )
+    return _outcome(window, verdicts, total, t0)
 
 
 def _gather_zip_chunks(chunks) -> np.ndarray:
@@ -427,11 +432,7 @@ def repair_zip_window(
     """
     t0 = time.perf_counter()
     verdicts: list[CheckResult] = []
-    attempts = 0
-    healed = False
-    output = None
     for attempt in range(policy.max_attempts):
-        attempts = attempt + 1
         chunks1, chunks2 = reexecute(window, [])
         s1 = _gather_zip_chunks(chunks1)
         s2 = _gather_zip_chunks(chunks2)
@@ -442,34 +443,19 @@ def repair_zip_window(
                 comm, s1, s2, return_offsets=True
             )
         roots = policy.attempt_seed_roots(window_seed, attempt)
-        per_seed = check_zip(
-            s1, s2, first, second,
-            iterations=iterations, seed=roots, comm=comm,
-            offsets=(off1, off2, off1),
-        ).details["per_seed_accepted"]
-        healed = all(per_seed)
-        verdicts.append(
-            CheckResult(
-                accepted=bool(healed),
-                checker="repair-resettle-zip",
-                details={
-                    "window": window,
-                    "attempt": attempt,
-                    "iterations": iterations,
-                    "num_seeds": int(roots.size),
-                    "per_seed_accepted": [bool(x) for x in per_seed],
-                },
-            )
+        verdict = _attempt_result(
+            "repair-resettle-zip",
+            window,
+            attempt,
+            roots,
+            check_zip(
+                s1, s2, first, second,
+                iterations=iterations, seed=roots, comm=comm,
+                offsets=(off1, off2, off1),
+            ).details["per_seed_accepted"],
+            iterations=iterations,
         )
-        if healed:
-            output = (first, second)
+        verdicts.append(verdict)
+        if verdict.accepted:
             break
-    return RepairOutcome(
-        window=window,
-        healed=bool(healed),
-        attempts=attempts,
-        report=None,
-        verdicts=verdicts,
-        output=output,
-        repair_seconds=time.perf_counter() - t0,
-    )
+    return _outcome(window, verdicts, (first, second), t0)

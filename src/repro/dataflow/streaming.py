@@ -6,6 +6,9 @@ any checker sees a byte.  This module is the §7-faithful alternative: a
 global materialization), and every checked operation processes the stream
 in **windows** of ``chunks_per_window`` chunks:
 
+* every windowed operation loops over one window generator (one
+  liveness ``allreduce`` per window), settles each window through its
+  family's ``settle_*_window`` and records the result in one place;
 * the operation itself runs once per window (local pre-aggregation
   happens chunk-at-a-time);
 * the checker folds the window's raw input pairs and the operation's
@@ -30,18 +33,19 @@ Per-window :class:`~repro.dataflow.pipeline.CheckedRunStats` accumulate
 into a run-level record (``windows``, ``elements_fed``, merged overhead
 ratio) on the returned :class:`StreamingCheckedRun`, and every window
 leaves a :class:`WindowRecord` in ``window_history`` — verdict, seeds
-used, escalation, and (for :meth:`reduce_by_key_checked` with a
-``reexecute`` callback) the localization/repair trail of rejected
-windows.  A rejected window never stalls its successors: it is localized
-(:mod:`repro.core.localize`), re-executed under the bounded retry of a
-:class:`~repro.dataflow.repair.RepairPolicy`, and either healed in place
-or surfaced as a permanent
-:class:`~repro.dataflow.repair.QuarantinedWindow` while the stream keeps
-settling.
+used, escalation, and (given a ``reexecute`` callback) the repair trail
+of a rejected window.  A rejected window never stalls its successors: a
+reduce window is localized (:mod:`repro.core.localize`), any window is
+re-executed under the bounded retry of a
+:class:`~repro.dataflow.repair.RepairPolicy`, and one function folds the
+repair into the window's result, healed in place or surfaced as a
+permanent :class:`~repro.dataflow.repair.QuarantinedWindow` while the
+stream keeps settling.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import time
 from dataclasses import dataclass, field, replace
@@ -67,7 +71,10 @@ from repro.dataflow.pipeline import (
 from repro.dataflow.repair import (
     QuarantinedWindow,
     RepairPolicy,
+    _gather_chunks,
     _gather_zip_chunks,
+    _global_sum,
+    _total_side,
     repair_reduce_window,
     repair_sum_window,
     repair_zip_window,
@@ -130,13 +137,17 @@ class StreamingCheckedRun:
         """True iff every settled window's final verdict accepted."""
         return all(v.accepted for v in self.verdicts)
 
-    def _add_window(self, output, verdict, stats, keep_outputs, record=None):
+    def _add_window(self, settled, keep_outputs: bool) -> None:
+        """Record one window's ``settle_*_window`` 5-tuple ``(output,
+        verdict, stats, record, quarantine)``."""
+        output, verdict, stats, record, quarantine = settled
         if keep_outputs:
             self.outputs.append(output)
         self.verdicts.append(verdict)
         self.stats = self.stats.merge(stats)
-        if record is not None:
-            self.window_history.append(record)
+        self.window_history.append(record)
+        if quarantine is not None:
+            self.quarantined.append(quarantine)
 
 
 def window_seed(seed: int, window: int) -> int:
@@ -259,31 +270,30 @@ class _ChunkSource:
         self.comm = comm
         self._chunks = iter(chunks)
 
-    def _pull_window(self, chunks_per_window: int) -> list:
-        """Up to ``chunks_per_window`` local chunks (may be empty at EOF)."""
+    def _windows(self, chunks_per_window: int, *others: _ChunkSource):
+        """Yield ``(w, windows)`` for window ``w = 0, 1, …``: ``windows``
+        holds this PE's next ``chunks_per_window`` chunks (fewer, or none,
+        at the end) of this source, then of each of ``others``.
+
+        One ``allreduce`` per window agrees whether ANY PE still has
+        data: PEs whose local streams ran dry keep settling empty windows
+        until every PE is dry, since windows are a global construct.
+        """
         if chunks_per_window < 1:
             raise ValueError(
                 f"chunks_per_window must be >= 1, got {chunks_per_window}"
             )
-        window = []
-        for _ in range(chunks_per_window):
-            try:
-                window.append(next(self._chunks))
-            except StopIteration:
-                break
-        return window
-
-    def _window_live(self, window: list) -> bool:
-        """Global agreement whether ANY PE still has data this window.
-
-        PEs whose local stream ran dry keep participating in the window's
-        collectives with empty feeds until every PE is dry — windows are
-        a global construct.
-        """
-        has_local = len(window) > 0
-        if self.comm is None:
-            return has_local
-        return self.comm.allreduce(has_local, op=ops.LOR)
+        for w in itertools.count():
+            windows = [
+                list(itertools.islice(source._chunks, chunks_per_window))
+                for source in (self, *others)
+            ]
+            live = any(windows)
+            if self.comm is not None:
+                live = self.comm.allreduce(live, op=ops.LOR)
+            if not live:
+                return
+            yield w, windows
 
 
 class StreamingDIA(_ChunkSource):
@@ -344,26 +354,21 @@ class StreamingDIA(_ChunkSource):
         config = config or _DEFAULT_CONFIG
         checkers = _WindowCheckers(config, seed)
         run = StreamingCheckedRun()
-        w = 0
-        while True:
-            window = self._pull_window(chunks_per_window)
-            if not self._window_live(window):
-                break
-            output, verdict, stats, record, quarantine = settle_sum_window(
-                self.comm,
-                window,
-                config=config,
-                window=w,
-                policy=policy,
-                reexecute=reexecute,
-                repair=repair,
-                fault=fault,
-                checkers=checkers,
+        for w, (window,) in self._windows(chunks_per_window):
+            run._add_window(
+                settle_sum_window(
+                    self.comm,
+                    window,
+                    config=config,
+                    window=w,
+                    policy=policy,
+                    reexecute=reexecute,
+                    repair=repair,
+                    fault=fault,
+                    checkers=checkers,
+                ),
+                keep_outputs,
             )
-            if quarantine is not None:
-                run.quarantined.append(quarantine)
-            run._add_window(output, verdict, stats, keep_outputs, record)
-            w += 1
         return run
 
     def zip_checked(
@@ -398,29 +403,22 @@ class StreamingDIA(_ChunkSource):
         """
         seeds = _WindowSeeds(seed)
         run = StreamingCheckedRun()
-        w = 0
-        while True:
-            window1 = self._pull_window(chunks_per_window)
-            window2 = other._pull_window(chunks_per_window)
-            live = self._window_live(window1 + window2)
-            if not live:
-                break
-            output, verdict, stats, record, quarantine = settle_zip_window(
-                self.comm,
-                window1,
-                window2,
-                seed_w=seeds.window_seed(w),
-                window=w,
-                iterations=iterations,
-                policy=policy,
-                reexecute=reexecute,
-                repair=repair,
-                fault=fault,
+        for w, (window1, window2) in self._windows(chunks_per_window, other):
+            run._add_window(
+                settle_zip_window(
+                    self.comm,
+                    window1,
+                    window2,
+                    seed_w=seeds.window_seed(w),
+                    window=w,
+                    iterations=iterations,
+                    policy=policy,
+                    reexecute=reexecute,
+                    repair=repair,
+                    fault=fault,
+                ),
+                keep_outputs,
             )
-            if quarantine is not None:
-                run.quarantined.append(quarantine)
-            run._add_window(output, verdict, stats, keep_outputs, record)
-            w += 1
         return run
 
 
@@ -483,12 +481,8 @@ class StreamingKeyValueDIA(_ChunkSource):
         config = config or _DEFAULT_CONFIG
         checkers = _WindowCheckers(config, seed)
         run = StreamingCheckedRun()
-        w = 0
-        while True:
-            window = self._pull_window(chunks_per_window)
-            if not self._window_live(window):
-                break
-            output, verdict, stats, record, quarantine = (
+        for w, (window,) in self._windows(chunks_per_window):
+            run._add_window(
                 settle_reduce_window(
                     self.comm,
                     window,
@@ -500,12 +494,9 @@ class StreamingKeyValueDIA(_ChunkSource):
                     repair=repair,
                     fault=fault,
                     checkers=checkers,
-                )
+                ),
+                keep_outputs,
             )
-            if quarantine is not None:
-                run.quarantined.append(quarantine)
-            run._add_window(output, verdict, stats, keep_outputs, record)
-            w += 1
         return run
 
     def count_by_key_checked(
@@ -564,37 +555,37 @@ class StreamingKeyValueDIA(_ChunkSource):
 # heals).
 
 
-def _fold_repair(outcome, report, record, stats, repair, seed_w, output, verdict):
-    """Fold a RepairOutcome into the window's record/stats/output."""
+def _repaired(outcome, record, stats, repair, output, report=None):
+    """The settle 5-tuple of a rejected window whose repair loop ended in
+    ``outcome``: ``output`` and ``record``'s verdict stand unless it
+    healed, and ``record`` and ``stats`` gain the repair trail."""
     record.report = report
     record.repair_attempts = outcome.attempts
     for attempt in range(outcome.attempts):
         record.seeds_used += [
-            int(s) for s in repair.attempt_seed_roots(seed_w, attempt)
+            int(s) for s in repair.attempt_seed_roots(record.seed, attempt)
         ]
     quarantine = None
     if outcome.healed:
         output = outcome.output
-        verdict = outcome.verdicts[-1]
-        record.verdict = verdict
-        record.accepted = True
-        record.repaired = True
+        record.verdict = outcome.verdicts[-1]
+        record.accepted = record.repaired = True
     else:
         record.quarantined = True
         quarantine = outcome.quarantine()
     stats = replace(
         stats,
-        localized=bool(report is not None and report.localized),
-        bisection_rounds=(
-            report.bisection_rounds if report is not None else 0
-        ),
-        localization_seconds=(
-            report.localization_seconds if report is not None else 0.0
-        ),
         repaired_windows=1 if outcome.healed else 0,
         quarantined_windows=0 if outcome.healed else 1,
     )
-    return output, verdict, stats, quarantine
+    if report is not None:
+        stats = replace(
+            stats,
+            localized=bool(report.localized),
+            bisection_rounds=report.bisection_rounds,
+            localization_seconds=report.localization_seconds,
+        )
+    return output, record.verdict, stats, record, quarantine
 
 
 def settle_reduce_window(
@@ -626,103 +617,81 @@ def settle_reduce_window(
     ``MultiSeedSumChecker(config, [seed_w])``.  Either way the seed and
     the primary cost checker time.
 
-    The checker keeps the window's coerced raw chunks and, once the
-    operation has run, folds them together with its output as one signed
-    multiset
-    (:meth:`~repro.core.multiseed.MultiSeedSumChecker.local_difference`):
-    one concatenation and one hash pass per window instead of one per
-    side.  The fold hands back the concatenated input side, which an
-    escalation or a localization reads.
+    The checker keeps the window's raw chunks and, once the operation
+    has run, folds them together with its output as one signed multiset
+    (:meth:`~repro.core.multiseed.MultiSeedSumChecker.local_difference`,
+    which coerces each chunk on its own): one concatenation and one hash
+    pass per window instead of one per side.  The fold hands back the
+    concatenated input side, which an escalation or a localization reads.
     """
-    if reexecute is not None and repair is None:
-        repair = RepairPolicy()
-    elements = 0
-    raw_k: list[np.ndarray] = []
-    raw_v: list[np.ndarray] = []
-    parts_k: list[np.ndarray] = []
-    parts_v: list[np.ndarray] = []
-    checker_s = 0.0
-    op_s = 0.0
-    for keys, values in chunks:
-        c0 = time.perf_counter()
-        # Coerced per chunk: concatenating int64 with uint64 keys would
-        # give float64 keys, which the checker refuses.
-        raw_k.append(_coerce_keys(keys))
-        raw_v.append(_coerce_values(values))
-        c1 = time.perf_counter()
-        lk, lv = local_aggregate(keys, values)
-        c2 = time.perf_counter()
-        checker_s += c1 - c0
-        op_s += c2 - c1
-        parts_k.append(lk)
-        parts_v.append(lv)
-        elements += int(raw_k[-1].size)
+    chunks = list(chunks)
 
     def _operation(comm_, keys, values, part):
         if fault is not None:
             keys, values = fault(window, keys, values)
         return reduce_by_key(comm_, keys, values, part)
 
+    t0 = time.perf_counter()
+    parts = [local_aggregate(keys, values) for keys, values in chunks]
     c0 = time.perf_counter()
     seed_w, primary = _window_primary(config, seed_w, window, checkers)
-    t0 = time.perf_counter()
-    checker_s += t0 - c0
+    t1 = time.perf_counter()
     merged_k, merged_v = local_aggregate(
-        _concat(parts_k, dtype=np.uint64),
-        _concat(parts_v, dtype=np.int64),
+        _gather_chunks([k for k, _ in parts], _coerce_keys),
+        _gather_chunks([v for _, v in parts], _coerce_values),
     )
     out_k, out_v = _operation(comm, merged_k, merged_v, partitioner)
-    t1 = time.perf_counter()
-    op_s += t1 - t0
-    diff, in_side = primary.local_difference((raw_k, raw_v), (out_k, out_v))
+    t2 = time.perf_counter()
+    diff, in_side = primary.local_difference(
+        ([k for k, _ in chunks], [v for _, v in chunks]), (out_k, out_v)
+    )
     sides = [in_side, (out_k, out_v)]
     verdict = _settle_sum(
         primary, diff, sides, seed_w, policy, comm, streaming=True
     )
-    t2 = time.perf_counter()
-    checker_s += t2 - t1
+    t3 = time.perf_counter()
     stats = _run_stats(
-        verdict, op_s, checker_s, windows=1, elements_fed=elements
+        verdict,
+        operation_seconds=(c0 - t0) + (t2 - t1),
+        checker_seconds=(t1 - c0) + (t3 - t2),
+        windows=1,
+        elements_fed=int(in_side[0].size),
     )
     record = _window_record(window, verdict, seed_w, policy)
-    output = (out_k, out_v)
-    quarantine = None
-    ok = bool(verdict.accepted)
-    if not ok and reexecute is not None:
-        report = None
-        if repair.localize:
-            loc_seeds = derive_seed_array(
-                seed_w,
-                "localize",
-                np.arange(repair.localization_seeds, dtype=np.uint64),
-            )
-            # The sides an escalation already condensed are reused.
-            report = localize_fault(
-                *sides,
-                config,
-                loc_seeds,
-                comm,
-                window=window,
-                max_rounds=repair.max_rounds,
-                max_ranges=repair.max_ranges,
-            )
-            record.seeds_used += [int(s) for s in loc_seeds]
-        outcome = repair_reduce_window(
+    if verdict.accepted or reexecute is None:
+        return (out_k, out_v), verdict, stats, record, None
+    repair = repair or RepairPolicy()
+    report = None
+    if repair.localize:
+        loc_seeds = derive_seed_array(
+            seed_w,
+            "localize",
+            np.arange(repair.localization_seeds, dtype=np.uint64),
+        )
+        # The sides an escalation already condensed are reused.
+        report = localize_fault(
+            *sides,
+            config,
+            loc_seeds,
             comm,
             window=window,
-            window_seed=seed_w,
-            config=config,
-            reexecute=reexecute,
-            old_output=output,
-            policy=repair,
-            report=report,
-            partitioner=partitioner,
-            recompute=_operation if fault is not None else None,
+            max_rounds=repair.max_rounds,
+            max_ranges=repair.max_ranges,
         )
-        output, verdict, stats, quarantine = _fold_repair(
-            outcome, report, record, stats, repair, seed_w, output, verdict
-        )
-    return output, verdict, stats, record, quarantine
+        record.seeds_used += [int(s) for s in loc_seeds]
+    outcome = repair_reduce_window(
+        comm,
+        window=window,
+        window_seed=seed_w,
+        config=config,
+        reexecute=reexecute,
+        old_output=(out_k, out_v),
+        policy=repair,
+        report=report,
+        partitioner=partitioner,
+        recompute=_operation if fault is not None else None,
+    )
+    return _repaired(outcome, record, stats, repair, (out_k, out_v), report)
 
 
 def settle_sum_window(
@@ -745,14 +714,11 @@ def settle_sum_window(
     pass.  Same return shape and ``seed_w`` / ``checkers`` contract as
     :func:`settle_reduce_window`.
     """
-    if reexecute is not None and repair is None:
-        repair = RepairPolicy()
-    rank = comm.rank if comm is not None else 0
+    chunks = list(chunks)
     t0 = time.perf_counter()
-    vals = [_coerce_values(chunk) for chunk in chunks]
     # The operation's own copy: the black box never touches the chunks
     # the checker reads.
-    values = _concat(vals, dtype=np.int64)
+    values = _gather_chunks(chunks, _coerce_values)
     c0 = time.perf_counter()
     seed_w, primary = _window_primary(config, seed_w, window, checkers)
     checker_s = time.perf_counter() - c0
@@ -760,25 +726,17 @@ def settle_sum_window(
     def _operation(comm_, values):
         if fault is not None:
             values = fault(window, values)
-        local = int(np.sum(values, dtype=np.int64))
-        if comm_ is None:
-            return local
-        return comm_.allreduce(local, op=ops.SUM)
+        return _global_sum(comm_, values)
 
     total = _operation(comm, values)
     t_op_done = time.perf_counter()
-    out_side = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
-    if rank == 0:
-        out_side = (
-            np.zeros(1, dtype=np.uint64),
-            np.array([total], dtype=np.int64),
-        )
+    out_side = _total_side(comm, total)
     diff, in_side = primary.local_difference(
-        ([np.zeros_like(values, dtype=np.uint64)], vals), out_side
+        ([np.zeros_like(values, dtype=np.uint64)], chunks), out_side
     )
-    sides = [in_side, out_side]
     verdict = _settle_sum(
-        primary, diff, sides, seed_w, policy, comm, streaming=True
+        primary, diff, [in_side, out_side], seed_w, policy, comm,
+        streaming=True,
     )
     t1 = time.perf_counter()
     stats = _run_stats(
@@ -789,23 +747,19 @@ def settle_sum_window(
         elements_fed=int(values.size),
     )
     record = _window_record(window, verdict, seed_w, policy)
-    output = total
-    quarantine = None
-    ok = bool(verdict.accepted)
-    if not ok and reexecute is not None:
-        outcome = repair_sum_window(
-            comm,
-            window,
-            seed_w,
-            config,
-            reexecute,
-            repair,
-            recompute=_operation if fault is not None else None,
-        )
-        output, verdict, stats, quarantine = _fold_repair(
-            outcome, None, record, stats, repair, seed_w, output, verdict
-        )
-    return output, verdict, stats, record, quarantine
+    if verdict.accepted or reexecute is None:
+        return total, verdict, stats, record, None
+    repair = repair or RepairPolicy()
+    outcome = repair_sum_window(
+        comm,
+        window,
+        seed_w,
+        config,
+        reexecute,
+        repair,
+        recompute=_operation if fault is not None else None,
+    )
+    return _repaired(outcome, record, stats, repair, total)
 
 
 def settle_zip_window(
@@ -832,8 +786,6 @@ def settle_zip_window(
     columns — the operation's product — while the checker keeps
     fingerprinting the original inputs.
     """
-    if reexecute is not None and repair is None:
-        repair = RepairPolicy()
     t0 = time.perf_counter()
     w1 = _gather_zip_chunks(window1)
     w2 = _gather_zip_chunks(window2)
@@ -866,30 +818,19 @@ def settle_zip_window(
         elements_fed=int(w1.size + w2.size),
     )
     record = _window_record(window, verdict, seed_w, policy)
-    output = (first, second)
-    quarantine = None
-    if not verdict.accepted and reexecute is not None:
-        outcome = repair_zip_window(
-            comm,
-            window,
-            seed_w,
-            iterations,
-            reexecute,
-            repair,
-            recompute=_operation if fault is not None else None,
-        )
-        output, verdict, stats, quarantine = _fold_repair(
-            outcome, None, record, stats, repair, seed_w, output, verdict
-        )
-    return output, verdict, stats, record, quarantine
-
-
-def _concat(parts: list, dtype) -> np.ndarray:
-    arrays = [np.asarray(p) for p in parts]
-    arrays = [a for a in arrays if a.size]
-    if not arrays:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate(arrays)
+    if verdict.accepted or reexecute is None:
+        return (first, second), verdict, stats, record, None
+    repair = repair or RepairPolicy()
+    outcome = repair_zip_window(
+        comm,
+        window,
+        seed_w,
+        iterations,
+        reexecute,
+        repair,
+        recompute=_operation if fault is not None else None,
+    )
+    return _repaired(outcome, record, stats, repair, (first, second))
 
 
 def _window_record(

@@ -400,6 +400,38 @@ def test_analyzer_smoke_real_src_tree_is_clean():
     assert [f for f in findings if not f.suppressed] == []
 
 
+#: Collectives the callgraph must keep seeing in the window settles and
+#: repairs.  A collective issued inside a closure or lambda handed to
+#: shared code drops out of these summaries, and the lockstep rule then
+#: passes without checking it.
+_WINDOW_COLLECTIVES = {
+    ("repro.dataflow.repair", "repair_reduce_window"): {"allreduce"},
+    ("repro.dataflow.repair", "repair_sum_window"): {"allreduce"},
+    ("repro.dataflow.repair", "repair_zip_window"): {
+        "allgather", "allreduce", "alltoall", "exscan",
+    },
+    ("repro.dataflow.streaming", "settle_zip_window"): {
+        "allgather", "allreduce", "alltoall", "exscan",
+    },
+    ("repro.dataflow.streaming", "settle_reduce_window"): {
+        "allgather", "allreduce",
+    },
+    ("repro.dataflow.streaming", "settle_sum_window"): {"allreduce"},
+}
+
+
+def test_callgraph_sees_window_settle_and_repair_collectives():
+    from repro.analysis.callgraph import get_callgraph
+
+    graph = get_callgraph(Project.from_paths([SRC]))
+    summaries = {
+        (f.module_dotted, f.qualname): f.transitive for f in graph.functions
+    }
+    for name, expected in _WINDOW_COLLECTIVES.items():
+        assert name in summaries, name
+        assert expected <= summaries[name], (name, summaries[name])
+
+
 def test_cli_strict_exit_codes(tmp_path, capsys):
     bad = tmp_path / "src" / "repro" / "core" / "acc.py"
     bad.parent.mkdir(parents=True)

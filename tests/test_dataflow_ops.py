@@ -401,6 +401,74 @@ class TestIntegerColumns:
                 per_rank_args=list(zip(ctx.split(keys), ctx.split(values))),
             )
 
+    @staticmethod
+    def _plain_ops():
+        from repro.dataflow.ops.aggregates import median_by_key
+        from repro.dataflow.ops.sort_merge_join import sort_merge_join
+
+        ints = TestIntegerColumns.INTS
+        return {
+            "group_by_key": group_by_key,
+            "hash_join": lambda comm, k, v: hash_join(
+                comm, (k, v), (ints, ints)
+            ),
+            "sort_merge_join": lambda comm, k, v: sort_merge_join(
+                comm, (ints, ints), (k, v)
+            ),
+            # The column under test is the explicit uids, read as values.
+            "median_by_key uids": lambda comm, k, v: median_by_key(
+                comm, ints[: v.size], ints[: v.size], uids=v
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [
+            (np.array([1.5, 1.7, 2.2, 1.5]), "float64"),
+            (np.array([True, False, True, True]), "bool"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "op, column",
+        [
+            ("group_by_key", "keys"),
+            ("group_by_key", "values"),
+            ("hash_join", "keys"),
+            ("hash_join", "values"),
+            ("sort_merge_join", "keys"),
+            ("sort_merge_join", "values"),
+            ("median_by_key uids", "values"),
+        ],
+    )
+    def test_plain_ops_refuse_non_integer_columns(self, op, column, bad, dtype):
+        """Cast, ``group_by_key(None, [1.5, 1.7, 2.2], [1, 2, 4])``
+        grouped keys ``[1, 2]``, both joins matched key 1.5 with 1.7 as
+        key 1, and ``median_by_key`` read uids 0.2 and 0.7 as uid 0."""
+        fn = self._plain_ops()[op]
+        keys, values = (bad, self.INTS) if column == "keys" else (self.INTS, bad)
+        with pytest.raises(TypeError, match=f"integer {column} .*{dtype}"):
+            fn(None, keys, values)
+        ctx = Context(2)
+        with pytest.raises(
+            SPMDError, match=f"TypeError: integer {column} .*{dtype}"
+        ):
+            ctx.run(
+                lambda comm, k, v: fn(comm, k, v),
+                per_rank_args=list(zip(ctx.split(keys), ctx.split(values))),
+            )
+
+    def test_plain_ops_keep_twos_complement_keys(self):
+        from repro.dataflow.ops.sort_merge_join import sort_merge_join
+
+        top = (1 << 64) - 1
+        keys, groups = group_by_key(None, np.array([-1, 2]), [5, 6])
+        assert keys.tolist() == [2, top]
+        assert [g.tolist() for g in groups] == [[6], [5]]
+        r = (np.array([-1]), np.array([1]))
+        s = (np.array([top], dtype=np.uint64), np.array([2]))
+        for join in (hash_join, sort_merge_join):
+            assert join(None, r, s).keys.tolist() == [top]
+
     def test_signed_and_empty_columns_still_reduce(self):
         keys, values = reduce_by_key(None, np.array([-1, 2, -1]), [5, 6, 7])
         assert keys.tolist() == [2, (1 << 64) - 1] and values.tolist() == [6, 12]

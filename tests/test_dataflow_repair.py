@@ -20,8 +20,14 @@ from repro.dataflow.repair import (
     QuarantinedWindow,
     RepairPolicy,
     repair_reduce_window,
+    repair_sum_window,
 )
-from repro.dataflow.streaming import StreamingKeyValueDIA
+from repro.dataflow.streaming import (
+    StreamingDIA,
+    StreamingKeyValueDIA,
+    window_seed,
+)
+from repro.util.rng import derive_seed_array
 from repro.workloads.kv import aggregate_reference, sum_workload
 
 CONFIG = SumCheckConfig.parse("8x16 m15")
@@ -438,3 +444,162 @@ class TestRepairStats:
         assert s.localization_seconds == 0.0
         assert s.repaired_windows == 0
         assert s.quarantined_windows == 0
+
+
+class TestRepairRefusesWhatTheSettleRefuses:
+    """A re-execution is read like the window it replaces: keys through
+    ``_coerce_keys`` and values through ``_coerce_values``.  Cast, a sum
+    repair healed a window of ``[0.9, 0.9]`` with total 0, and a reduce
+    repair merged keys 1.5 and 1.7 into key 1."""
+
+    def test_sum_repair_refuses_float_values(self):
+        with pytest.raises(TypeError, match="integer values required"):
+            repair_sum_window(
+                None,
+                window=0,
+                window_seed=5,
+                config=CONFIG,
+                reexecute=lambda w, r: [np.array([0.9, 0.9])],
+                policy=RepairPolicy(localize=False),
+            )
+
+    @pytest.mark.parametrize(
+        "keys, values, match",
+        [
+            ([1.5, 1.7], [1, 2], "integer keys required"),
+            ([1, 2], [0.5, 2.5], "integer values required"),
+        ],
+    )
+    def test_reduce_repair_refuses_floats(self, keys, values, match):
+        with pytest.raises(TypeError, match=match):
+            repair_reduce_window(
+                None,
+                window=0,
+                window_seed=5,
+                config=CONFIG,
+                reexecute=lambda w, r: [(np.array(keys), np.array(values))],
+                old_output=(np.array([1], dtype=np.uint64), np.array([9])),
+                policy=RepairPolicy(),
+                report=None,
+            )
+
+    def test_streaming_window_reexecuted_as_floats_raises(self):
+        chunks = [(np.array([1, 2]), np.array([3, 4]))] * 2
+
+        def fault(window, keys, values):
+            return keys, values + 1
+
+        with pytest.raises(TypeError, match="integer keys required"):
+            StreamingKeyValueDIA.from_chunks(None, chunks).reduce_by_key_checked(
+                CONFIG,
+                seed=3,
+                chunks_per_window=2,
+                reexecute=lambda w, r: [
+                    (np.array([1.0, 2.0]), np.array([3, 4]))
+                ],
+                fault=fault,
+            )
+
+
+class TestSeedTrail:
+    """``WindowRecord.seeds_used`` lists every root seed a window spent:
+    its seed, then its localization seeds, then each repair attempt's
+    roots, in that order."""
+
+    def test_repaired_reduce_window(self, monkeypatch):
+        import repro.dataflow.streaming as streaming_mod
+
+        keys, values = sum_workload(2000, num_keys=50, seed=17)
+        real_reduce = streaming_mod.reduce_by_key
+        calls = {"n": 0}
+
+        def lying_reduce(comm, k, v, partitioner=None):
+            out_k, out_v = real_reduce(comm, k, v, partitioner)
+            calls["n"] += 1
+            if calls["n"] == 2 and out_v.size:
+                out_v = out_v.copy()
+                out_v[0] += 1
+            return out_k, out_v
+
+        monkeypatch.setattr(streaming_mod, "reduce_by_key", lying_reduce)
+        policy = RepairPolicy(localization_seeds=3)
+        run = StreamingKeyValueDIA.from_chunks(
+            None, kv_chunks(keys, values, 250)
+        ).reduce_by_key_checked(
+            CONFIG,
+            seed=19,
+            chunks_per_window=2,
+            reexecute=lambda w, ranges: kv_chunks(keys, values, 250)[
+                2 * w : 2 * (w + 1)
+            ],
+            repair=policy,
+        )
+        rec = run.window_history[1]
+        assert rec.repaired and rec.repair_attempts == 1
+        seed_w = window_seed(19, 1)
+        localization = derive_seed_array(
+            seed_w,
+            "localize",
+            np.arange(policy.localization_seeds, dtype=np.uint64),
+        )
+        assert rec.seeds_used == [
+            seed_w,
+            *localization.tolist(),
+            *policy.attempt_seed_roots(seed_w, 0).tolist(),
+        ]
+        assert run.window_history[0].seeds_used == [window_seed(19, 0)]
+
+    @staticmethod
+    def _attempt_trail(policy, seed_w):
+        return [seed_w] + [
+            int(s)
+            for attempt in range(policy.max_attempts)
+            for s in policy.attempt_seed_roots(seed_w, attempt)
+        ]
+
+    def test_quarantined_sum_window(self):
+        policy = RepairPolicy(max_attempts=3)
+        chunks = [np.array([1, 2]), np.array([3]), np.array([4, 5])]
+        run = StreamingDIA.from_chunks(None, chunks).sum_checked(
+            CONFIG,
+            seed=23,
+            chunks_per_window=2,
+            reexecute=lambda w, r: chunks[2 * w : 2 * (w + 1)],
+            repair=policy,
+            fault=lambda w, values: values + (w == 1),
+        )
+        assert [rec.quarantined for rec in run.window_history] == [
+            False,
+            True,
+        ]
+        rec = run.window_history[1]
+        assert rec.repair_attempts == policy.max_attempts
+        assert rec.seeds_used == self._attempt_trail(
+            policy, window_seed(23, 1)
+        )
+
+    def test_quarantined_zip_window(self):
+        policy = RepairPolicy(max_attempts=2)
+        first = [np.arange(4), np.arange(4, 8)]
+        second = [np.arange(10, 14), np.arange(14, 18)]
+
+        def fault(w, a, b):
+            return (a + 1, b) if w == 0 else (a, b)
+
+        run = StreamingDIA.from_chunks(None, first).zip_checked(
+            StreamingDIA.from_chunks(None, second),
+            seed=29,
+            chunks_per_window=1,
+            reexecute=lambda w, r: ([first[w]], [second[w]]),
+            repair=policy,
+            fault=fault,
+        )
+        assert [rec.quarantined for rec in run.window_history] == [
+            True,
+            False,
+        ]
+        rec = run.window_history[0]
+        assert rec.repair_attempts == policy.max_attempts
+        assert rec.seeds_used == self._attempt_trail(
+            policy, window_seed(29, 0)
+        )
