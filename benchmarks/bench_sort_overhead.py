@@ -125,7 +125,7 @@ def test_sort_checker_overhead(benchmark, overhead_elements):
     assert max(ns_values) < 2.5 * min(ns_values), per_logh
     # The paper's 3.5 % share rests on a 1-cycle hardware CRC; our 4-pass
     # numpy hash costs the same order as numpy's sort itself, so the share
-    # lands far higher here (documented in EXPERIMENTS.md).  The preserved
-    # qualitative claim: the checker costs O(n/p) local work — a small
-    # constant number of extra passes — and never dominates the pipeline.
+    # lands far higher here.  The preserved qualitative claim: the checker
+    # costs O(n/p) local work — a small constant number of extra passes —
+    # and never dominates the pipeline.
     assert fraction < 0.85, f"checker consumed {fraction:.0%} of the pipeline"

@@ -215,11 +215,12 @@ class CallGraph:
         return info
 
     def _scan_body(self, info: FunctionInfo) -> None:
-        """Collect direct collective calls + unresolved edges (own body only).
+        """Collect direct collective calls + unresolved edges.
 
-        Nested defs are excluded and indexed nowhere, so a collective
-        issued inside a closure counts toward no summary: a function that
-        hands such a closure to shared code reads as issuing none of it.
+        A nested def is indexed nowhere of its own: its calls count
+        toward the function that encloses it, so a function that hands
+        a closure to shared code reads as issuing the closure's
+        collectives.
         """
         for call in self._own_calls(info.node):
             op = self.collective_op(call)
@@ -240,13 +241,12 @@ class CallGraph:
 
     @staticmethod
     def _own_calls(fn_node: ast.AST):
-        """Call nodes in a function body, not descending into nested defs."""
+        """Call nodes in a function body and its nested defs, not
+        descending into nested classes."""
         stack = list(ast.iter_child_nodes(fn_node))
         while stack:
             node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
+            if isinstance(node, ast.ClassDef):
                 continue
             if isinstance(node, ast.Call):
                 yield node

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.base import CheckResult
 from repro.core.multiseed import _DEFAULT_CONFIG, MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 
 
 def reconstruct_sums(
@@ -38,9 +38,9 @@ def reconstruct_sums(
     not divide ``count``, or non-positive count/denominator) — such rows are
     immediate rejections without any probabilistic step.
     """
-    numerators = _coerce_values(numerators)
-    denominators = _coerce_values(denominators)
-    counts = _coerce_values(counts)
+    numerators = domain.values(numerators)
+    denominators = domain.values(denominators)
+    counts = domain.values(counts)
     valid = (denominators > 0) & (counts > 0) & (counts % denominators == 0)
     safe_den = np.where(valid, denominators, 1)
     quotient = counts // safe_den
@@ -84,14 +84,14 @@ def check_average_aggregation(
     under ``seeds[t]`` alone.
     """
     cfg = config or _DEFAULT_CONFIG
-    in_keys = _coerce_keys(input_kv[0])
-    in_values = _coerce_values(input_kv[1])
-    out_keys = _coerce_keys(asserted_keys)
+    in_keys = domain.words(input_kv[0])
+    in_values = domain.values(input_kv[1])
+    out_keys = domain.words(asserted_keys)
     sums, valid = reconstruct_sums(
         asserted_numerators, asserted_denominators, certificate_counts
     )
     structurally_ok = bool(np.all(valid))
-    counts = _coerce_values(certificate_counts)
+    counts = domain.values(certificate_counts)
 
     # The two coupled checks of §6.1 share all checker randomness: one
     # checker, applied to the value column and to the count column (the

@@ -17,10 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from repro.comm import ops
+from repro.core import domain
 from repro.core.base import CheckResult
-from repro.core.multiseed import _coerce_seeds
 from repro.core.permutation_checker import check_permutation_hashsum
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.hashing.families import get_family
 from repro.util.rng import derive_seed, derive_seed_array, splitmix64_array
 
@@ -33,8 +32,8 @@ def encode_records(keys, values) -> np.ndarray:
     (SplitMix64 chaining).  Collisions only ever *hide* differences, adding
     ≤ n·2^-64 to the checker's failure probability.
     """
-    keys = _coerce_keys(keys)
-    values = _coerce_values(values).view(np.uint64)
+    keys = domain.words(keys)
+    values = domain.values(values).view(np.uint64)
     return splitmix64_array(splitmix64_array(keys) ^ values)
 
 
@@ -61,7 +60,7 @@ def _partitioner(num_pes: int, seed: int):
     mask = np.uint64(num_pes - 1) if num_pes & (num_pes - 1) == 0 else None
 
     def part(keys) -> np.ndarray:
-        keys = _coerce_keys(keys)
+        keys = domain.words(keys)
         ranks = np.empty(keys.shape, dtype=np.uint64)
         fn.hash_into(keys, ranks, np.empty_like(ranks))
         if mask is not None:
@@ -106,7 +105,7 @@ def check_groupby_redistribution(
     encoded once, the placement test runs once, and
     ``per_seed_accepted[t]`` equals the check under ``seeds[t]`` alone.
     """
-    seeds = _coerce_seeds(seed)
+    seeds = domain.seeds(seed)
     perm = check_permutation_hashsum(
         encode_records(*pre_kv),
         encode_records(*post_kv),

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm import ops
+from repro.core import domain
 from repro.core.base import CheckResult
 from repro.core.multiseed import _DEFAULT_CONFIG, MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 
 
 @dataclass
@@ -57,13 +57,18 @@ def signed_contributions(
 
     Returns ``(keys, contributions, structurally_ok)``; ``structurally_ok``
     is False when some input key is missing from the asserted result (an
-    unconditional rejection).
+    unconditional rejection).  ``uids`` and the certificate are read, as
+    integers, only when a certificate breaks ties.
     """
-    keys = _coerce_keys(keys)
-    values = _coerce_values(values)
-    asserted_keys = _coerce_keys(asserted_keys)
-    num = _coerce_values(asserted_num)
-    den = _coerce_values(asserted_den)
+    keys = domain.words(keys)
+    values = domain.values(values)
+    asserted_keys = domain.words(asserted_keys)
+    num = domain.values(asserted_num)
+    den = domain.values(asserted_den)
+    if certificate is not None:
+        uids = domain.values(uids, "uids")
+        uid_low = domain.values(certificate.uid_low, "uids")
+        uid_high = domain.values(certificate.uid_high, "uids")
     if np.any((den != 1) & (den != 2)):
         raise ValueError("median denominators must be 1 or 2")
 
@@ -91,9 +96,8 @@ def signed_contributions(
             # the middle element of an odd-count key and maps to 0.
             pass
         else:
-            uids = np.asarray(uids, dtype=np.int64).ravel()
-            low = np.asarray(certificate.uid_low, dtype=np.int64).ravel()[idx]
-            high = np.asarray(certificate.uid_high, dtype=np.int64).ravel()[idx]
+            low = uid_low[idx]
+            high = uid_high[idx]
             odd = low == high
             t_uid = uids[ties]
             t_low = low[ties]

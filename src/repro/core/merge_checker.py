@@ -7,11 +7,9 @@ output (Theorem 7's machinery).
 
 from __future__ import annotations
 
+from repro.core import domain
 from repro.core.base import CheckResult
-from repro.core.sort_checker import (
-    check_globally_sorted,
-    require_same_signedness,
-)
+from repro.core.sort_checker import check_globally_sorted
 from repro.core.union_checker import check_union
 
 
@@ -33,7 +31,7 @@ def check_merge(
     Signed and unsigned integer sides raise ``TypeError``, as in
     :func:`~repro.core.sort_checker.check_sort`.
     """
-    require_same_signedness([s1, s2], out, "check_merge")
+    domain.ordered(out, [s1, s2], "check_merge")
     union = check_union(
         s1,
         s2,

@@ -20,11 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm import ops
+from repro.core import domain
 from repro.core.base import CheckResult
 from repro.core.integrity import replicated_digest as _digest
 from repro.core.integrity import replicated_digest_multiseed
-from repro.core.multiseed import _coerce_seeds
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 
 
 def _sorted_result(keys, values):
@@ -79,12 +78,12 @@ def _check_extremum(
     verdict and the ``T`` integrity flags settle in one AND-allreduce of
     ``T`` flags after the digest broadcast.
     """
-    seeds = _coerce_seeds(seed)
-    in_keys = _coerce_keys(input_kv[0])
-    in_values = _coerce_values(input_kv[1])
-    keys = _coerce_keys(asserted_keys)
-    values = _coerce_values(asserted_values)
-    owners = np.asarray(certificate_owners, dtype=np.int64).ravel()
+    seeds = domain.seeds(seed)
+    in_keys = domain.words(input_kv[0])
+    in_values = domain.values(input_kv[1])
+    keys = domain.words(asserted_keys)
+    values = domain.values(asserted_values)
+    owners = domain.values(certificate_owners, "ranks")
     if not (keys.size == values.size == owners.size):
         raise ValueError("asserted keys, values and certificate must align")
     rank = comm.rank if comm is not None else 0
@@ -192,10 +191,10 @@ def check_min_aggregation_bitvector(
     the communication volume grows linearly with the number of keys k —
     exactly the cost the certificate of Theorem 9 avoids.
     """
-    in_keys = _coerce_keys(input_kv[0])
-    in_values = _coerce_values(input_kv[1])
-    keys = _coerce_keys(asserted_keys)
-    values = _coerce_values(asserted_values)
+    in_keys = domain.words(input_kv[0])
+    in_values = domain.values(input_kv[1])
+    keys = domain.words(asserted_keys)
+    values = domain.values(asserted_values)
     if keys.size != values.size:
         raise ValueError("asserted keys and values must align")
 

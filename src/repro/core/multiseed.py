@@ -43,12 +43,11 @@ from itertools import accumulate
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.base import CheckResult
 from repro.core.params import SumCheckConfig
 from repro.core.sum_checker import (
     _CHUNK_BITS,
-    _coerce_keys,
-    _coerce_values,
     _magnitude_bound,
     _scatter_add_mod,
     draw_moduli,
@@ -61,35 +60,6 @@ from repro.util.bits import is_power_of_two
 from repro.util.rng import derive_seed_array
 
 _INT64_MIN = -(1 << 63)
-
-
-def _coerce_seeds(seeds) -> np.ndarray:
-    seeds = np.atleast_1d(np.asarray(seeds))
-    if seeds.ndim != 1 or seeds.size < 1:
-        raise ValueError(f"need a 1-d, non-empty seed array, got {seeds!r}")
-    if seeds.dtype.kind == "i":
-        seeds = seeds.astype(np.int64).view(np.uint64)
-    elif seeds.dtype.kind == "u":
-        seeds = seeds.astype(np.uint64, copy=False)
-    else:
-        # Same policy as _coerce_keys: silently truncating float seeds could
-        # collapse "independent" seeds onto one another (0.4 and 0.6 both
-        # become 0), quietly voiding the δ^T multi-seed guarantee.
-        raise TypeError(
-            f"multi-seed checkers require integer seeds, got dtype {seeds.dtype}"
-        )
-    if seeds.size > 1:
-        # Sorted neighbours, not np.unique: numpy's hash-based unique pays
-        # a one-off cost of ~15 ms on its first call in a process, which a
-        # freshly forked PE would spend on its first window block.
-        ordered = np.sort(seeds)
-        if np.any(ordered[1:] == ordered[:-1]):
-            # A duplicated seed re-runs the *same* checker: the observed
-            # lanes agree by construction and the claimed δ^T bound
-            # silently degrades to δ^(distinct seeds).  Refuse rather
-            # than over-promise.
-            raise ValueError("multi-seed checkers require distinct seeds")
-    return seeds
 
 
 @dataclass
@@ -132,8 +102,8 @@ def condense_kv(keys, values, operator: str = "+") -> CondensedKV:
     """
     if operator not in ("+", "xor"):
         raise ValueError(f"unsupported reduce operator {operator!r}")
-    keys = _coerce_keys(keys)
-    values = _coerce_values(values)
+    keys = domain.words(keys)
+    values = domain.values(values)
     if keys.size != values.size:
         raise ValueError(
             f"keys and values differ in length: {keys.size} vs {values.size}"
@@ -186,8 +156,8 @@ def _pairs_condensed(keys, values, operator: str = "+") -> CondensedKV:
     values are not copied, xor needs no magnitude bound, and the
     identity ``inverse`` exists only on the per-element path.
     """
-    keys = _coerce_keys(keys)
-    values = _coerce_values(values)
+    keys = domain.words(keys)
+    values = domain.values(values)
     if keys.size != values.size:
         raise ValueError(
             f"keys and values differ in length: {keys.size} vs {values.size}"
@@ -313,7 +283,7 @@ class MultiSeedSumChecker:
             raise ValueError(f"unsupported reduce operator {operator!r}")
         self.config = config
         self.operator = operator
-        self.seeds = _coerce_seeds(seeds)
+        self.seeds = domain.seeds(seeds)
         self.num_seeds = self.seeds.size
         self._family = get_family(config.hash_family)
         # (T, iterations) moduli — row t equals the scalar checker's draw.
@@ -397,10 +367,10 @@ class MultiSeedSumChecker:
         keeps to escalate or localize the check.
         """
         key_chunks, value_chunks = input_chunks
-        in_k = _coerced_chunks(key_chunks, _coerce_keys)
-        in_v = _coerced_chunks(value_chunks, _coerce_values)
-        out_k = _coerce_keys(asserted_kv[0])
-        out_v = _coerce_values(asserted_kv[1])
+        in_k = _coerced_chunks(key_chunks, domain.words)
+        in_v = _coerced_chunks(value_chunks, domain.values)
+        out_k = domain.words(asserted_kv[0])
+        out_v = domain.values(asserted_kv[1])
         # With the input side's lengths equal, the buffers differ in
         # length iff the output's columns do, which the fold refuses.
         n = _side_size(in_k, in_v)
@@ -491,7 +461,7 @@ class MultiSeedSumChecker:
         prepared form of ``keys``, exposed for consumers that intersect
         bucket memberships (fault localization's guilty-bucket filter).
         """
-        keys = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
+        keys = np.ascontiguousarray(domain.words(keys))
         if keys.size == 0:
             return
         hasher = self._family.multiseed_hasher(keys)
@@ -508,7 +478,7 @@ class MultiSeedSumChecker:
         localization's progressive prefilter) instead of paying every
         seed up front.
         """
-        keys = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
+        keys = np.ascontiguousarray(domain.words(keys))
         return self._bucket_rows(
             self._family.multiseed_hasher(keys), keys, t
         )

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.base import CheckResult
-from repro.core.multiseed import _coerce_seeds
-from repro.core.sum_checker import _coerce_keys
 from repro.hashing.families import get_family, iter_hash_blocks
 from repro.hashing.gf2 import gf64_mul, gf64_product
 from repro.hashing.primes import random_prime_in_range
@@ -93,7 +92,7 @@ def _as_sequences(side) -> list[np.ndarray]:
     A side may be a single array or a list of arrays — the latter supports
     the Union/Merge checkers, which compare ``concat(S1, S2)`` against ``S``
     without materialising the concatenation.  Elements must be integers
-    (``_coerce_keys``): truncating 0.5 and 0.7 to the same word would let
+    (:func:`~repro.core.domain.words`): truncating 0.5 and 0.7 to the same word would let
     a wrong float result fingerprint like the right one.
     """
     if isinstance(side, (list, tuple)) and not (
@@ -102,7 +101,7 @@ def _as_sequences(side) -> list[np.ndarray]:
         seqs = list(side)
     else:
         seqs = [side]
-    return [_coerce_keys(seq) for seq in seqs]
+    return [domain.words(seq) for seq in seqs]
 
 
 def condense_side(side) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -154,7 +153,7 @@ class MultiSeedHashSumChecker:
                 f"log_h={log_h} out of range for {family.name} "
                 f"({family.bits} output bits)"
             )
-        self.seeds = _coerce_seeds(seeds)
+        self.seeds = domain.seeds(seeds)
         self.num_seeds = self.seeds.size
         self.iterations = iterations
         self.hash_family = hash_family

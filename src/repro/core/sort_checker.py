@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm import ops
+from repro.core import domain
 from repro.core.base import CheckResult
 from repro.core.permutation_checker import check_permutation
 
@@ -45,26 +46,6 @@ def boundaries_ordered(comm, first, last, ok: bool = True) -> bool:
     return bool(comm.allreduce(bool(ok), op=ops.LAND))
 
 
-def require_same_signedness(inputs, output, check: str) -> None:
-    """Refuse input and output integer dtypes of mixed signedness.
-
-    The permutation checks read elements as 64-bit words, while
-    sortedness compares them in the output's own order: int64 ``−1`` and
-    uint64 ``2^64 − 1`` are one word but sort apart, so a sorted uint64
-    output can be the word-for-word permutation of an int64 input it does
-    not sort.  The dtypes alone decide, before any message, so every PE
-    raises together.
-    """
-    out = np.asarray(output).dtype
-    for side in inputs:
-        dtype = np.asarray(side).dtype
-        if {dtype.kind, out.kind} == {"i", "u"}:
-            raise TypeError(
-                f"{check} needs input and output integers of one "
-                f"signedness, got input dtype {dtype} and output dtype {out}"
-            )
-
-
 def locally_sorted(values: np.ndarray) -> bool:
     """Non-decreasing order of one PE's local slice, O(n/p)."""
     values = np.asarray(values)
@@ -78,15 +59,9 @@ def check_globally_sorted(values, comm=None) -> CheckResult:
 
     Sequential when ``comm`` is None.  Distributed: local sortedness, then
     :func:`boundaries_ordered` over each PE's first and last element.
-    Elements must be integers: the dtype alone decides, before any
-    message, so every PE raises together.
+    Elements must be integers (:func:`~repro.core.domain.ordered`).
     """
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        raise TypeError(
-            f"sortedness check requires integer elements, got dtype "
-            f"{values.dtype}"
-        )
+    values = domain.ordered(values)
     ok = locally_sorted(values)
     if comm is not None:
         first, last = (
@@ -116,9 +91,9 @@ def check_sort(
 
     ``method`` selects the permutation fingerprint: ``"hashsum"`` (Lemma 4),
     ``"polynomial"`` (Lemma 5) or ``"gf64"``.  Signed and unsigned integer
-    sides raise ``TypeError`` (:func:`require_same_signedness`).
+    sides raise ``TypeError`` (:func:`~repro.core.domain.ordered`).
     """
-    require_same_signedness([e_values], o_values, "check_sort")
+    domain.ordered(o_values, [e_values], "check_sort")
     perm = check_permutation(
         e_values, o_values, method, iterations, hash_family, log_h, seed,
         comm, delta, universe,

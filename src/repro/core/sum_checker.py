@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.params import SumCheckConfig
 from repro.hashing.bitgroups import BucketAssigner
 from repro.hashing.families import get_family
@@ -44,34 +45,6 @@ from repro.util.rng import (
 
 _CHUNK_BITS = 52  # float64 mantissa headroom for the exact bincount path
 _PACK_CHUNK_RESIDUES = 1 << 15  # bounds pack/unpack scratch to ~1 MB
-
-
-def _coerce_keys(keys) -> np.ndarray:
-    keys = np.asarray(keys)
-    if keys.dtype.kind == "i":
-        keys = keys.astype(np.int64).view(np.uint64)
-    elif keys.dtype.kind == "u":
-        keys = keys.astype(np.uint64, copy=False)
-    else:
-        # A silent astype(np.uint64) would truncate float keys (1.5 and 1.7
-        # both become key 1), merging distinct keys and letting the checker
-        # accept outputs it must reject — mirror _coerce_values and refuse.
-        raise TypeError(
-            f"integer keys required, got dtype {keys.dtype} "
-            "(float keys would be truncated and could collide)"
-        )
-    return keys.ravel()
-
-
-def _coerce_values(values) -> np.ndarray:
-    values = np.asarray(values)
-    if values.dtype.kind not in ("i", "u"):
-        raise TypeError(
-            f"integer values required, got dtype {values.dtype} "
-            "(the paper leaves floating-point aggregation as future work)"
-        )
-    # int64 input comes back uncopied: no consumer writes into it.
-    return values.astype(np.int64, copy=False).ravel()
 
 
 def _max_magnitude(values: np.ndarray) -> int:
@@ -233,8 +206,8 @@ def reference_tables(
     """
     if operator not in ("+", "xor"):
         raise ValueError(f"unsupported reduce operator {operator!r}")
-    keys = _coerce_keys(keys)
-    values = _coerce_values(values)
+    keys = domain.words(keys)
+    values = domain.values(values)
     if keys.size != values.size:
         raise ValueError(
             f"keys and values differ in length: {keys.size} vs {values.size}"

@@ -43,8 +43,8 @@ import operator
 import numpy as np
 
 from repro.comm import ops
+from repro.core import domain
 from repro.core.base import CheckResult
-from repro.core.multiseed import _coerce_seeds
 from repro.hashing.families import get_family
 from repro.util.rng import derive_seed
 
@@ -76,27 +76,9 @@ def _lane(seed: int, iteration: int) -> tuple:
     )
 
 
-def _words(values) -> np.ndarray:
-    """The 64-bit words a column hashes as.
-
-    Signed values hash as their two's-complement words, so an int64 and
-    a uint64 column with equal words fingerprint alike.  Any other dtype
-    raises ``TypeError``: truncating floats to words would let a wrong
-    float column fingerprint like the right one.
-    """
-    values = np.asarray(values).ravel()
-    if values.dtype.kind == "i":
-        return values.astype(np.int64, copy=False).view(np.uint64)
-    if values.dtype.kind == "u":
-        return values.astype(np.uint64, copy=False)
-    raise TypeError(
-        f"zip checks require integer columns, got dtype {values.dtype}"
-    )
-
-
 def _fingerprints(values, global_offset: int, lanes: list) -> list[int]:
     """``Σ_i h'(offset+i) · g(x_i)  mod 2^31−1`` for every ``(h', g)`` lane."""
-    words = _words(values)
+    words = domain.words(values, "columns")
     p = np.uint64(MERSENNE31)
     totals = [0] * len(lanes)
     for start in range(0, words.size, _CHUNK):
@@ -152,19 +134,18 @@ def _column_pairs(columns, offsets) -> list:
     pair is ``(label, sides, in_place)``: ``sides`` holds ``(words,
     offset, column)`` for the input and for its output column, and
     ``in_place`` whether the two sit at the same global offset with
-    equal words (:func:`_words`; equal words imply equal lengths).  An
-    in-place pair would get the same fingerprint ``F`` on both sides
-    under every lane, and dropping ``F`` from both sides of a comparison
-    of sums changes no verdict, so such a pair is never hashed.  Every
-    column's words are read here, so a non-integer column raises
-    before any verdict is read.
+    equal words (:func:`~repro.core.domain.words`; equal words imply
+    equal lengths).  An in-place pair would get the same fingerprint
+    ``F`` on both sides under every lane, and dropping ``F`` from both
+    sides of a comparison of sums changes no verdict, so such a pair is
+    never hashed.
     """
-    s1, first, s2, second = columns
+    s1, first, s2, second = (domain.words(c, "columns") for c in columns)
     off1, off2, offz = (int(o) for o in offsets)
     pairs = []
     for label, sides in (
-        ("lane1", ((_words(s1), off1, 0), (_words(first), offz, 1))),
-        ("lane2", ((_words(s2), off2, 2), (_words(second), offz, 3))),
+        ("lane1", ((s1, off1, 0), (first, offz, 1))),
+        ("lane2", ((s2, off2, 2), (second, offz, 3))),
     ):
         (a, off_a, _), (b, off_b, _) = sides
         pairs.append((label, sides, off_a == off_b and np.array_equal(a, b)))
@@ -305,9 +286,10 @@ def check_zip(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    roots = _coerce_seeds(seed)
+    roots = domain.seeds(seed)
     columns = [
-        np.asarray(c).ravel() for c in (s1, zipped_first, s2, zipped_second)
+        domain.words(c, "columns")
+        for c in (s1, zipped_first, s2, zipped_second)
     ]
     if offsets is None:
         offsets = _global_offsets(

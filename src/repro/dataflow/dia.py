@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from repro.comm import ops
+from repro.core import domain
 from repro.core.base import CheckResult
 from repro.core.params import SumCheckConfig
 from repro.core.sort_checker import check_globally_sorted, check_sort
@@ -157,6 +158,7 @@ class DIA:
         """Merge + Corollary 13 checker (adaptive when ``policy`` given)."""
         out = merge_sorted(self.comm, self.local, other.local)
         if policy is not None:
+            domain.ordered(out, [self.local, other.local], "merge_checked")
             sortedness = check_globally_sorted(out, comm=self.comm)
             verdict = adaptive_permutation_check(
                 [self.local, other.local],

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm import ops
+from repro.core import domain
 
 
 def global_offset(comm, local_count: int) -> int:
@@ -50,36 +51,49 @@ def global_offsets(comm, *local_counts: int) -> tuple[int, ...]:
 def exchange_by_destination(comm, destinations: np.ndarray, *columns):
     """Route each row to the PE named by ``destinations`` (all-to-all).
 
-    ``destinations`` holds integer ranks; a non-empty array of any other
-    kind raises ``TypeError`` (float ranks would be truncated).
+    ``destinations`` holds integer ranks; an array of any other dtype,
+    an empty one too, raises ``TypeError``
+    (:func:`~repro.core.domain.ranks`).
     ``columns`` are aligned arrays (anything ``np.asarray`` accepts);
     returns the received columns, rows concatenated in source-PE order
     (stable within a source).  Sequential (``comm is None``) requires every
-    destination to be 0 and is an identity.
+    destination to be 0 and is an identity.  A PE that refuses its rows
+    sends the refusal through the all-to-all instead, so every PE raises
+    it, whatever the dtype of its own ranks: a PE whose empty ranks came
+    from a Python list (float64) cannot leave its peers waiting.
     """
-    destinations = np.asarray(destinations)
-    if destinations.size and destinations.dtype.kind not in "iu":
-        raise TypeError(
-            f"destinations must be integer ranks, got dtype {destinations.dtype}"
-        )
-    # Coerce columns up front: a Python-list column used to work
-    # sequentially but crash on the distributed path (lists don't support
-    # fancy indexing), and a misaligned column would silently drop rows.
-    columns = tuple(np.asarray(c) for c in columns)
-    for i, col in enumerate(columns):
-        if col.shape[:1] != destinations.shape:
-            raise ValueError(
-                f"column {i} has {col.shape[0] if col.ndim else 'scalar'} "
-                f"rows but {destinations.size} destinations"
-            )
-    if comm is None:
-        if destinations.size and (destinations != 0).any():
-            raise ValueError("sequential exchange cannot route to other PEs")
-        return tuple(c.copy() for c in columns)
-    rows = [np.flatnonzero(destinations == r) for r in range(comm.size)]
-    # A rank outside [0, p) matches no mask, so its row is in no payload.
-    if sum(r.size for r in rows) != destinations.size:
-        raise ValueError("destination rank out of range")
-    payloads = [tuple(c[r] for c in columns) for r in rows]
+    try:
+        destinations = domain.ranks(destinations)
+        # Coerce columns up front: a Python-list column used to work
+        # sequentially but crash on the distributed path (lists don't
+        # support fancy indexing), and a misaligned column would silently
+        # drop rows.
+        columns = tuple(np.asarray(c) for c in columns)
+        for i, col in enumerate(columns):
+            if col.shape[:1] != destinations.shape:
+                raise ValueError(
+                    f"column {i} has {col.shape[0] if col.ndim else 'scalar'} "
+                    f"rows but {destinations.size} destinations"
+                )
+        if comm is None:
+            if destinations.size and (destinations != 0).any():
+                raise ValueError("sequential exchange cannot route to other PEs")
+            return tuple(c.copy() for c in columns)
+        rows = [np.flatnonzero(destinations == r) for r in range(comm.size)]
+        # A rank outside [0, p) matches no mask, so its row is in no payload.
+        if sum(r.size for r in rows) != destinations.size:
+            raise ValueError("destination rank out of range")
+        refusal = None
+        payloads = [tuple(c[r] for c in columns) for r in rows]
+    except (TypeError, ValueError) as exc:
+        if comm is None:
+            raise
+        refusal = exc
+        payloads = [exc] * comm.size
     received = comm.alltoall(payloads)
+    if refusal is not None:
+        raise refusal
+    for src, got in enumerate(received):
+        if isinstance(got, Exception):
+            raise type(got)(f"PE {src} refused the exchange: {got}")
     return tuple(np.concatenate(parts) for parts in zip(*received))

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.groupby_checker import default_partitioner
 from repro.core.median_checker import MedianCertificate
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.exchange import exchange_by_destination, global_offset
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 
@@ -58,8 +58,8 @@ class MedianResult:
 
 def average_by_key(comm, keys, values, partitioner=None) -> AverageResult:
     """Per-key averages via the (value, count)-pair trick of §6.1."""
-    keys = _coerce_keys(keys)
-    values = _coerce_values(values)
+    keys = domain.words(keys)
+    values = domain.values(values)
     sk, sums = reduce_by_key(comm, keys, values, partitioner)
     ck, counts = reduce_by_key(
         comm, keys, np.ones(keys.size, dtype=np.int64), partitioner
@@ -71,8 +71,8 @@ def average_by_key(comm, keys, values, partitioner=None) -> AverageResult:
 
 
 def _extremum_by_key(comm, keys, values, sign: int, partitioner=None) -> MinMaxResult:
-    keys = _coerce_keys(keys)
-    values = sign * _coerce_values(values)
+    keys = domain.words(keys)
+    values = sign * domain.values(values)
     rank = comm.rank if comm is not None else 0
 
     # Local extremum per key, tagged with this PE as candidate owner.
@@ -125,13 +125,13 @@ def median_by_key(comm, keys, values, uids=None, partitioner=None) -> MedianResu
     uids default to global element indices — a total order on occurrences,
     which is all the tie-breaking scheme of §6.3 needs.
     """
-    keys = _coerce_keys(keys)
-    values = _coerce_values(values)
+    keys = domain.words(keys)
+    values = domain.values(values)
     if uids is None:
         offset = global_offset(comm, int(keys.size))
         uids = offset + np.arange(keys.size, dtype=np.int64)
     else:
-        uids = _coerce_values(uids)
+        uids = domain.values(uids)
 
     if comm is not None and comm.size > 1:
         if partitioner is None:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.groupby_checker import default_partitioner
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.exchange import exchange_by_destination
 
 
@@ -30,8 +30,8 @@ def group_by_key(
     ``(keys, values)`` — the data the invasive checker (Corollary 14)
     verifies.
     """
-    keys = _coerce_keys(keys)
-    values = _coerce_values(values)
+    keys = domain.words(keys)
+    values = domain.values(values)
     if comm is None or comm.size == 1:
         rk, rv = keys.copy(), values.copy()
     else:

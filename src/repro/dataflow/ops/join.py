@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.groupby_checker import default_partitioner
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.exchange import exchange_by_destination
 
 
@@ -63,10 +63,10 @@ def hash_join(
     partitioner=None,
 ) -> JoinExchange:
     """Equi-join R ⋈ S on keys; returns this PE's joined rows + exchanges."""
-    rk = _coerce_keys(r_kv[0])
-    rv = _coerce_values(r_kv[1])
-    sk = _coerce_keys(s_kv[0])
-    sv = _coerce_values(s_kv[1])
+    rk = domain.words(r_kv[0])
+    rv = domain.values(r_kv[1])
+    sk = domain.words(s_kv[0])
+    sv = domain.values(s_kv[1])
     if comm is None or comm.size == 1:
         jk, jr, js = _local_join(rk, rv, sk, sv)
         return JoinExchange(jk, jr, js, (rk, rv), (sk, sv))

@@ -14,18 +14,19 @@ partial sums are combined at their home PE, where the p sorted runs
 received are merged by the same stable sort.  The result is
 *distributed*: each key lives at exactly one PE.  Keys and values must
 be integers, as the checkers require: they are read through the
-checkers' coercion (``repro.core.sum_checker``), so a column of any
-other kind raises ``TypeError`` naming its dtype where a cast would
+input domain (``repro.core.domain``), so a column of any other kind
+raises ``TypeError`` naming its dtype where a cast would
 truncate float keys into one another and read bools as 0/1.  The dtype
-alone decides, an empty column's too, so every PE raises together.
+alone decides, an empty column's too, so PEs that pass one dtype raise
+together.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.groupby_checker import default_partitioner
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.dataflow.exchange import exchange_by_destination
 
 
@@ -36,8 +37,8 @@ def local_aggregate(
 
     The result never shares memory with the input.
     """
-    keys = _coerce_keys(keys)
-    values = _coerce_values(values)
+    keys = domain.words(keys)
+    values = domain.values(values)
     if keys.size != values.size:
         raise ValueError(
             f"keys and values differ in length: {keys.size} vs {values.size}"
@@ -48,7 +49,11 @@ def local_aggregate(
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
     sv = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
+    distinct = sk[1:] != sk[:-1]
+    # Unique keys are their own runs: the fresh gathers are the result.
+    if distinct.all():
+        return sk, sv
+    starts = np.flatnonzero(np.concatenate(([True], distinct)))
     return sk[starts], np.add.reduceat(sv, starts)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sum_checker import _coerce_keys, _coerce_values
+from repro.core import domain
 from repro.dataflow.exchange import exchange_by_destination
 from repro.dataflow.ops.join import JoinExchange, _local_join
 
@@ -40,10 +40,10 @@ def sort_merge_join(
     s_kv: tuple[np.ndarray, np.ndarray],
 ) -> JoinExchange:
     """Equi-join via range partitioning + local sorted-run join."""
-    rk = _coerce_keys(r_kv[0])
-    rv = _coerce_values(r_kv[1])
-    sk = _coerce_keys(s_kv[0])
-    sv = _coerce_values(s_kv[1])
+    rk = domain.words(r_kv[0])
+    rv = domain.values(r_kv[1])
+    sk = domain.words(s_kv[0])
+    sv = domain.values(s_kv[1])
     if comm is None or comm.size == 1:
         jk, jr, js = _local_join(rk, rv, sk, sv)
         return JoinExchange(jk, jr, js, (rk, rv), (sk, sv))

@@ -27,22 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.base import CheckResult
 from repro.core.multiseed import (
     CondensedKV,
     MultiSeedSumChecker,
-    _coerce_seeds,
     _pairs_condensed,
     condense_kv,
 )
 from repro.core.groupby_checker import encode_records, records_placed
 from repro.core.params import SumCheckConfig
 from repro.core.permutation_checker import check_permutation_hashsum
-from repro.core.sort_checker import (
-    check_globally_sorted,
-    check_sort,
-    require_same_signedness,
-)
+from repro.core.sort_checker import check_globally_sorted, check_sort
 from repro.core.zip_checker import check_zip
 from repro.dataflow.exchange import global_offsets
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
@@ -221,7 +217,7 @@ class AdaptiveCheckPolicy:
                 )
             self.num_escalation_seeds = int(self.escalation_seeds)
         else:
-            _coerce_seeds(self.escalation_seeds)
+            domain.seeds(self.escalation_seeds)
             self._explicit_seeds = np.atleast_1d(
                 np.asarray(self.escalation_seeds)
             )
@@ -434,7 +430,7 @@ def adaptive_permutation_check(
     # Derive only from a validated root: a bool or out-of-range seed is
     # refused here as it is without a seed path.
     primary_seed = (
-        derive_seed_array(_coerce_seeds(seed), *seed_path)
+        derive_seed_array(domain.seeds(seed), *seed_path)
         if seed_path
         else seed
     )
@@ -511,7 +507,7 @@ def adaptive_sort_check(
     Signed and unsigned integer sides raise ``TypeError``, as in
     :func:`~repro.core.sort_checker.check_sort`.
     """
-    require_same_signedness([e_values], o_values, "adaptive_sort_check")
+    domain.ordered(o_values, [e_values], "adaptive_sort_check")
     sortedness = check_globally_sorted(o_values, comm=comm)
     return adaptive_permutation_check(
         e_values,

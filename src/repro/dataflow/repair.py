@@ -42,11 +42,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.comm import ops
+from repro.core import domain
 from repro.core.base import CheckResult
 from repro.core.localize import FaultReport
 from repro.core.multiseed import MultiSeedSumChecker, condense_kv
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.core.zip_checker import check_zip
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
@@ -154,8 +154,8 @@ def _range_mask(keys: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
 def _gather_chunks(chunks, coerce) -> np.ndarray:
     """Concatenate ``chunks``, each read through ``coerce``.
 
-    ``coerce`` is :func:`~repro.core.sum_checker._coerce_keys` or
-    :func:`~repro.core.sum_checker._coerce_values`, so a chunk the settle
+    ``coerce`` is :func:`~repro.core.domain.words` or
+    :func:`~repro.core.domain.values`, so a chunk the settle
     refuses (float keys or values, say) raises the same ``TypeError``
     here, and an empty iterable gives an empty column of ``coerce``'s
     dtype.
@@ -241,8 +241,8 @@ def _patched_output(
     """
     sel = _range_mask(keys, ranges)
     new_k, new_v = recompute(comm, keys[sel], values[sel], partitioner)
-    old_k = _coerce_keys(old_output[0])
-    old_v = _coerce_values(old_output[1])
+    old_k = domain.words(old_output[0])
+    old_v = domain.values(old_output[1])
     keep = ~_range_mask(old_k, ranges)
     pk = np.concatenate([old_k[keep], new_k])
     pv = np.concatenate([old_v[keep], new_v])
@@ -291,8 +291,8 @@ def repair_reduce_window(
     verdicts: list[CheckResult] = []
     for attempt in range(policy.max_attempts):
         pairs = list(reexecute(window, ranges))
-        keys = _gather_chunks([k for k, _ in pairs], _coerce_keys)
-        values = _gather_chunks([v for _, v in pairs], _coerce_values)
+        keys = _gather_chunks([k for k, _ in pairs], domain.words)
+        values = _gather_chunks([v for _, v in pairs], domain.values)
         use_partial = (
             policy.partial
             and bool(ranges)
@@ -351,7 +351,7 @@ def repair_sum_window(
     t0 = time.perf_counter()
     verdicts: list[CheckResult] = []
     for attempt in range(policy.max_attempts):
-        values = _gather_chunks(reexecute(window, []), _coerce_values)
+        values = _gather_chunks(reexecute(window, []), domain.values)
         if recompute is not None:
             total = int(recompute(comm, values))
         else:
@@ -375,38 +375,6 @@ def repair_sum_window(
         if verdict.accepted:
             break
     return _outcome(window, verdicts, total, t0)
-
-
-def _gather_zip_chunks(chunks) -> np.ndarray:
-    """Concatenate one side of a zip window's chunks, every value exact.
-
-    Chunks that share one dtype concatenate as they are.  Integer chunks
-    whose common numpy type is a float (int64 next to uint64) would lose
-    their low bits there, so each chunk is coerced on its own: to int64
-    when every value fits in it, else to its 64-bit two's-complement
-    word (a negative int64 then comes back as a uint64 above 2**63).
-    Either way each value hashes to the uint64 word the zip fingerprint
-    reads, so the verdicts do not depend on the choice.
-    """
-    parts = [np.asarray(c).ravel() for c in chunks]
-    parts = [p for p in parts if p.size]
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    kinds = {p.dtype.kind for p in parts}
-    if (
-        kinds <= {"i", "u"}
-        and np.result_type(*{p.dtype for p in parts}).kind == "f"
-    ):
-        if all(p.dtype.kind == "i" or int(p.max()) < 1 << 63 for p in parts):
-            parts = [p.astype(np.int64) for p in parts]
-        else:
-            parts = [
-                p.astype(np.int64).view(np.uint64)
-                if p.dtype.kind == "i"
-                else p.astype(np.uint64)
-                for p in parts
-            ]
-    return np.concatenate(parts)
 
 
 def repair_zip_window(
@@ -434,8 +402,8 @@ def repair_zip_window(
     verdicts: list[CheckResult] = []
     for attempt in range(policy.max_attempts):
         chunks1, chunks2 = reexecute(window, [])
-        s1 = _gather_zip_chunks(chunks1)
-        s2 = _gather_zip_chunks(chunks2)
+        s1 = domain.concat(chunks1)
+        s2 = domain.concat(chunks2)
         if recompute is not None:
             first, second, (off1, off2) = recompute(comm, s1, s2)
         else:

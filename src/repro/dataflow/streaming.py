@@ -53,11 +53,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.comm import ops
+from repro.core import domain
 from repro.core.base import CheckResult
 from repro.core.localize import FaultReport, localize_fault
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
-from repro.core.sum_checker import _coerce_keys, _coerce_values
 from repro.core.zip_checker import check_zip
 from repro.dataflow.ops.reduce_by_key import local_aggregate, reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
@@ -72,7 +72,6 @@ from repro.dataflow.repair import (
     QuarantinedWindow,
     RepairPolicy,
     _gather_chunks,
-    _gather_zip_chunks,
     _global_sum,
     _total_side,
     repair_reduce_window,
@@ -637,8 +636,8 @@ def settle_reduce_window(
     seed_w, primary = _window_primary(config, seed_w, window, checkers)
     t1 = time.perf_counter()
     merged_k, merged_v = local_aggregate(
-        _gather_chunks([k for k, _ in parts], _coerce_keys),
-        _gather_chunks([v for _, v in parts], _coerce_values),
+        _gather_chunks([k for k, _ in parts], domain.words),
+        _gather_chunks([v for _, v in parts], domain.values),
     )
     out_k, out_v = _operation(comm, merged_k, merged_v, partitioner)
     t2 = time.perf_counter()
@@ -718,7 +717,7 @@ def settle_sum_window(
     t0 = time.perf_counter()
     # The operation's own copy: the black box never touches the chunks
     # the checker reads.
-    values = _gather_chunks(chunks, _coerce_values)
+    values = _gather_chunks(chunks, domain.values)
     c0 = time.perf_counter()
     seed_w, primary = _window_primary(config, seed_w, window, checkers)
     checker_s = time.perf_counter() - c0
@@ -787,8 +786,8 @@ def settle_zip_window(
     fingerprinting the original inputs.
     """
     t0 = time.perf_counter()
-    w1 = _gather_zip_chunks(window1)
-    w2 = _gather_zip_chunks(window2)
+    w1 = domain.concat(window1)
+    w2 = domain.concat(window2)
 
     def _operation(comm_, s1, s2):
         first, second, offs = zip_arrays(comm_, s1, s2, return_offsets=True)

@@ -2,7 +2,8 @@
 
 A window engine adapts one checked operation to the daemon's push-based
 worker loop: it validates incoming chunks *before* they enter a window
-(malformed chunks become :class:`~repro.service.tenant.PoisonRecord`
+(malformed chunks, and columns outside the core's input domain,
+:mod:`repro.core.domain`, become :class:`~repro.service.tenant.PoisonRecord`
 captures, never crashes), counts elements for the accounting, and runs
 one window settlement by delegating to the shared
 ``repro.dataflow.streaming.settle_*_window`` engines — the exact code
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import domain
 from repro.core.params import SumCheckConfig
 from repro.dataflow.streaming import (
     _WindowCheckers,
@@ -55,22 +57,19 @@ class PoisonChunkError(ValueError):
     """A submitted chunk that cannot enter a checked window."""
 
 
-def _as_int_array(part, what: str) -> np.ndarray:
+def _column(part, read, what: str) -> np.ndarray:
+    """A fresh copy of one 1-d chunk column as the core's domain ``read``
+    (:mod:`repro.core.domain`) reads it; anything it refuses is poison."""
     try:
         arr = np.asarray(part)
     except Exception as exc:  # noqa: BLE001 - poison capture boundary
         raise PoisonChunkError(f"{what}: not array-like ({exc})") from exc
-    if arr.dtype == object or arr.dtype.kind not in "iuf":
-        raise PoisonChunkError(f"{what}: non-numeric dtype {arr.dtype}")
-    if arr.dtype.kind == "f":
-        if not np.all(np.isfinite(arr)):
-            raise PoisonChunkError(f"{what}: non-finite values")
-        if not np.all(arr == np.trunc(arr)):
-            raise PoisonChunkError(f"{what}: non-integral floats")
-        arr = arr.astype(np.int64)
     if arr.ndim != 1:
         raise PoisonChunkError(f"{what}: expected 1-d array, got {arr.ndim}-d")
-    return arr
+    try:
+        return read(arr).copy()
+    except TypeError as exc:
+        raise PoisonChunkError(f"{what}: {exc}") from exc
 
 
 def _as_pair(chunk, what: str):
@@ -132,16 +131,14 @@ class ReduceWindowEngine(_SumFamilyEngine):
 
     def validate(self, chunk):
         keys, values = _as_pair(chunk, "reduce_by_key chunk")
-        k = _as_int_array(keys, "reduce_by_key keys")
-        v = _as_int_array(values, "reduce_by_key values")
+        k = _column(keys, domain.words, "reduce_by_key keys")
+        v = _column(values, domain.values, "reduce_by_key values")
         if k.shape != v.shape:
             raise PoisonChunkError(
                 f"reduce_by_key chunk: keys/values length mismatch "
                 f"({k.size} != {v.size})"
             )
-        if k.size and int(k.min()) < 0:
-            raise PoisonChunkError("reduce_by_key chunk: negative key")
-        return (k.astype(np.uint64), v.astype(np.int64))
+        return (k, v)
 
     def elements(self, chunk) -> int:
         return int(chunk[0].size)
@@ -168,17 +165,15 @@ class CountWindowEngine(ReduceWindowEngine):
     op = "count_by_key"
 
     def validate(self, chunk):
-        k = _as_int_array(chunk, "count_by_key keys")
-        if k.size and int(k.min()) < 0:
-            raise PoisonChunkError("count_by_key chunk: negative key")
-        return (k.astype(np.uint64), np.ones(k.shape, dtype=np.int64))
+        k = _column(chunk, domain.words, "count_by_key keys")
+        return (k, np.ones(k.shape, dtype=np.int64))
 
 
 class SumWindowEngine(_SumFamilyEngine):
     op = "sum"
 
     def validate(self, chunk):
-        return _as_int_array(chunk, "sum chunk").astype(np.int64)
+        return _column(chunk, domain.values, "sum chunk")
 
     def elements(self, chunk) -> int:
         return int(chunk.size)
@@ -204,9 +199,12 @@ class ZipWindowEngine(WindowEngine):
 
     def validate(self, chunk):
         first, second = _as_pair(chunk, "zip chunk")
-        a = _as_int_array(first, "zip first")
-        b = _as_int_array(second, "zip second")
-        return (a.astype(np.int64), b.astype(np.int64))
+        # int64 columns, each the two's complement of the words the zip
+        # check reads (domain.values reads uint64 as those words).
+        return (
+            _column(first, domain.values, "zip first"),
+            _column(second, domain.values, "zip second"),
+        )
 
     def elements(self, chunk) -> int:
         return int(chunk[0].size) + int(chunk[1].size)

@@ -21,7 +21,6 @@ from repro.util.bits import (
     popcount64,
 )
 from repro.util.validation import (
-    check_integer_array,
     check_positive,
     check_probability,
     require,
@@ -38,7 +37,6 @@ __all__ = [
     "is_power_of_two",
     "mask",
     "popcount64",
-    "check_integer_array",
     "check_positive",
     "check_probability",
     "require",

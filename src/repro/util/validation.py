@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def require(condition: bool, message: str) -> None:
     """Raise ``ValueError(message)`` unless ``condition`` holds."""
@@ -22,10 +20,3 @@ def check_probability(name: str, value: float) -> None:
     if not (0.0 < value < 1.0):
         raise ValueError(f"{name} must be in the open interval (0, 1), got {value!r}")
 
-
-def check_integer_array(name: str, arr: np.ndarray) -> np.ndarray:
-    """Coerce to a numpy array and require an integer dtype."""
-    arr = np.asarray(arr)
-    if arr.dtype.kind not in ("i", "u"):
-        raise TypeError(f"{name} must be an integer array, got dtype {arr.dtype}")
-    return arr

@@ -312,7 +312,7 @@ class TestZipChecker:
         Both pairs are fingerprinted: ``first`` differs from S1 in one
         word, and ``second`` has S2's words at another offset.
         """
-        from repro.core.multiseed import _coerce_seeds
+        from repro.core import domain
         from repro.core.zip_checker import _column_pairs, _local_words
         from repro.util.rng import derive_seed
 
@@ -321,7 +321,7 @@ class TestZipChecker:
         first[0] += 1
         columns = [s1, first, s2, s2]
         words = _local_words(
-            columns, _column_pairs(columns, (3, 5, 3)), _coerce_seeds(seeds), 2
+            columns, _column_pairs(columns, (3, 5, 3)), domain.seeds(seeds), 2
         )
         for t, root in enumerate(np.atleast_1d(seeds)):
             lane1 = derive_seed(int(root), "lane1")
@@ -339,7 +339,7 @@ class TestZipChecker:
         """An input and its output column at one offset with equal words
         leave their fingerprint words at 0, even across int64/uint64."""
         from repro.core import zip_checker
-        from repro.core.multiseed import _coerce_seeds
+        from repro.core import domain
 
         s1, s2 = self._data()
         signed = s2.astype(np.int64) - (1 << 31)
@@ -352,7 +352,7 @@ class TestZipChecker:
 
         monkeypatch.setattr(zip_checker, "_fingerprints", counting)
         columns = [s1, s1.copy(), signed, signed.view(np.uint64)]
-        roots = _coerce_seeds(ZIP_SEEDS)
+        roots = domain.seeds(ZIP_SEEDS)
         pairs = zip_checker._column_pairs(columns, (3, 3, 3))
         words = zip_checker._local_words(columns, pairs, roots, 2)
         assert hashed == []
@@ -668,7 +668,7 @@ class TestZipOracle:
         [(1, "like"), (2, "like"), (2, "unlike"), (3, "like"), (3, "unlike")],
     )
     def test_matches_reference(self, p, layout, dtype, kind):
-        from repro.core.multiseed import _coerce_seeds
+        from repro.core import domain
         from repro.dataflow.ops.zip_op import zip_arrays
 
         s1, s2 = self._inputs(dtype)
@@ -689,7 +689,7 @@ class TestZipOracle:
             out = []
             for seed in (5, ZIP_SEEDS[:4]):
                 reference = _reference_zip(
-                    comm, a, b, f, s, _coerce_seeds(seed), 2
+                    comm, a, b, f, s, domain.seeds(seed), 2
                 )
                 for offsets in (None, (off1, off2, off1)):
                     result = check_zip(

@@ -126,8 +126,12 @@ class TestExchange:
                     comm, np.array([0.0, 1.7, 1.2, 0.9]), np.arange(4)
                 )
             )
-        # An empty destination list carries no rank to misread.
-        assert exchange_by_destination(None, [], np.zeros(0))[0].size == 0
+        # The dtype decides for an empty array too (an empty list reads as
+        # float64), so a PE without rows refuses with its peers.
+        with pytest.raises(TypeError, match="float64"):
+            exchange_by_destination(None, [], np.zeros(0))
+        empty = np.zeros(0, dtype=np.int64)
+        assert exchange_by_destination(None, empty, np.zeros(0))[0].size == 0
 
     def test_out_of_range_destination_rejected(self):
         ctx = Context(2)
@@ -275,9 +279,13 @@ class TestLocalAggregate:
         assert np.array_equal(lk, rk) and np.array_equal(lv, rv)
 
     @pytest.mark.parametrize(
-        "layout", ["increasing", "duplicates", "reversed", "signed", "empty"]
+        "layout",
+        ["increasing", "duplicates", "reversed", "shuffled", "zipf", "signed",
+         "empty"],
     )
     def test_layouts_match_reference_and_own_their_output(self, layout):
+        """Every layout equals the sort-and-``reduceat`` reference; unsorted
+        unique keys (``reversed``, ``shuffled``) skip the segment sum."""
         rng = np.random.default_rng(11)
         base = np.unique(
             rng.integers(0, 2**64 - 1, 400, dtype=np.uint64, endpoint=True)
@@ -286,6 +294,8 @@ class TestLocalAggregate:
             "increasing": base,
             "duplicates": np.sort(np.repeat(base, 3)),
             "reversed": base[::-1],
+            "shuffled": np.random.default_rng(12).permutation(base),
+            "zipf": np.random.default_rng(13).zipf(1.3, 2000).astype(np.uint64),
             # Increasing as int64, not as the uint64 words aggregated.
             "signed": np.array([-5, -1, 0, 3], dtype=np.int64),
             "empty": base[:0],

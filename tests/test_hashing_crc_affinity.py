@@ -86,6 +86,19 @@ class TestAffinityIdentity:
             consts.ravel(), crc32c_seed_constants(seeds.ravel(), 8)
         )
 
+    @pytest.mark.parametrize("nbytes", [4, 8])
+    def test_one_seed_matches_array_path(self, nbytes):
+        """A fold's block asks for one seed's constant, computed on
+        Python ints: it equals the array path's, as a uint64."""
+        seeds = np.random.default_rng(7).integers(
+            0, 2**64, 200, dtype=np.uint64
+        )
+        want = crc32c_seed_constants(seeds, nbytes).tolist()
+        for convert in (np.uint64, int):
+            got = [crc32c_seed_constants(convert(s), nbytes) for s in seeds]
+            assert all(type(c) is np.uint64 for c in got)
+            assert [int(c) for c in got] == want
+
     @pytest.mark.parametrize("family", ["CRC", "CRC4"])
     def test_family_hasher_lanes_match_instances(self, family, rng):
         fam = get_family(family)

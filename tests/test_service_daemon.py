@@ -141,8 +141,8 @@ class TestPoisonIsolation:
             h.submit((k, np.ones(7, dtype=np.int64)))  # length mismatch
             h.submit((k,))  # not a pair
             h.submit(
-                (np.arange(8, dtype=np.int64) - 4, np.ones(8, dtype=np.int64))
-            )  # negative keys
+                (np.arange(8, dtype=np.float64), np.ones(8, dtype=np.int64))
+            )  # float keys
             h.submit((k, np.ones(8, dtype=np.int64)))  # fine
             h.close()
             assert svc.drain(timeout=60)
