@@ -8,8 +8,8 @@ Three sections, all written to ``BENCH_crc_affinity.json``:
    what the sum checker folds — once over the affinity form
    (``crc_s(x) = crc_0(x) ⊕ c(s)`` — ONE table-lookup pass total) and
    once through a CRC family clone without a lane kernel (one CRC pass
-   per seed and key block, through ``hash_lanes``' batch-kernel
-   fallback).  Outputs are asserted bit-identical.
+   per seed and key block, through the tiled batch-kernel loop of
+   :func:`~conftest.tiled_lanes`).  Outputs are asserted bit-identical.
 2. **Checker level**: ``MultiSeedSumChecker`` end-to-end on the CRC
    config against a loop of ``T`` reference folds
    (:func:`~repro.core.sum_checker.reference_tables`), for continuity
@@ -29,14 +29,21 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import best_of, run_once, seed_rows, smoke_mode, write_artifact
+from conftest import (
+    best_of,
+    kernel_less_clone,
+    run_once,
+    seed_rows,
+    smoke_mode,
+    write_artifact,
+)
 
 from repro.core.average_checker import check_average_aggregation
 from repro.core.median_checker import check_median_aggregation
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
 from repro.core.sum_checker import reference_tables
-from repro.hashing.families import HashFamily, _CRCHash, _crc_batch_kernel, get_family
+from repro.hashing.families import get_family
 from repro.util.rng import derive_seed, derive_seed_array
 from repro.workloads.kv import aggregate_reference, sum_workload
 
@@ -47,13 +54,7 @@ _CONFIG = "8x16 CRC m15"
 
 #: The pre-affinity execution path: same CRC batch kernel, no multiseed
 #: kernel, so every seed hashes every key block with a CRC pass of its own.
-_CRC_PLAIN = HashFamily(
-    "CRCplain",
-    _CRCHash,
-    32,
-    "CRC-32C without the affinity kernel (per-seed baseline)",
-    batch_kernel=_crc_batch_kernel(8),
-)
+_CRC_PLAIN = kernel_less_clone("CRC")
 
 
 def _consume_rows(family, cfg, seeds, keys):

@@ -4,11 +4,11 @@ The Tab/Tab64 analog of ``bench_crc_affinity.py``.  Three sections, all
 written to ``BENCH_tab_lanes.json``:
 
 1. **Lane level** (the ≥3× gate, for Tab AND Tab64): the full
-   ``T = 32`` lane matrix over a 10^6-element workload's unique keys
-   through :func:`hash_lanes`, once with the stacked lane hasher (byte
+   ``T = 32`` lane matrix over a 10^6-element workload's unique keys,
+   once through ``LaneHasher.lanes`` of the stacked lane hasher (byte
    indices extracted once as uint8 rows, ``num_tables`` gathers per
-   seed) and once through a family clone without a multiseed kernel (the
-   chunked tiled fallback — one byte-extraction + gather pass *per
+   seed) and once through :func:`~conftest.tiled_lanes` (the chunked
+   tiled batch-kernel loop — one byte-extraction + gather pass *per
    seed*, the per-seed kernel path).  Outputs are asserted bit-identical.
 2. **Bucket-row level**: the same comparison through
    :func:`~repro.core.multiseed.seed_bucket_rows` on the Tab64 checker
@@ -16,10 +16,10 @@ written to ``BENCH_tab_lanes.json``:
    ``MultiSeedSumChecker.local_tables`` folds, one seed at a time.
 3. **Fused rows** (the ≥1.3× gate for Tab64, Tab reported): those rows,
    hashed and sliced into bucket fields in 2^16-key blocks, against
-   lanes-then-extract — a seed's whole lane through :func:`hash_lanes`,
+   lanes-then-extract — a seed's whole lane through ``LaneHasher.lanes``,
    then one extraction pass per bit group over it.
 4. **Mix row** (reported, not gated): the Mix lane hasher against the
-   tiled fallback.
+   tiled batch-kernel loop.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks everything and skips the artifact/gate.
 """
@@ -31,11 +31,19 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import best_of, run_once, seed_rows, smoke_mode, write_artifact
+from conftest import (
+    best_of,
+    kernel_less_clone,
+    run_once,
+    seed_rows,
+    smoke_mode,
+    tiled_lanes,
+    write_artifact,
+)
 
 from repro.core.params import SumCheckConfig
 from repro.hashing.bitgroups import evaluation_seeds
-from repro.hashing.families import HashFamily, get_family, hash_lanes
+from repro.hashing.families import get_family
 from repro.util.bits import ceil_log2
 from repro.util.rng import derive_seed, derive_seed_array
 from repro.workloads.kv import sum_workload
@@ -48,38 +56,24 @@ _GATED = ("Tab", "Tab64")
 _CONFIG = "8x16 Tab64 m15"
 
 
-def _plain_clone(name: str) -> HashFamily:
-    """The pre-stacked execution path: same batch kernel, no lane hasher,
-    so every consumer pays one hash pass per seed."""
-    src = get_family(name)
-    return HashFamily(
-        name + "plain",
-        src._factory,
-        src.bits,
-        f"{name} without the lane kernel (per-seed baseline)",
-        batch_kernel=src._batch_kernel,
-    )
-
-
 def _lane_cell(name: str, seeds, keys, benchmark=None) -> dict:
     fam = get_family(name)
-    plain = _plain_clone(name)
+
+    def stacked_lanes():
+        return fam.multiseed_hasher(keys).lanes(seeds)
 
     # Equivalence gate: stacked lanes are bit-identical to the per-seed
     # kernel lanes (doubles as warm-up for both paths).
-    stacked = hash_lanes(fam, seeds, keys)
-    assert np.array_equal(stacked, hash_lanes(plain, seeds, keys)), name
+    stacked = stacked_lanes()
+    assert np.array_equal(stacked, tiled_lanes(fam, seeds, keys)), name
 
-    plain_s = best_of(lambda: hash_lanes(plain, seeds, keys), 2)
+    plain_s = best_of(lambda: tiled_lanes(fam, seeds, keys), 2)
     if benchmark is not None:
         t0 = time.perf_counter()
-        run_once(benchmark, lambda: hash_lanes(fam, seeds, keys))
-        stacked_s = min(
-            time.perf_counter() - t0,
-            best_of(lambda: hash_lanes(fam, seeds, keys), 2),
-        )
+        run_once(benchmark, stacked_lanes)
+        stacked_s = min(time.perf_counter() - t0, best_of(stacked_lanes, 2))
     else:
-        stacked_s = best_of(lambda: hash_lanes(fam, seeds, keys), 3)
+        stacked_s = best_of(stacked_lanes, 3)
     lane_elems = seeds.size * keys.size
     return {
         "section": "lanes",
@@ -97,7 +91,7 @@ def _lane_cell(name: str, seeds, keys, benchmark=None) -> dict:
 def _lanes_then_extract(family, cfg: SumCheckConfig, seeds, keys):
     """The unfused reference for :func:`~conftest.seed_rows`
     (power-of-two ``d``): per seed and evaluation, the whole lane through
-    :func:`hash_lanes`, then one shift-mask-cast pass over it per bit
+    ``hasher.lanes``, then one shift-mask-cast pass over it per bit
     group, into the same kind of reused buffer."""
     hasher = family.multiseed_hasher(keys)
     eval_seeds = evaluation_seeds(family, cfg.d, cfg.iterations, seeds)
@@ -107,7 +101,7 @@ def _lanes_then_extract(family, cfg: SumCheckConfig, seeds, keys):
     rows = np.empty((cfg.iterations, keys.size), dtype=np.intp)
     for t in range(seeds.size):
         for e, fn_seed in enumerate(eval_seeds[:, t : t + 1]):
-            h = hash_lanes(family, fn_seed, keys, hasher)[0]
+            h = hasher.lanes(fn_seed)[0]
             first = e * groups_per_eval
             for g in range(min(groups_per_eval, cfg.iterations - first)):
                 rows[first + g] = (
@@ -125,7 +119,7 @@ def _consume(rows_of, family, cfg, seeds, keys):
 
 def _bucket_cell(cfg: SumCheckConfig, seeds, keys) -> dict:
     fam = get_family(cfg.hash_family)
-    plain = _plain_clone(cfg.hash_family)
+    plain = kernel_less_clone(cfg.hash_family)
     args = (cfg, seeds, keys)
 
     for t, (rows_a, rows_p) in enumerate(

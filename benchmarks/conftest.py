@@ -87,8 +87,8 @@ def run_once(benchmark, fn):
 
 def seed_rows(family, cfg, seeds, keys):
     """Each seed's ``(iterations, k)`` bucket rows in turn, over one
-    prepared form of ``keys`` (None without a lane kernel), in one
-    reused buffer as the sum checker's fold keeps them.
+    prepared form of ``keys``, in one reused buffer as the sum checker's
+    fold keeps them.
 
     The rows the CRC and Tab lane benches time.  ``repro`` is imported
     here, not at module level: this conftest also loads for
@@ -107,6 +107,63 @@ def seed_rows(family, cfg, seeds, keys):
             family, hasher, keys, eval_seeds[:, t], cfg.d, cfg.iterations,
             out=rows,
         )
+
+
+#: Seed-tiled elements per batch-kernel pass of :func:`tiled_lanes`;
+#: bounds its peak scratch (tiled keys + owner + output block) instead of
+#: materializing all ``len(seeds) × len(keys)`` tiled keys at once.
+_TILED_CHUNK_ELEMENTS = 1 << 20
+
+
+def tiled_lanes(family, seeds, keys):
+    """Lane matrix ``out[t] = family.instance(seeds[t]).hash_array(keys)``
+    through the family's batch kernel, with no prepared form.
+
+    The per-seed baseline of the lane benches: the keys are tiled once
+    per seed and hashed by the family's ``hash_array_batch`` under an
+    owner array, in seed tiles of at most :data:`_TILED_CHUNK_ELEMENTS`
+    tiled keys, so every seed pays its own pass over the keys.
+    """
+    import numpy as np
+
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    keys = np.asarray(keys, dtype=np.uint64).ravel()
+    out = np.empty((seeds.size, keys.size), dtype=np.uint64)
+    per_block = max(1, _TILED_CHUNK_ELEMENTS // max(keys.size, 1))
+    for start in range(0, seeds.size, per_block):
+        count = min(per_block, seeds.size - start)
+        owner = np.repeat(np.arange(count, dtype=np.intp), keys.size)
+        out[start : start + count] = family.hash_array_batch(
+            seeds[start : start + count], owner, np.tile(keys, count)
+        ).reshape(count, keys.size)
+    return out
+
+
+def kernel_less_clone(name):
+    """Family ``name`` with its batch kernel but without its prepared
+    form: each seed and key block of :func:`seed_rows` runs
+    :func:`tiled_lanes` over that block, the per-seed baseline the lane
+    benches gate against."""
+    from repro.hashing.families import HashFamily, LaneHasher, get_family
+
+    src = get_family(name)
+
+    class TiledLaneHasher(LaneHasher):
+        def __init__(self, keys):
+            self._keys = keys
+            self.num_keys = keys.size
+
+        def hash_into(self, seed, start, end, out, scratch):
+            out[:] = tiled_lanes(src, [seed], self._keys[start:end])[0]
+
+    return HashFamily(
+        name + "plain",
+        src._factory,
+        src.bits,
+        f"{name} without its prepared form (per-seed baseline)",
+        batch_kernel=src._batch_kernel,
+        multiseed_kernel=TiledLaneHasher,
+    )
 
 
 def best_of(fn, repeats):

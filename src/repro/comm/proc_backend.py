@@ -109,13 +109,18 @@ class _Ring:
 
 
 class _Backoff:
-    """Escalating poll backoff: spin briefly, then yield, then sleep."""
+    """Escalating poll backoff: spin briefly, then yield, then sleep.
 
-    __slots__ = ("_spins", "_deadline", "_what")
+    The deadline is :data:`_OP_TIMEOUT` read when the wait starts, so a
+    value patched after import holds.
+    """
 
-    def __init__(self, what: str, timeout: float = _OP_TIMEOUT):
+    __slots__ = ("_spins", "_timeout", "_deadline", "_what")
+
+    def __init__(self, what: str):
         self._spins = 0
-        self._deadline = time.monotonic() + timeout
+        self._timeout = _OP_TIMEOUT
+        self._deadline = time.monotonic() + self._timeout
         self._what = what
 
     def wait(self) -> None:
@@ -124,7 +129,7 @@ class _Backoff:
             return
         if time.monotonic() > self._deadline:
             raise TimeoutError(
-                f"shared-memory ring stalled for {_OP_TIMEOUT:.0f}s while "
+                f"shared-memory ring stalled for {self._timeout:g}s while "
                 f"{self._what} (likely deadlock in the SPMD program)"
             )
         time.sleep(0 if self._spins < 2000 else 0.0002)

@@ -237,7 +237,7 @@ def seed_bucket_rows(
     # Every field is below 2**width (or d), so its uint64 word is its
     # intp index: write through a uint64 view and skip a casting pass.
     words = rows.view(np.uint64)
-    for e, start, end, h in iter_hash_blocks(family, hasher, keys, eval_seeds):
+    for e, start, end, h in iter_hash_blocks(hasher, keys, eval_seeds):
         if not pow2:
             np.remainder(h, np.uint64(d), out=words[e, start:end])
             continue

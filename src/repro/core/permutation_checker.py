@@ -190,7 +190,7 @@ class MultiSeedHashSumChecker:
         for keys, counts in condensed:
             hasher = self._family.multiseed_hasher(keys)
             for i, start, end, h in iter_hash_blocks(
-                self._family, hasher, keys, self._fn_seeds
+                hasher, keys, self._fn_seeds
             ):
                 np.bitwise_and(h, self._mask, out=h)
                 t, j = divmod(i, self.iterations)

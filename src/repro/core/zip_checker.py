@@ -66,13 +66,12 @@ def _mod_p31(x: np.ndarray) -> np.ndarray:
 def _lane(seed: int, iteration: int) -> tuple:
     """The (positional weight ``h'``, value hash ``g``) pair of one lane.
 
-    Built afresh: each window draws fresh seeds, which a cached instance
-    would only evict from the family's cache.
+    Built afresh, as each window draws fresh seeds.
     """
     mix = get_family("Mix")
     return (
-        mix.build(derive_seed(seed, "zip-pos", iteration)),
-        mix.build(derive_seed(seed, "zip-val", iteration)),
+        mix.instance(derive_seed(seed, "zip-pos", iteration)),
+        mix.instance(derive_seed(seed, "zip-val", iteration)),
     )
 
 

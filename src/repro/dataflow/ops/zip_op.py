@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import domain
 from repro.dataflow.exchange import global_offsets
 
 
@@ -60,7 +61,15 @@ def zip_arrays(
             else s2[:0]
         )
     received = comm.alltoall(payloads)
-    aligned = np.concatenate([received[src] for src in range(p)])
+    parts = [received[src] for src in range(p)]
+    if len({part.dtype for part in parts}) > 1 and all(
+        part.dtype.kind in "iu" for part in parts
+    ):
+        # int64 next to uint64 concatenates to float64 and loses low
+        # bits; integer slices join exactly, as zip columns do.
+        aligned = domain.concat(parts)
+    else:
+        aligned = np.concatenate(parts)
     if return_offsets:
         return s1.copy(), aligned, (off1, off2)
     return s1.copy(), aligned

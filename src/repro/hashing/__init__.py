@@ -11,7 +11,11 @@ hashing.  This package provides:
 * :mod:`repro.hashing.mixers` — SplitMix64 finalizer as the ideal-model
   stand-in and multiply-shift universal hashing;
 * :mod:`repro.hashing.families` — a uniform, seedable family interface and a
-  registry keyed by the paper's abbreviations ("CRC", "Tab", "Tab64", …);
+  registry keyed by the paper's abbreviations ("CRC", "Tab", "Tab64", …),
+  with one entry point per access pattern: one seeded function
+  (``instance``), one key array under many seeds (``multiseed_hasher``,
+  read block by block through ``iter_hash_blocks``), and keys under
+  per-key seeds (``hash_array_batch``);
 * :mod:`repro.hashing.bitgroups` — bit-parallel splitting of one hash value
   into per-iteration bucket indices (§4 "Optimizations", §7.1);
 * :mod:`repro.hashing.primes` — Miller–Rabin and Bertrand-interval prime
@@ -27,24 +31,18 @@ from repro.hashing.crc32c import (
     crc32c_u64,
     crc32c_u64_array,
 )
-from repro.hashing.tabulation import (
-    StackedLaneHasher,
-    TabulationHash,
-    stacked_tabulation_tables,
-    tabulation_lanes,
-    tabulation_tables,
-)
+from repro.hashing.tabulation import TabulationHash, tabulation_tables
 from repro.hashing.mixers import MultiplyShiftHash, SplitMixHash
 from repro.hashing.families import (
     AffineLaneHasher,
     HashFamily,
     HashFunction,
     LaneHasher,
+    StackedLaneHasher,
     get_family,
-    hash_lanes,
     list_families,
 )
-from repro.hashing.bitgroups import BucketAssigner, split_bit_groups
+from repro.hashing.bitgroups import BucketAssigner
 from repro.hashing.primes import (
     bertrand_prime,
     is_prime,
@@ -66,10 +64,7 @@ __all__ = [
     "crc32c_checksum",
     "crc32c_u64",
     "crc32c_u64_array",
-    "StackedLaneHasher",
     "TabulationHash",
-    "stacked_tabulation_tables",
-    "tabulation_lanes",
     "tabulation_tables",
     "MultiplyShiftHash",
     "SplitMixHash",
@@ -77,11 +72,10 @@ __all__ = [
     "HashFamily",
     "HashFunction",
     "LaneHasher",
+    "StackedLaneHasher",
     "get_family",
-    "hash_lanes",
     "list_families",
     "BucketAssigner",
-    "split_bit_groups",
     "bertrand_prime",
     "is_prime",
     "next_prime",

@@ -34,29 +34,6 @@ from repro.util.bits import ceil_log2, is_power_of_two
 from repro.util.rng import derive_seed, derive_seed_array, splitmix64_array
 
 
-def split_bit_groups(
-    hashes: np.ndarray, group_bits: int, num_groups: int, total_bits: int
-) -> list[np.ndarray]:
-    """Split each hash value into ``num_groups`` groups of ``group_bits`` bits.
-
-    Groups are taken from the least-significant end.  Raises if the requested
-    groups do not fit into ``total_bits``.
-    """
-    if group_bits <= 0:
-        raise ValueError(f"group_bits must be positive, got {group_bits}")
-    if num_groups * group_bits > total_bits:
-        raise ValueError(
-            f"{num_groups} groups of {group_bits} bits do not fit in "
-            f"{total_bits}-bit hash values"
-        )
-    hashes = np.asarray(hashes, dtype=np.uint64)
-    group_mask = np.uint64((1 << group_bits) - 1)
-    return [
-        (hashes >> np.uint64(i * group_bits)) & group_mask
-        for i in range(num_groups)
-    ]
-
-
 class BucketAssigner:
     """Maps keys to ``iterations`` independent bucket indices in ``0..d-1``.
 
@@ -83,14 +60,12 @@ class BucketAssigner:
         self.seed = seed
         self.bit_parallel = is_power_of_two(d)
         self.group_bits = ceil_log2(d) if self.bit_parallel else 0
-        if self.bit_parallel:
-            self.groups_per_eval = max(1, family.bits // self.group_bits)
-            num_evals = -(-iterations // self.groups_per_eval)  # ceil division
-        else:
-            self.groups_per_eval = 1
-            num_evals = iterations
+        self.groups_per_eval = (
+            max(1, family.bits // self.group_bits) if self.bit_parallel else 1
+        )
         self._functions = [
-            family.instance(derive_seed(seed, "bucket", j)) for j in range(num_evals)
+            family.instance(derive_seed(seed, "bucket", j))
+            for j in range(_num_evaluations(family, d, iterations))
         ]
 
     @property
@@ -119,25 +94,6 @@ class BucketAssigner:
                 h = fn.hash_array(keys)
                 out[it] = (h % np.uint64(self.d)).astype(np.intp)
         return out
-
-    def assign_one(self, key: int) -> list[int]:
-        """Scalar version of :meth:`assign` for a single key."""
-        return [int(b) for b in self.assign(np.array([key], dtype=np.uint64))[:, 0]]
-
-    def assign_batch(
-        self, seeds: np.ndarray, keys: np.ndarray, owner: np.ndarray
-    ) -> np.ndarray:
-        """Bucket indices under many assigner seeds at once.
-
-        ``keys[i]`` is bucketed by the assigner seeded ``seeds[owner[i]]``
-        (this assigner's own seed is not used); the result row ``j`` equals
-        ``BucketAssigner(family, d, iterations, seeds[owner[i]]).assign``
-        elementwise.  This powers the batched accuracy engine, where every
-        trial carries its own fresh bucket hashes.
-        """
-        return assign_buckets_batch(
-            self.family, self.d, self.iterations, seeds, keys, owner
-        )
 
 
 def _num_evaluations(family: HashFamily, d: int, iterations: int) -> int:
@@ -255,7 +211,13 @@ def assign_buckets_batch(
     keys: np.ndarray,
     owner: np.ndarray,
 ) -> np.ndarray:
-    """Module-level form of :meth:`BucketAssigner.assign_batch`.
+    """Bucket indices under many assigner seeds at once.
+
+    ``keys[i]`` is bucketed by the assigner seeded ``seeds[owner[i]]``:
+    the result row ``j`` equals ``BucketAssigner(family, d, iterations,
+    seeds[owner[i]]).assign`` elementwise.  This powers the batched
+    accuracy engine, where every trial carries its own fresh bucket
+    hashes.
 
     Mirrors :meth:`BucketAssigner.assign` exactly — same bit-group packing
     for power-of-two ``d``, same ``mod d`` fallback otherwise — but draws

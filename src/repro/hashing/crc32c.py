@@ -193,23 +193,18 @@ def crc32c_zero_advance(states, length: int) -> np.ndarray:
     return _apply_linear(result, states)
 
 
-def crc32c_seed_constants(seeds, nbytes: int = 8) -> np.ndarray:
+def crc32c_seed_constants(seed, nbytes: int = 8) -> np.uint64:
     """The seed term of the CRC affinity identity, as uint64.
 
     CRC-32C is GF(2)-linear in its initial state:
     ``crc(x, s) = crc(x, 0) ⊕ z(s)`` with ``z(s) = crc(0^nbytes, s)``
-    depending only on the seed.  This computes ``z`` for an array of seeds
-    (any shape; only the low 32 bits of each seed matter, mirroring
-    :func:`crc32c_u64_array`) — the per-seed XOR constant that lets all
-    ``T`` CRC seed lanes of the multi-seed checkers share one table-lookup
-    pass over the keys.  One seed (a fold's block) comes back as a
-    ``np.uint64`` computed on Python ints: 2.9 µs a call, against 25 µs
-    through the array path (timeit, 2-core Xeon).
+    depending only on the seed.  This computes ``z`` for one seed (only
+    its low 32 bits matter, mirroring :func:`crc32c_u64_array`) — the
+    per-seed XOR constant that lets all ``T`` CRC seed lanes of the
+    multi-seed checkers share one table-lookup pass over the keys.  It
+    is computed on Python ints, once per seed and key block of a fold.
     """
-    if np.ndim(seeds) == 0:
-        return np.uint64(_advance_scalar(int(seeds) & 0xFFFFFFFF, nbytes))
-    seeds = np.asarray(seeds, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
-    return crc32c_zero_advance(seeds, nbytes).astype(np.uint64)
+    return np.uint64(_advance_scalar(int(seed) & 0xFFFFFFFF, nbytes))
 
 
 #: Keys per slicing pass of :func:`crc32c_u64_array`: the block's byte

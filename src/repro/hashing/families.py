@@ -14,12 +14,13 @@ times their iterations) prepares the keys once
 (:meth:`HashFamily.multiseed_hasher`) and then runs one seed at a time
 over that prepared form (:meth:`LaneHasher.hash_into`, block by block
 through :func:`iter_hash_blocks`): a single seed is just ``T = 1``.
+One seeded function is :meth:`HashFamily.instance`, and keys under
+per-key seeds are :meth:`HashFamily.hash_array_batch`.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from functools import partial
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -36,10 +37,9 @@ from repro.hashing.mixers import (
     splitmix_hash_batch,
 )
 from repro.hashing.tabulation import (
-    StackedLaneHasher,
     TabulationHash,
-    seed_loop_lanes,
     tabulation_hash_batch,
+    tabulation_tables,
 )
 
 
@@ -96,21 +96,8 @@ class _CRCHash:
         return f"CRC32CHash(seed={self.seed:#x}, nbytes={self.nbytes})"
 
 
-#: Seeded instances kept per family; the heaviest (Tab64) carries 8 tables
-#: of 256 × 8 B ≈ 16 KB, so a full cache tops out around 8 MB per family.
-_INSTANCE_CACHE_SIZE = 512
-
-
 class HashFamily:
-    """Named factory of seeded hash functions.
-
-    ``instance`` results are memoised per seed in a small LRU: hash
-    functions are immutable once built, and checker construction repeats
-    seeds constantly (e.g. re-checking under the same configuration), so
-    regenerating tabulation tables for a seen seed would be pure waste.
-    The cache is lock-guarded — checkers are constructed concurrently on
-    the per-PE threads of :class:`repro.comm.context.Context`.
-    """
+    """Named factory of seeded hash functions."""
 
     def __init__(
         self,
@@ -127,31 +114,13 @@ class HashFamily:
         self.description = description
         self._batch_kernel = batch_kernel
         self._multiseed_kernel = multiseed_kernel
-        self._cache: OrderedDict[int, HashFunction] = OrderedDict()
-        self._cache_lock = threading.Lock()
 
     def instance(self, seed: int) -> HashFunction:
-        """The hash function determined by ``seed`` (cached per seed)."""
-        key = int(seed)
-        with self._cache_lock:
-            fn = self._cache.get(key)
-            if fn is not None:
-                self._cache.move_to_end(key)
-                return fn
-        fn = self.build(key)
-        with self._cache_lock:
-            self._cache[key] = fn
-            if len(self._cache) > _INSTANCE_CACHE_SIZE:
-                self._cache.popitem(last=False)
-        return fn
-
-    def build(self, seed: int) -> HashFunction:
         """The hash function determined by ``seed``, built afresh.
 
-        :meth:`instance` without its cache, for a caller that meets each
-        seed once: a one-seed fold draws a fresh seed per window, so the
-        cache would only churn, and concurrent PE threads would queue on
-        its lock.
+        Nothing is cached: a fold draws a fresh seed per window, and the
+        one caller that keeps a seed, the default partitioner, keeps its
+        function.
         """
         return self._factory(int(seed))
 
@@ -175,8 +144,8 @@ class HashFamily:
             out[pick] = self.instance(int(seeds[t])).hash_array(keys[pick])
         return out
 
-    def multiseed_hasher(self, keys: np.ndarray) -> "LaneHasher | None":
-        """The prepared form of fixed ``keys``, or None.
+    def multiseed_hasher(self, keys: np.ndarray) -> "LaneHasher":
+        """The prepared form of fixed ``keys``.
 
         The pass over the keys that the family can hoist out of per-seed
         work runs once, here; the returned :class:`LaneHasher` then hashes
@@ -184,34 +153,34 @@ class HashFamily:
 
         * CRC/CRC4 — :class:`AffineLaneHasher`: the seed-0 hash of every
           key, each seed one XOR constant away (``h_s = h_0 ⊕ c(s)``);
-        * Tab/Tab64 — :class:`~repro.hashing.tabulation.StackedLaneHasher`:
-          each key's table bytes extracted once (uint8), each seed
-          ``num_tables`` gathers from its own tables;
-        * Mix/MShift — :class:`InstanceLaneHasher`: the keys themselves,
-          each seed's built function hashing a block in place.
+        * Tab/Tab64 — :class:`StackedLaneHasher`: each key's table bytes
+          extracted once (uint8), each seed ``num_tables`` gathers from
+          its own tables;
+        * Mix/MShift, and any family registered without a
+          ``multiseed_kernel`` — :class:`InstanceLaneHasher`: the keys
+          themselves, each seed's built function hashing a block in place.
 
         A prepared form holds at most one uint64 per key (CRC's base).
-        Every registered family returns a hasher; only custom families
-        registered without a ``multiseed_kernel`` return None, sending
-        :func:`hash_lanes` and :func:`iter_hash_blocks` down the
-        batch-kernel fallback.
         """
+        keys = np.asarray(keys, dtype=np.uint64)
         if self._multiseed_kernel is None:
-            return None
-        return self._multiseed_kernel(np.asarray(keys, dtype=np.uint64))
+            return InstanceLaneHasher(keys, self.instance)
+        return self._multiseed_kernel(keys)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"HashFamily({self.name!r}, bits={self.bits})"
 
 
-@runtime_checkable
-class LaneHasher(Protocol):
+class LaneHasher:
     """The prepared form of a fixed key array, hashed one seed at a time.
 
     Built by :meth:`HashFamily.multiseed_hasher`, which runs the fixed-keys
     pass once.  Every seed's hashes are bit-identical to the seeded
-    instance's ``hash_array``.
+    instance's ``hash_array``.  A subclass sets ``num_keys`` and defines
+    :meth:`hash_into`.
     """
+
+    num_keys: int
 
     def hash_into(
         self, seed: int, start: int, end: int, out: np.ndarray,
@@ -220,14 +189,21 @@ class LaneHasher(Protocol):
         """Seed ``seed``'s hashes of keys ``start:end`` into the uint64
         array ``out`` (length ``end - start``); ``scratch`` is a
         same-shape buffer the evaluation may clobber."""
-        ...
+        raise NotImplementedError
 
     def lanes(self, seeds: np.ndarray) -> np.ndarray:
-        """Lane matrix ``out[t] = instance(seeds[t]).hash_array(keys)``."""
-        ...
+        """Lane matrix ``out[t] = instance(seeds[t]).hash_array(keys)``,
+        shape ``(len(seeds), num_keys)``: row ``t`` is
+        :meth:`hash_into` of every key under ``seeds[t]``."""
+        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+        out = np.empty((seeds.size, self.num_keys), dtype=np.uint64)
+        scratch = np.empty(self.num_keys, dtype=np.uint64)
+        for row, seed in zip(out, seeds.tolist()):
+            self.hash_into(seed, 0, self.num_keys, row, scratch)
+        return out
 
 
-class AffineLaneHasher:
+class AffineLaneHasher(LaneHasher):
     """Seed-affine hash over a fixed key array: ``h_s(x) = base(x) ⊕ c(s)``.
 
     ``base`` is the (already computed) seed-0 hash of every key; ``c`` is
@@ -235,97 +211,91 @@ class AffineLaneHasher:
     and never touch the keys again.
     """
 
-    def __init__(self, base: np.ndarray, constants_fn):
+    def __init__(self, base: np.ndarray, constant_fn):
         self.base = base
-        self._constants_fn = constants_fn
-
-    def constants(self, seeds: np.ndarray) -> np.ndarray:
-        """Per-seed XOR constants ``c(seeds)`` (same shape as ``seeds``)."""
-        return self._constants_fn(seeds)
+        self.num_keys = base.size
+        self._constant_fn = constant_fn
 
     def hash_into(self, seed, start, end, out, scratch) -> None:
         """:meth:`LaneHasher.hash_into`: the base block XOR ``c(seed)``."""
-        np.bitwise_xor(
-            self.base[start:end], self.constants(np.uint64(seed)), out=out
-        )
-
-    def lanes(self, seeds: np.ndarray) -> np.ndarray:
-        """Full lane tensor, shape ``seeds.shape + base.shape``."""
-        return self.constants(seeds)[..., None] ^ self.base
+        np.bitwise_xor(self.base[start:end], self._constant_fn(seed), out=out)
 
 
-class InstanceLaneHasher:
+def _key_bytes(keys: np.ndarray, num_tables: int) -> np.ndarray:
+    """Table ``i``'s byte of every key, shape ``(num_tables, n)`` uint8.
+
+    Read through a little-endian byte view of the keys, one row per
+    table, so a block's gather addresses are a contiguous row slice and
+    the whole form costs at most one byte per table and key (8 for
+    Tab64: the size of the key itself).
+    """
+    words = np.ascontiguousarray(
+        np.asarray(keys, dtype=np.uint64).ravel(), dtype="<u8"
+    )
+    return np.ascontiguousarray(
+        words.view(np.uint8).reshape(-1, 8)[:, :num_tables].T
+    )
+
+
+class StackedLaneHasher(LaneHasher):
+    """Tabulation lane evaluator over a fixed key array.
+
+    The :class:`LaneHasher` for Tab/Tab64: each key's table bytes are
+    extracted **once**, at construction, as uint8 rows; a seed's block
+    is then ``num_tables`` gathers from that seed's tables at those
+    bytes, XOR-accumulated — no per-seed byte extraction, versus
+    ``num_tables`` shifts, masks and casts per key on the per-seed kernel
+    path.
+    """
+
+    def __init__(self, keys, key_bits: int = 64, out_bits: int = 64):
+        if key_bits not in (32, 64):
+            raise ValueError(f"key_bits must be 32 or 64, got {key_bits}")
+        if not 1 <= out_bits <= 64:
+            raise ValueError(f"out_bits must be in 1..64, got {out_bits}")
+        self.key_bits = key_bits
+        self.out_bits = out_bits
+        self.num_tables = key_bits // 8
+        self._bytes = _key_bytes(keys, self.num_tables)
+        self.num_keys = self._bytes.shape[1]
+
+    def hash_into(
+        self, seed: int, start: int, end: int, out: np.ndarray,
+        scratch: np.ndarray,
+    ) -> None:
+        """``TabulationHash(seed, ...).hash_array`` of keys ``start:end``
+        into ``out``, with ``scratch`` as the gather buffer.
+
+        Entries are pre-masked to ``out_bits`` and XOR preserves the
+        mask.  ``mode="clip"`` skips numpy's per-element bounds check
+        without changing results (indices are bytes by construction).
+        """
+        tables = tabulation_tables(seed, self.num_tables, self.out_bits)
+        rows = self._bytes[:, start:end]
+        np.take(tables[0], rows[0], out=out, mode="clip")
+        for table, row in zip(tables[1:], rows[1:]):
+            np.take(table, row, out=scratch, mode="clip")
+            out ^= scratch
+
+
+class InstanceLaneHasher(LaneHasher):
     """Lane evaluator of a family with nothing to hoist out of a seed.
 
     Mix's keyed SplitMix and MShift's multiply-shift are one elementwise
     formula of (seed, key), so the prepared form is the keys themselves:
     a seed's block runs the freshly built function's
-    :meth:`HashFunction.hash_into` (Mix mixes in place).
+    :meth:`HashFunction.hash_into` (Mix mixes in place).  A family
+    registered without a ``multiseed_kernel`` gets this form too.
     """
 
     def __init__(self, keys: np.ndarray, build):
         self._keys = keys
+        self.num_keys = keys.size
         self._build = build
 
     def hash_into(self, seed, start, end, out, scratch) -> None:
         """:meth:`LaneHasher.hash_into` through ``build(seed)``."""
         self._build(seed).hash_into(self._keys[start:end], out, scratch)
-
-    def lanes(self, seeds: np.ndarray) -> np.ndarray:
-        """:meth:`LaneHasher.lanes`, one seed at a time."""
-        return seed_loop_lanes(self, seeds, self._keys.size)
-
-
-def seeds_per_block(chunk_elements: int, num_keys: int) -> int:
-    """Seed-lanes per batched pass so one pass tiles ≤ ``chunk_elements``.
-
-    The chunk-size rule of the :func:`hash_lanes` tiled fallback, so its
-    peak scratch is O(chunk).
-    """
-    if chunk_elements < 1:
-        raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
-    return max(1, int(chunk_elements) // max(int(num_keys), 1))
-
-
-#: Seed-tiled elements per batched pass of the :func:`hash_lanes` fallback;
-#: bounds its peak scratch (tiled keys + owner + output block) instead of
-#: materializing all ``len(seeds) × len(keys)`` tiled keys at once.
-_FALLBACK_CHUNK_ELEMENTS = 1 << 20
-
-
-def hash_lanes(
-    family: HashFamily,
-    seeds: np.ndarray,
-    keys: np.ndarray,
-    hasher: "LaneHasher | None" = None,
-    chunk_elements: int = _FALLBACK_CHUNK_ELEMENTS,
-) -> np.ndarray:
-    """Lane matrix ``out[t] = instance(seeds[t]).hash_array(keys)``.
-
-    The multi-seed access pattern (every seed over the same key array).
-    Evaluation goes through the family's :class:`LaneHasher` — passed in
-    by callers that amortize the fixed-keys pass across calls, or built
-    here.  Only families without a multiseed kernel fall back to tiling
-    the keys through the batched kernel, in bounded seed blocks of
-    ``chunk_elements`` tiled keys (peak scratch O(chunk), not
-    O(len(seeds) · len(keys))).
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    if hasher is None:
-        hasher = family.multiseed_hasher(keys)
-    if hasher is not None:
-        return hasher.lanes(seeds)
-    out = np.empty((seeds.size, keys.size), dtype=np.uint64)
-    # Raises ValueError on chunk_elements < 1.
-    per_block = seeds_per_block(chunk_elements, keys.size)
-    for start in range(0, seeds.size, per_block):
-        count = min(per_block, seeds.size - start)
-        owner = np.repeat(np.arange(count, dtype=np.intp), keys.size)
-        out[start : start + count] = family.hash_array_batch(
-            seeds[start : start + count], owner, np.tile(keys, count)
-        ).reshape(count, keys.size)
-    return out
 
 
 #: Keys per block of :func:`iter_hash_blocks`: the block's hash buffer
@@ -334,22 +304,15 @@ def hash_lanes(
 _HASH_BLOCK_KEYS = 1 << 16
 
 
-def iter_hash_blocks(
-    family: HashFamily,
-    hasher: "LaneHasher | None",
-    keys: np.ndarray,
-    seeds: np.ndarray,
-):
+def iter_hash_blocks(hasher: LaneHasher, keys: np.ndarray, seeds: np.ndarray):
     """Every seed's hashes of ``keys``, block by block.
 
     Yields ``(i, start, end, h)`` with ``h`` equal to
-    ``family.build(seeds[i]).hash_array(keys[start:end])``, for blocks of
-    :data:`_HASH_BLOCK_KEYS` keys, every seed over a block before the
+    ``family.instance(seeds[i]).hash_array(keys[start:end])``, for blocks
+    of :data:`_HASH_BLOCK_KEYS` keys, every seed over a block before the
     next block.  ``h`` is a view of one reused buffer, which the next
     step overwrites.  ``hasher`` is ``family.multiseed_hasher(keys)``,
-    built once by the caller however many seeds read it; a family
-    without a lane kernel (``hasher`` None) hashes each block through
-    :func:`hash_lanes`' batch-kernel fallback, one seed at a time.
+    built once by the caller however many seeds read it.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     n = keys.size
@@ -359,10 +322,7 @@ def iter_hash_blocks(
         end = min(start + _HASH_BLOCK_KEYS, n)
         h = buf[: end - start]
         for i, seed in enumerate(seeds.tolist()):
-            if hasher is None:
-                h[:] = hash_lanes(family, seeds[i : i + 1], keys[start:end])[0]
-            else:
-                hasher.hash_into(seed, start, end, h, scratch[: end - start])
+            hasher.hash_into(seed, start, end, h, scratch[: end - start])
             yield i, start, end, h
 
 
@@ -385,7 +345,7 @@ def _crc_multiseed_kernel(nbytes: int):
     def kernel(keys):
         return AffineLaneHasher(
             crc32c_u64_array(keys, 0, nbytes).astype(np.uint64),
-            lambda seeds: crc32c_seed_constants(seeds, nbytes),
+            partial(crc32c_seed_constants, nbytes=nbytes),
         )
 
     return kernel
@@ -396,28 +356,6 @@ def _tab_batch_kernel(key_bits: int, out_bits: int):
         return tabulation_hash_batch(seeds, owner, keys, key_bits, out_bits)
 
     return kernel
-
-
-def _tab_multiseed_kernel(key_bits: int, out_bits: int):
-    def kernel(keys):
-        return StackedLaneHasher(keys, key_bits, out_bits)
-
-    return kernel
-
-
-def _instance_multiseed_kernel(build):
-    def kernel(keys):
-        return InstanceLaneHasher(keys, build)
-
-    return kernel
-
-
-def _mix_function(seed: int) -> SplitMixHash:
-    return SplitMixHash(seed, out_bits=64)
-
-
-def _mshift_function(seed: int) -> MultiplyShiftHash:
-    return MultiplyShiftHash(seed, out_bits=32)
 
 
 CRC_FAMILY = _register(
@@ -447,7 +385,7 @@ TAB_FAMILY = _register(
         32,
         "simple tabulation, 4 tables of 256 (32-bit keys)",
         batch_kernel=_tab_batch_kernel(32, 32),
-        multiseed_kernel=_tab_multiseed_kernel(32, 32),
+        multiseed_kernel=partial(StackedLaneHasher, key_bits=32, out_bits=32),
     )
 )
 TAB64_FAMILY = _register(
@@ -457,31 +395,29 @@ TAB64_FAMILY = _register(
         64,
         "simple tabulation, 8 tables of 256 (64-bit keys)",
         batch_kernel=_tab_batch_kernel(64, 64),
-        multiseed_kernel=_tab_multiseed_kernel(64, 64),
+        multiseed_kernel=partial(StackedLaneHasher, key_bits=64, out_bits=64),
     )
 )
 MIX_FAMILY = _register(
     HashFamily(
         "Mix",
-        _mix_function,
+        lambda seed: SplitMixHash(seed, out_bits=64),
         64,
         "keyed SplitMix64 finalizer (ideal-model stand-in)",
         batch_kernel=lambda seeds, owner, keys: splitmix_hash_batch(
             seeds, owner, keys, 64
         ),
-        multiseed_kernel=_instance_multiseed_kernel(_mix_function),
     )
 )
 MSHIFT_FAMILY = _register(
     HashFamily(
         "MShift",
-        _mshift_function,
+        lambda seed: MultiplyShiftHash(seed, out_bits=32),
         32,
         "2-universal multiply-shift (ablation)",
         batch_kernel=lambda seeds, owner, keys: multiply_shift_hash_batch(
             seeds, owner, keys, 32
         ),
-        multiseed_kernel=_instance_multiseed_kernel(_mshift_function),
     )
 )
 

@@ -12,8 +12,9 @@ callers truncate the output to the width they need (the checkers only ever
 consume ``bits`` of it).
 
 A checker hashing one key array under many seeds reads it through
-:class:`StackedLaneHasher`: the keys' table bytes are extracted once, as
-uint8 rows, and every seed gathers its own tables at them.
+:class:`~repro.hashing.families.StackedLaneHasher`: the keys' table bytes
+are extracted once, as uint8 rows, and every seed gathers its own tables
+at them.
 """
 
 from __future__ import annotations
@@ -85,124 +86,11 @@ def tabulation_tables_batch(
 #: between ~1 000 and ~4 000 keys/seed (S=4: ~4 096, S=16/S=64: ~2 048,
 #: S=256: ~1 024) and is shallow (≲10 % either side of it).  2 048 lands
 #: inside that band for every measured seed count; batches below it now
-#: take the formerly-undervalued sparse path.  The *multi-seed lane*
-#: pattern (every seed over the same keys) does not go through here —
-#: ``StackedLaneHasher`` gathers those without an owner indirection.
+#: take the formerly-undervalued sparse path.  Every seed over the same
+#: keys does not go through here: that pattern reads the family's
+#: prepared form (``families.StackedLaneHasher``), which gathers from one
+#: seed's tables at a time without an owner indirection.
 _DENSE_KEYS_PER_SEED = 2048
-
-
-def stacked_tabulation_tables(
-    seeds: np.ndarray, num_tables: int, out_bits: int = 64
-) -> np.ndarray:
-    """Seed-stacked tables, shape ``(num_tables, 256, len(seeds))``.
-
-    The canonical byte-major transpose of :func:`tabulation_tables_batch`:
-    slice ``[..., t]`` is byte-identical to
-    ``tabulation_tables(seeds[t], num_tables, out_bits)``, and
-    ``stacked[i, b]`` is the vector of every seed's entry for byte value
-    ``b`` of table ``i`` — one fancy-indexed gather per table serves all
-    ``T`` seed lanes at once.  This byte-major form is the
-    interop/reference layout.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    return np.ascontiguousarray(
-        tabulation_tables_batch(seeds, num_tables, out_bits).transpose(1, 2, 0)
-    )
-
-
-def _key_bytes(keys: np.ndarray, num_tables: int) -> np.ndarray:
-    """Table ``i``'s byte of every key, shape ``(num_tables, n)`` uint8.
-
-    Read through a little-endian byte view of the keys, one row per
-    table, so a block's gather addresses are a contiguous row slice and
-    the whole form costs at most one byte per table and key (8 for
-    Tab64: the size of the key itself).
-    """
-    words = np.ascontiguousarray(
-        np.asarray(keys, dtype=np.uint64).ravel(), dtype="<u8"
-    )
-    return np.ascontiguousarray(
-        words.view(np.uint8).reshape(-1, 8)[:, :num_tables].T
-    )
-
-
-class StackedLaneHasher:
-    """Tabulation lane evaluator over a fixed key array.
-
-    The :class:`~repro.hashing.families.LaneHasher` for Tab/Tab64: each
-    key's table bytes are extracted **once**, at construction, as uint8
-    rows; a seed's block is then ``num_tables`` gathers from that seed's
-    tables at those bytes, XOR-accumulated — no per-seed byte
-    extraction, versus ``num_tables`` shifts, masks and casts per key on
-    the per-seed kernel path.
-    """
-
-    def __init__(self, keys, key_bits: int = 64, out_bits: int = 64):
-        if key_bits not in (32, 64):
-            raise ValueError(f"key_bits must be 32 or 64, got {key_bits}")
-        if not 1 <= out_bits <= 64:
-            raise ValueError(f"out_bits must be in 1..64, got {out_bits}")
-        self.key_bits = key_bits
-        self.out_bits = out_bits
-        self.num_tables = key_bits // 8
-        self._bytes = _key_bytes(keys, self.num_tables)
-        self.num_keys = self._bytes.shape[1]
-
-    def hash_into(
-        self, seed: int, start: int, end: int, out: np.ndarray,
-        scratch: np.ndarray,
-    ) -> None:
-        """``TabulationHash(seed, ...).hash_array`` of keys ``start:end``
-        into ``out``, with ``scratch`` as the gather buffer.
-
-        Entries are pre-masked to ``out_bits`` and XOR preserves the
-        mask.  ``mode="clip"`` skips numpy's per-element bounds check
-        without changing results (indices are bytes by construction).
-        """
-        tables = tabulation_tables(seed, self.num_tables, self.out_bits)
-        rows = self._bytes[:, start:end]
-        np.take(tables[0], rows[0], out=out, mode="clip")
-        for table, row in zip(tables[1:], rows[1:]):
-            np.take(table, row, out=scratch, mode="clip")
-            out ^= scratch
-
-    def lanes(self, seeds: np.ndarray) -> np.ndarray:
-        """Lane matrix ``out[t] = TabulationHash(seeds[t], ...).hash_array``,
-        shape ``(len(seeds), num_keys)``, one seed at a time."""
-        return seed_loop_lanes(self, seeds, self.num_keys)
-
-
-def seed_loop_lanes(hasher, seeds: np.ndarray, num_keys: int) -> np.ndarray:
-    """Lane matrix of a prepared form built from its one-seed path.
-
-    Row ``t`` is ``hasher.hash_into(seeds[t], 0, num_keys, ...)``; the
-    ``lanes`` of every prepared form whose seeds share nothing cheaper
-    than that (this module's :class:`StackedLaneHasher` and
-    :class:`~repro.hashing.families.InstanceLaneHasher`).
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    out = np.empty((seeds.size, num_keys), dtype=np.uint64)
-    scratch = np.empty(num_keys, dtype=np.uint64)
-    for row, seed in zip(out, seeds.tolist()):
-        hasher.hash_into(seed, 0, num_keys, row, scratch)
-    return out
-
-
-def tabulation_lanes(
-    seeds: np.ndarray,
-    keys: np.ndarray,
-    key_bits: int = 64,
-    out_bits: int = 64,
-) -> np.ndarray:
-    """One-shot stacked lane matrix, shape ``(len(seeds), len(keys))``.
-
-    ``out[t]`` is bit-identical to
-    ``TabulationHash(seeds[t], key_bits, out_bits).hash_array(keys)``;
-    the key bytes are extracted once for all seeds.  Callers that hash
-    the same keys in several calls should hold a
-    :class:`StackedLaneHasher` instead (it keeps the byte extraction).
-    """
-    return StackedLaneHasher(keys, key_bits, out_bits).lanes(seeds)
 
 
 def tabulation_hash_batch(

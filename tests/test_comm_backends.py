@@ -26,6 +26,7 @@ from repro.comm.backend import (
     decode_frame,
     encode_frame,
 )
+from repro.comm import proc_backend
 from repro.comm.context import Context as _Context
 from repro.comm.proc_backend import (
     _DEFAULT_DATA_CAP,
@@ -363,6 +364,28 @@ class TestProcessContext:
                 arr, np.arange(1 << 17, dtype=np.int64) * (rank + 1)
             )
         assert len(ctx.meters) == p
+
+    def test_stalled_wait_times_out_at_the_patched_deadline(
+        self, monkeypatch, deadline
+    ):
+        # The forked workers inherit the patched module value; PE 0 waits
+        # for a message PE 1 never sends.
+        monkeypatch.setattr(proc_backend, "_OP_TIMEOUT", 0.5)
+
+        def program(comm):
+            if comm.rank == 0:
+                return comm.recv(1)
+            return None
+
+        deadline(10)
+        start = time.monotonic()
+        with pytest.raises(SPMDError) as info:
+            Context(2, backend="processes").run(program)
+        assert time.monotonic() - start < 5.0
+        assert set(info.value.failures) == {0}
+        failure = info.value.failures[0]
+        assert isinstance(failure, TimeoutError)
+        assert "stalled for 0.5s" in str(failure)
 
     def test_failed_fork_leaks_no_pipe_end(self, monkeypatch):
         fd_dir = "/proc/self/fd"

@@ -472,7 +472,7 @@ class TestFingerprintsOverPreparedForm:
         for t, seed in enumerate(seeds.tolist()):
             want = [
                 wide_sum(
-                    fam.build(derive_seed(seed, "perm-checker", j))
+                    fam.instance(derive_seed(seed, "perm-checker", j))
                     .hash_array(elements) & mask
                 )
                 for j in range(2)

@@ -14,6 +14,7 @@ import pytest
 from repro.comm.context import Context
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
+from repro.dataflow.dia import DIA
 from repro.dataflow.exchange import exchange_by_destination, global_offsets
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
 from repro.dataflow.ops.zip_op import zip_arrays
@@ -553,6 +554,85 @@ class TestStreamingZip:
         # A true data error: every escalation seed rejects too.
         assert adaptive["per_seed_accepted"] == [False] * 3
         assert run.stats.escalation_seeds == 3
+
+
+def _lying_zip(real_zip):
+    """``zip_arrays`` whose output's first second-column element on PE 0
+    is changed."""
+
+    def lying_zip(comm, s1, s2, return_offsets=False):
+        first, second, offs = real_zip(comm, s1, s2, return_offsets=True)
+        if comm.rank == 0 and second.size:
+            second = second.copy()
+            second[0] += second.dtype.type(1)
+        return first, second, offs
+
+    return lying_zip
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+class TestZipMixedSignednessAcrossPEs:
+    """Slices a PE receives in the zip exchange join exactly: int64 next
+    to uint64 would otherwise concatenate to float64, which every zip
+    check refuses on every PE."""
+
+    def test_stream_dry_on_one_pe(self, backend, monkeypatch, deadline):
+        # PE 1 feeds no chunk, so its window columns are empty int64
+        # while PE 0's are uint64.
+        a = np.arange(2**63, 2**63 + 8, dtype=np.uint64)
+        chunks = [[a], []]
+
+        def job(comm):
+            mine = chunks[comm.rank]
+            run = StreamingDIA.from_chunks(comm, mine).zip_checked(
+                StreamingDIA.from_chunks(comm, [c * 3 for c in mine]), seed=5
+            )
+            return run.accepted, [s.tolist() for _, s in run.outputs]
+
+        deadline(60)
+        outs = Context(2, backend=backend).run(job)
+        assert [accepted for accepted, _ in outs] == [True, True]
+        assert outs[0][1] == [(a * np.uint64(3)).tolist()]
+        import repro.dataflow.streaming as streaming_mod
+
+        monkeypatch.setattr(
+            streaming_mod, "zip_arrays", _lying_zip(streaming_mod.zip_arrays)
+        )
+        outs = Context(2, backend=backend).run(job)
+        assert [accepted for accepted, _ in outs] == [False, False]
+
+    def test_second_stream_int64_on_one_pe_uint64_on_the_other(
+        self, backend, monkeypatch, deadline
+    ):
+        # S2 is distributed unlike S1, so PE 1 receives PE 0's int64
+        # slice next to its own uint64 one.
+        first = np.split(np.arange(8, dtype=np.uint64), 2)
+        second = [
+            np.arange(10, 16, dtype=np.int64),
+            np.arange(16, 18, dtype=np.uint64),
+        ]
+
+        def job(comm):
+            zipped, verdict = DIA(comm, first[comm.rank]).zip_checked(
+                DIA(comm, second[comm.rank]), seed=9
+            )
+            values = zipped.values
+            return verdict.accepted, values.dtype, values.tolist()
+
+        deadline(60)
+        outs = Context(2, backend=backend).run(job)
+        assert [accepted for accepted, *_ in outs] == [True, True]
+        assert [values for *_, values in outs] == [
+            [10, 11, 12, 13], [14, 15, 16, 17]
+        ]
+        assert outs[1][1] == np.int64
+        import repro.dataflow.dia as dia_mod
+
+        monkeypatch.setattr(
+            dia_mod, "zip_arrays", _lying_zip(dia_mod.zip_arrays)
+        )
+        outs = Context(2, backend=backend).run(job)
+        assert [accepted for accepted, *_ in outs] == [False, False]
 
 
 class TestCheckedRunStatsMerge:

@@ -5,35 +5,11 @@ import pytest
 
 from repro.hashing.bitgroups import (
     BucketAssigner,
+    assign_buckets_batch,
     evaluation_seeds,
-    split_bit_groups,
 )
 from repro.hashing.families import get_family
 from repro.util.rng import derive_seed
-
-
-class TestSplitBitGroups:
-    def test_reconstruction(self):
-        h = np.array([0b110100101101], dtype=np.uint64)
-        groups = split_bit_groups(h, group_bits=3, num_groups=4, total_bits=12)
-        reassembled = sum(
-            int(g[0]) << (3 * i) for i, g in enumerate(groups)
-        )
-        assert reassembled == 0b110100101101
-
-    def test_group_bounds(self):
-        h = np.arange(100, dtype=np.uint64) * np.uint64(0x9E3779B9)
-        for g in split_bit_groups(h, 4, 8, 32):
-            assert int(g.max()) < 16
-
-    def test_too_many_groups_raises(self):
-        h = np.array([1], dtype=np.uint64)
-        with pytest.raises(ValueError):
-            split_bit_groups(h, group_bits=8, num_groups=5, total_bits=32)
-
-    def test_zero_group_bits_raises(self):
-        with pytest.raises(ValueError):
-            split_bit_groups(np.array([1], dtype=np.uint64), 0, 1, 32)
 
 
 class TestBucketAssigner:
@@ -81,12 +57,6 @@ class TestBucketAssigner:
         b = BucketAssigner(get_family("Tab"), 8, 4, seed=9).assign(keys)
         assert np.array_equal(a, b)
 
-    def test_scalar_matches_vector(self):
-        ba = BucketAssigner(get_family("Mix"), d=8, iterations=5, seed=2)
-        keys = np.array([17, 99], dtype=np.uint64)
-        idx = ba.assign(keys)
-        assert ba.assign_one(17) == idx[:, 0].tolist()
-
     def test_rejects_bad_parameters(self):
         fam = get_family("Mix")
         with pytest.raises(ValueError):
@@ -110,8 +80,7 @@ class TestAssignBatch:
         seeds = rng.integers(0, 2**63, 5, dtype=np.uint64)
         keys = rng.integers(0, 2**64, 30, dtype=np.uint64)
         owner = rng.integers(0, 5, 30).astype(np.intp)
-        assigner = BucketAssigner(fam, d, 8, seed=0)
-        got = assigner.assign_batch(seeds, keys, owner)
+        got = assign_buckets_batch(fam, d, 8, seeds, keys, owner)
         assert got.shape == (8, 30)
         for t in range(5):
             pick = owner == t

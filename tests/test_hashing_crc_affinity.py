@@ -18,9 +18,8 @@ from repro.hashing.crc32c import (
 )
 from repro.hashing.families import (
     AffineLaneHasher,
-    HashFamily,
     get_family,
-    hash_lanes,
+    iter_hash_blocks,
 )
 
 
@@ -71,46 +70,39 @@ class TestAffinityIdentity:
         keys = rng.integers(0, 2**63, 500).astype(np.uint64)
         seeds = rng.integers(0, 2**64, 33, dtype=np.uint64)
         base = crc32c_u64_array(keys, 0, nbytes).astype(np.uint64)
-        consts = crc32c_seed_constants(seeds, nbytes)
-        for t, seed in enumerate(seeds):
+        for seed in seeds:
             ref = crc32c_u64_array(
                 keys, int(seed) & 0xFFFFFFFF, nbytes
             ).astype(np.uint64)
-            assert np.array_equal(base ^ consts[t], ref)
-
-    def test_constants_accept_any_shape(self, rng):
-        seeds = rng.integers(0, 2**64, (3, 5), dtype=np.uint64)
-        consts = crc32c_seed_constants(seeds, 8)
-        assert consts.shape == (3, 5)
-        assert np.array_equal(
-            consts.ravel(), crc32c_seed_constants(seeds.ravel(), 8)
-        )
+            assert np.array_equal(
+                base ^ crc32c_seed_constants(seed, nbytes), ref
+            )
 
     @pytest.mark.parametrize("nbytes", [4, 8])
     def test_one_seed_matches_array_path(self, nbytes):
         """A fold's block asks for one seed's constant, computed on
-        Python ints: it equals the array path's, as a uint64."""
+        Python ints: it equals the zero-advance of the seed's low 32 bits
+        through the array path, as a uint64."""
         seeds = np.random.default_rng(7).integers(
             0, 2**64, 200, dtype=np.uint64
         )
-        want = crc32c_seed_constants(seeds, nbytes).tolist()
+        states = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+        want = crc32c_zero_advance(states, nbytes).tolist()
         for convert in (np.uint64, int):
             got = [crc32c_seed_constants(convert(s), nbytes) for s in seeds]
             assert all(type(c) is np.uint64 for c in got)
             assert [int(c) for c in got] == want
 
     @pytest.mark.parametrize("family", ["CRC", "CRC4"])
-    def test_family_hasher_lanes_match_instances(self, family, rng):
+    def test_family_hasher_blocks_match_instances(self, family, rng):
         fam = get_family(family)
         keys = rng.integers(0, 2**64, 300, dtype=np.uint64)
         seeds = rng.integers(0, 2**64, 11, dtype=np.uint64)
         hasher = fam.multiseed_hasher(keys)
-        assert hasher is not None
-        lanes = hash_lanes(fam, seeds, keys, hasher)
-        for t, seed in enumerate(seeds):
-            assert np.array_equal(
-                lanes[t], fam.instance(int(seed)).hash_array(keys)
-            )
+        assert isinstance(hasher, AffineLaneHasher)
+        for i, start, end, h in iter_hash_blocks(hasher, keys, seeds):
+            want = fam.instance(int(seeds[i])).hash_array(keys[start:end])
+            assert np.array_equal(h, want)
 
     @pytest.mark.parametrize("family", ["Mix", "Tab", "Tab64", "MShift"])
     def test_non_affine_families_have_non_affine_hashers(self, family):
@@ -120,29 +112,3 @@ class TestAffinityIdentity:
         hasher = fam.multiseed_hasher(np.arange(4, dtype=np.uint64))
         assert hasher is not None
         assert not isinstance(hasher, AffineLaneHasher)
-
-    def test_kernel_less_family_has_no_hasher(self):
-        fam = HashFamily(
-            "MixBare",
-            get_family("Mix")._factory,
-            64,
-            "clone without lane kernel",
-        )
-        assert fam.multiseed_hasher(np.arange(4, dtype=np.uint64)) is None
-
-    @pytest.mark.parametrize("family", ["Mix", "CRC"])
-    def test_hash_lanes_tiled_fallback_matches_instances(self, family, rng):
-        src = get_family(family)
-        # A kernel-less clone forces the chunked tiled fallback; the
-        # registered families themselves never reach it.
-        fam = HashFamily(
-            family + "Bare", src._factory, src.bits, "no lane kernel",
-            batch_kernel=src._batch_kernel,
-        )
-        keys = rng.integers(0, 2**64, 200, dtype=np.uint64)
-        seeds = rng.integers(0, 2**64, 7, dtype=np.uint64)
-        lanes = hash_lanes(fam, seeds, keys)  # no hasher: tiled path
-        for t, seed in enumerate(seeds):
-            assert np.array_equal(
-                lanes[t], src.instance(int(seed)).hash_array(keys)
-            )

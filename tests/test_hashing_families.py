@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.hashing.families import (
+    HashFamily,
+    InstanceLaneHasher,
     get_family,
+    iter_hash_blocks,
     list_families,
-    seeds_per_block,
 )
 
 
@@ -52,19 +54,6 @@ class TestRegistry:
         assert a[0] != b[0]
 
 
-class TestInstanceCache:
-    def test_same_seed_returns_cached_object(self):
-        fam = get_family("Tab")
-        assert fam.instance(4242) is fam.instance(4242)
-
-    def test_cached_instances_stay_correct(self):
-        fam = get_family("Tab64")
-        keys = np.arange(32, dtype=np.uint64)
-        first = fam.instance(77).hash_array(keys)
-        again = fam.instance(77).hash_array(keys)
-        assert np.array_equal(first, again)
-
-
 class TestBatchedFamilyHash:
     @pytest.mark.parametrize(
         "name", ["CRC", "CRC4", "Tab", "Tab64", "Mix", "MShift"]
@@ -98,14 +87,22 @@ class TestBatchedFamilyHash:
         assert np.array_equal(fast, slow)
 
 
-class TestSeedsPerBlock:
-    def test_block_sizes(self):
-        assert seeds_per_block(250, 100) == 2
-        assert seeds_per_block(10, 50) == 1  # never stalls at 0
-        assert seeds_per_block(1 << 20, 1) == 1 << 20
-        assert seeds_per_block(100, 0) == 100  # empty keys: any block works
+class TestKernelLessFamily:
+    """A family registered with its factory alone hashes a key array
+    under many seeds through its seeded instances."""
 
-    @pytest.mark.parametrize("chunk", [0, -1, -100])
-    def test_rejects_non_positive_chunks(self, chunk):
-        with pytest.raises(ValueError, match="chunk_elements"):
-            seeds_per_block(chunk, 10)
+    @pytest.mark.parametrize("name", ["Tab64", "MShift"])
+    def test_prepared_form_matches_instances(self, name):
+        src = get_family(name)
+        fam = HashFamily(name + "Bare", src._factory, src.bits, "factory only")
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 2**64, 70_000, dtype=np.uint64)
+        seeds = rng.integers(0, 2**64, 2, dtype=np.uint64)
+        hasher = fam.multiseed_hasher(keys)
+        assert isinstance(hasher, InstanceLaneHasher)
+        blocks = 0
+        for i, start, end, h in iter_hash_blocks(hasher, keys, seeds):
+            want = src.instance(int(seeds[i]))
+            assert np.array_equal(h, want.hash_array(keys[start:end]))
+            blocks += 1
+        assert blocks == 4  # two seeds over two blocks of 2^16 keys

@@ -1,11 +1,12 @@
-"""Property suite for the unified LaneHasher interface.
+"""Property suite for the prepared forms of a key array.
 
-Every registered family must expose a lane hasher whose lanes are
-bit-identical to per-seed ``instance(...).hash_array`` — across lane
-counts, duplicate-heavy keys, output truncation, and awkward key-array
-layouts — so no multi-seed consumer ever falls back to the tiled
-per-seed path.  The stacked tabulation kernel and the chunked tiled
-fallback (for custom, kernel-less families) get their own sections.
+Every family — each registered one, and a clone registered without a
+multiseed kernel, which gets the instance-backed form — prepares a key
+array once (``multiseed_hasher``), and every seed's ``hash_into`` blocks
+over that form, read through :func:`iter_hash_blocks`, are bit-identical
+to the seeded ``instance(seed).hash_array`` — across seed counts,
+duplicate-heavy keys, output truncation, awkward key-array layouts and
+key arrays that cross a hash block.
 """
 
 import numpy as np
@@ -22,24 +23,19 @@ from repro.hashing.bitgroups import (
 from repro.hashing.families import (
     _HASH_BLOCK_KEYS,
     HashFamily,
+    InstanceLaneHasher,
     LaneHasher,
+    StackedLaneHasher,
     get_family,
-    hash_lanes,
     iter_hash_blocks,
     list_families,
 )
-from repro.hashing.tabulation import (
-    StackedLaneHasher,
-    TabulationHash,
-    stacked_tabulation_tables,
-    tabulation_lanes,
-    tabulation_tables,
-)
+from repro.hashing.tabulation import TabulationHash
 
 ALL_FAMILIES = list_families()
-LANE_COUNTS = (1, 2, 32)
-#: A CRC clone registered without a lane kernel: it reaches the
-#: batch-kernel fallback of ``hash_lanes``.
+SEED_COUNTS = (1, 2, 32)
+#: A CRC clone registered without a multiseed kernel: its prepared form
+#: is the instance-backed one.
 BARE_CRC = "CRC without lane kernel"
 
 
@@ -54,7 +50,7 @@ def _family(name):
 
 
 def _key_variants(rng):
-    """Key arrays the lane kernels must handle identically to instances."""
+    """Key arrays the prepared forms must handle identically to instances."""
     dup_heavy = rng.integers(0, 7, 400, dtype=np.uint64) * np.uint64(
         0x0101_0101_0101_0101
     )
@@ -70,51 +66,71 @@ def _key_variants(rng):
     }
 
 
-class TestLaneEquivalence:
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    @pytest.mark.parametrize("num_seeds", LANE_COUNTS)
-    def test_lanes_match_instances(self, family, num_seeds, rng):
-        fam = get_family(family)
+def _assert_blocks_match_instances(fam, hasher, keys, seeds, label=None):
+    """Every block :func:`iter_hash_blocks` yields equals the seeded
+    instance's hashes of those keys, and fits the family's width."""
+    blocks = 0
+    for i, start, end, h in iter_hash_blocks(hasher, keys, seeds):
+        want = fam.instance(int(seeds[i])).hash_array(keys[start:end])
+        assert np.array_equal(h, want), (fam.name, label, i, start)
+        assert int(h.max(initial=0)) < (1 << fam.bits), (fam.name, label)
+        blocks += 1
+    assert blocks == seeds.size * -(-keys.size // _HASH_BLOCK_KEYS)
+
+
+class TestPreparedForms:
+    @pytest.mark.parametrize("family", [*ALL_FAMILIES, BARE_CRC])
+    @pytest.mark.parametrize("num_seeds", SEED_COUNTS)
+    def test_blocks_match_instances(self, family, num_seeds, rng):
+        fam = _family(family)
         seeds = rng.integers(0, 2**64, num_seeds, dtype=np.uint64)
         for label, keys in _key_variants(rng).items():
             as_u64 = np.asarray(keys, dtype=np.uint64).ravel()
-            lanes = hash_lanes(fam, seeds, keys)
-            assert lanes.shape == (num_seeds, as_u64.size), (family, label)
-            for t, seed in enumerate(seeds):
-                expected = fam.instance(int(seed)).hash_array(as_u64)
-                assert np.array_equal(lanes[t], expected), (
-                    family, label, t,
-                )
+            hasher = fam.multiseed_hasher(keys)
+            assert hasher.num_keys == as_u64.size, (family, label)
+            _assert_blocks_match_instances(fam, hasher, as_u64, seeds, label)
 
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_no_registered_family_falls_through_to_tiling(self, family, rng):
-        # The contract the multi-seed checkers rely on: every registered
-        # family hands hash_lanes/iter_hash_blocks a LaneHasher, so the
-        # O(T·n) tiled path is reserved for custom registrations.
-        fam = get_family(family)
-        keys = rng.integers(0, 2**64, 64, dtype=np.uint64)
-        hasher = fam.multiseed_hasher(keys)
-        assert hasher is not None, f"{family} fell back to the tiled path"
+    @pytest.mark.parametrize("family", [*ALL_FAMILIES, BARE_CRC])
+    def test_every_family_has_a_prepared_form(self, family, rng):
+        # The contract the checkers rely on: multiseed_hasher never
+        # returns None, and a family registered without a multiseed
+        # kernel hashes through its seeded instances.
+        fam = _family(family)
+        hasher = fam.multiseed_hasher(
+            rng.integers(0, 2**64, 64, dtype=np.uint64)
+        )
         assert isinstance(hasher, LaneHasher)
+        if family in (BARE_CRC, "Mix", "MShift"):
+            assert isinstance(hasher, InstanceLaneHasher)
 
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_hasher_reuse_across_seed_blocks(self, family, rng):
-        # One hasher, many lanes() calls: a prepared form serves any
-        # number of seeds.
-        fam = get_family(family)
+    @pytest.mark.parametrize("family", [*ALL_FAMILIES, BARE_CRC])
+    def test_one_form_serves_any_seeds(self, family, rng):
+        # One prepared form, several reads: each seed's blocks do not
+        # depend on which seeds were hashed over the form before.
+        fam = _family(family)
         keys = rng.integers(0, 2**64, 100, dtype=np.uint64)
         hasher = fam.multiseed_hasher(keys)
         seeds = rng.integers(0, 2**64, 6, dtype=np.uint64)
-        blocks = [hasher.lanes(seeds[i : i + 2]) for i in range(0, 6, 2)]
-        assert np.array_equal(np.vstack(blocks), hash_lanes(fam, seeds, keys))
+        parts = [
+            h.copy()
+            for i in range(0, 6, 2)
+            for *_, h in iter_hash_blocks(hasher, keys, seeds[i : i + 2])
+        ]
+        whole = [h.copy() for *_, h in iter_hash_blocks(hasher, keys, seeds)]
+        assert np.array_equal(np.vstack(parts), np.vstack(whole))
 
-    def test_lanes_fit_family_bits(self, rng):
+    @pytest.mark.parametrize("family", [*ALL_FAMILIES, BARE_CRC])
+    @pytest.mark.parametrize("num_seeds", SEED_COUNTS)
+    def test_lanes_match_instances(self, family, num_seeds, rng):
+        # ``lanes`` is one hash_into per seed over every key.
+        fam = _family(family)
         keys = rng.integers(0, 2**64, 50, dtype=np.uint64)
-        seeds = rng.integers(0, 2**64, 3, dtype=np.uint64)
-        for family in ALL_FAMILIES:
-            fam = get_family(family)
-            lanes = hash_lanes(fam, seeds, keys)
-            assert int(lanes.max(initial=0)) < (1 << fam.bits), family
+        seeds = rng.integers(0, 2**64, num_seeds, dtype=np.uint64)
+        lanes = fam.multiseed_hasher(keys).lanes(seeds)
+        assert lanes.shape == (num_seeds, keys.size)
+        for t, seed in enumerate(seeds.tolist()):
+            want = fam.instance(seed).hash_array(keys)
+            assert np.array_equal(lanes[t], want), (family, t)
 
 
 class TestOneSeedPath:
@@ -144,17 +160,12 @@ class TestOneSeedPath:
             want = BucketAssigner(fam, d, iterations, root).assign(keys)
             assert rows.dtype == np.intp and np.array_equal(rows, want)
         seeds = ev[:, 0]
-        blocks = 0
-        for i, start, end, h in iter_hash_blocks(fam, hasher, keys, seeds):
-            want = fam.build(int(seeds[i])).hash_array(keys[start:end])
-            assert np.array_equal(h, want), (i, start)
-            blocks += 1
-        assert blocks == seeds.size * -(-num_keys // _HASH_BLOCK_KEYS)
-        if hasher is not None and num_keys > 4:
+        _assert_blocks_match_instances(fam, hasher, keys, seeds)
+        if num_keys > 4:
             # An unaligned block straight through hash_into.
             out = np.empty(num_keys - 4, dtype=np.uint64)
             hasher.hash_into(int(seeds[0]), 3, num_keys - 1, out, out.copy())
-            want = fam.build(int(seeds[0])).hash_array(keys[3:-1])
+            want = fam.instance(int(seeds[0])).hash_array(keys[3:-1])
             assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("family", ["CRC", "Tab64", "Mix"])
@@ -181,94 +192,29 @@ class TestOneSeedPath:
 
 
 class TestStackedTabulation:
-    @pytest.mark.parametrize("num_tables,out_bits", [(4, 32), (8, 64), (8, 17)])
-    def test_stacked_tables_match_per_seed_tables(self, num_tables, out_bits, rng):
-        seeds = rng.integers(0, 2**64, 5, dtype=np.uint64)
-        stacked = stacked_tabulation_tables(seeds, num_tables, out_bits)
-        assert stacked.shape == (num_tables, 256, seeds.size)
-        assert stacked.flags.c_contiguous
-        for t, seed in enumerate(seeds):
-            assert np.array_equal(
-                stacked[..., t], tabulation_tables(int(seed), num_tables, out_bits)
-            )
-
     @pytest.mark.parametrize("key_bits", [32, 64])
     @pytest.mark.parametrize("out_bits", [17, 32, 64])
-    def test_lanes_match_instances_with_truncation(self, key_bits, out_bits, rng):
+    def test_blocks_match_instances_with_truncation(
+        self, key_bits, out_bits, rng
+    ):
         seeds = rng.integers(0, 2**64, 7, dtype=np.uint64)
         keys = rng.integers(0, 2**64, 257, dtype=np.uint64)
-        lanes = tabulation_lanes(seeds, keys, key_bits, out_bits)
-        for t, seed in enumerate(seeds):
-            fn = TabulationHash(int(seed), key_bits=key_bits, out_bits=out_bits)
-            assert np.array_equal(lanes[t], fn.hash_array(keys))
+        hasher = StackedLaneHasher(keys, key_bits, out_bits)
+        for i, start, end, h in iter_hash_blocks(hasher, keys, seeds):
+            fn = TabulationHash(int(seeds[i]), key_bits, out_bits)
+            assert np.array_equal(h, fn.hash_array(keys[start:end]))
 
     def test_empty_keys(self, rng):
         seeds = rng.integers(0, 2**64, 3, dtype=np.uint64)
-        lanes = tabulation_lanes(seeds, np.zeros(0, dtype=np.uint64))
-        assert lanes.shape == (3, 0)
+        hasher = StackedLaneHasher(np.zeros(0, dtype=np.uint64))
+        assert hasher.num_keys == 0
+        assert hasher.lanes(seeds).shape == (3, 0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             StackedLaneHasher(np.zeros(1, dtype=np.uint64), key_bits=48)
         with pytest.raises(ValueError):
             StackedLaneHasher(np.zeros(1, dtype=np.uint64), out_bits=0)
-
-
-class TestChunkedTiledFallback:
-    def _spy_family(self, sizes):
-        src = get_family("Mix")
-
-        def spy_kernel(seeds, owner, keys):
-            sizes.append(keys.size)
-            return src._batch_kernel(seeds, owner, keys)
-
-        return HashFamily(
-            "MixSpy", src._factory, 64, "kernel-less spy",
-            batch_kernel=spy_kernel,
-        )
-
-    def test_fallback_is_memory_bounded(self, rng):
-        # The fallback must chunk over seeds: peak tiled-key scratch stays
-        # at chunk_elements, not seeds.size * keys.size.
-        sizes = []
-        fam = self._spy_family(sizes)
-        src = get_family("Mix")
-        keys = rng.integers(0, 2**64, 100, dtype=np.uint64)
-        seeds = rng.integers(0, 2**64, 37, dtype=np.uint64)
-        lanes = hash_lanes(fam, seeds, keys, chunk_elements=250)
-        assert max(sizes) <= 250
-        assert len(sizes) == -(-37 // (250 // 100))  # ceil(T / seeds-per-block)
-        for t, seed in enumerate(seeds):
-            assert np.array_equal(
-                lanes[t], src.instance(int(seed)).hash_array(keys)
-            )
-
-    def test_fallback_chunk_smaller_than_keys(self, rng):
-        # chunk_elements below one key row still makes progress, one seed
-        # at a time.
-        sizes = []
-        fam = self._spy_family(sizes)
-        keys = rng.integers(0, 2**64, 50, dtype=np.uint64)
-        seeds = rng.integers(0, 2**64, 3, dtype=np.uint64)
-        lanes = hash_lanes(fam, seeds, keys, chunk_elements=10)
-        assert max(sizes) == 50 and len(sizes) == 3
-        assert lanes.shape == (3, 50)
-
-    def test_fallback_empty_keys(self):
-        fam = self._spy_family([])
-        lanes = hash_lanes(fam, np.arange(4, dtype=np.uint64),
-                           np.zeros(0, dtype=np.uint64))
-        assert lanes.shape == (4, 0)
-
-    def test_rejects_bad_chunk(self, rng):
-        fam = self._spy_family([])
-        with pytest.raises(ValueError):
-            hash_lanes(
-                fam,
-                np.arange(2, dtype=np.uint64),
-                np.arange(4, dtype=np.uint64),
-                chunk_elements=0,
-            )
 
 
 class TestDuplicateSeedsStillRejected:
