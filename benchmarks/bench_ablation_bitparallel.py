@@ -58,7 +58,7 @@ def test_bitparallel_detection_unchanged(benchmark):
     of 300 checker constructions); ``sum_delta_verdicts`` is asserted
     trial-identical to per-trial ``detects_delta`` by the engine tests.
     """
-    from repro.experiments.engine import sum_delta_verdicts
+    from repro.experiments.accuracy import sum_delta_verdicts
     from repro.faults.manipulators import KVManipulationBatch
 
     def run():

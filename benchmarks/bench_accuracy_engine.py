@@ -1,14 +1,16 @@
-"""Batched accuracy engine vs the per-trial reference loop.
+"""Batched accuracy path vs the per-trial loop it replaced.
 
 Times one Fig 3 cell (``8x16 Tab m15`` × Bitflip) and one Fig 5 cell
-(``Tab4`` × Increment) on both execution paths, asserts the engine's
-verdict counts are identical to the reference loop's, and emits a
-``BENCH_accuracy_engine.json`` artifact at the repo root so future PRs can
-track the throughput trajectory.
+(``Tab4`` × Increment) through :mod:`repro.experiments.accuracy` and
+through the per-trial baseline (``per_trial_sum_accuracy`` and
+``per_trial_perm_accuracy`` in ``conftest.py``), asserts identical verdict
+counts, and emits a ``BENCH_accuracy_engine.json`` artifact at the repo
+root so future PRs can track the throughput trajectory.  The artifact's
+``reference_*`` fields are the per-trial baseline's.
 
 Scale knobs: ``REPRO_BENCH_TRIALS`` sets the *batched* trial count
 (floored at 10 000 here so the artifact always reflects a paper-relevant
-batch); the reference loop runs ``min(batched, 10 000)`` trials to keep
+batch); the per-trial loop runs ``min(batched, 10 000)`` trials to keep
 the comparison honest but bounded.
 """
 
@@ -17,7 +19,13 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from conftest import run_once, smoke_mode, write_artifact
+from conftest import (
+    per_trial_perm_accuracy,
+    per_trial_sum_accuracy,
+    run_once,
+    smoke_mode,
+    write_artifact,
+)
 
 from repro.core.params import PermCheckConfig, SumCheckConfig
 from repro.experiments.accuracy import perm_checker_accuracy, sum_checker_accuracy
@@ -43,37 +51,37 @@ def test_accuracy_engine_speedup(benchmark, accuracy_trials):
     perm_cfg = PermCheckConfig(log_h=4, hash_family="Tab")
 
     # Equivalence gate: identical failure counts on a 1000-trial cell.
-    for kind, fn in (
-        ("sum", lambda mode: sum_checker_accuracy(
-            sum_cfg, "Bitflip", _EQUIVALENCE_TRIALS, seed=0xF163, mode=mode
-        )),
-        ("perm", lambda mode: perm_checker_accuracy(
-            perm_cfg, "Increment", _EQUIVALENCE_TRIALS, seed=0xF165, mode=mode
-        )),
+    for batched, per_trial, cfg, manipulator, seed in (
+        (sum_checker_accuracy, per_trial_sum_accuracy, sum_cfg, "Bitflip", 0xF163),
+        (perm_checker_accuracy, per_trial_perm_accuracy, perm_cfg, "Increment",
+         0xF165),
     ):
-        assert fn("batched") == fn("reference"), f"{kind} paths diverged"
+        cell = (cfg, manipulator, _EQUIVALENCE_TRIALS)
+        assert batched(*cell, seed=seed) == per_trial(*cell, seed=seed), (
+            f"{manipulator} paths diverged"
+        )
 
     sum_ref, sum_ref_s = _timed(
-        lambda: sum_checker_accuracy(
-            sum_cfg, "Bitflip", reference_trials, seed=0xF163, mode="reference"
+        lambda: per_trial_sum_accuracy(
+            sum_cfg, "Bitflip", reference_trials, seed=0xF163
         )
     )
     sum_bat, sum_bat_s = _timed(
         lambda: run_once(
             benchmark,
             lambda: sum_checker_accuracy(
-                sum_cfg, "Bitflip", batched_trials, seed=0xF163, mode="batched"
+                sum_cfg, "Bitflip", batched_trials, seed=0xF163
             ),
         )
     )
     perm_ref, perm_ref_s = _timed(
-        lambda: perm_checker_accuracy(
-            perm_cfg, "Increment", reference_trials, seed=0xF165, mode="reference"
+        lambda: per_trial_perm_accuracy(
+            perm_cfg, "Increment", reference_trials, seed=0xF165
         )
     )
     perm_bat, perm_bat_s = _timed(
         lambda: perm_checker_accuracy(
-            perm_cfg, "Increment", batched_trials, seed=0xF165, mode="batched"
+            perm_cfg, "Increment", batched_trials, seed=0xF165
         )
     )
     if batched_trials == reference_trials:

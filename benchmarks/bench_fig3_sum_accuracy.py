@@ -12,9 +12,7 @@ Expected shape (paper §7.1):
 * tabulation is uniformly consistent with the ideal analysis.
 
 Trial counts scale via ``REPRO_BENCH_TRIALS`` (default 400 per cell; the
-batched engine makes the paper's 100 000 routine — set
-``REPRO_BENCH_ACCURACY_MODE=reference`` for the per-trial oracle loop,
-which produces identical verdicts).
+batched accuracy path makes the paper's 100 000 routine).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from repro.faults.manipulators import SUM_MANIPULATORS
 _HASHES = ("CRC", "Tab")
 
 
-def test_fig3_sum_checker_accuracy(benchmark, accuracy_trials, accuracy_mode):
+def test_fig3_sum_checker_accuracy(benchmark, accuracy_trials):
     def experiment():
         rows = []
         for manipulator in SUM_MANIPULATORS:
@@ -41,13 +39,11 @@ def test_fig3_sum_checker_accuracy(benchmark, accuracy_trials, accuracy_mode):
                         manipulator,
                         trials=accuracy_trials,
                         seed=0xF163,
-                        mode=accuracy_mode,
                     )
                     rows.append(cell)
         return rows
 
     cells = run_once(benchmark, experiment)
-    benchmark.extra_info["accuracy_mode"] = accuracy_mode
     print()
     print(
         format_table(

@@ -21,7 +21,7 @@ from repro.faults.manipulators import PERM_MANIPULATORS
 _HASHES = ("CRC", "Tab")
 
 
-def test_fig5_permutation_checker_accuracy(benchmark, accuracy_trials, accuracy_mode):
+def test_fig5_permutation_checker_accuracy(benchmark, accuracy_trials):
     def experiment():
         rows = []
         for manipulator in PERM_MANIPULATORS:
@@ -33,13 +33,11 @@ def test_fig5_permutation_checker_accuracy(benchmark, accuracy_trials, accuracy_
                         manipulator,
                         trials=accuracy_trials,
                         seed=0xF165,
-                        mode=accuracy_mode,
                     )
                     rows.append(cell)
         return rows
 
     cells = run_once(benchmark, experiment)
-    benchmark.extra_info["accuracy_mode"] = accuracy_mode
     print()
     print(
         format_table(

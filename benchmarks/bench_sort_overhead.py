@@ -24,7 +24,7 @@ from repro.comm.context import Context
 from repro.core.permutation_checker import MultiSeedHashSumChecker
 from repro.core.sort_checker import check_globally_sorted
 from repro.dataflow.ops.sort import sample_sort
-from repro.experiments.overhead import sort_checker_overhead_ns
+from repro.experiments.overhead import OverheadEngine
 from repro.experiments.report import format_table
 from repro.workloads.uniform import uniform_integers
 
@@ -65,10 +65,9 @@ def _pipeline_fraction(n_total: int, p: int = 4) -> tuple[float, float]:
 
 def test_sort_checker_overhead(benchmark, overhead_elements):
     def experiment():
-        rows = [
-            sort_checker_overhead_ns(fam, n_elements=overhead_elements)
-            for fam in ("CRC4", "Tab", "Mix")
-        ]
+        rows = OverheadEngine(n_elements=overhead_elements).measure_sort(
+            ("CRC4", "Tab", "Mix")
+        )
         # logH independence: one iteration at several truncations.  Each
         # width's time is its minimum over interleaved rounds, so one
         # scheduler pause during a ~1 ms call cannot fail the shape check.

@@ -4,15 +4,16 @@ Trial counts scale with the environment:
 
 * ``REPRO_BENCH_TRIALS`` — accuracy trials per cell (default 400; the paper
   uses 100 000 — set it that high for a paper-scale run, the batched
-  engine affords it).
+  accuracy path affords it).
 * ``REPRO_BENCH_ELEMENTS`` — element count for overhead measurements
   (default 300 000; paper: 10^6).
-* ``REPRO_BENCH_ACCURACY_MODE`` — ``batched`` (default, vectorized engine)
-  or ``reference`` (per-trial oracle loop; identical verdicts).
 * ``REPRO_BENCH_SMOKE=1`` — CI smoke mode: tiny inputs, single repetition,
   no artifact writes, no speedup gates.  Exists so the benchmark files are
   *executed* on every push (they can't silently rot) without asking a
   shared runner for stable timings.
+
+The two counts take a positive integer; any other value (``1e5``, ``0``)
+raises ``ValueError`` naming the variable rather than running a default.
 """
 
 from __future__ import annotations
@@ -25,10 +26,16 @@ import pytest
 
 
 def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
+    raw = os.environ.get(name)
+    if raw is None:
         return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name}={raw!r}: expected a positive integer")
+    return value
 
 
 def smoke_mode() -> bool:
@@ -72,17 +79,124 @@ def overhead_elements() -> int:
     )
 
 
-@pytest.fixture(scope="session")
-def accuracy_mode() -> str:
-    mode = os.environ.get("REPRO_BENCH_ACCURACY_MODE", "batched")
-    if mode not in ("batched", "reference"):
-        raise ValueError(f"REPRO_BENCH_ACCURACY_MODE={mode!r}")
-    return mode
-
-
 def run_once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def per_trial_sum_accuracy(
+    config, manipulator, trials, n_elements=50_000, num_keys=10**6, seed=0
+):
+    """:func:`~repro.experiments.accuracy.sum_checker_accuracy` one trial
+    at a time: the per-trial baseline ``bench_accuracy_engine.py`` gates
+    the batched path against.
+
+    Each trial redraws through the manipulator's ``_draw`` as ``apply``
+    does, but keeps only the deltas: ``apply``'s copy of the input would
+    slow the baseline and flatter the batched path's speedup.  ``repro``
+    is imported here for the reason :func:`seed_rows` gives.
+    """
+    import numpy as np
+
+    from repro.core.sum_checker import reference_tables
+    from repro.experiments.accuracy import (
+        AccuracyCell,
+        _kv_manipulator,
+        _storage_aware_family,
+    )
+    from repro.faults.manipulators import _MAX_REDRAWS
+    from repro.util.rng import SplitMixStream, derive_seed
+    from repro.workloads.kv import sum_workload
+
+    keys, values = sum_workload(n_elements, num_keys, seed=derive_seed(seed, "wl"))
+    man = _kv_manipulator(manipulator, num_keys)
+    effective = config.with_hash(
+        _storage_aware_family(config.hash_family, num_keys)
+    )
+    failures = 0
+    for trial in range(trials):
+        rng = SplitMixStream(derive_seed(seed, "trial", trial))
+        for _ in range(_MAX_REDRAWS):
+            delta_keys, delta_values, _ = man._draw(rng, keys, values)
+            if delta_keys.size:
+                break
+        else:
+            raise RuntimeError(f"{manipulator}: no effective fault")
+        # The table is linear in the pairs and the correct output's table
+        # equals the input's, so the check rejects iff the deltas' table
+        # is non-zero.
+        table = reference_tables(
+            effective,
+            derive_seed(seed, "checker", trial),
+            delta_keys,
+            delta_values,
+        )
+        if not np.any(table):
+            failures += 1
+    return AccuracyCell(
+        checker="sum-aggregation",
+        config=config.label(),
+        manipulator=manipulator,
+        trials=trials,
+        failures=failures,
+        expected_delta=config.failure_bound,
+    )
+
+
+def per_trial_perm_accuracy(
+    config, manipulator, trials, n_elements=10**6, universe=10**8, seed=0
+):
+    """:func:`~repro.experiments.accuracy.perm_checker_accuracy` one trial
+    at a time, the second per-trial baseline; it draws each fault as
+    :func:`per_trial_sum_accuracy` does, without a copy of the sequence."""
+    import numpy as np
+
+    from repro.core.permutation_checker import MultiSeedHashSumChecker
+    from repro.experiments.accuracy import (
+        AccuracyCell,
+        _seq_manipulator,
+        _storage_aware_family,
+    )
+    from repro.faults.manipulators import _MAX_REDRAWS
+    from repro.util.rng import SplitMixStream, derive_seed
+    from repro.workloads.uniform import uniform_integers
+
+    sequence = uniform_integers(
+        min(n_elements, 1 << 16), universe, seed=derive_seed(seed, "wl")
+    )
+    man = _seq_manipulator(manipulator, universe)
+    family = _storage_aware_family(config.hash_family, universe)
+    failures = 0
+    for trial in range(trials):
+        rng = SplitMixStream(derive_seed(seed, "trial", trial))
+        for _ in range(_MAX_REDRAWS):
+            drawn = man._draw(rng, sequence)
+            if drawn is not None:
+                break
+        else:
+            raise RuntimeError(f"{manipulator}: no effective fault")
+        i, new = drawn
+        # Same checker (same seed derivation) as the full path, applied to
+        # the removed/added elements only: the common elements cancel in
+        # the wide hash sums, so the λ values are identical.
+        checker = MultiSeedHashSumChecker(
+            derive_seed(seed, "hash", trial),
+            iterations=config.iterations,
+            hash_family=family,
+            log_h=config.log_h,
+        )
+        removed = np.array([sequence[i]], dtype=np.uint64)
+        added = np.array([new], dtype=np.uint64)
+        if checker.check(removed, added).accepted:
+            failures += 1
+    return AccuracyCell(
+        checker="permutation-hashsum",
+        config=config.label(),
+        manipulator=manipulator,
+        trials=trials,
+        failures=failures,
+        expected_delta=config.failure_bound,
+    )
 
 
 def seed_rows(family, cfg, seeds, keys):

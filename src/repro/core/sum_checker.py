@@ -201,8 +201,8 @@ def reference_tables(
     its bucket row with one bincount or scatter.
     :class:`~repro.core.multiseed.MultiSeedSumChecker` folds the same
     table for every seed; tests compare the two, and Table 5, the
-    accuracy reference loop and the multi-seed benches time this fold as
-    the one-instance baseline.
+    accuracy bench's per-trial baseline and the multi-seed benches time
+    this fold as the one-instance baseline.
     """
     if operator not in ("+", "xor"):
         raise ValueError(f"unsupported reduce operator {operator!r}")

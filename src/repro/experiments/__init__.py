@@ -21,14 +21,7 @@ from repro.experiments.accuracy import (
     sum_checker_accuracy,
     sum_checker_accuracy_full,
 )
-from repro.experiments.overhead import (
-    OverheadEngine,
-    OverheadRow,
-    multiseed_sum_overhead_ns,
-    reduce_baseline_ns,
-    sort_checker_overhead_ns,
-    sum_checker_overhead_ns,
-)
+from repro.experiments.overhead import OverheadEngine, OverheadRow
 from repro.experiments.scaling import (
     ScalingPoint,
     measured_weak_scaling,
@@ -37,12 +30,11 @@ from repro.experiments.scaling import (
 from repro.experiments.localization import (
     LocalizationSummary,
     LocalizationTrial,
-    localization_accuracy,
     run_localization_trials,
     summarize_trials,
 )
 from repro.experiments.volume import VolumeRow, checker_volume_table
-from repro.experiments.report import format_series, format_table
+from repro.experiments.report import format_table
 
 __all__ = [
     "AccuracyCell",
@@ -53,20 +45,14 @@ __all__ = [
     "sum_checker_accuracy_full",
     "OverheadEngine",
     "OverheadRow",
-    "multiseed_sum_overhead_ns",
-    "reduce_baseline_ns",
-    "sort_checker_overhead_ns",
-    "sum_checker_overhead_ns",
     "ScalingPoint",
     "measured_weak_scaling",
     "modeled_weak_scaling",
     "LocalizationSummary",
     "LocalizationTrial",
-    "localization_accuracy",
     "run_localization_trials",
     "summarize_trials",
     "VolumeRow",
     "checker_volume_table",
-    "format_series",
     "format_table",
 ]

@@ -38,7 +38,6 @@ __all__ = [
     "DEFAULT_MANIPULATORS",
     "LocalizationSummary",
     "LocalizationTrial",
-    "localization_accuracy",
     "run_localization_trials",
     "summarize_trials",
 ]
@@ -281,9 +280,3 @@ def summarize_trials(trials: list[LocalizationTrial]) -> LocalizationSummary:
         / n,
     )
 
-
-def localization_accuracy(
-    config: SumCheckConfig, trials: int, **kwargs
-) -> LocalizationSummary:
-    """One-call harness: run the trials and summarize."""
-    return summarize_trials(run_localization_trials(config, trials, **kwargs))

@@ -13,10 +13,10 @@ choice shifts the constant.
 generated **once**, kernels for every configuration and hash family are
 built up front, and all kernels are timed in one interleaved sweep —
 round-robin over the kernels within each repeat, best-of across repeats —
-so a full Table 5 is a single engine pass instead of the former
-per-configuration regenerate-and-rehash loops.  The historical entry
-points (:func:`sum_checker_overhead_ns`, :func:`reduce_baseline_ns`,
-:func:`sort_checker_overhead_ns`) remain as thin wrappers.
+so a full Table 5 is a single engine pass instead of per-configuration
+regenerate-and-rehash loops.  Every measured per-element cost in
+:mod:`repro.experiments` (Table 5, the §7.2 sort rows, the local terms of
+the Fig 4 and streaming models) comes from one such sweep.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ class OverheadEngine:
         Timed sweeps; each kernel's row reports its minimum (noise-robust).
         One additional untimed warm-up sweep runs first.
     seed:
-        Root seed for workload and checker randomness (same derivation tree
-        as the historical per-config functions, so rows are comparable).
+        Root seed for workload and checker randomness.
     """
 
     def __init__(self, n_elements: int = 10**6, repeats: int = 5, seed: int = 0):
@@ -202,7 +201,13 @@ class OverheadEngine:
     def measure_sort(
         self, hash_families: Iterable[str] = ("CRC", "Tab")
     ) -> list[OverheadRow]:
-        """§7.2 sort-checker rows for several hash families, one sweep."""
+        """§7.2 sort-checker rows for several hash families, one sweep.
+
+        The paper reports 2.0 ns/element for CRC-32C and 2.8 ns for 32-bit
+        tabulation hashing, independent of how many output bits are used —
+        which holds here too, because truncation is a mask applied after
+        the (cost-dominating) hash evaluation.
+        """
         return self._run([self._sort_kernel(f) for f in hash_families])
 
     @staticmethod
@@ -211,57 +216,3 @@ class OverheadEngine:
             return config
         return SumCheckConfig.parse(config)
 
-
-# ---------------------------------------------------------------------------
-# Historical single-measurement entry points (wrappers over the engine)
-# ---------------------------------------------------------------------------
-
-
-def sum_checker_overhead_ns(
-    config: SumCheckConfig,
-    n_elements: int = 10**6,
-    repeats: int = 5,
-    seed: int = 0,
-) -> OverheadRow:
-    """Table 5: checker local input processing time per element."""
-    engine = OverheadEngine(n_elements, repeats, seed)
-    return engine.measure_table5([config], include_baseline=False)[0]
-
-
-def reduce_baseline_ns(
-    n_elements: int = 10**6, repeats: int = 5, seed: int = 0
-) -> OverheadRow:
-    """The comparison point: the main reduce operation per element."""
-    engine = OverheadEngine(n_elements, repeats, seed)
-    return engine.measure_table5([], include_baseline=True)[0]
-
-
-def sort_checker_overhead_ns(
-    hash_family: str = "CRC",
-    n_elements: int = 10**6,
-    repeats: int = 5,
-    seed: int = 0,
-) -> OverheadRow:
-    """§7.2: sort-checker local processing of input *and* output.
-
-    The paper reports 2.0 ns/element for CRC-32C and 2.8 ns for 32-bit
-    tabulation hashing, independent of how many output bits are used —
-    which holds here too, because truncation is a mask applied after the
-    (cost-dominating) hash evaluation.
-    """
-    engine = OverheadEngine(n_elements, repeats, seed)
-    return engine.measure_sort([hash_family])[0]
-
-
-def multiseed_sum_overhead_ns(
-    config: SumCheckConfig,
-    num_seeds: int,
-    n_elements: int = 10**6,
-    repeats: int = 5,
-    seed: int = 0,
-) -> OverheadRow:
-    """Per element·seed cost of the multi-seed batched checker."""
-    engine = OverheadEngine(n_elements, repeats, seed)
-    return engine.measure_table5(
-        [], include_baseline=False, multiseed=[(config, num_seeds)]
-    )[0]

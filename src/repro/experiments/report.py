@@ -1,4 +1,4 @@
-"""Plain-text table/series rendering for benchmark output."""
+"""Plain-text table rendering for benchmark output."""
 
 from __future__ import annotations
 
@@ -20,11 +20,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
-
-def format_series(
-    name: str, xs: Sequence, ys: Sequence, x_label: str = "x", y_label: str = "y"
-) -> str:
-    """A labelled (x, y) series as aligned columns (one figure line)."""
-    header = f"# {name}: {x_label} -> {y_label}"
-    rows = [f"{x!s:>12}  {y}" for x, y in zip(xs, ys)]
-    return "\n".join([header] + rows)

@@ -28,7 +28,7 @@ from repro.core.params import (
 from repro.experiments.accuracy import perm_checker_accuracy, sum_checker_accuracy
 from repro.experiments.overhead import OverheadEngine
 from repro.experiments.report import format_table
-from repro.experiments.scaling import modeled_weak_scaling
+from repro.experiments.scaling import modeled_streaming_windows, modeled_weak_scaling
 from repro.experiments.volume import checker_volume_table
 from repro.faults.manipulators import PERM_MANIPULATORS, SUM_MANIPULATORS
 
@@ -62,15 +62,13 @@ def _section_table3() -> str:
     )
 
 
-def _section_fig3(trials: int, mode: str = "batched") -> str:
+def _section_fig3(trials: int) -> str:
     rows = []
     for manipulator in SUM_MANIPULATORS:
         for label in PAPER_TABLE3_ACCURACY:
             for fam in ("CRC", "Tab"):
                 cfg = SumCheckConfig.parse(label).with_hash(fam)
-                cell = sum_checker_accuracy(
-                    cfg, manipulator, trials, seed=0xF163, mode=mode
-                )
+                cell = sum_checker_accuracy(cfg, manipulator, trials, seed=0xF163)
                 rows.append(
                     (
                         manipulator,
@@ -85,15 +83,13 @@ def _section_fig3(trials: int, mode: str = "batched") -> str:
     )
 
 
-def _section_fig5(trials: int, mode: str = "batched") -> str:
+def _section_fig5(trials: int) -> str:
     rows = []
     for manipulator in PERM_MANIPULATORS:
         for fam in ("CRC", "Tab"):
             for log_h in PAPER_FIG5_LOG_H:
                 cfg = PermCheckConfig(log_h=log_h, hash_family=fam)
-                cell = perm_checker_accuracy(
-                    cfg, manipulator, trials, seed=0xF165, mode=mode
-                )
+                cell = perm_checker_accuracy(cfg, manipulator, trials, seed=0xF165)
                 rows.append(
                     (
                         manipulator,
@@ -149,14 +145,14 @@ def _section_fig4() -> str:
     )
 
 
-def _section_streaming() -> str:
-    from repro.experiments.overhead import sum_checker_overhead_ns
-    from repro.experiments.scaling import modeled_streaming_windows
-
+def _section_streaming(elements: int) -> str:
     cfg = SumCheckConfig.parse("8x16 Tab64 m15")
     # Measure the per-element local cost once; both seed rows are pure
     # α–β model evaluations on top of it.
-    check_ns = sum_checker_overhead_ns(cfg, n_elements=200_000).ns_per_element
+    (row,) = OverheadEngine(n_elements=elements).measure_table5(
+        [cfg], include_baseline=False
+    )
+    check_ns = row.ns_per_element
     rows = []
     for num_seeds in (1, 8):
         for pt in modeled_streaming_windows(
@@ -195,10 +191,10 @@ _SECTIONS = {
     "table3": lambda args: _section_table3(),
     "table5": lambda args: _section_table5(args.elements),
     "multiseed": lambda args: _section_multiseed(args.elements),
-    "fig3": lambda args: _section_fig3(args.trials, args.accuracy_mode),
+    "fig3": lambda args: _section_fig3(args.trials),
     "fig4": lambda args: _section_fig4(),
-    "fig5": lambda args: _section_fig5(args.trials, args.accuracy_mode),
-    "streaming": lambda args: _section_streaming(),
+    "fig5": lambda args: _section_fig5(args.trials),
+    "streaming": lambda args: _section_streaming(args.elements),
 }
 
 
@@ -224,13 +220,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--trials", type=int, default=400, help="accuracy trials per cell"
-    )
-    parser.add_argument(
-        "--accuracy-mode",
-        choices=("batched", "reference"),
-        default="batched",
-        help="accuracy execution path: vectorized engine (default) or the "
-        "per-trial oracle loop (identical verdicts, ~20-100x slower)",
     )
     parser.add_argument(
         "--elements",

@@ -26,11 +26,7 @@ from repro.comm.cost import CostModel
 from repro.core.multiseed import MultiSeedSumChecker
 from repro.core.params import SumCheckConfig
 from repro.dataflow.ops.reduce_by_key import reduce_by_key
-from repro.experiments.overhead import (
-    multiseed_sum_overhead_ns,
-    reduce_baseline_ns,
-    sum_checker_overhead_ns,
-)
+from repro.experiments.overhead import OverheadEngine
 from repro.util.rng import derive_seed, derive_seed_array
 from repro.workloads.kv import sum_workload
 
@@ -171,7 +167,9 @@ def modeled_weak_scaling(
     ``time_without(p) = reduce_local·n/p + T_all-to-all(w·k/p, p)`` and the
     checker adds ``check_local·(n/p + k/p) + T_coll(table_bits, p)`` — the
     terms of §2 "Reduction" and Theorem 1.  Local per-element costs default
-    to values measured on this machine.
+    to values measured on this machine, the checker's and the reduce
+    baseline's in one :class:`~repro.experiments.overhead.OverheadEngine`
+    sweep over one ``measure_elements``-pair workload.
 
     ``num_seeds > 1`` models the δ^T multi-seed row: the local term uses
     the *batched* multi-seed cost per element·seed (measured through
@@ -180,22 +178,17 @@ def modeled_weak_scaling(
     tables in one message.
     """
     cost = cost_model or CostModel()
-    if check_local_ns is None:
-        if num_seeds > 1:
-            check_local_ns = num_seeds * multiseed_sum_overhead_ns(
-                config,
-                num_seeds,
-                n_elements=measure_elements,
-                seed=seed,
-            ).ns_per_element
-        else:
-            check_local_ns = sum_checker_overhead_ns(
-                config, n_elements=measure_elements, seed=seed
-            ).ns_per_element
-    if reduce_local_ns is None:
-        reduce_local_ns = reduce_baseline_ns(
-            n_elements=measure_elements, seed=seed
-        ).ns_per_element
+    if check_local_ns is None or reduce_local_ns is None:
+        checks = [config] if check_local_ns is None else []
+        rows = OverheadEngine(measure_elements, seed=seed).measure_table5(
+            checks if num_seeds == 1 else [],
+            include_baseline=reduce_local_ns is None,
+            multiseed=[(c, num_seeds) for c in checks] if num_seeds > 1 else [],
+        )
+        if check_local_ns is None:
+            check_local_ns = num_seeds * rows[0].ns_per_element
+        if reduce_local_ns is None:
+            reduce_local_ns = rows[-1].ns_per_element
 
     points = []
     for p in pes:
@@ -241,9 +234,10 @@ def modeled_streaming_windows(
     """
     cost = cost_model or CostModel()
     if check_local_ns is None:
-        check_local_ns = sum_checker_overhead_ns(
-            config, n_elements=measure_elements, seed=seed
-        ).ns_per_element
+        (row,) = OverheadEngine(measure_elements, seed=seed).measure_table5(
+            [config], include_baseline=False
+        )
+        check_local_ns = row.ns_per_element
     table_bytes = (num_seeds * config.table_bits + 7) // 8
     local_seconds = check_local_ns * 1e-9 * items_per_pe
     points = []

@@ -2,10 +2,12 @@
 
 Manipulators "purposefully interfere with the computation and deliberately
 introduce faults" — subtle, minimal changes, because large-scale corruption
-is trivially detected.  Each manipulator reports the *exact sparse effect*
-of its change (per-key aggregate deltas for the sum family; removed/added
-elements for the permutation family), which the accuracy harness uses for
-its exact fast path.
+is trivially detected.  Each manipulator's ``apply`` returns the
+manipulated copy and the *exact sparse effect* of its change (per-key
+aggregate deltas for the sum family; removed/added elements for the
+permutation family).  The accuracy experiments draw that effect alone for
+many trials at once (``sample_delta_batch``/``sample_change_batch``), the
+same faults ``apply`` draws from the same streams.
 """
 
 from repro.faults.manipulators import (

@@ -11,17 +11,19 @@ Two families:
   test the permutation checker and not the trivial sortedness check").
   The effect is described by the (removed, added) element multisets.
 
-Every ``apply`` returns both the manipulated data and the sparse effect;
-``sample_delta``/``sample_change`` produce only the effect (same
-distribution) for the high-trial-count accuracy experiments.  Manipulators
-re-draw when a draw happens to be a no-op (e.g. RandKey drawing the same
-key): a manipulator's contract is that it *does* introduce a fault.
+Every ``apply`` returns both the manipulated data and the sparse effect.
+Manipulators re-draw when a draw happens to be a no-op (e.g. RandKey
+drawing the same key): a manipulator's contract is that it *does*
+introduce a fault.  Values are stored integers: keys and elements wrap
+modulo 2^64 and a key's aggregate delta wraps to int64, as the uint64 and
+int64 records the data holds do.
 
 ``sample_delta_batch``/``sample_change_batch`` draw *many* trials' faults
-in a few numpy passes.  Each trial consumes its own
-:class:`repro.util.rng.SplitMixStream` draws in exactly the order the
-scalar methods would (redraws included), so the batched accuracy engine is
-trial-for-trial identical to the per-trial reference loop.
+in a few numpy passes and report only their sparse effects, for the
+high-trial-count accuracy experiments.  Each trial consumes its own
+:class:`repro.util.rng.SplitMixStream` draws in exactly the order
+``apply`` would (redraws included), so the batched accuracy path is
+trial-for-trial identical to a loop over ``apply``.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ def _resolve_rng(rng):
 class KVManipulation:
     """Effect of a key-value manipulator."""
 
-    keys: np.ndarray  # manipulated keys (full copy) — None in delta-only mode
-    values: np.ndarray | None
+    keys: np.ndarray  # manipulated keys (full copy)
+    values: np.ndarray  # manipulated values (full copy)
     delta_keys: np.ndarray  # sparse per-key aggregate deltas (output − correct)
     delta_values: np.ndarray
 
@@ -66,7 +68,7 @@ class KVManipulation:
 class SeqManipulation:
     """Effect of a sequence manipulator."""
 
-    sequence: np.ndarray | None  # manipulated sequence — None in delta-only mode
+    sequence: np.ndarray  # manipulated sequence (full copy)
     removed: np.ndarray  # multiset of elements removed from the sequence
     added: np.ndarray  # multiset of elements added
 
@@ -95,18 +97,22 @@ class SeqManipulationBatch:
 
 
 _KEY_MASK = (1 << 64) - 1
+_INT64_BIAS = 1 << 63
 
 
 def _consolidate(keys: list[int], values: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Merge duplicate delta keys and drop zero deltas.
 
     Keys wrap modulo 2^64 (stored-integer semantics: decrementing key 0
-    yields key 2^64−1, exactly what the manipulated uint64 record holds).
+    yields key 2^64−1, exactly what the manipulated uint64 record holds)
+    and each key's value sum wraps to int64 before the zero test, as the
+    batch's int64 ``reduceat`` does (moving the value ``-2^63`` off a key
+    leaves that key a delta of ``2^63``, stored as ``-2^63``).
     """
     agg: dict[int, int] = {}
     for k, v in zip(keys, values):
         k &= _KEY_MASK
-        agg[k] = agg.get(k, 0) + v
+        agg[k] = ((agg.get(k, 0) + v + _INT64_BIAS) & _KEY_MASK) - _INT64_BIAS
     kept = [(k, v) for k, v in agg.items() if v != 0]
     if not kept:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
@@ -178,26 +184,11 @@ class KVManipulator:
         """
         raise NotImplementedError
 
-    def sample_delta(self, rng, keys, values) -> KVManipulation:
-        """Draw a fault; report only its per-key aggregate deltas (fast path).
-
-        ``rng`` may be a generator, an int root seed, or ``None`` to use
-        the generator bound at construction.
-        """
-        rng = self._resolve(rng)
-        for _ in range(_MAX_REDRAWS):
-            dk, dv, _ = self._draw(rng, keys, values)
-            if dk.size:
-                return KVManipulation(None, None, dk, dv)
-        raise RuntimeError(
-            f"{self.name}: could not draw an effective fault in "
-            f"{_MAX_REDRAWS} attempts (degenerate input?)"
-        )
-
     def apply(self, rng, keys, values) -> KVManipulation:
         """Draw a fault; return the manipulated copy plus its deltas.
 
-        ``rng`` resolves exactly as in :meth:`sample_delta`.
+        ``rng`` may be a generator, an int root seed, or ``None`` to use
+        the generator bound at construction.
         """
         rng = self._resolve(rng)
         for _ in range(_MAX_REDRAWS):
@@ -228,10 +219,10 @@ class KVManipulator:
     def sample_delta_batch(
         self, rng: SplitMixStreamBatch, keys, values, trials: int | None = None
     ) -> KVManipulationBatch:
-        """Batched :meth:`sample_delta`: one fault per stream in ``rng``.
+        """The deltas of :meth:`apply`, one fault per stream in ``rng``.
 
         Trial ``t``'s fault (and stream consumption, redraws included)
-        equals ``sample_delta(SplitMixStream(seed_t), ...)`` for the seed
+        equals that of ``apply(SplitMixStream(seed_t), ...)`` for the seed
         behind ``rng``'s stream ``t``.
         """
         keys = np.asarray(keys, dtype=np.uint64)
@@ -496,28 +487,11 @@ class SeqManipulator:
         """Return (index, new_value) or None if the draw was a no-op."""
         raise NotImplementedError
 
-    def sample_change(self, rng, seq) -> SeqManipulation:
-        """Draw a fault; report only the removed/added elements.
-
-        ``rng`` may be a generator, an int root seed, or ``None`` to use
-        the generator bound at construction.
-        """
-        rng = self._resolve(rng)
-        for _ in range(_MAX_REDRAWS):
-            drawn = self._draw(rng, seq)
-            if drawn is not None:
-                i, nv = drawn
-                return SeqManipulation(
-                    None,
-                    removed=np.array([seq[i]], dtype=np.uint64),
-                    added=np.array([nv], dtype=np.uint64),
-                )
-        raise RuntimeError(f"{self.name}: no effective fault in {_MAX_REDRAWS} draws")
-
     def apply(self, rng, seq) -> SeqManipulation:
         """Draw a fault; return the manipulated sequence plus the change.
 
-        ``rng`` resolves exactly as in :meth:`sample_change`.
+        ``rng`` may be a generator, an int root seed, or ``None`` to use
+        the generator bound at construction.
         """
         rng = self._resolve(rng)
         for _ in range(_MAX_REDRAWS):
@@ -545,7 +519,7 @@ class SeqManipulator:
     def sample_change_batch(
         self, rng: SplitMixStreamBatch, seq, trials: int | None = None
     ) -> SeqManipulationBatch:
-        """Batched :meth:`sample_change`: one (removed, added) per stream."""
+        """The change of :meth:`apply`, one (removed, added) per stream."""
         seq = np.asarray(seq, dtype=np.uint64)
         total = rng.size
         if trials is not None and trials != total:
@@ -596,7 +570,7 @@ class Increment(SeqManipulator):
 
     def _draw(self, rng, seq):
         i = int(rng.integers(len(seq)))
-        return i, int(seq[i]) + 1
+        return i, (int(seq[i]) + 1) & _KEY_MASK
 
     def _draw_batch(self, rng, seq, idx):
         i = rng.integers(seq.size, index=idx).astype(np.intp)

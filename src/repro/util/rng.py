@@ -106,8 +106,8 @@ def derive_seed_array(roots, *path) -> np.ndarray:
     strings, or uint64 arrays (arrays broadcast against the running state,
     so a scalar root plus one array label yields a whole seed stream).  For
     every element the result equals the scalar ``derive_seed`` on the same
-    root/labels — this is what lets the batched trial engine reproduce the
-    reference path's seed tree exactly.
+    root/labels — this is what lets the batched accuracy path reproduce
+    the full path's seed tree exactly.
     """
     if isinstance(roots, (int, np.integer)):
         roots = np.uint64(int(roots) & _MASK64)

@@ -11,12 +11,7 @@ from repro.experiments.accuracy import (
     sum_checker_accuracy,
     sum_checker_accuracy_full,
 )
-from repro.experiments.overhead import (
-    reduce_baseline_ns,
-    sort_checker_overhead_ns,
-    sum_checker_overhead_ns,
-)
-from repro.experiments.report import format_series, format_table
+from repro.experiments.report import format_table
 from repro.experiments.scaling import measured_weak_scaling, modeled_weak_scaling
 from repro.experiments.volume import checker_volume_table
 
@@ -77,22 +72,6 @@ class TestFastVsFullPathAgreement:
         assert cell.failures == 0
 
 
-class TestOverhead:
-    def test_rows_are_positive_and_labelled(self):
-        row = sum_checker_overhead_ns(
-            SumCheckConfig.parse("4x8 m5"), n_elements=20_000, repeats=2
-        )
-        assert row.ns_per_element > 0
-        assert "4x8" in row.label
-
-    def test_baseline_positive(self):
-        assert reduce_baseline_ns(n_elements=20_000, repeats=2).ns_per_element > 0
-
-    def test_sort_checker_overhead(self):
-        row = sort_checker_overhead_ns("Mix", n_elements=20_000, repeats=2)
-        assert row.ns_per_element > 0
-
-
 class TestOverheadEngine:
     """The batched Table 5 engine: one workload, one interleaved sweep."""
 
@@ -117,11 +96,11 @@ class TestOverheadEngine:
         assert engine.kv_workload[0] is keys_first
 
     def test_multiseed_row(self):
-        from repro.experiments.overhead import multiseed_sum_overhead_ns
+        from repro.experiments.overhead import OverheadEngine
 
-        row = multiseed_sum_overhead_ns(
-            SumCheckConfig.parse("4x8 m5"), num_seeds=4,
-            n_elements=5_000, repeats=1,
+        (row,) = OverheadEngine(n_elements=5_000, repeats=1).measure_table5(
+            [], include_baseline=False,
+            multiseed=[(SumCheckConfig.parse("4x8 m5"), 4)],
         )
         assert row.ns_per_element > 0
         assert "multi-seed" in row.label and "x4 seeds" in row.label
@@ -136,6 +115,7 @@ class TestOverheadEngine:
             "sort checker (CRC)",
             "sort checker (Mix)",
         ]
+        assert all(r.ns_per_element > 0 for r in rows)
 
     def test_validation(self):
         from repro.experiments.overhead import OverheadEngine
@@ -204,6 +184,17 @@ class TestScaling:
             assert m.ratio > s.ratio  # more seeds cost more...
             assert m.ratio < 1.0 + 8 * (s.ratio - 1.0) + 1e-9  # ...but < T×
 
+    @pytest.mark.parametrize("num_seeds", [1, 4])
+    def test_modeled_measures_missing_local_costs(self, num_seeds):
+        """Local costs left unset come from one engine sweep."""
+        cfg = SumCheckConfig.parse("4x8 m5")
+        for given in ({}, {"check_local_ns": 5.0}, {"reduce_local_ns": 90.0}):
+            (pt,) = modeled_weak_scaling(
+                cfg, pes=(32,), measure_elements=2_000, num_seeds=num_seeds,
+                **given,
+            )
+            assert pt.time_with > pt.time_without > 0, given
+
     def test_modeled_with_paper_constants_matches_fig4_band(self):
         """Feeding the paper's measured ns constants into the α–β model
         lands the overhead inside Fig 4's 1.01–1.12 band."""
@@ -238,6 +229,15 @@ class TestScaling:
             assert pt.wire_bits_per_window == base.wire_bits_total
             assert pt.total_seconds > pt.settle_seconds
 
+    def test_modeled_streaming_windows_measures_local_cost(self):
+        from repro.experiments.scaling import modeled_streaming_windows
+
+        points = modeled_streaming_windows(
+            SumCheckConfig.parse("8x16 m15"), windows=(1, 2),
+            measure_elements=2_000,
+        )
+        assert points[0].local_seconds == points[1].local_seconds > 0
+
 
 class TestVolume:
     def test_volume_flat_in_n(self):
@@ -262,11 +262,6 @@ class TestReport:
         assert len(lines) == 4
         assert lines[0].startswith("a")
         assert "---" in lines[1]
-
-    def test_format_series(self):
-        out = format_series("s", [1, 2], [0.5, 0.7], "p", "ratio")
-        assert "s: p -> ratio" in out
-        assert len(out.splitlines()) == 3
 
 
 class TestLocalizationHarness:
@@ -323,23 +318,6 @@ class TestLocalizationHarness:
         assert s.bit_identical_rate == 1.0
         assert s.mean_bisection_rounds >= 0.0
         assert s.mean_check_seconds > 0.0
-
-    def test_accuracy_wrapper(self):
-        from repro.experiments.localization import (
-            LocalizationSummary,
-            localization_accuracy,
-        )
-
-        s = localization_accuracy(
-            self.CONFIG,
-            2,
-            windows=2,
-            elements_per_window=512,
-            key_domain=64,
-            seed=5,
-        )
-        assert isinstance(s, LocalizationSummary)
-        assert s.trials == 2
 
     def test_rejects_empty_batch(self):
         from repro.experiments.localization import run_localization_trials

@@ -1,8 +1,9 @@
-"""Tests for the batched trial engine (experiments/engine.py).
+"""Tests for the batched accuracy path (experiments/accuracy.py).
 
-The load-bearing property: the engine is *exactly* the reference per-trial
-loop, vectorized — same `derive_seed` tree, same stream draws, same
-verdict for every single trial, for every manipulator and hash family.
+The load-bearing property: the batched path is *exactly* a per-trial loop
+over the manipulators' ``apply``, vectorized — same `derive_seed` tree,
+same stream draws, same verdict for every single trial, for every
+manipulator and hash family.
 """
 
 import numpy as np
@@ -11,17 +12,16 @@ import pytest
 from repro.core.params import PermCheckConfig, SumCheckConfig
 from repro.core.permutation_checker import MultiSeedHashSumChecker
 from repro.core.sum_checker import draw_moduli, reference_tables
+from repro.experiments import accuracy
 from repro.experiments.accuracy import (
     _kv_manipulator,
     _seq_manipulator,
     _storage_aware_family,
-    perm_checker_accuracy,
-    sum_checker_accuracy,
-)
-from repro.experiments.engine import (
-    BatchedPermAccuracy,
-    BatchedSumAccuracy,
     perm_change_verdicts,
+    perm_checker_accuracy,
+    perm_checker_verdicts,
+    sum_checker_accuracy,
+    sum_checker_verdicts,
     sum_delta_verdicts,
 )
 from repro.faults.manipulators import (
@@ -42,7 +42,7 @@ _UNIVERSE = 10**6
 
 
 def _reference_sum_verdicts(config, manipulator, trials, seed):
-    """Per-trial detection flags of the reference loop (the oracle)."""
+    """Per-trial detection flags of a loop over ``apply`` (the oracle)."""
     keys, values = sum_workload(
         _N_ELEMENTS, _NUM_KEYS, seed=derive_seed(seed, "wl")
     )
@@ -53,7 +53,7 @@ def _reference_sum_verdicts(config, manipulator, trials, seed):
     out = np.zeros(trials, dtype=bool)
     for trial in range(trials):
         rng = SplitMixStream(derive_seed(seed, "trial", trial))
-        effect = man.sample_delta(rng, keys, values)
+        effect = man.apply(rng, keys, values)
         out[trial] = reference_tables(
             effective,
             derive_seed(seed, "checker", trial),
@@ -72,7 +72,7 @@ def _reference_perm_verdicts(config, manipulator, trials, seed):
     out = np.zeros(trials, dtype=bool)
     for trial in range(trials):
         rng = SplitMixStream(derive_seed(seed, "trial", trial))
-        change = man.sample_change(rng, sequence)
+        change = man.apply(rng, sequence)
         checker = MultiSeedHashSumChecker(
             derive_seed(seed, "hash", trial),
             iterations=config.iterations,
@@ -91,41 +91,33 @@ class TestSumEngineMatchesReference:
         # A weak config so both detections and misses occur in 300 trials.
         config = SumCheckConfig.parse("1x2 m2").with_hash(family)
         seed = 0xE1
-        engine = BatchedSumAccuracy(
-            config, manipulator, n_elements=_N_ELEMENTS, num_keys=_NUM_KEYS,
-            seed=seed,
+        got = sum_checker_verdicts(
+            config, manipulator, _TRIALS, n_elements=_N_ELEMENTS,
+            num_keys=_NUM_KEYS, seed=seed,
         )
-        got = engine.verdicts(_TRIALS)
         expected = _reference_sum_verdicts(config, manipulator, _TRIALS, seed)
         assert np.array_equal(got, expected)
         assert got.any() and not got.all(), "test config should be fallible"
 
-    def test_strong_config_and_chunking(self):
+    def test_strong_config_and_chunking(self, monkeypatch):
         config = SumCheckConfig.parse("8x16 m15").with_hash("Tab")
-        engine = BatchedSumAccuracy(
-            config, "Bitflip", n_elements=_N_ELEMENTS, num_keys=_NUM_KEYS,
-            seed=1, chunk_trials=64,
+        # 64-trial chunks split 150 trials three ways; results must not
+        # depend on the chunk boundaries.
+        monkeypatch.setattr(accuracy, "_CHUNK_TRIALS", 64)
+        got = sum_checker_verdicts(
+            config, "Bitflip", 150, n_elements=_N_ELEMENTS,
+            num_keys=_NUM_KEYS, seed=1,
         )
-        # chunk_trials=64 forces several chunks over 150 trials; results
-        # must not depend on the chunk boundaries.
         expected = _reference_sum_verdicts(config, "Bitflip", 150, 1)
-        assert np.array_equal(engine.verdicts(150), expected)
+        assert np.array_equal(got, expected)
 
     def test_cell_equality_via_public_api(self):
         config = SumCheckConfig.parse("4x4 m3").with_hash("CRC")
         kwargs = dict(n_elements=_N_ELEMENTS, num_keys=_NUM_KEYS, seed=3)
-        batched = sum_checker_accuracy(
-            config, "IncDec2", 1_000, mode="batched", **kwargs
-        )
-        reference = sum_checker_accuracy(
-            config, "IncDec2", 1_000, mode="reference", **kwargs
-        )
-        assert batched == reference
-
-    def test_unknown_mode_rejected(self):
-        config = SumCheckConfig.parse("4x4 m3")
-        with pytest.raises(ValueError):
-            sum_checker_accuracy(config, "Bitflip", 1, mode="nope")
+        cell = sum_checker_accuracy(config, "IncDec2", 1_000, **kwargs)
+        detected = _reference_sum_verdicts(config, "IncDec2", 1_000, 3)
+        assert cell.trials == 1_000
+        assert cell.failures == int((~detected).sum())
 
 
 class TestPermEngineMatchesReference:
@@ -134,32 +126,29 @@ class TestPermEngineMatchesReference:
     def test_per_trial_verdicts_identical(self, manipulator, family):
         config = PermCheckConfig(log_h=2, hash_family=family)
         seed = 0xE5
-        engine = BatchedPermAccuracy(
-            config, manipulator, universe=_UNIVERSE, seed=seed
+        got = perm_checker_verdicts(
+            config, manipulator, _TRIALS, universe=_UNIVERSE, seed=seed
         )
-        got = engine.verdicts(_TRIALS)
         expected = _reference_perm_verdicts(config, manipulator, _TRIALS, seed)
         assert np.array_equal(got, expected)
         assert got.any() and not got.all(), "log_h=2 should be fallible"
 
     def test_multi_iteration_checker(self):
         config = PermCheckConfig(log_h=1, hash_family="Mix", iterations=3)
-        engine = BatchedPermAccuracy(
-            config, "Randomize", universe=_UNIVERSE, seed=11
+        got = perm_checker_verdicts(
+            config, "Randomize", _TRIALS, universe=_UNIVERSE, seed=11
         )
         expected = _reference_perm_verdicts(config, "Randomize", _TRIALS, 11)
-        assert np.array_equal(engine.verdicts(_TRIALS), expected)
+        assert np.array_equal(got, expected)
 
     def test_cell_equality_via_public_api(self):
         config = PermCheckConfig(log_h=3, hash_family="Tab")
-        batched = perm_checker_accuracy(
-            config, "SetEqual", 1_000, universe=_UNIVERSE, seed=5, mode="batched"
+        cell = perm_checker_accuracy(
+            config, "SetEqual", 1_000, universe=_UNIVERSE, seed=5
         )
-        reference = perm_checker_accuracy(
-            config, "SetEqual", 1_000, universe=_UNIVERSE, seed=5,
-            mode="reference",
-        )
-        assert batched == reference
+        detected = _reference_perm_verdicts(config, "SetEqual", 1_000, 5)
+        assert cell.trials == 1_000
+        assert cell.failures == int((~detected).sum())
 
 
 class TestEdgeCases:
@@ -167,28 +156,20 @@ class TestEdgeCases:
     def test_sum_trial_count_edges(self, trials):
         config = SumCheckConfig.parse("4x4 m3").with_hash("Tab")
         kwargs = dict(n_elements=_N_ELEMENTS, num_keys=_NUM_KEYS, seed=9)
-        batched = sum_checker_accuracy(
-            config, "RandKey", trials, mode="batched", **kwargs
-        )
-        reference = sum_checker_accuracy(
-            config, "RandKey", trials, mode="reference", **kwargs
-        )
-        assert batched == reference
-        assert batched.trials == trials
+        cell = sum_checker_accuracy(config, "RandKey", trials, **kwargs)
+        detected = _reference_sum_verdicts(config, "RandKey", trials, 9)
+        assert cell.trials == trials
+        assert cell.failures == int((~detected).sum())
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_perm_trial_count_edges(self, trials):
         config = PermCheckConfig(log_h=2, hash_family="CRC")
-        batched = perm_checker_accuracy(
-            config, "Increment", trials, universe=_UNIVERSE, seed=9,
-            mode="batched",
+        cell = perm_checker_accuracy(
+            config, "Increment", trials, universe=_UNIVERSE, seed=9
         )
-        reference = perm_checker_accuracy(
-            config, "Increment", trials, universe=_UNIVERSE, seed=9,
-            mode="reference",
-        )
-        assert batched == reference
-        assert batched.trials == trials
+        detected = _reference_perm_verdicts(config, "Increment", trials, 9)
+        assert cell.trials == trials
+        assert cell.failures == int((~detected).sum())
 
     def test_verdict_kernel_validates_trial_counts(self):
         config = SumCheckConfig.parse("4x4 m3")
@@ -200,11 +181,6 @@ class TestEdgeCases:
         )
         with pytest.raises(ValueError):
             sum_delta_verdicts(config, np.arange(2, dtype=np.uint64), delta)
-
-    def test_invalid_chunk_trials(self):
-        config = SumCheckConfig.parse("4x4 m3")
-        with pytest.raises(ValueError):
-            BatchedSumAccuracy(config, "Bitflip", seed=0, chunk_trials=0)
 
 
 class TestVerdictKernelsDirect:

@@ -59,18 +59,9 @@ class TestKVManipulators:
         man = get_kv_manipulator(name)
         for trial in range(20):
             rng = np.random.default_rng(trial)
-            effect = man.sample_delta(rng, keys, values)
+            effect = man.apply(rng, keys, values)
             assert effect.delta_keys.size > 0
             assert np.all(effect.delta_values != 0)
-
-    @pytest.mark.parametrize("name", sorted(SUM_MANIPULATORS))
-    def test_sample_delta_matches_apply_for_same_rng(self, name, workload):
-        keys, values = workload
-        man = get_kv_manipulator(name)
-        a = man.sample_delta(np.random.default_rng(5), keys, values)
-        b = man.apply(np.random.default_rng(5), keys, values)
-        assert np.array_equal(a.delta_keys, b.delta_keys)
-        assert np.array_equal(a.delta_values, b.delta_values)
 
     def test_incdec_touches_distinct_keys(self, workload):
         keys, values = workload
@@ -131,18 +122,18 @@ class TestSeqManipulators:
             assert result.added[0] == result.sequence[i]
             assert result.removed[0] != result.added[0]
 
-    @pytest.mark.parametrize("name", sorted(PERM_MANIPULATORS))
-    def test_sample_change_matches_apply(self, name, sequence):
-        man = get_seq_manipulator(name)
-        a = man.sample_change(np.random.default_rng(9), sequence)
-        b = man.apply(np.random.default_rng(9), sequence)
-        assert a.removed[0] == b.removed[0]
-        assert a.added[0] == b.added[0]
-
     def test_increment_adds_one(self, sequence):
         man = get_seq_manipulator("Increment")
         result = man.apply(np.random.default_rng(1), sequence)
         assert int(result.added[0]) == int(result.removed[0]) + 1
+
+    def test_increment_wraps_at_uint64_max(self):
+        seq = np.full(4, 2**64 - 1, dtype=np.uint64)
+        result = get_seq_manipulator("Increment").apply(
+            np.random.default_rng(0), seq
+        )
+        assert result.removed[0] == 2**64 - 1 and result.added[0] == 0
+        assert np.count_nonzero(result.sequence == 0) == 1
 
     def test_reset_resamples_zero_elements(self):
         man = get_seq_manipulator("Reset")
@@ -176,8 +167,14 @@ class TestSeqManipulators:
             get_seq_manipulator("Gremlin")
 
 
+#: Stored-integer extremes the input domain accepts: uint64 keys and
+#: elements at both ends and the sign bit, int64 values at both ends.
+_EXTREME_KEYS = np.array([0, 5, 2**63, 2**64 - 1], dtype=np.uint64)
+_EXTREME_VALUES = np.array([-(2**63), 2**63 - 1, -1, 3], dtype=np.int64)
+
+
 class TestBatchedSampling:
-    """Batched samplers must replay the scalar SplitMix streams exactly."""
+    """Batched samplers must replay ``apply``'s SplitMix streams exactly."""
 
     def _seeds(self, count):
         from repro.util.rng import derive_seed
@@ -186,21 +183,19 @@ class TestBatchedSampling:
             [derive_seed(21, "trial", t) for t in range(count)], dtype=np.uint64
         )
 
-    @pytest.mark.parametrize("name", sorted(SUM_MANIPULATORS))
-    def test_kv_batch_matches_scalar_streams(self, name, workload):
+    def _kv_matches_apply(self, name, keys, values, trials):
         from repro.util.rng import SplitMixStream, SplitMixStreamBatch
 
-        keys, values = workload
         man = get_kv_manipulator(name) if name != "RandKey" else get_kv_manipulator(
             name, key_domain=50
         )
-        seeds = self._seeds(60)
+        seeds = self._seeds(trials)
         batch = man.sample_delta_batch(
-            SplitMixStreamBatch(seeds), keys, values, trials=60
+            SplitMixStreamBatch(seeds), keys, values, trials=trials
         )
-        assert batch.trials == 60
-        for t in range(60):
-            effect = man.sample_delta(SplitMixStream(int(seeds[t])), keys, values)
+        assert batch.trials == trials
+        for t in range(trials):
+            effect = man.apply(SplitMixStream(int(seeds[t])), keys, values)
             pick = batch.owner == t
             got = dict(
                 zip(
@@ -213,24 +208,44 @@ class TestBatchedSampling:
             )
             assert got == expected, (name, t)
 
-    @pytest.mark.parametrize("name", sorted(PERM_MANIPULATORS))
-    def test_seq_batch_matches_scalar_streams(self, name):
+    def _seq_matches_apply(self, name, seq, trials):
         from repro.util.rng import SplitMixStream, SplitMixStreamBatch
-        from repro.workloads.uniform import uniform_integers
 
-        seq = uniform_integers(500, 10**3, seed=4)  # small universe → redraws
-        seq[::41] = 0  # zeros make Reset redraw occasionally
         man = (
             get_seq_manipulator(name)
             if name != "Randomize"
             else get_seq_manipulator(name, universe=10**3)
         )
-        seeds = self._seeds(60)
-        batch = man.sample_change_batch(SplitMixStreamBatch(seeds), seq, trials=60)
-        for t in range(60):
-            change = man.sample_change(SplitMixStream(int(seeds[t])), seq)
+        seeds = self._seeds(trials)
+        batch = man.sample_change_batch(
+            SplitMixStreamBatch(seeds), seq, trials=trials
+        )
+        for t in range(trials):
+            change = man.apply(SplitMixStream(int(seeds[t])), seq)
             assert int(batch.removed[t]) == int(change.removed[0]), (name, t)
             assert int(batch.added[t]) == int(change.added[0]), (name, t)
+
+    @pytest.mark.parametrize("name", sorted(SUM_MANIPULATORS))
+    def test_kv_batch_matches_scalar_streams(self, name, workload):
+        self._kv_matches_apply(name, *workload, trials=60)
+
+    @pytest.mark.parametrize("name", sorted(SUM_MANIPULATORS))
+    def test_kv_batch_matches_apply_at_integer_extremes(self, name):
+        # Deltas of int64-min values and keys next to 2^64 wrap as the
+        # stored records do, in apply and in the batch alike.
+        self._kv_matches_apply(name, _EXTREME_KEYS, _EXTREME_VALUES, trials=40)
+
+    @pytest.mark.parametrize("name", sorted(PERM_MANIPULATORS))
+    def test_seq_batch_matches_scalar_streams(self, name):
+        from repro.workloads.uniform import uniform_integers
+
+        seq = uniform_integers(500, 10**3, seed=4)  # small universe → redraws
+        seq[::41] = 0  # zeros make Reset redraw occasionally
+        self._seq_matches_apply(name, seq, trials=60)
+
+    @pytest.mark.parametrize("name", sorted(PERM_MANIPULATORS))
+    def test_seq_batch_matches_apply_at_integer_extremes(self, name):
+        self._seq_matches_apply(name, _EXTREME_KEYS, trials=40)
 
     def test_trials_mismatch_rejected(self):
         from repro.util.rng import SplitMixStreamBatch
@@ -277,10 +292,8 @@ class TestRngBinding:
     def test_missing_rng_raises_with_name(self, workload):
         keys, values = workload
         man = get_kv_manipulator("SwitchValues")
-        with pytest.raises(ValueError, match="SwitchValues"):
+        with pytest.raises(ValueError, match="SwitchValues: pass rng="):
             man.apply(None, keys, values)
-        with pytest.raises(ValueError, match="rng="):
-            man.sample_delta(None, keys, values)
 
     def test_seq_manipulators_accept_rng(self):
         seq = np.arange(1, 200, dtype=np.uint64)

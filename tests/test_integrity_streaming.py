@@ -95,3 +95,28 @@ class TestRunnerCLI:
         )
         assert code == 0
         assert "Fig 4" in out.read_text()
+
+    #: Every section the tests above skip, but fig3: its 96 cells each
+    #: regenerate the 50 000-pair workload (~1.5 s at any trial count),
+    #: so it runs in the bench smoke only.
+    HEADINGS = {
+        "fig5": "## Fig 5 — permutation-checker accuracy (20 trials/cell)",
+        "table1": "## Table 1 — checker communication volume",
+        "table5": "## Table 5 — checker overhead",
+        "multiseed": "## Multi-seed batched checking (8 seeds)",
+        "streaming": "## Streaming — window count vs checker wire volume",
+    }
+
+    @pytest.mark.parametrize("section", sorted(HEADINGS))
+    def test_measured_sections_small(self, tmp_path, section):
+        from repro.experiments.runner import main
+
+        out = tmp_path / "r.md"
+        code = main(
+            ["--trials", "20", "--elements", "5000", "--sections", section,
+             "--out", str(out)]
+        )
+        assert code == 0
+        text = out.read_text()
+        assert self.HEADINGS[section] in text
+        assert f"_({section}: " in text
